@@ -1,0 +1,100 @@
+/* Compiled loops of gsample.filters: the greedy Jacobi sweep and the
+ * accumulation of its rotations.
+ *
+ * The arithmetic follows the numpy references in gsample.oracle term by
+ * term, so the outputs are bit-identical to theirs.  That needs every
+ * product rounded on its own: build with -ffp-contract=off and without
+ * -ffast-math.  Nothing here allocates or keeps state; the caller owns
+ * every buffer, so concurrent calls on different buffers are safe.
+ */
+#include <math.h>
+#include <stdint.h>
+
+/* Fresh maximum of |w[i, i+1:]|; ties go to the smallest column. */
+static void row_max(const double *w, int64_t n, int64_t i,
+                    int64_t *best_col, double *best_val)
+{
+    const double *row = w + i * n;
+    int64_t col = i + 1;
+    double val = fabs(row[col]);
+    for (int64_t j = i + 2; j < n; j++) {
+        if (fabs(row[j]) > val) {
+            val = fabs(row[j]);
+            col = j;
+        }
+    }
+    best_col[i] = col;
+    best_val[i] = val;
+}
+
+/* Up to `budget` greedy rotations of the exactly symmetric row-major n x n
+ * matrix w, in place.  best_col / best_val (n - 1 entries) cache the
+ * per-row maxima of the strict upper triangle; `init` fills them, and a
+ * later call with init = 0 continues the same sweep.  Rotation k is
+ * written to planes[2k], planes[2k + 1] and thetas[k].  Returns the
+ * number of rotations made, which is short of `budget` only when every
+ * off-diagonal magnitude is at most tol. */
+int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
+                            double *best_val, int64_t budget, double tol,
+                            int init, int64_t *planes, double *thetas)
+{
+    if (init)
+        for (int64_t i = 0; i < n - 1; i++)
+            row_max(w, n, i, best_col, best_val);
+    int64_t k = 0;
+    for (; k < budget; k++) {
+        int64_t p = 0;
+        for (int64_t i = 1; i < n - 1; i++)
+            if (best_val[i] > best_val[p])
+                p = i;
+        if (best_val[p] <= tol)
+            break;
+        int64_t q = best_col[p];
+        double *wp = w + p * n, *wq = w + q * n;
+        double theta = 0.5 * atan2(2.0 * wp[q], wq[q] - wp[p]);
+        double c = cos(theta), s = sin(theta);
+        /* the (p, q) block: columns first, then rows, as the reference */
+        double pp = c * wp[p] - s * wp[q], pq = s * wp[p] + c * wp[q];
+        double qp = c * wq[p] - s * wq[q], qq = s * wq[p] + c * wq[q];
+        for (int64_t j = 0; j < n; j++) {
+            if (j == p || j == q)
+                continue;
+            double a = wp[j], b = wq[j];
+            wp[j] = c * a - s * b;
+            wq[j] = s * a + c * b;
+            /* the column update gives the same value from the mirror */
+            w[j * n + p] = wp[j];
+            w[j * n + q] = wq[j];
+        }
+        wp[p] = c * pp - s * qp;
+        wq[q] = s * pq + c * qq;
+        wp[q] = wq[p] = 0.0;
+        planes[2 * k] = p;
+        planes[2 * k + 1] = q;
+        thetas[k] = theta;
+        /* a cached row maximum is stale when the rotation touched its
+         * column or may have raised an entry to it, and for rows p, q */
+        for (int64_t i = 0; i < n - 1; i++)
+            if (i == p || i == q || best_col[i] == p || best_col[i] == q
+                    || (i < p && fabs(w[i * n + p]) >= best_val[i])
+                    || (i < q && fabs(w[i * n + q]) >= best_val[i]))
+                row_max(w, n, i, best_col, best_val);
+    }
+    return k;
+}
+
+/* Applies `count` rotations in order to the rows of the row-major n x n
+ * matrix qt: the transpose of right-multiplying each rotation's columns. */
+void rotate_rows(double *qt, int64_t n, int64_t count,
+                 const int64_t *planes, const double *thetas)
+{
+    for (int64_t k = 0; k < count; k++) {
+        double c = cos(thetas[k]), s = sin(thetas[k]);
+        double *rp = qt + planes[2 * k] * n, *rq = qt + planes[2 * k + 1] * n;
+        for (int64_t j = 0; j < n; j++) {
+            double a = rp[j], b = rq[j];
+            rp[j] = c * a - s * b;
+            rq[j] = s * a + c * b;
+        }
+    }
+}

@@ -355,7 +355,8 @@ class _TrialContext:
         self.K = resolve_k(spec, n)
         self.mu = spec.mu
         self.graph = _make_graph(spec, n, trial)
-        self.basis = eigendecompose(build_laplacian(self.graph))
+        self.lap = build_laplacian(self.graph)
+        self.basis = eigendecompose(self.lap)
         self._signal = None
         self._approx = None
         self._exact = None
@@ -373,8 +374,7 @@ class _TrialContext:
 
     def approx_filter(self):
         if self._approx is None:
-            lap = build_laplacian(self.graph)
-            self._approx = approximate_lowpass(lap, self.K,
+            self._approx = approximate_lowpass(self.lap, self.K,
                                                resolve_j(self.spec, self.n))
         return self._approx
 

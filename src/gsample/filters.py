@@ -4,7 +4,9 @@ The ideal low-pass filter with cutoff K is the projector V_K V_K^T onto
 the K lowest-frequency eigenvectors.  The approximate variant avoids the
 eigendecomposition entirely: a greedy Jacobi sweep applies a fixed budget
 of Givens rotations to the Laplacian, and the accumulated rotation
-product plays the role of the eigenvector matrix.
+product plays the role of the eigenvector matrix.  The sweep and the
+rotation product run in the compiled kernels of `_kernels.c`; their numpy
+references live in `gsample.oracle`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .graphs import Laplacian
 from .spectral import SpectralBasis
 
@@ -29,11 +32,21 @@ class GivensSeq:
     rotations: tuple
 
     def __post_init__(self):
-        rots = tuple((int(p), int(q), float(t)) for p, q, t in self.rotations)
-        for p, q, _ in rots:
-            if not (0 <= p < q < self.n):
-                raise ValueError(f"rotation plane ({p}, {q}) out of range for n={self.n}")
-        object.__setattr__(self, "rotations", rots)
+        rots = tuple(self.rotations)
+        table = np.array(rots, dtype=float).reshape(len(rots), 3)
+        planes = table[:, :2].astype(np.int64)
+        p, q = planes[:, 0], planes[:, 1]
+        bad = ~((0 <= p) & (p < q) & (q < self.n))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"rotation plane ({p[i]}, {q[i]}) out of range for n={self.n}")
+        thetas = np.ascontiguousarray(table[:, 2])
+        object.__setattr__(self, "rotations",
+                           tuple(zip(p.tolist(), q.tolist(), thetas.tolist())))
+        # validated arrays for the kernel; not dataclass fields
+        object.__setattr__(self, "_planes", planes)
+        object.__setattr__(self, "_thetas", thetas)
 
     @property
     def count(self) -> int:
@@ -41,10 +54,9 @@ class GivensSeq:
 
     def to_matrix(self) -> np.ndarray:
         """Product of the rotations, applied in order to the identity."""
-        q_mat = np.eye(self.n)
-        for p, q, theta in self.rotations:
-            _rotate_columns(q_mat, p, q, math.cos(theta), math.sin(theta))
-        return q_mat
+        q_t = np.eye(self.n)
+        _kernels.rotate_rows(q_t, self._planes, self._thetas)
+        return q_t.T.copy()
 
 
 @dataclass(frozen=True)
@@ -94,56 +106,9 @@ def _rotate_symmetric(w: np.ndarray, p: int, q: int, c: float, s: float) -> None
     w[q, p] = 0.0
 
 
-def jacobi_angle(w_pp: float, w_qq: float, w_pq: float) -> float:
-    """Classical Jacobi angle that zeroes the (p, q) entry."""
-    return 0.5 * math.atan2(2.0 * w_pq, w_qq - w_pp)
-
-
 def apply_rotation(w: np.ndarray, p: int, q: int, theta: float) -> None:
     """In-place two-sided rotation of a symmetric matrix (test/replay hook)."""
     _rotate_symmetric(w, p, q, math.cos(theta), math.sin(theta))
-
-
-class _RowMax:
-    """Running per-row maximum of |W| over the strict upper triangle.
-
-    Keeps pair selection at O(n) per rotation after the O(n^2) setup.
-    Rows whose cached entry may have been invalidated by a rotation are
-    recomputed with a fresh argmax, which also preserves the tie rule
-    (smallest p, then smallest q).
-    """
-
-    def __init__(self, w: np.ndarray):
-        self.w = w
-        self.n = w.shape[0]
-        self.best_col = np.zeros(self.n - 1, dtype=np.intp)
-        self.best_val = np.zeros(self.n - 1)
-        for i in range(self.n - 1):
-            self._recompute(i)
-
-    def _recompute(self, i: int) -> None:
-        row = np.abs(self.w[i, i + 1 :])
-        j = int(np.argmax(row))
-        self.best_col[i] = i + 1 + j
-        self.best_val[i] = row[j]
-
-    def pick(self):
-        p = int(np.argmax(self.best_val))
-        return p, int(self.best_col[p]), float(self.best_val[p])
-
-    def update_after_rotation(self, p: int, q: int) -> None:
-        stale = np.zeros(self.n - 1, dtype=bool)
-        if p > 0:
-            stale[:p] |= np.abs(self.w[:p, p]) >= self.best_val[:p]
-        if q > 0:
-            stale[:q] |= np.abs(self.w[:q, q]) >= self.best_val[:q]
-        stale |= (self.best_col == p) | (self.best_col == q)
-        if p < self.n - 1:
-            stale[p] = True
-        if q < self.n - 1:
-            stale[q] = True
-        for i in np.nonzero(stale)[0]:
-            self._recompute(int(i))
 
 
 def greedy_jacobi(lap: Laplacian, J: int, tol: float = OFFDIAG_TOL):
@@ -159,19 +124,19 @@ def greedy_jacobi(lap: Laplacian, J: int, tol: float = OFFDIAG_TOL):
     """
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")
-    w = lap.matrix.astype(float).copy()
+    w = np.array(lap.matrix, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"Laplacian must be square, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("Laplacian has non-finite entries")
+    if not np.array_equal(w, w.T):
+        raise ValueError("Laplacian must be exactly symmetric")
     n = w.shape[0]
-    rotations = []
+    rotations = ()
     if n >= 2 and J > 0:
-        tracker = _RowMax(w)
-        for _ in range(J):
-            p, q, val = tracker.pick()
-            if val <= tol:
-                break
-            theta = jacobi_angle(w[p, p], w[q, q], w[p, q])
-            _rotate_symmetric(w, p, q, math.cos(theta), math.sin(theta))
-            rotations.append((p, q, theta))
-            tracker.update_after_rotation(p, q)
+        planes, thetas = _kernels.greedy_jacobi_sweep(w, J, tol)
+        rotations = zip(planes[:, 0].tolist(), planes[:, 1].tolist(),
+                        thetas.tolist())
     diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
     return GivensSeq(n, tuple(rotations)), diag[perm], perm

@@ -5,7 +5,9 @@ the same machinery certifies any of the selection criteria: exhaustive
 optima over all fixed-size subsets, relative suboptimality of candidate
 sets, the empirical approximate-supermodularity constant alpha with its
 closed-form lower bounds, and the geometric decay guarantee for greedy
-minimization of monotone alpha-supermodular objectives.
+minimization of monotone alpha-supermodular objectives.  It also keeps the
+plain numpy greedy Jacobi sweep and rotation product that the compiled
+kernels behind `gsample.filters` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from .filters import OFFDIAG_TOL, _rotate_columns, apply_rotation
 
 # Hard ceiling on enumerated subsets; exceeding it is an error, never a
 # silent truncation.
@@ -209,6 +213,86 @@ def greedy_decay_check(objective, n: int, K: int, mu: float, M: int):
         rows.append({"l": l, "ratio": ratio, "bound": bound,
                      "exp_bound": exp_bound, "holds": holds})
     return ok, rows
+
+
+class _RowMax:
+    """Running per-row maximum of |W| over the strict upper triangle.
+
+    Keeps pair selection at O(n) per rotation after the O(n^2) setup.
+    Rows whose cached entry may have been invalidated by a rotation are
+    recomputed with a fresh argmax, which also preserves the tie rule
+    (smallest p, then smallest q).
+    """
+
+    def __init__(self, w: np.ndarray):
+        self.w = w
+        self.n = w.shape[0]
+        self.best_col = np.zeros(self.n - 1, dtype=np.intp)
+        self.best_val = np.zeros(self.n - 1)
+        for i in range(self.n - 1):
+            self._recompute(i)
+
+    def _recompute(self, i: int) -> None:
+        row = np.abs(self.w[i, i + 1 :])
+        j = int(np.argmax(row))
+        self.best_col[i] = i + 1 + j
+        self.best_val[i] = row[j]
+
+    def pick(self):
+        p = int(np.argmax(self.best_val))
+        return p, int(self.best_col[p]), float(self.best_val[p])
+
+    def update_after_rotation(self, p: int, q: int) -> None:
+        stale = np.zeros(self.n - 1, dtype=bool)
+        if p > 0:
+            stale[:p] |= np.abs(self.w[:p, p]) >= self.best_val[:p]
+        if q > 0:
+            stale[:q] |= np.abs(self.w[:q, q]) >= self.best_val[:q]
+        stale |= (self.best_col == p) | (self.best_col == q)
+        if p < self.n - 1:
+            stale[p] = True
+        if q < self.n - 1:
+            stale[q] = True
+        for i in np.nonzero(stale)[0]:
+            self._recompute(int(i))
+
+
+def jacobi_angle(w_pp: float, w_qq: float, w_pq: float) -> float:
+    """Classical Jacobi angle that zeroes the (p, q) entry."""
+    return 0.5 * math.atan2(2.0 * w_pq, w_qq - w_pp)
+
+
+def greedy_jacobi_reference(lap, J: int, tol: float = OFFDIAG_TOL):
+    """Numpy reference of `filters.greedy_jacobi`.
+
+    Returns (rotations as a tuple of (p, q, theta), approximate eigenvalues
+    sorted ascending, perm).
+    """
+    w = lap.matrix.astype(float).copy()
+    n = w.shape[0]
+    rotations = []
+    if n >= 2 and J > 0:
+        tracker = _RowMax(w)
+        for _ in range(J):
+            p, q, val = tracker.pick()
+            if val <= tol:
+                break
+            theta = jacobi_angle(w[p, p], w[q, q], w[p, q])
+            apply_rotation(w, p, q, theta)
+            rotations.append((p, q, theta))
+            tracker.update_after_rotation(p, q)
+    diag = np.diag(w).copy()
+    perm = np.argsort(diag, kind="stable")
+    return tuple(rotations), diag[perm], perm
+
+
+def givens_matrix_reference(n: int, rotations) -> np.ndarray:
+    """Numpy reference of `GivensSeq.to_matrix`: the rotations applied in
+    order to the columns of the identity."""
+    q_mat = np.eye(n)
+    for p, q, theta in rotations:
+        _rotate_columns(q_mat, p, q, math.cos(theta), math.sin(theta))
+    return q_mat
 
 
 def save_alpha_csv(labeled_reports, path) -> None:
