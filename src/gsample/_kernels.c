@@ -6,6 +6,11 @@
  * product rounded on its own: build with -ffp-contract=off and without
  * -ffast-math.  Nothing here allocates or keeps state; the caller owns
  * every buffer, so concurrent calls on different buffers are safe.
+ *
+ * The sweep reads and writes only the diagonal and the strict upper
+ * triangle (i < j) of its symmetric matrix and leaves the lower triangle
+ * stale on return.  Each rotation then touches about p + q strided
+ * entries, not 2n, and the lower half never enters the cache.
  */
 #include <math.h>
 #include <stdint.h>
@@ -27,13 +32,15 @@ static void row_max(const double *w, int64_t n, int64_t i,
     best_val[i] = val;
 }
 
-/* Up to `budget` greedy rotations of the exactly symmetric row-major n x n
- * matrix w, in place.  best_col / best_val (n - 1 entries) cache the
- * per-row maxima of the strict upper triangle; `init` fills them, and a
- * later call with init = 0 continues the same sweep.  Rotation k is
- * written to planes[2k], planes[2k + 1] and thetas[k].  Returns the
- * number of rotations made, which is short of `budget` only when every
- * off-diagonal magnitude is at most tol. */
+/* Up to `budget` greedy rotations of the symmetric row-major n x n
+ * matrix w, in place.  Only the diagonal and the strict upper triangle
+ * (i < j) are read or written: w[q, p] is read as w[p, q], and the lower
+ * triangle is left stale on return.  best_col / best_val (n - 1 entries)
+ * cache the per-row maxima of the strict upper triangle; `init` fills
+ * them, and a later call with init = 0 continues the same sweep.
+ * Rotation k is written to planes[2k], planes[2k + 1] and thetas[k].
+ * Returns the number of rotations made, which is short of `budget` only
+ * when every off-diagonal magnitude is at most tol. */
 int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
                             double *best_val, int64_t budget, double tol,
                             int init, int64_t *planes, double *thetas)
@@ -55,30 +62,46 @@ int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
         double c = cos(theta), s = sin(theta);
         /* the (p, q) block: columns first, then rows, as the reference */
         double pp = c * wp[p] - s * wp[q], pq = s * wp[p] + c * wp[q];
-        double qp = c * wq[p] - s * wq[q], qq = s * wq[p] + c * wq[q];
-        for (int64_t j = 0; j < n; j++) {
-            if (j == p || j == q)
-                continue;
-            double a = wp[j], b = wq[j];
-            wp[j] = c * a - s * b;
-            wq[j] = s * a + c * b;
-            /* the column update gives the same value from the mirror */
-            w[j * n + p] = wp[j];
-            w[j * n + q] = wq[j];
+        double qp = c * wp[q] - s * wq[q], qq = s * wp[q] + c * wq[q];
+        /* the pair (w[p, j], w[q, j]) of every other column j, each entry
+         * taken from the upper triangle: both from column j below row p,
+         * row p and column j between p and q, both rows right of q.  Row
+         * j < q changes only in columns p and q, so its cached maximum is
+         * checked as soon as they are written: it is stale when it sat in
+         * either column or an entry there may have risen to it. */
+        for (int64_t j = 0; j < p; j++) {
+            double *a = w + j * n + p, *b = w + j * n + q;
+            double x = *a, y = *b;
+            *a = c * x - s * y;
+            *b = s * x + c * y;
+            if (best_col[j] == p || best_col[j] == q
+                    || fabs(*a) >= best_val[j] || fabs(*b) >= best_val[j])
+                row_max(w, n, j, best_col, best_val);
+        }
+        for (int64_t j = p + 1; j < q; j++) {
+            double *b = w + j * n + q;
+            double x = wp[j], y = *b;
+            wp[j] = c * x - s * y;
+            *b = s * x + c * y;
+            if (best_col[j] == q || fabs(*b) >= best_val[j])
+                row_max(w, n, j, best_col, best_val);
+        }
+        for (int64_t j = q + 1; j < n; j++) {
+            double x = wp[j], y = wq[j];
+            wp[j] = c * x - s * y;
+            wq[j] = s * x + c * y;
         }
         wp[p] = c * pp - s * qp;
         wq[q] = s * pq + c * qq;
-        wp[q] = wq[p] = 0.0;
+        wp[q] = 0.0;
         planes[2 * k] = p;
         planes[2 * k + 1] = q;
         thetas[k] = theta;
-        /* a cached row maximum is stale when the rotation touched its
-         * column or may have raised an entry to it, and for rows p, q */
-        for (int64_t i = 0; i < n - 1; i++)
-            if (i == p || i == q || best_col[i] == p || best_col[i] == q
-                    || (i < p && fabs(w[i * n + p]) >= best_val[i])
-                    || (i < q && fabs(w[i * n + q]) >= best_val[i]))
-                row_max(w, n, i, best_col, best_val);
+        /* rows p and q are always rescanned; the upper triangle of a row
+         * past q is untouched */
+        row_max(w, n, p, best_col, best_val);
+        if (q < n - 1)
+            row_max(w, n, q, best_col, best_val);
     }
     return k;
 }

@@ -78,9 +78,12 @@ _LIB = _load()
 def greedy_jacobi_sweep(w: np.ndarray, budget: int, tol: float):
     """Greedy Jacobi rotations of w in place, at most `budget` of them.
 
-    w must be a C-contiguous float64 n x n matrix with n >= 2 that is
-    exactly symmetric and finite.  Returns (planes, thetas): an (m, 2)
-    int64 array of the (p, q) pairs and the m angles, in order.
+    w must be a C-contiguous float64 n x n matrix with n >= 2 whose
+    diagonal and strict upper triangle hold a finite symmetric matrix.
+    The kernel reads and writes only those entries: the lower triangle is
+    never read and is left stale on return, so only the diagonal and the
+    upper triangle of w are the rotated matrix.  Returns (planes, thetas):
+    an (m, 2) int64 array of the (p, q) pairs and the m angles, in order.
     """
     n = w.shape[0]
     best_col = np.empty(n - 1, dtype=np.int64)

@@ -41,9 +41,22 @@ class GivensSeq:
             i = int(np.argmax(bad))
             raise ValueError(
                 f"rotation plane ({p[i]}, {q[i]}) out of range for n={self.n}")
-        thetas = np.ascontiguousarray(table[:, 2])
-        object.__setattr__(self, "rotations",
-                           tuple(zip(p.tolist(), q.tolist(), thetas.tolist())))
+        self._adopt(planes, np.ascontiguousarray(table[:, 2]))
+
+    @classmethod
+    def _from_arrays(cls, n: int, planes: np.ndarray,
+                     thetas: np.ndarray) -> "GivensSeq":
+        # a sequence of valid (m, 2) int64 planes and m float64 angles,
+        # both C-contiguous, as the Jacobi kernel returns them: skips the
+        # round trip through a tuple and back
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "n", n)
+        seq._adopt(planes, thetas)
+        return seq
+
+    def _adopt(self, planes: np.ndarray, thetas: np.ndarray) -> None:
+        object.__setattr__(self, "rotations", tuple(zip(
+            planes[:, 0].tolist(), planes[:, 1].tolist(), thetas.tolist())))
         # validated arrays for the kernel; not dataclass fields
         object.__setattr__(self, "_planes", planes)
         object.__setattr__(self, "_thetas", thetas)
@@ -132,14 +145,14 @@ def greedy_jacobi(lap: Laplacian, J: int, tol: float = OFFDIAG_TOL):
     if not np.array_equal(w, w.T):
         raise ValueError("Laplacian must be exactly symmetric")
     n = w.shape[0]
-    rotations = ()
     if n >= 2 and J > 0:
-        planes, thetas = _kernels.greedy_jacobi_sweep(w, J, tol)
-        rotations = zip(planes[:, 0].tolist(), planes[:, 1].tolist(),
-                        thetas.tolist())
+        seq = GivensSeq._from_arrays(n, *_kernels.greedy_jacobi_sweep(w, J, tol))
+    else:
+        seq = GivensSeq(n, ())
+    # the kernel leaves the lower triangle stale; only the diagonal is used
     diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
-    return GivensSeq(n, tuple(rotations)), diag[perm], perm
+    return seq, diag[perm], perm
 
 
 def lowpass_from_givens(givens: GivensSeq, perm, K: int,

@@ -89,6 +89,25 @@ def _is_connected(adjacency: np.ndarray) -> bool:
     return ncomp == 1
 
 
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k + 1 smallest entries of each row of `dist`.
+
+    Equal to np.argsort(dist, axis=1, kind="stable")[:, :k + 1]: ordered
+    by distance, ties by column.  A partition finds the candidates; a row
+    whose (k + 1)-th smallest value is shared by an entry left outside it
+    falls back to the stable sort, which settles that tie by column.
+    """
+    cand = np.argpartition(dist, k, axis=1)[:, :k + 1]
+    vals = np.take_along_axis(dist, cand, axis=1)
+    order = np.lexsort((cand, vals), axis=1)
+    near = np.take_along_axis(cand, order, axis=1)
+    kth = vals.max(axis=1, keepdims=True)
+    tied = np.count_nonzero(dist <= kth, axis=1) > k + 1
+    if tied.any():
+        near[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k + 1]
+    return near
+
+
 def gen_sensor(n: int, k_nn: int = 6, seed: int = 0) -> Graph:
     """Random geometric sensor graph on the unit square.
 
@@ -104,15 +123,20 @@ def gen_sensor(n: int, k_nn: int = 6, seed: int = 0) -> Graph:
         used_seed = seed + attempt
         rng = rng_from(used_seed)
         pos = rng.random((n, 2))
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=-1))
-        order = np.argsort(dist, axis=1, kind="stable")  # column 0 is the node itself
-        theta = dist[np.arange(n), order[:, k_nn]].mean()
-        weights = np.exp(-(dist ** 2) / (2.0 * theta ** 2))
+        # sqrt(dx*dx + dy*dy) in place, with one n x n temporary
+        dist = pos[:, 0, None] - pos[None, :, 0]
+        dist *= dist
+        dy = pos[:, 1, None] - pos[None, :, 1]
+        dy *= dy
+        dist += dy
+        del dy
+        np.sqrt(dist, out=dist)
+        near = _nearest(dist, k_nn)  # column 0 is the node itself
+        near_dist = np.take_along_axis(dist, near, axis=1)
+        theta = near_dist[:, k_nn].mean()
+        weights = np.exp(-(near_dist[:, 1:] ** 2) / (2.0 * theta ** 2))
         adj = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), k_nn)
-        cols = order[:, 1 : k_nn + 1].ravel()
-        adj[rows, cols] = weights[rows, cols]
+        adj[np.arange(n)[:, None], near[:, 1:]] = weights
         adj = np.maximum(adj, adj.T)
         if _is_connected(adj):
             return Graph(n, adj, meta={"model": "sensor", "seed": used_seed,

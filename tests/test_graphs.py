@@ -5,6 +5,7 @@ import pytest
 
 from gsample import (Graph, build_laplacian, gen_community, gen_er,
                      gen_sensor, load_graph, save_graph)
+from gsample.graphs import _nearest
 
 
 def test_laplacian_two_node_path():
@@ -74,6 +75,41 @@ def test_sensor_symmetrization_matches_knn_union():
                 continue
             expected = j in knn[i] or i in knn[j]
             assert (g.adjacency[i, j] > 0) == expected
+
+
+def _distances(pos):
+    return np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
+
+
+def _assert_nearest_matches_stable_sort(dist, k):
+    expected = np.argsort(dist, axis=1, kind="stable")[:, :k + 1]
+    assert np.array_equal(_nearest(dist, k), expected)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (7, 6), (40, 1), (40, 6), (300, 6),
+                                 (300, 25)])
+def test_nearest_matches_stable_sort_on_random_draws(n, k):
+    rng = np.random.default_rng(n + k)
+    for _ in range(3):
+        _assert_nearest_matches_stable_sort(_distances(rng.random((n, 2))), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_nearest_breaks_boundary_ties_by_column(k):
+    rng = np.random.default_rng(k)
+    # duplicate positions: zero distances, and a twin that sorts before
+    # the node itself
+    pos = rng.random((30, 2))
+    pos[[4, 9, 17]] = pos[12]
+    pos[25] = pos[2]
+    _assert_nearest_matches_stable_sort(_distances(pos), k)
+    # a lattice: four equidistant neighbours, then four more on the
+    # diagonals
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), -1)
+    _assert_nearest_matches_stable_sort(_distances(grid.reshape(-1, 2)), k)
+    # few distinct values: ties at every rank
+    dist = rng.integers(0, 3, size=(25, 25)).astype(float)
+    _assert_nearest_matches_stable_sort(dist, k)
 
 
 def test_sensor_determinism():

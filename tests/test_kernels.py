@@ -6,6 +6,7 @@ arithmetic term by term, so every comparison here is exact: the same
 (p, q) sequence, bitwise-equal angles, eigenvalues and rotation products.
 """
 
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +19,7 @@ from gsample import (Graph, GivensSeq, Laplacian, build_laplacian,
                      gen_community, gen_er, gen_sensor, greedy_jacobi,
                      rotation_budget)
 from gsample import _kernels
+from gsample.filters import OFFDIAG_TOL
 from gsample.oracle import givens_matrix_reference, greedy_jacobi_reference
 
 
@@ -37,6 +39,7 @@ def assert_matches_reference(lap, J):
     seq, eigs, perm = greedy_jacobi(lap, J)
     ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(lap, J)
     assert [r[:2] for r in seq.rotations] == [r[:2] for r in ref_rotations]
+    assert {tuple(map(type, r)) for r in seq.rotations} <= {(int, int, float)}
     assert _thetas(seq.rotations).tobytes() == _thetas(ref_rotations).tobytes()
     assert eigs.tobytes() == ref_eigs.tobytes()
     assert np.array_equal(perm, ref_perm)
@@ -59,6 +62,30 @@ def test_sweep_and_product_match_reference(model, n):
         assert seq.count < 10_000
 
 
+def test_sweep_at_n400_matches_reference():
+    # default budget only: the reference replays 6,245 rotations here
+    lap = build_laplacian(_graph("G1", 400, seed=400))
+    assert_matches_reference(lap, rotation_budget(400))
+
+
+@pytest.mark.parametrize("model,n", [("G1", 60), ("G2", 60), ("G3", 60)])
+def test_sweep_reads_only_the_upper_triangle(model, n):
+    lap = build_laplacian(_graph(model, n, seed=n))
+    J = rotation_budget(n)
+    full = np.array(lap.matrix)
+    masked = np.array(lap.matrix)
+    lower = np.tril_indices(n, -1)
+    masked[lower] = np.nan
+    planes, thetas = _kernels.greedy_jacobi_sweep(full, J, OFFDIAG_TOL)
+    masked_planes, masked_thetas = _kernels.greedy_jacobi_sweep(masked, J,
+                                                                OFFDIAG_TOL)
+    assert np.array_equal(planes, masked_planes)
+    assert thetas.tobytes() == masked_thetas.tobytes()
+    assert np.diag(full).tobytes() == np.diag(masked).tobytes()
+    # the lower triangle is never written either
+    assert np.isnan(masked[lower]).all()
+
+
 def test_diagonal_matrix_stops_at_once():
     lap = Laplacian(np.diag([3.0, 1.0, 2.0]), np.array([3.0, 1.0, 2.0]))
     assert assert_matches_reference(lap, 10).count == 0
@@ -76,13 +103,15 @@ def test_unit_cycle_ties_follow_reference():
 
 
 # Equal diagonals make every angle pi/4, so a rotation can raise an entry
-# in column p (first matrix) or q (second) to exactly its row's cached
-# maximum, left of it; the row must be refreshed so that the tie goes to
-# the smaller column.
+# to exactly its row's cached maximum, left of it: in column p of a row
+# above p (first matrix), in column q of a row between p and q (second) or
+# above p (third).  The row must be refreshed so that the tie goes to the
+# smaller column.
 @pytest.mark.parametrize("upper", [
     [[0, -1, -1, 1], [1, -1, 1], [-1, -1], [1]],
     [[0, 1, 0, 1, -1, 0], [0, 0, -1, 0, 1], [-1, 1, 0, -1], [0, 1, 1],
      [0, 0], [0]],
+    [[0, 1, 1, 1, 1], [-1, -1, 0, 1], [1, -1, -1], [1, 0], [-1]],
 ])
 def test_entry_raised_to_cached_row_max_follows_reference(upper):
     n = len(upper) + 1
@@ -152,3 +181,16 @@ def test_givens_seq_names_first_bad_plane():
     seq = GivensSeq(4, [(np.int64(0), 3.0, np.float32(0.5))])
     assert seq.rotations == ((0, 3, 0.5),)
     assert all(type(v) is t for v, t in zip(seq.rotations[0], (int, int, float)))
+
+
+def test_kernel_builds_without_warnings(tmp_path):
+    # bit-identity with the numpy references needs every product rounded
+    # on its own, so no contraction into FMAs and no value-changing
+    # optimisation
+    assert "-ffp-contract=off" in _kernels._FLAGS
+    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(_kernels._FLAGS)
+    done = subprocess.run(
+        ["gcc", *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE), "-lm"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
