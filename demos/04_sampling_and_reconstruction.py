@@ -28,8 +28,7 @@ print(f"selected nodes (budget = bandwidth): {selection.indices}")
 recons = {
     "blue (unbiased pseudo-inverse)": blue_reconstruct(obs, basis, K),
     "biased (loaded spectral)": biased_reconstruct(obs, basis, K, DEFAULT_MU),
-    "filter-domain (approx T)": filter_reconstruct(obs, approx.filter,
-                                                   DEFAULT_MU),
+    "filter-domain (approx T)": filter_reconstruct(obs, approx, DEFAULT_MU),
 }
 for name, rec in recons.items():
     print(f"  {name:32s} rmse = {rmse(rec.values, signal.values):.4f}")
@@ -43,7 +42,7 @@ for trial in range(30):
                     seed=child_seed("demo4-noise", trial, "g"))
     obs_u = observe(sig, uniform.indices, sigma2,
                     seed=child_seed("demo4-noise", trial, "u"))
-    rec_g = filter_reconstruct(obs_g, approx.filter, DEFAULT_MU)
+    rec_g = filter_reconstruct(obs_g, approx, DEFAULT_MU)
     rec_u = biased_reconstruct(obs_u, basis, K, DEFAULT_MU)
     totals["greedy+filter"].append(rmse(rec_g.values, sig.values))
     totals["uniform+biased"].append(rmse(rec_u.values, sig.values))

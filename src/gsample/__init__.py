@@ -23,8 +23,9 @@ from .reconstruction import (Reconstruction, biased_reconstruct,
                              blue_reconstruct, error_covariance,
                              filter_reconstruct, rmse, snr_to_sigma2)
 from .rng import RNG_NAME, child_seed, rng_from
-from .selection import (DEFAULT_MU, AgodState, FagodState, SamplingSet,
-                        greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
+from .selection import (DEFAULT_MU, AgodState, FactoredFagodState,
+                        FagodState, SamplingSet, greedy_aoptimal,
+                        greedy_doptimal, greedy_eoptimal,
                         greedy_select, objective_agod, objective_agod_full,
                         objective_aopt, objective_dopt, objective_eopt,
                         objective_fagod, random_select,
@@ -37,9 +38,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgodState", "AlphaReport", "ApproxFilter", "DEFAULT_MU",
-    "ExperimentResult", "ExperimentSpec", "FagodState", "GivensSeq", "Graph",
-    "GraphSignal", "Laplacian", "Observation", "RNG_NAME", "Reconstruction",
-    "ResultRow", "SamplingSet", "SpecError", "SpectralBasis",
+    "ExperimentResult", "ExperimentSpec", "FactoredFagodState", "FagodState",
+    "GivensSeq", "Graph", "GraphSignal", "Laplacian", "Observation",
+    "RNG_NAME", "Reconstruction", "ResultRow", "SamplingSet", "SpecError",
+    "SpectralBasis",
     "SuboptimalityReport", "approximate_lowpass", "biased_reconstruct",
     "blue_reconstruct", "build_laplacian", "child_seed", "eigendecompose",
     "empirical_alpha", "error_covariance", "exact_lowpass",

@@ -15,19 +15,42 @@
 #include <math.h>
 #include <stdint.h>
 
-/* Fresh maximum of |w[i, i+1:]|; ties go to the smallest column. */
+/* Fresh maximum of |w[i, i+1:]|; ties go to the smallest column.
+ *
+ * Two passes: four running maxima (plus the tail) find the maximum
+ * without a data-dependent branch, then the first column whose magnitude
+ * equals it is the answer.  Every lane starts at |w[i, i+1]|, so a NaN
+ * there makes the maximum NaN and a NaN elsewhere is skipped, as in a
+ * plain scan with a strict comparison.  A NaN maximum equals no entry:
+ * the second pass stops at the end of the row and the first column
+ * stands. */
 static void row_max(const double *w, int64_t n, int64_t i,
                     int64_t *best_col, double *best_val)
 {
     const double *row = w + i * n;
-    int64_t col = i + 1;
-    double val = fabs(row[col]);
-    for (int64_t j = i + 2; j < n; j++) {
-        if (fabs(row[j]) > val) {
-            val = fabs(row[j]);
-            col = j;
-        }
+    double m0 = fabs(row[i + 1]), m1 = m0, m2 = m0, m3 = m0;
+    int64_t j = i + 1;
+    for (; j + 4 <= n; j += 4) {
+        double a0 = fabs(row[j]), a1 = fabs(row[j + 1]);
+        double a2 = fabs(row[j + 2]), a3 = fabs(row[j + 3]);
+        m0 = a0 > m0 ? a0 : m0;
+        m1 = a1 > m1 ? a1 : m1;
+        m2 = a2 > m2 ? a2 : m2;
+        m3 = a3 > m3 ? a3 : m3;
     }
+    for (; j < n; j++) {
+        double a = fabs(row[j]);
+        m0 = a > m0 ? a : m0;
+    }
+    m0 = m1 > m0 ? m1 : m0;
+    m2 = m3 > m2 ? m3 : m2;
+    double val = m2 > m0 ? m2 : m0;
+    int64_t col = i + 1;
+    for (j = i + 1; j < n; j++)
+        if (fabs(row[j]) == val) {
+            col = j;
+            break;
+        }
     best_col[i] = col;
     best_val[i] = val;
 }
@@ -106,15 +129,17 @@ int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
     return k;
 }
 
-/* Applies `count` rotations in order to the rows of the row-major n x n
- * matrix qt: the transpose of right-multiplying each rotation's columns. */
-void rotate_rows(double *qt, int64_t n, int64_t count,
+/* Applies `count` rotations in order to the rows of the row-major matrix
+ * qt, whose rows are `width` entries long: the transpose of
+ * right-multiplying each rotation's columns. */
+void rotate_rows(double *qt, int64_t width, int64_t count,
                  const int64_t *planes, const double *thetas)
 {
     for (int64_t k = 0; k < count; k++) {
         double c = cos(thetas[k]), s = sin(thetas[k]);
-        double *rp = qt + planes[2 * k] * n, *rq = qt + planes[2 * k + 1] * n;
-        for (int64_t j = 0; j < n; j++) {
+        double *rp = qt + planes[2 * k] * width;
+        double *rq = qt + planes[2 * k + 1] * width;
+        for (int64_t j = 0; j < width; j++) {
             double a = rp[j], b = rq[j];
             rp[j] = c * a - s * b;
             rq[j] = s * a + c * b;

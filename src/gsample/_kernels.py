@@ -106,8 +106,9 @@ def greedy_jacobi_sweep(w: np.ndarray, budget: int, tol: float):
 
 
 def rotate_rows(qt: np.ndarray, planes: np.ndarray, thetas: np.ndarray) -> None:
-    """Rotate the rows of the n x n matrix qt in place, one rotation at a time.
+    """Rotate the rows of the C-contiguous matrix qt in place, in order.
 
-    Each (p, q) pair must satisfy 0 <= p < q < n.
+    Each (p, q) pair must satisfy 0 <= p < q < qt.shape[0]; the rows may
+    have any length.
     """
-    _LIB.rotate_rows(qt, qt.shape[0], len(thetas), planes, thetas)
+    _LIB.rotate_rows(qt, qt.shape[1], len(thetas), planes, thetas)

@@ -407,7 +407,7 @@ class _TrialContext:
 
     def reconstruct(self, method: str, obs, use_blue: bool):
         if method == "fagod":
-            return filter_reconstruct(obs, self.approx_filter().filter, self.mu)
+            return filter_reconstruct(obs, self.approx_filter(), self.mu)
         if method == "fagod-exact":
             return filter_reconstruct(obs, self.exact_filter(), self.mu)
         if use_blue and len(obs.sample_indices) >= self.K:

@@ -11,6 +11,7 @@ references live in `gsample.oracle`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,46 +25,62 @@ from .spectral import SpectralBasis
 OFFDIAG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class GivensSeq:
-    """Ordered Givens rotations (p, q, theta) acting on an n-point space."""
+    """Ordered Givens rotations (p, q, theta) acting on an n-point space.
 
-    n: int
-    rotations: tuple
+    The rotations are held as an (m, 2) int64 array of planes and an array
+    of m angles, which the kernels read; the `rotations` tuple of Python
+    (int, int, float) triples is built on first access.
+    """
 
-    def __post_init__(self):
-        rots = tuple(self.rotations)
+    def __init__(self, n: int, rotations):
+        rots = tuple(rotations)
         table = np.array(rots, dtype=float).reshape(len(rots), 3)
         planes = table[:, :2].astype(np.int64)
         p, q = planes[:, 0], planes[:, 1]
-        bad = ~((0 <= p) & (p < q) & (q < self.n))
+        bad = ~((0 <= p) & (p < q) & (q < n))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
-                f"rotation plane ({p[i]}, {q[i]}) out of range for n={self.n}")
-        self._adopt(planes, np.ascontiguousarray(table[:, 2]))
+                f"rotation plane ({p[i]}, {q[i]}) out of range for n={n}")
+        self._adopt(n, planes, np.ascontiguousarray(table[:, 2]))
 
     @classmethod
     def _from_arrays(cls, n: int, planes: np.ndarray,
                      thetas: np.ndarray) -> "GivensSeq":
         # a sequence of valid (m, 2) int64 planes and m float64 angles,
-        # both C-contiguous, as the Jacobi kernel returns them: skips the
-        # round trip through a tuple and back
+        # both C-contiguous, as the Jacobi kernel returns them
         seq = object.__new__(cls)
-        object.__setattr__(seq, "n", n)
-        seq._adopt(planes, thetas)
+        seq._adopt(n, planes, thetas)
         return seq
 
-    def _adopt(self, planes: np.ndarray, thetas: np.ndarray) -> None:
-        object.__setattr__(self, "rotations", tuple(zip(
-            planes[:, 0].tolist(), planes[:, 1].tolist(), thetas.tolist())))
-        # validated arrays for the kernel; not dataclass fields
-        object.__setattr__(self, "_planes", planes)
-        object.__setattr__(self, "_thetas", thetas)
+    def _adopt(self, n: int, planes: np.ndarray, thetas: np.ndarray) -> None:
+        planes.setflags(write=False)
+        thetas.setflags(write=False)
+        self._n, self._planes, self._thetas = n, planes, thetas
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @functools.cached_property
+    def rotations(self) -> tuple:
+        return tuple(zip(self._planes[:, 0].tolist(),
+                         self._planes[:, 1].tolist(), self._thetas.tolist()))
 
     @property
     def count(self) -> int:
-        return len(self.rotations)
+        return len(self._thetas)
+
+    def __eq__(self, other):
+        if not isinstance(other, GivensSeq):
+            return NotImplemented
+        return (self.n == other.n
+                and np.array_equal(self._planes, other._planes)
+                and np.array_equal(self._thetas, other._thetas))
+
+    def __hash__(self):
+        return hash((self.n, self._planes.tobytes(), self._thetas.tobytes()))
 
     def to_matrix(self) -> np.ndarray:
         """Product of the rotations, applied in order to the identity."""
@@ -71,25 +88,47 @@ class GivensSeq:
         _kernels.rotate_rows(q_t, self._planes, self._thetas)
         return q_t.T.copy()
 
+    def low_frequency(self, perm, K: int) -> np.ndarray:
+        """Columns perm[:K] of `to_matrix()`, as an n x K array.
+
+        With Q = G_1 ... G_m, Q e_c = G_1 (... (G_m e_c)): the transposed
+        rotations (same planes, negated angles) go in reverse order over the
+        identity columns perm[:K], so each one costs O(K) instead of O(n).
+        """
+        block = np.zeros((self.n, K))
+        block[np.asarray(perm[:K]), np.arange(K)] = 1.0
+        _kernels.rotate_rows(block, np.ascontiguousarray(self._planes[::-1]),
+                             -self._thetas[::-1])
+        return block
+
 
 @dataclass(frozen=True)
 class ApproxFilter:
-    """Low-pass filter T = V~_K V~_K^T synthesized from a rotation sequence."""
+    """Low-pass filter T = V~_K V~_K^T, carried as its n x K factor V~_K."""
 
     givens: GivensSeq
     approx_eigs: np.ndarray
     perm: np.ndarray
-    filter: np.ndarray
+    factor: np.ndarray
     bandwidth: int
 
     def __post_init__(self):
-        f = np.asarray(self.filter, dtype=float)
+        f = np.asarray(self.factor, dtype=float)
         f.setflags(write=False)
-        object.__setattr__(self, "filter", f)
+        object.__setattr__(self, "factor", f)
 
     @property
     def n(self) -> int:
-        return self.filter.shape[0]
+        return self.factor.shape[0]
+
+    @property
+    def filter(self) -> np.ndarray:
+        """The dense n x n filter V~_K V~_K^T, built on each access.
+
+        Selection and reconstruction work on `factor`; this is for
+        references and quality figures.
+        """
+        return self.factor @ self.factor.T
 
 
 def rotation_budget(n: int) -> int:
@@ -161,7 +200,8 @@ def lowpass_from_givens(givens: GivensSeq, perm, K: int,
 
     The accumulated rotation product, with columns reordered by `perm`
     (ascending approximate eigenvalues), stands in for the eigenvector
-    matrix; the filter is the outer product of its first K columns.
+    matrix; the filter is the outer product of its first K columns, and
+    only those columns are built.
     """
     n = givens.n
     if not 1 <= K <= n:
@@ -169,10 +209,8 @@ def lowpass_from_givens(givens: GivensSeq, perm, K: int,
     perm = np.asarray(perm, dtype=np.intp)
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    v_approx = givens.to_matrix()[:, perm]
-    vk = v_approx[:, :K]
     eigs = None if approx_eigs is None else np.asarray(approx_eigs, dtype=float)
-    return ApproxFilter(givens, eigs, perm, vk @ vk.T, K)
+    return ApproxFilter(givens, eigs, perm, givens.low_frequency(perm, K), K)
 
 
 def approximate_lowpass(lap: Laplacian, K: int, J: int | None = None) -> ApproxFilter:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .filters import ApproxFilter
 from .spectral import Observation, SpectralBasis
 
 # Relative singular-value cutoff for rank decisions; the unbiased
@@ -63,6 +64,14 @@ def blue_reconstruct(obs: Observation, basis: SpectralBasis, K: int) -> Reconstr
     return Reconstruction(values, "blue", {"residual": residual, "K": K})
 
 
+def _loaded_solve(vk: np.ndarray, obs: Observation, mu: float):
+    # V_K (V_SK^T V_SK + mu I)^-1 V_SK^T y, with V_SK and the coefficients
+    vsk = vk[list(obs.sample_indices), :]
+    z = vsk.T @ vsk + mu * np.eye(vk.shape[1])
+    xhat = np.linalg.solve(z, vsk.T @ obs.values)
+    return vk @ xhat, vsk, xhat
+
+
 def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,
                        mu: float) -> Reconstruction:
     """Diagonally loaded estimate V_K (V_SK^T V_SK + mu I)^-1 V_SK^T y.
@@ -72,24 +81,27 @@ def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    vsk = _sampled_rows(basis, obs, K)
-    z = vsk.T @ vsk + mu * np.eye(K)
-    xhat = np.linalg.solve(z, vsk.T @ obs.values)
-    values = basis.low_frequency(K) @ xhat
+    values, vsk, xhat = _loaded_solve(basis.low_frequency(K), obs, mu)
     residual = float(np.linalg.norm(vsk @ xhat - obs.values))
     return Reconstruction(values, "biased", {"residual": residual, "K": K, "mu": mu})
 
 
-def filter_reconstruct(obs: Observation, T: np.ndarray, mu: float) -> Reconstruction:
+def filter_reconstruct(obs: Observation, filt, mu: float) -> Reconstruction:
     """Filter-domain biased estimate x = T_{:,S} (T_SS + mu I)^-1 y.
 
     With the exact low-pass filter T = V_K V_K^T this equals the
     spectral biased estimate (push-through identity); with an
-    approximate T it requires no eigendecomposition at all.
+    approximate T it requires no eigendecomposition at all.  `filt` is a
+    dense filter matrix T or an `ApproxFilter`; for the latter the same
+    identity gives x = V (V_S^T V_S + mu I)^-1 V_S^T y from the n x K
+    factor V, without forming T.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    T = np.asarray(T, dtype=float)
+    if isinstance(filt, ApproxFilter):
+        values, _, _ = _loaded_solve(filt.factor, obs, mu)
+        return Reconstruction(values, "filter", {"mu": mu})
+    T = np.asarray(filt, dtype=float)
     idx = list(obs.sample_indices)
     tss = T[np.ix_(idx, idx)] + mu * np.eye(len(idx))
     w = np.linalg.solve(tss, obs.values)

@@ -15,6 +15,9 @@ sampled eigenvector rows.  Three variants are provided:
 Greedy selection maintains the running inverse incrementally: a
 rank-one (Sherman-Morrison) update for the fixed-size K x K Gram, and a
 Schur-complement growth step for the size-increasing filter submatrix.
+A filter given as its n x K factor V (T = V V^T, as `ApproxFilter`
+carries it) runs fagod on the K x K loaded Gram of V_S through Woodbury,
+so nothing n x n is formed.
 A-, D- and E-optimal greedy baselines plus random sampling round out the
 set of strategies benchmarked against each other.
 """
@@ -290,6 +293,78 @@ class FagodState:
         self._taken[j] = True
 
 
+class FactoredFagodState:
+    """fagod state for a filter given by its n x K factor V, T = V V^T.
+
+    By Woodbury, (T_SS + mu I)^-1 = mu^-1 (I - V_S Z^-1 V_S^T) with the
+    K x K loaded Gram Z = V_S^T V_S + mu I, so nothing n x n is formed.
+    The state keeps Z^-1, a_j = v_j Z^-1 v_j^T for every node, the m x n
+    matrix B = V_S Z^-1 V^T, and d = diag (T_SS + mu I)^-1.  Adding node j
+    turns entry i of d into d_i + B_ij^2 / (mu (1 + a_j)) and appends
+    1 / (mu (1 + a_j)): the same growth as `FagodState`, whose Schur
+    complement is mu (1 + a_j) and whose column (T_SS + mu I)^-1 T_Sj is
+    B_:j.  A step costs O(mn + nK).
+    """
+
+    def __init__(self, factor: np.ndarray, mu: float):
+        if mu <= 0:
+            raise ValueError("mu must be positive")
+        factor = np.asarray(factor, dtype=float)
+        if factor.ndim != 2:
+            raise ValueError("filter factor must be an n x K matrix")
+        self.factor = factor
+        self.n, K = factor.shape
+        self.mu = mu
+        self._zinv = np.eye(K) / mu
+        self._a = np.einsum("ij,ij->i", factor, factor) / mu
+        # rows of B, grown by doubling; the first len(selected) are live
+        self._b = np.empty((0, self.n))
+        self._d = np.zeros(0)
+        self.selected = []
+        self._taken = np.zeros(self.n, dtype=bool)
+
+    def objective(self) -> float:
+        if not self.selected:
+            return 1.0 / self.mu
+        return float(self._d.max())
+
+    def candidate_objectives(self) -> np.ndarray:
+        """Objective after adding each node j (inf where already selected)."""
+        # the new node's own diagonal, 1 / Schur complement
+        obj = 1.0 / (self.mu * (1.0 + self._a))
+        if self.selected:
+            grown = np.square(self._b[:len(self.selected)])
+            grown *= obj
+            grown += self._d[:, None]
+            obj = np.maximum(obj, grown.max(axis=0))
+        obj[self._taken] = np.inf
+        return obj
+
+    def add(self, j: int) -> None:
+        j = int(j)
+        if self._taken[j]:
+            raise ValueError(f"node {j} already selected")
+        v = self.factor[j]
+        u = self._zinv @ v
+        s = 1.0 + float(v @ u)
+        # the new row of B: v_j Z'^-1 V^T = (V Z^-1 v_j^T)^T / s
+        h = self.factor @ u / s
+        m = len(self.selected)
+        if m == self._b.shape[0]:
+            grown = np.empty((min(self.n, 2 * m + 8), self.n))
+            grown[:m] = self._b
+            self._b = grown
+        b_j = self._b[:m, j].copy()
+        schur = self.mu * s
+        self._d = np.append(self._d + b_j ** 2 / schur, 1.0 / schur)
+        self._b[:m] -= b_j[:, None] * h
+        self._b[m] = h
+        self._a -= s * h * h
+        self._zinv = update_inverse_rank_one(self._zinv, v)
+        self.selected.append(j)
+        self._taken[j] = True
+
+
 def _argmin_with_ties(values: np.ndarray) -> int:
     # np.argmin returns the first minimum: the deterministic
     # (value, index) reduction with smallest-index tie-breaking
@@ -316,13 +391,14 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
         if filt is None:
             raise ValueError("fagod needs a filter matrix")
         if isinstance(filt, ApproxFilter):
-            T = filt.filter
+            _check_budget(M, filt.n)
+            state = FactoredFagodState(filt.factor, mu)
             params = {"K": filt.bandwidth, "mu": mu}
         else:
             T = np.asarray(filt, dtype=float)
+            _check_budget(M, T.shape[0])
+            state = FagodState(T, mu)
             params = {"K": None, "mu": mu}
-        _check_budget(M, T.shape[0])
-        state = FagodState(T, mu)
     elif method == "god":
         if basis is None or K is None:
             raise ValueError("god needs basis and K")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsample import (Laplacian, build_laplacian, eigendecompose,
+from gsample import (GivensSeq, Laplacian, build_laplacian, eigendecompose,
                      exact_lowpass, gen_sensor, greedy_jacobi,
                      lowpass_from_givens, rotation_budget)
 from gsample.filters import (apply_rotation, load_givens_csv, offdiag_sq_norm,
@@ -142,3 +142,58 @@ def test_givens_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "p,q,theta"
     loaded = load_givens_csv(path, 8)
     assert loaded.rotations == seq.rotations
+
+
+def _model_graph(model, n, seed):
+    from gsample import gen_community, gen_er
+    if model == "G1":
+        return gen_sensor(n, min(6, n - 1), seed)
+    if model == "G2":
+        return gen_er(n, min(1.0, 8.0 / n), seed)
+    return gen_community(n, seed)
+
+
+# the community model needs n >= 8, so G3 starts at n = 16
+@pytest.mark.parametrize("model,n,K", [("G1", 2, 1), ("G2", 2, 2),
+                                       ("G1", 16, 4), ("G2", 16, 5),
+                                       ("G3", 16, 3), ("G1", 200, 10),
+                                       ("G2", 200, 10), ("G3", 200, 40)])
+def test_factor_matches_dense_rotation_product(model, n, K):
+    lap = build_laplacian(_model_graph(model, n, seed=n + K))
+    for J in (0, 1, rotation_budget(n)):
+        seq, eigs, perm = greedy_jacobi(lap, J)
+        filt = lowpass_from_givens(seq, perm, K, approx_eigs=eigs)
+        dense = seq.to_matrix()[:, perm[:K]]
+        assert filt.factor.shape == (n, K)
+        assert np.abs(filt.factor - dense).max() <= 1e-13
+        assert np.abs(filt.filter - dense @ dense.T).max() <= 1e-13
+        if J == 0:
+            # no rotations: exactly the identity columns perm[:K]
+            assert np.array_equal(filt.factor, np.eye(n)[:, perm[:K]])
+
+
+def test_factor_is_read_only_and_filter_is_its_outer_product():
+    lap = build_laplacian(gen_sensor(12, 4, seed=1))
+    seq, eigs, perm = greedy_jacobi(lap, 30)
+    filt = lowpass_from_givens(seq, perm, 3, approx_eigs=eigs)
+    assert filt.n == 12 and filt.bandwidth == 3
+    with pytest.raises(ValueError):
+        filt.factor[0, 0] = 1.0
+    assert np.array_equal(filt.filter, filt.factor @ filt.factor.T)
+
+
+def test_rotation_tuple_is_built_on_first_access():
+    lap = build_laplacian(gen_sensor(16, 6, seed=3))
+    seq, _, _ = greedy_jacobi(lap, 40)
+    assert "rotations" not in vars(seq)
+    assert seq.count == 40
+    assert "rotations" not in vars(seq)
+    rotations = seq.rotations
+    assert len(rotations) == 40
+    assert {tuple(map(type, r)) for r in rotations} == {(int, int, float)}
+    assert seq.rotations is rotations
+    # the public constructor on the same triples gives an equal sequence
+    again = GivensSeq(16, rotations)
+    assert again == seq and hash(again) == hash(seq)
+    assert again.rotations == rotations
+    assert GivensSeq(16, rotations[:-1]) != seq

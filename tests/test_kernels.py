@@ -6,9 +6,11 @@ arithmetic term by term, so every comparison here is exact: the same
 (p, q) sequence, bitwise-equal angles, eigenvalues and rotation products.
 """
 
+import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,67 @@ def test_entry_raised_to_cached_row_max_follows_reference(upper):
     for i, row in enumerate(upper):
         matrix[i, i + 1:] = matrix[i + 1:, i] = row
     assert_matches_reference(Laplacian(matrix, np.diag(matrix)), 40)
+
+
+# The row maximum is found in two passes: four running maxima over blocks
+# of four entries plus a scalar tail, then the first column that equals
+# the maximum.  Each witness puts equal magnitudes (mixed signs) at the
+# given offsets past the diagonal of one row, which holds the largest
+# entry of the matrix, so the first rotation shows that row's pick: the
+# first of the tied columns.  Offset o of a row is in lane o % 4 unless it
+# falls in the tail.
+@pytest.mark.parametrize("n,row,offsets", [
+    (13, 0, (1, 6)),        # lanes 1 and 2
+    (13, 0, (3, 4)),        # lane 3, then lane 0 of the next block
+    (13, 0, (2, 5, 9)),     # lanes 2, 1, 1
+    (11, 0, (8, 9)),        # both in the tail of a row of length 10
+    (11, 0, (5, 9)),        # body, then tail
+    (11, 0, (9,)),          # the maximum only in the tail
+    (13, 0, (0, 7)),        # the first column, then lane 3
+    (13, 0, (0, 11)),       # the first and the last column
+    (10, 8, (0,)),          # row of length 1
+    (10, 7, (0, 1)),        # length 2
+    (10, 6, (0, 2)),        # length 3
+    (10, 6, (2,)),
+    (10, 5, (1, 3)),        # length 4: one block, no tail
+    (10, 5, (3,)),
+    (10, 4, (0, 4)),        # length 5: one block and a tail of one
+    (10, 4, (4,)),
+])
+def test_row_max_ties_go_to_the_first_column(n, row, offsets):
+    matrix = 2.0 * np.eye(n)
+    upper = np.triu_indices(n, 1)
+    matrix[upper] = 0.1
+    for k, offset in enumerate(offsets):
+        matrix[row, row + 1 + offset] = (-1.0) ** k
+    matrix = np.triu(matrix) + np.triu(matrix, 1).T
+    seq = assert_matches_reference(Laplacian(matrix, np.diag(matrix)), 5)
+    assert seq.rotations[0][:2] == (row, row + 1 + offsets[0])
+
+
+_NAN_ROWS = """
+import numpy as np
+from gsample import _kernels
+
+for first, expected in ((np.nan, 1), (0.5, 3)):
+    w = 2.0 * np.eye(9)
+    w[0, 1:] = [first, np.nan, 1.0, 0.25, -1.0, 0.5, 1.0, 0.25]
+    planes, _ = _kernels.greedy_jacobi_sweep(w, 1, 1e-12)
+    print(planes.tolist() == [[0, expected]])
+"""
+
+
+def test_row_max_with_nan_stays_in_its_row():
+    # NaN never enters the maximum unless it sits in the row's first
+    # column; then the maximum is NaN, equals no entry, and the first
+    # column stands.  Runs in a child process: a second pass that ran
+    # past the row would read out of bounds.
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _NAN_ROWS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 
 def test_sweep_continues_across_output_chunks(monkeypatch):

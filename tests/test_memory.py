@@ -1,0 +1,38 @@
+"""Memory of the eigen-free path after the Jacobi sweep.
+
+Filter synthesis, fagod selection and reconstruction work on the n x K
+factor of the approximate filter and a K x K loaded Gram, so their peak
+allocation stays far below one dense n x n array.  A dense filter brought
+back onto this path fails the bound.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from gsample import (DEFAULT_MU, build_laplacian, eigendecompose,
+                     filter_reconstruct, gen_sensor, gen_signal, greedy_jacobi,
+                     greedy_select, lowpass_from_givens, observe,
+                     rotation_budget)
+
+MIB = 1024.0 * 1024.0
+
+
+def test_eigen_free_path_after_the_sweep_allocates_o_nk():
+    n, K, M = 1000, 40, 40
+    lap = build_laplacian(gen_sensor(n, 6, seed=0))
+    signal = gen_signal("GS3", eigendecompose(lap), seed=1)
+    seq, eigs, perm = greedy_jacobi(lap, rotation_budget(n))
+    dense_mb = n * n * 8 / MIB
+    tracemalloc.start()
+    try:
+        filt = lowpass_from_givens(seq, perm, K, approx_eigs=eigs)
+        sel = greedy_select("fagod", M, filt=filt, mu=DEFAULT_MU)
+        obs = observe(signal, sel.indices, 1e-3, seed=2)
+        rec = filter_reconstruct(obs, filt, DEFAULT_MU)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rec.values).all()
+    assert dense_mb > 7.5
+    assert peak / MIB < 2.0, f"peak {peak / MIB:.2f} MiB"

@@ -94,6 +94,24 @@ def test_push_through_identity_and_filter_equivalence():
         assert np.abs(a.values - b.values).max() <= 1e-9
 
 
+def test_factored_filter_reconstruct_matches_dense():
+    from gsample import approximate_lowpass
+    for seed, (n, K) in enumerate(((12, 4), (60, 6), (200, 10))):
+        lap = build_laplacian(gen_sensor(n, 5, seed=seed))
+        signal = gen_signal("GS1", eigendecompose(lap), seed=seed + 1,
+                            bandwidth=K)
+        filt = approximate_lowpass(lap, K)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for size in (1, K, 3 * K):
+            idx = rng.choice(n, size=size, replace=False).tolist()
+            obs = observe(signal, idx, 5e-3, seed=size)
+            fast = filter_reconstruct(obs, filt, MU)
+            dense = filter_reconstruct(obs, filt.filter, MU)
+            assert fast.method == dense.method == "filter"
+            assert fast.diagnostics == dense.diagnostics == {"mu": MU}
+            assert np.abs(fast.values - dense.values).max() <= 1e-12
+
+
 def test_filter_reconstruct_identity_filter():
     basis, signal = _instance(seed=8)
     idx = [2, 5, 7]

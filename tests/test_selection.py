@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from gsample import (AgodState, FagodState, SamplingSet, build_laplacian,
-                     eigendecompose, exact_lowpass, gen_sensor,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gsample import (AgodState, FactoredFagodState, FagodState, SamplingSet,
+                     approximate_lowpass, build_laplacian, eigendecompose,
+                     exact_lowpass, gen_community, gen_er, gen_sensor,
                      greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
                      greedy_select, leverage_scores, objective_agod,
                      objective_agod_full, objective_aopt, objective_dopt,
                      objective_eopt, objective_fagod, random_select,
                      update_inverse_grow, update_inverse_rank_one)
+from gsample.oracle import greedy_minimize
 from gsample.selection import save_sampling_csv
 
 MU = 1 / 99
@@ -215,6 +220,96 @@ def test_candidate_objectives_match_from_scratch(sensor10):
         else:
             assert fscores[j] == pytest.approx(
                 objective_fagod(fstate.selected + [j], T, MU), abs=1e-9)
+
+
+def _approx_filter(model, n, K, seed):
+    if model == "G1":
+        graph = gen_sensor(n, 6, seed)
+    elif model == "G2":
+        graph = gen_er(n, min(1.0, 8.0 / n), seed)
+    else:
+        graph = gen_community(n, seed)
+    return approximate_lowpass(build_laplacian(graph), K)
+
+
+@pytest.mark.parametrize("model,n,K,M", [
+    ("G1", 100, 5, 30), ("G2", 100, 5, 30), ("G3", 100, 5, 30),
+    ("G1", 200, 10, 30), ("G2", 200, 10, 30), ("G3", 200, 10, 30)])
+def test_factored_fagod_matches_dense_filter_path(model, n, K, M):
+    # the factored state against the dense Schur-growth state on T = V V^T
+    for seed in range(2):
+        filt = _approx_filter(model, n, K, seed)
+        fast = greedy_select("fagod", M, filt=filt, mu=MU)
+        dense = greedy_select("fagod", M, filt=filt.filter, mu=MU)
+        assert fast.indices == dense.indices
+        assert fast.objective_trace == pytest.approx(dense.objective_trace,
+                                                     rel=1e-10)
+        assert fast.params == {"K": K, "mu": MU}
+
+
+def test_factored_fagod_matches_plain_greedy_oracle():
+    filt = _approx_filter("G1", 12, 3, 4)
+    T = filt.filter
+    sel = greedy_select("fagod", 6, filt=filt, mu=MU)
+    slow, trace = greedy_minimize(lambda S: objective_fagod(S, T, MU), 12, 6)
+    assert list(sel.indices) == slow
+    assert sel.objective_trace == pytest.approx(trace, rel=1e-10)
+
+
+def test_factored_candidate_objectives_match_from_scratch():
+    filt = _approx_filter("G1", 16, 4, 2)
+    T = filt.filter
+    state = FactoredFagodState(filt.factor, MU)
+    assert state.objective() == 1.0 / MU
+    for j in (5, 11, 0, 7, 3, 14):
+        scores = state.candidate_objectives()
+        for c in range(16):
+            if c in state.selected:
+                assert scores[c] == np.inf
+            else:
+                assert scores[c] == pytest.approx(
+                    objective_fagod(state.selected + [c], T, MU), rel=1e-10)
+        state.add(j)
+        assert state.objective() == pytest.approx(
+            objective_fagod(state.selected, T, MU), rel=1e-10)
+    with pytest.raises(ValueError, match="already selected"):
+        state.add(5)
+    with pytest.raises(ValueError):
+        FactoredFagodState(filt.factor, 0.0)
+
+
+@st.composite
+def _degenerate_factor(draw):
+    # small factors with repeated rows and a zero row, so T = V V^T is
+    # singular and T_SS turns singular once two copies are selected
+    n = draw(st.integers(2, 8))
+    K = draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1e-3, 2.0])
+    rows = draw(st.lists(st.lists(values, min_size=K, max_size=K),
+                         min_size=n - 1, max_size=n - 1))
+    factor = np.array(rows + [[0.0] * K])
+    if n > 2:
+        factor[1] = factor[0]
+    order = draw(st.permutations(range(n)))
+    return factor[list(order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degenerate_factor(), st.floats(-6.0, 0.0))
+def test_factored_state_on_degenerate_factors(factor, log_mu):
+    mu = 10.0 ** log_mu
+    T = factor @ factor.T
+    n = factor.shape[0]
+    state = FactoredFagodState(factor, mu)
+    for _ in range(n):
+        scores = state.candidate_objectives()
+        for c in range(n):
+            if c not in state.selected:
+                assert scores[c] == pytest.approx(
+                    objective_fagod(state.selected + [c], T, mu), rel=1e-7)
+        state.add(int(np.argmin(scores)))
+        assert state.objective() == pytest.approx(
+            objective_fagod(state.selected, T, mu), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
