@@ -10,7 +10,7 @@ the theory (monotonicity, approximate supermodularity, greedy decay).
 
 from .bench import (ExperimentResult, ExperimentSpec, ResultRow, SpecError,
                     parse_spec_file, parse_spec_text, run_experiment,
-                    run_objective_gap, run_single, write_result_csv)
+                    run_single, write_result_csv)
 from .filters import (ApproxFilter, GivensSeq, approximate_lowpass,
                       exact_lowpass, greedy_jacobi, lowpass_from_givens,
                       rotation_budget)
@@ -26,9 +26,9 @@ from .rng import RNG_NAME, child_seed, rng_from
 from .selection import (DEFAULT_MU, AgodState, FactoredFagodState,
                         FagodState, SamplingSet, greedy_aoptimal,
                         greedy_doptimal, greedy_eoptimal,
-                        greedy_select, objective_agod, objective_agod_full,
-                        objective_aopt, objective_dopt, objective_eopt,
-                        objective_fagod, random_select,
+                        greedy_select, objective_agod, objective_aopt,
+                        objective_dopt, objective_eopt, objective_fagod,
+                        random_select,
                         update_inverse_grow, update_inverse_rank_one)
 from .spectral import (GraphSignal, Observation, SpectralBasis,
                        eigendecompose, gen_signal, gft, igft,
@@ -49,11 +49,11 @@ __all__ = [
     "gen_sensor", "gen_signal", "gft", "greedy_aoptimal", "greedy_decay_check",
     "greedy_doptimal", "greedy_eoptimal", "greedy_jacobi", "greedy_select",
     "igft", "leverage_scores", "load_graph", "lowpass_from_givens",
-    "objective_agod", "objective_agod_full", "objective_aopt",
+    "objective_agod", "objective_aopt",
     "objective_dopt", "objective_eopt", "objective_fagod", "observe",
     "parse_spec_file", "parse_spec_text", "random_select",
     "relative_suboptimality", "rmse", "rng_from", "rotation_budget",
-    "run_experiment", "run_objective_gap", "run_single", "save_graph",
+    "run_experiment", "run_single", "save_graph",
     "snr_to_sigma2", "theorem_bounds",
     "update_inverse_grow", "update_inverse_rank_one", "write_result_csv",
 ]

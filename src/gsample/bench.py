@@ -31,9 +31,10 @@ from .oracle import (COMB_GUARD, empirical_alpha, exhaustive_optimum,
 from .reconstruction import (biased_reconstruct, blue_reconstruct,
                              filter_reconstruct, rmse, snr_to_sigma2)
 from .rng import RNG_NAME, child_seed
-from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
-                        greedy_eoptimal, greedy_select, objective_agod,
-                        objective_dopt, objective_fagod, random_select)
+from .selection import (DEFAULT_MU, SamplingSet, greedy_aoptimal,
+                        greedy_doptimal, greedy_eoptimal, greedy_select,
+                        objective_agod, objective_dopt, objective_fagod,
+                        random_select)
 from .spectral import SIGNAL_MODELS, eigendecompose, gen_signal, observe
 
 THREADS_ENV = "GSAMPLE_THREADS"
@@ -119,6 +120,9 @@ _STUDY_DEFAULTS = {
 
 _INT_SWEEP_STUDIES = ("rmse_vs_size", "rmse_vs_n", "objective_gap",
                       "suboptimality")
+
+# studies whose sweep values are sampling budgets; the others select K nodes
+BUDGET_STUDIES = ("rmse_vs_size", "objective_gap", "suboptimality")
 
 
 def _parse_scalar(key, value, lineno, source, kind):
@@ -302,7 +306,7 @@ def _validate_consistency(spec: ExperimentSpec, source, linenos):
             raise SpecError(f"{where('K')}: bandwidth K={k_eff} exceeds n={n}")
         if k_eff < 1:
             raise SpecError(f"{where('K')}: resolved bandwidth is below 1 at n={n}")
-    if spec.study in ("rmse_vs_size", "suboptimality", "objective_gap"):
+    if spec.study in BUDGET_STUDIES:
         for m in spec.sweep:
             if not 1 <= m <= spec.n:
                 raise SpecError(f"{where('sweep')}: budget {m} out of range "
@@ -345,8 +349,19 @@ def _make_graph(spec: ExperimentSpec, n: int, trial: int):
     return gen_community(n, seed)
 
 
+# Greedy methods whose picks at budget M are the first M picks at any larger
+# budget: no greedy step reads M, so one pass serves every budget of a trial.
+PREFIX_METHODS = ("agod", "god", "fagod", "fagod-exact", "dopt", "aopt", "eopt")
+
+
 class _TrialContext:
-    """Lazily built per-trial objects shared by every method and sweep value."""
+    """Lazily built per-trial objects shared by every method and sweep value.
+
+    Only the eigenpairs some consumer reads are computed: the K lowest for
+    the selection and reconstruction bandwidth, or the signal model's
+    bandwidth if larger.  GS2's tail touches every coefficient, so it
+    keeps the full basis.
+    """
 
     def __init__(self, spec: ExperimentSpec, n: int, trial: int):
         self.spec = spec
@@ -356,7 +371,15 @@ class _TrialContext:
         self.mu = spec.mu
         self.graph = _make_graph(spec, n, trial)
         self.lap = build_laplacian(self.graph)
-        self.basis = eigendecompose(self.lap)
+        default_k, tail_var = SIGNAL_MODELS[spec.signal]
+        self._signal_k = self.K if spec.K == "auto" else None
+        width = None if tail_var is not None else \
+            max(self.K, self._signal_k or default_k)
+        self.basis = eigendecompose(self.lap, width)
+        # the largest sampling budget any row of this trial selects
+        self._largest = max(spec.sweep) if spec.study in BUDGET_STUDIES \
+            else self.K
+        self._greedy = {}
         self._signal = None
         self._approx = None
         self._exact = None
@@ -364,12 +387,11 @@ class _TrialContext:
     @property
     def signal(self):
         if self._signal is None:
-            bandwidth = self.K if self.spec.K == "auto" else None
             self._signal = gen_signal(
                 self.spec.signal, self.basis,
                 child_seed(self.spec.base_seed, "signal", self.spec.signal,
                            self.n, self.trial),
-                bandwidth=bandwidth)
+                bandwidth=self._signal_k)
         return self._signal
 
     def approx_filter(self):
@@ -384,6 +406,21 @@ class _TrialContext:
         return self._exact
 
     def select(self, method: str, M: int):
+        """Sampling set of size M; greedy methods run once per trial.
+
+        A greedy method runs at the largest budget the trial needs, and
+        every smaller budget gets a prefix of that selection.
+        """
+        if method not in PREFIX_METHODS:
+            return self._select(method, M)
+        full = self._greedy.get(method)
+        if full is None or full.size < M:
+            full = self._greedy[method] = self._select(method,
+                                                       max(M, self._largest))
+        return SamplingSet(full.indices[:M], full.objective_trace[:M],
+                           full.method, full.params)
+
+    def _select(self, method: str, M: int):
         if method == "agod":
             return greedy_select("agod", M, basis=self.basis, K=self.K, mu=self.mu)
         if method == "god":
@@ -575,14 +612,6 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     if spec.study in RMSE_STUDIES and any(r.value < 0 for r in rows):
         raise RuntimeError("negative RMSE value")
     return ExperimentResult(spec, tuple(rows))
-
-
-def run_objective_gap(spec: ExperimentSpec,
-                      threads: int | None = None) -> ExperimentResult:
-    """Objective-gap study entry point (equivalent to run_experiment)."""
-    if spec.study != "objective_gap":
-        raise SpecError("run_objective_gap needs study = objective_gap")
-    return run_experiment(spec, threads=threads)
 
 
 def run_single(spec: ExperimentSpec, method: str, sweep_value, trial: int,

@@ -99,24 +99,6 @@ def objective_agod(indices, basis: SpectralBasis, K: int, mu: float) -> float:
     return max_diag(_loaded_gram_inverse(_rows(basis, indices, K), mu))
 
 
-def objective_agod_full(indices, basis: SpectralBasis, K: int, mu: float) -> float:
-    """Variant conjugated by V_K: max diag V_K (V_SK^T V_SK + mu I)^-1 V_K^T.
-
-    Kept for completeness; the plain K x K form is the one selected for
-    its cheaper evaluation and better reconstructions.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    vk = basis.low_frequency(K)
-    vsk = _rows(basis, indices, K)
-    gram = vsk.T @ vsk + mu * np.eye(K)
-    if mu == 0.0:
-        inner = np.linalg.pinv(gram, rcond=RANK_TOL)
-    else:
-        inner = np.linalg.inv(gram)
-    return max_diag(vk @ inner @ vk.T)
-
-
 def objective_fagod(indices, T: np.ndarray, mu: float) -> float:
     """max diag (T_SS + mu I)^-1 for a filter matrix T; 1/mu on the empty set."""
     if mu <= 0:

@@ -6,12 +6,16 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .graphs import Laplacian
 from .rng import rng_from
 
 # Entries smaller than this are ignored when fixing eigenvector signs.
 SIGN_TOL = 1e-12
+
+# Relative spectral gap at the bandwidth below which V_K is not unique.
+GAP_TOL = 1e-8
 
 # (default bandwidth, variance of the out-of-band coefficients or None)
 SIGNAL_MODELS = {
@@ -27,7 +31,8 @@ class SpectralBasis:
 
     Column k of `eigenvectors` pairs with `eigenvalues[k]`.  Signs follow
     a fixed convention (first non-negligible entry of each column is
-    positive) so repeated decompositions agree exactly.
+    positive) so repeated decompositions agree exactly.  A truncated basis
+    holds only the `width` lowest eigenpairs of an n-node graph.
     """
 
     eigenvalues: np.ndarray
@@ -45,11 +50,24 @@ class SpectralBasis:
     def n(self) -> int:
         return self.eigenvectors.shape[0]
 
+    @property
+    def width(self) -> int:
+        """Number of stored eigenpairs (n for the full basis)."""
+        return self.eigenvectors.shape[1]
+
     def low_frequency(self, K: int) -> np.ndarray:
         """First K eigenvector columns (the K lowest graph frequencies)."""
         if not 1 <= K <= self.n:
             raise ValueError(f"bandwidth K={K} out of range [1, {self.n}]")
+        if K > self.width:
+            raise ValueError(f"bandwidth K={K} exceeds the {self.width} "
+                             f"eigenvectors stored for n={self.n}")
         return self.eigenvectors[:, :K]
+
+    def _require_full(self, op: str) -> None:
+        if self.width != self.n:
+            raise ValueError(f"{op} needs the full basis; this one holds "
+                             f"{self.width} of {self.n} eigenvectors")
 
 
 @dataclass(frozen=True)
@@ -103,20 +121,41 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v * signs
 
 
-def eigendecompose(lap: Laplacian) -> SpectralBasis:
-    """Dense symmetric eigendecomposition with deterministic ordering.
+def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
+    """Symmetric eigendecomposition with deterministic ordering.
 
     Eigenvalues come out ascending; the sign convention makes the result
     a pure function of the Laplacian, independent of LAPACK's arbitrary
     sign choices.
+
+    Without `K`, or when K >= n, all n eigenpairs come from a dense
+    `eigh`.  With K < n only the K lowest are computed (LAPACK's subset
+    solver for the K + 1 lowest; the extra pair gives lambda_{K+1} and is
+    dropped).  The K lowest eigenvectors span a unique subspace only when
+    lambda_{K+1} > lambda_K, so the call raises ValueError when
+    lambda_{K+1} - lambda_K <= tol * max(1, lambda_{K+1}), with
+    tol = GAP_TOL = 1e-8.
     """
-    w, v = np.linalg.eigh(lap.matrix)
-    order = np.argsort(w, kind="stable")
-    return SpectralBasis(w[order], _fix_signs(v[:, order]))
+    n = lap.n
+    if K is None or K >= n:
+        w, v = np.linalg.eigh(lap.matrix)
+        order = np.argsort(w, kind="stable")
+        return SpectralBasis(w[order], _fix_signs(v[:, order]))
+    if K < 1:
+        raise ValueError(f"bandwidth K={K} must be at least 1")
+    # LAPACK returns a subset's eigenvalues in ascending order
+    w, v = scipy.linalg.eigh(lap.matrix, subset_by_index=[0, K], driver="evr")
+    if w[K] - w[K - 1] <= GAP_TOL * max(1.0, w[K]):
+        raise ValueError(
+            f"degenerate spectrum at the bandwidth (n={n}, K={K}): "
+            f"lambda_K = {w[K - 1]!r} and lambda_K+1 = {w[K]!r} are too "
+            "close for the K lowest eigenvectors to be unique")
+    return SpectralBasis(w[:K], _fix_signs(v[:, :K]))
 
 
 def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
     """Forward transform: expansion coefficients V^T x."""
+    basis._require_full("gft")
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise ValueError(f"signal length {x.shape} != graph size {basis.n}")
@@ -125,6 +164,7 @@ def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
 
 def igft(basis: SpectralBasis, xhat: np.ndarray) -> np.ndarray:
     """Inverse transform: synthesis V xhat."""
+    basis._require_full("igft")
     xhat = np.asarray(xhat, dtype=float)
     if xhat.shape != (basis.n,):
         raise ValueError(f"spectrum length {xhat.shape} != graph size {basis.n}")
@@ -141,6 +181,9 @@ def gen_signal(model: str, basis: SpectralBasis, seed: int,
 
     The second Normal parameter is a variance.  `bandwidth` overrides the
     model default (used when experiments scale the bandwidth with n).
+    The signal is synthesised from the columns the basis holds, so an
+    exactly bandlimited model needs only the K lowest eigenvectors; GS2
+    needs the full basis.
     """
     if model not in SIGNAL_MODELS:
         raise ValueError(f"unknown signal model {model!r}")
@@ -149,12 +192,16 @@ def gen_signal(model: str, basis: SpectralBasis, seed: int,
     n = basis.n
     if not 1 <= K <= n:
         raise ValueError(f"bandwidth {K} out of range for n={n}")
+    needed = n if tail_var is not None else K
+    if basis.width < needed:
+        raise ValueError(f"signal model {model} needs {needed} eigenvectors; "
+                         f"the basis holds {basis.width} of {n}")
     rng = rng_from(seed)
     xhat = np.zeros(n)
     xhat[:K] = rng.normal(0.0, np.sqrt(0.5), size=K)
     if tail_var is not None and K < n:
         xhat[K:] = rng.normal(0.0, np.sqrt(tail_var), size=n - K)
-    return GraphSignal(basis.eigenvectors @ xhat, xhat, K)
+    return GraphSignal(basis.eigenvectors @ xhat[:basis.width], xhat, K)
 
 
 def observe(signal: GraphSignal, sample_indices, sigma2: float,

@@ -1,12 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gsample import SpecError, parse_spec_text, run_experiment, write_result_csv
+import gsample.bench as bench
+from gsample import (SpecError, greedy_aoptimal, greedy_doptimal,
+                     greedy_eoptimal, greedy_select, observe, parse_spec_text,
+                     rmse, run_experiment, write_result_csv)
 from gsample.bench import (apply_desk_preset, resolve_k,
                            run_alpha_certificate, run_single,
                            run_subopt_reports)
 from gsample.cli import main
 from gsample.oracle import theorem_bounds
+from gsample.rng import child_seed
 from gsample import load_graph
 
 
@@ -199,15 +205,99 @@ def test_blue_flag_switches_estimator():
     assert by_method(biased, "fagod") == by_method(blue, "fagod")
 
 
-def test_run_objective_gap_entry_point():
-    from gsample.bench import run_objective_gap
-    spec = parse_spec_text(
-        "study = objective_gap\nn = 20\nK = 3\nsweep = 4, 8\ntrials = 1")
-    result = run_objective_gap(spec)
-    assert len(result.rows) == 6
-    with pytest.raises(SpecError):
-        run_objective_gap(parse_spec_text(
-            "study = rmse_vs_size\nn = 16\nK = 3\nsweep = 4\ntrials = 1"))
+PREFIX_SPEC = """
+study = rmse_vs_size
+graph = G1
+signal = GS1
+n = 24
+K = 4
+methods = agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform
+sweep = 5, 3, 6
+trials = 2
+base_seed = 3
+"""
+
+
+def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
+    spec = parse_spec_text(PREFIX_SPEC)
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            label = args[0] if name == "greedy_select" else name
+            if label == "fagod":
+                label += "-exact" if isinstance(kwargs["filt"], np.ndarray) else ""
+            budget = args[1] if name == "greedy_select" else args[-1]
+            calls[(label, budget)] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("greedy_select", "greedy_doptimal", "greedy_aoptimal",
+                 "greedy_eoptimal"):
+        monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
+    result = run_experiment(spec)
+    monkeypatch.undo()
+    # one pass per deterministic method and trial, at the largest budget
+    assert calls == Counter({(m, 6): spec.trials for m in (
+        "agod", "fagod", "fagod-exact", "god", "greedy_doptimal",
+        "greedy_aoptimal", "greedy_eoptimal")})
+
+    def direct(ctx, method, M):
+        if method in ("agod", "god"):
+            return greedy_select(method, M, basis=ctx.basis, K=ctx.K, mu=ctx.mu)
+        if method == "fagod":
+            return greedy_select("fagod", M, filt=ctx.approx_filter(), mu=ctx.mu)
+        if method == "fagod-exact":
+            return greedy_select("fagod", M, filt=ctx.exact_filter(), mu=ctx.mu)
+        if method == "dopt":
+            return greedy_doptimal(ctx.basis, ctx.K, ctx.mu, M)
+        if method == "aopt":
+            return greedy_aoptimal(ctx.basis, ctx.K, ctx.mu, M)
+        if method == "eopt":
+            return greedy_eoptimal(ctx.basis, ctx.K, M)
+        return ctx.select(method, M)
+
+    rows = {(r.method, r.sweep, r.trial): r for r in result.rows}
+    for trial in range(spec.trials):
+        ctx = bench._TrialContext(spec, spec.n, trial)
+        fresh = bench._TrialContext(spec, spec.n, trial)
+        for method in spec.methods:
+            for M in spec.sweep:
+                sampling = direct(ctx, method, M)
+                assert fresh.select(method, M) == sampling
+                row = rows[(method, M, trial)]
+                obs = observe(ctx.signal, sampling.indices, spec.sigma2,
+                              seed=child_seed(row.seed, "noise", method))
+                rec = ctx.reconstruct(method, obs, use_blue=False)
+                value = rmse(rec.values, ctx.signal.values)
+                assert repr(row.value) == repr(value), (method, M, trial)
+        # a budget past the largest in the spec runs the method again
+        assert fresh.select("agod", 10) == direct(ctx, "agod", 10)
+
+
+@pytest.mark.parametrize("signal,K,width", [
+    ("GS1", "4", 10), ("GS1", "12", 12), ("GS3", "4", 40), ("GS1", "auto", 3),
+    ("GS2", "4", None), ("GS1", "60", 60)])
+def test_trial_asks_only_for_the_eigenpairs_it_reads(monkeypatch, signal, K,
+                                                    width):
+    widths = []
+    real = bench.eigendecompose
+
+    def recording(lap, K=None):
+        widths.append(K)
+        return real(lap, K)
+
+    monkeypatch.setattr(bench, "eigendecompose", recording)
+    n = 60
+    ctx = bench._TrialContext(parse_spec_text(
+        f"study = rmse_vs_size\nn = {n}\nK = {K}\nsignal = {signal}\n"
+        "methods = agod\nsweep = 5\ntrials = 1"), n, 0)
+    # GS2's tail touches every coefficient, so it keeps the full basis; a
+    # width of n or more is the full basis too
+    assert widths == [width]
+    assert ctx.basis.width == min(width or n, n)
+    assert ctx.signal.n == n
+    assert ctx.basis.low_frequency(ctx.K).shape == (n, ctx.K)
 
 
 def test_suboptimality_study_values():

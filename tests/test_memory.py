@@ -1,9 +1,12 @@
-"""Memory of the eigen-free path after the Jacobi sweep.
+"""Memory of the eigen-free path after the Jacobi sweep, and of the
+truncated eigensolver.
 
 Filter synthesis, fagod selection and reconstruction work on the n x K
 factor of the approximate filter and a K x K loaded Gram, so their peak
 allocation stays far below one dense n x n array.  A dense filter brought
-back onto this path fails the bound.
+back onto this path fails the bound.  The subset eigensolver holds one
+n x n working copy of the Laplacian and O(nK) more, where the full
+decomposition holds several n x n arrays.
 """
 
 import tracemalloc
@@ -36,3 +39,24 @@ def test_eigen_free_path_after_the_sweep_allocates_o_nk():
     assert np.isfinite(rec.values).all()
     assert dense_mb > 7.5
     assert peak / MIB < 2.0, f"peak {peak / MIB:.2f} MiB"
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / MIB
+
+
+def test_truncated_eigendecomposition_allocates_one_dense_copy():
+    n, K = 800, 40
+    lap = build_laplacian(gen_sensor(n, 6, seed=0))
+    dense_mb = n * n * 8 / MIB
+    full = _peak_mb(lambda: eigendecompose(lap))
+    part = _peak_mb(lambda: eigendecompose(lap, K))
+    assert full > 3 * dense_mb
+    assert part < dense_mb + 1.0, f"peak {part:.2f} MiB"
+    assert part < 0.4 * full

@@ -9,8 +9,8 @@ from gsample import (AgodState, FactoredFagodState, FagodState, SamplingSet,
                      exact_lowpass, gen_community, gen_er, gen_sensor,
                      greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
                      greedy_select, leverage_scores, objective_agod,
-                     objective_agod_full, objective_aopt, objective_dopt,
-                     objective_eopt, objective_fagod, random_select,
+                     objective_aopt, objective_dopt, objective_eopt,
+                     objective_fagod, random_select,
                      update_inverse_grow, update_inverse_rank_one)
 from gsample.oracle import greedy_minimize
 from gsample.selection import save_sampling_csv
@@ -50,26 +50,6 @@ def test_agod_matches_dense_inverse():
         S = rng.choice(8, size=size, replace=False).tolist()
         direct = np.max(np.diag(_gram_inv(basis, S, 3, MU)))
         assert objective_agod(S, basis, 3, MU) == pytest.approx(direct, abs=1e-10)
-
-
-def test_agod_full_variant():
-    basis = _basis(6, 3, 4)
-    n = 6
-    # K = n, S = everything, mu = 0: the full eigenvector matrix is
-    # orthogonal, so the conjugated inverse is the identity
-    assert objective_agod_full(range(n), basis, n, 0.0) == pytest.approx(1.0, abs=1e-9)
-    # dense oracle
-    vk = basis.eigenvectors[:, :2]
-    for S in ([0, 3], [1, 2, 5]):
-        inner = np.linalg.inv(vk[S, :].T @ vk[S, :] + MU * np.eye(2))
-        direct = np.max(np.diag(vk @ inner @ vk.T))
-        assert objective_agod_full(S, basis, 2, MU) == pytest.approx(direct, abs=1e-10)
-    # at K = n conjugation by the orthogonal basis preserves the determinant
-    S = [0, 2, 4]
-    inner = np.linalg.inv(
-        basis.eigenvectors[S, :].T @ basis.eigenvectors[S, :] + MU * np.eye(n))
-    conj = basis.eigenvectors @ inner @ basis.eigenvectors.T
-    assert np.linalg.det(conj) == pytest.approx(np.linalg.det(inner), rel=1e-8)
 
 
 def test_fagod_objective_basics(sensor8):

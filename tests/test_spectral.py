@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gsample import (Graph, build_laplacian, eigendecompose, gen_er,
-                     gen_sensor, gen_signal, gft, igft, leverage_scores,
-                     observe)
+from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
+                     gen_er, gen_sensor, gen_signal, gft, igft,
+                     leverage_scores, observe)
 from gsample.spectral import load_signal_csv, save_signal_csv
 
 
@@ -153,3 +153,101 @@ def test_signal_csv_round_trip(tmp_path, sensor8):
     assert path.read_text().splitlines()[0] == "value"
     loaded = load_signal_csv(path)
     assert np.array_equal(loaded.values, sig.values)
+
+
+# ---------------------------------------------------------------------------
+# truncated bases: the K lowest eigenpairs only
+
+def _model_graph(model, n, seed):
+    if model == "G1":
+        return gen_sensor(n, min(6, n - 1), seed)
+    if model == "G2":
+        return gen_er(n, min(1.0, 8.0 / n), seed)
+    return gen_community(n, seed)
+
+
+def _cycle(n):
+    adj = np.zeros((n, n))
+    for i in range(n):
+        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
+    return Graph(n, adj)
+
+
+# the community model needs n >= 8, so G3 starts at n = 16
+@pytest.mark.parametrize("model,n,K", [("G1", 2, 1), ("G2", 2, 1),
+                                       ("G1", 16, 4), ("G2", 16, 5),
+                                       ("G3", 16, 3), ("G1", 200, 10),
+                                       ("G2", 200, 10), ("G3", 200, 40)])
+def test_truncated_basis_matches_sliced_full_basis(model, n, K):
+    lap = build_laplacian(_model_graph(model, n, seed=n + K))
+    full = eigendecompose(lap)
+    part = eigendecompose(lap, K)
+    vk = full.eigenvectors[:, :K]
+    assert part.width == K and part.n == n
+    assert part.eigenvectors.shape == (n, K)
+    assert np.abs(part.eigenvalues - full.eigenvalues[:K]).max() <= 1e-12
+    proj = part.eigenvectors @ part.eigenvectors.T
+    assert np.abs(proj - vk @ vk.T).max() <= 1e-12
+    # same sign convention: every column points the way its full-basis twin does
+    assert np.all(np.einsum("ij,ij->j", part.eigenvectors, vk) > 0.5)
+    assert np.array_equal(part.low_frequency(K), part.eigenvectors)
+
+
+@pytest.mark.parametrize("K", [8, 9, 50])
+def test_bandwidth_at_or_past_n_takes_the_dense_path(K):
+    lap = build_laplacian(gen_sensor(8, 5, seed=11))
+    full, again = eigendecompose(lap), eigendecompose(lap, K)
+    assert again.width == 8
+    assert again.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+    assert again.eigenvectors.tobytes() == full.eigenvectors.tobytes()
+
+
+def test_degenerate_bandwidth_fails_loudly():
+    # the 8-cycle's spectrum is 2 - 2 cos(2 pi k / 8): lambda_2 = lambda_3
+    lap = build_laplacian(_cycle(8))
+    with pytest.raises(ValueError, match=r"n=8, K=2.*0\.585.*0\.585"):
+        eigendecompose(lap, 2)
+    basis = eigendecompose(lap, 3)
+    assert basis.eigenvalues == pytest.approx(
+        [0.0, 2 - math.sqrt(2), 2 - math.sqrt(2)], abs=1e-12)
+    with pytest.raises(ValueError, match="at least 1"):
+        eigendecompose(lap, 0)
+
+
+def test_truncated_basis_refuses_what_it_does_not_hold():
+    lap = build_laplacian(gen_sensor(12, 4, seed=0))
+    part = eigendecompose(lap, 4)
+    assert part.low_frequency(3).shape == (12, 3)
+    with pytest.raises(ValueError, match="K=5 exceeds the 4 eigenvectors"):
+        part.low_frequency(5)
+    with pytest.raises(ValueError, match="gft needs the full basis"):
+        gft(part, np.ones(12))
+    with pytest.raises(ValueError, match="igft needs the full basis"):
+        igft(part, np.ones(12))
+    with pytest.raises(ValueError, match="K=5 exceeds"):
+        leverage_scores(part, 5)
+
+
+@pytest.mark.parametrize("model,bandwidth", [("GS1", None), ("GS1", 3),
+                                             ("GS3", None)])
+def test_signal_from_a_truncated_basis(model, bandwidth):
+    lap = build_laplacian(gen_sensor(60, 6, seed=3))
+    full = eigendecompose(lap)
+    K = bandwidth or (10 if model == "GS1" else 40)
+    ref = gen_signal(model, full, seed=9, bandwidth=bandwidth)
+    for width in (K, K + 5):
+        part = eigendecompose(lap, width)
+        sig = gen_signal(model, part, seed=9, bandwidth=bandwidth)
+        assert sig.spectrum.tobytes() == ref.spectrum.tobytes()
+        assert sig.bandwidth == ref.bandwidth
+        assert np.abs(sig.values - ref.values).max() <= 1e-12
+    narrow = eigendecompose(lap, K - 1)
+    with pytest.raises(ValueError, match=f"needs {K} eigenvectors"):
+        gen_signal(model, narrow, seed=9, bandwidth=bandwidth)
+
+
+def test_tail_signal_needs_the_full_basis():
+    lap = build_laplacian(gen_sensor(30, 6, seed=3))
+    with pytest.raises(ValueError, match="needs 30 eigenvectors"):
+        gen_signal("GS2", eigendecompose(lap, 29), seed=0)
+    assert gen_signal("GS2", eigendecompose(lap), seed=0).n == 30
