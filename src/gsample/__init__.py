@@ -23,8 +23,8 @@ from .reconstruction import (Reconstruction, biased_reconstruct,
                              blue_reconstruct, error_covariance,
                              filter_reconstruct, rmse, snr_to_sigma2)
 from .rng import RNG_NAME, child_seed, rng_from
-from .selection import (DEFAULT_MU, AgodState, FactoredFagodState,
-                        FagodState, SamplingSet, greedy_aoptimal,
+from .selection import (DEFAULT_MU, FactoredFagodState, FagodState,
+                        LoadedGramState, SamplingSet, greedy_aoptimal,
                         greedy_doptimal, greedy_eoptimal,
                         greedy_select, objective_agod, objective_aopt,
                         objective_dopt, objective_eopt, objective_fagod,
@@ -37,9 +37,10 @@ from .spectral import (GraphSignal, Observation, SpectralBasis,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgodState", "AlphaReport", "ApproxFilter", "DEFAULT_MU",
+    "AlphaReport", "ApproxFilter", "DEFAULT_MU",
     "ExperimentResult", "ExperimentSpec", "FactoredFagodState", "FagodState",
-    "GivensSeq", "Graph", "GraphSignal", "Laplacian", "Observation",
+    "GivensSeq", "Graph", "GraphSignal", "Laplacian", "LoadedGramState",
+    "Observation",
     "RNG_NAME", "Reconstruction", "ResultRow", "SamplingSet", "SpecError",
     "SpectralBasis",
     "SuboptimalityReport", "approximate_lowpass", "biased_reconstruct",

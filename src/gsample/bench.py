@@ -439,7 +439,7 @@ class _TrialContext:
             mode = method.split("-", 1)[1]
             seed = child_seed(spec_label(self.spec), "select", method, self.n,
                               self.trial)
-            return random_select(mode, self.basis, self.K, M, seed, mu=self.mu)
+            return random_select(mode, self.basis, self.K, M, seed)
         raise ValueError(f"unknown method {method!r}")
 
     def reconstruct(self, method: str, obs, use_blue: bool):

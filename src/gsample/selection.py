@@ -12,14 +12,17 @@ sampled eigenvector rows.  Three variants are provided:
            only a low-pass filter matrix T and therefore runs without an
            eigendecomposition when T is the Givens approximation.
 
-Greedy selection maintains the running inverse incrementally: a
-rank-one (Sherman-Morrison) update for the fixed-size K x K Gram, and a
-Schur-complement growth step for the size-increasing filter submatrix.
-A filter given as its n x K factor V (T = V V^T, as `ApproxFilter`
-carries it) runs fagod on the K x K loaded Gram of V_S through Woodbury,
-so nothing n x n is formed.
-A-, D- and E-optimal greedy baselines plus random sampling round out the
-set of strategies benchmarked against each other.
+Every criterion but god and eopt is a score on one matrix, the K x K
+loaded Gram Z = V_S^T V_S + mu I of an n x K factor V: the K lowest
+eigenvectors for agod, aopt and dopt, the filter's factor for fagod
+(T = V V^T, as `ApproxFilter` carries it; through Woodbury nothing
+n x n is formed).  `LoadedGramState` keeps Z^-1 with rank-one
+(Sherman-Morrison) updates, and one incremental greedy loop runs all
+four criteria.  A dense filter matrix grows (T_SS + mu I)^-1 by Schur
+complements instead (`FagodState`, the reference).  god and eopt have
+no incremental form and run the plain greedy loop of
+`oracle.greedy_minimize`.  Random sampling, which minimizes nothing,
+rounds out the set of strategies benchmarked against each other.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import ApproxFilter
+from .oracle import greedy_minimize
 from .rng import rng_from
 from .spectral import SpectralBasis, leverage_scores
 
@@ -45,7 +49,11 @@ G_OPTIMAL_METHODS = ("god", "agod", "fagod")
 
 @dataclass(frozen=True)
 class SamplingSet:
-    """Ordered selection of node indices with its per-step objective trace."""
+    """Ordered selection of node indices with its per-step objective trace.
+
+    The trace is empty for a selection that minimizes no objective (the
+    random baselines); otherwise it holds one value per step.
+    """
 
     indices: tuple
     objective_trace: tuple
@@ -57,7 +65,7 @@ class SamplingSet:
         trace = tuple(float(v) for v in self.objective_trace)
         if len(set(idx)) != len(idx):
             raise ValueError("selected indices must be distinct")
-        if len(trace) != len(idx):
+        if trace and len(trace) != len(idx):
             raise ValueError("objective trace must have one value per selection step")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "objective_trace", trace)
@@ -179,21 +187,26 @@ def update_inverse_grow(minv: np.ndarray, col: np.ndarray,
     return out
 
 
-class AgodState:
-    """Incremental state for the loaded K x K Gram objective.
+class LoadedGramState:
+    """Incremental state for the K x K loaded Gram Z = V_S^T V_S + mu I.
 
-    Keeps (V_SK^T V_SK + mu I)^-1 up to date across single-node additions
-    and scores every candidate in one vectorized pass.
+    The one holder of Z^-1 for an n x K factor V: the K lowest
+    eigenvectors for agod, aopt and dopt, the filter's factor for fagod.
+    `add` makes one rank-one (Sherman-Morrison) update, and `projections`
+    gives U = V Z^-1 and g_j = u_j . v_j for every node in one pass; the
+    agod objective is max diag Z^-1.
     """
 
-    def __init__(self, basis: SpectralBasis, K: int, mu: float):
+    def __init__(self, factor: np.ndarray, mu: float):
         if mu <= 0:
             raise ValueError("mu must be positive")
-        self.vk = basis.low_frequency(K)
-        self.n = basis.n
-        self.K = K
+        factor = np.asarray(factor, dtype=float)
+        if factor.ndim != 2:
+            raise ValueError("factor must be an n x K matrix")
+        self.factor = factor
+        self.n, self.K = factor.shape
         self.mu = mu
-        self._zinv = np.eye(K) / mu
+        self._zinv = np.eye(self.K) / mu
         self.selected = []
         self._taken = np.zeros(self.n, dtype=bool)
 
@@ -201,23 +214,39 @@ class AgodState:
     def inverse(self) -> np.ndarray:
         return self._zinv.copy()
 
+    def projections(self):
+        """U = V Z^-1 (row j is v_j Z^-1) and g_j = v_j Z^-1 v_j^T."""
+        u = self.factor @ self._zinv
+        return u, np.einsum("ij,ij->i", u, self.factor)
+
     def objective(self) -> float:
         return max_diag(self._zinv)
 
     def candidate_objectives(self) -> np.ndarray:
         """Objective after adding each node j (inf where already selected)."""
-        u = self.vk @ self._zinv  # row j is v_j Zinv
-        denom = 1.0 + np.einsum("ij,ij->i", u, self.vk)
-        cand = np.diagonal(self._zinv)[None, :] - u ** 2 / denom[:, None]
+        u, g = self.projections()
+        cand = np.diagonal(self._zinv)[None, :] - u ** 2 / (1.0 + g)[:, None]
         obj = cand.max(axis=1)
         obj[self._taken] = np.inf
         return obj
 
-    def add(self, j: int) -> None:
+    def candidate_traces(self) -> np.ndarray:
+        """Tr (Z + v_j^T v_j)^-1 = Tr Z^-1 - |u_j|^2 / (1 + g_j) for each j
+        (inf where already selected): the aopt criterion."""
+        u, g = self.projections()
+        traces = np.trace(self._zinv) - (u ** 2).sum(axis=1) / (1.0 + g)
+        traces[self._taken] = np.inf
+        return traces
+
+    def _free(self, j) -> int:
         j = int(j)
         if self._taken[j]:
             raise ValueError(f"node {j} already selected")
-        self._zinv = update_inverse_rank_one(self._zinv, self.vk[j])
+        return j
+
+    def add(self, j: int) -> None:
+        j = self._free(j)
+        self._zinv = update_inverse_rank_one(self._zinv, self.factor[j])
         self.selected.append(j)
         self._taken[j] = True
 
@@ -275,35 +304,26 @@ class FagodState:
         self._taken[j] = True
 
 
-class FactoredFagodState:
+class FactoredFagodState(LoadedGramState):
     """fagod state for a filter given by its n x K factor V, T = V V^T.
 
     By Woodbury, (T_SS + mu I)^-1 = mu^-1 (I - V_S Z^-1 V_S^T) with the
     K x K loaded Gram Z = V_S^T V_S + mu I, so nothing n x n is formed.
-    The state keeps Z^-1, a_j = v_j Z^-1 v_j^T for every node, the m x n
-    matrix B = V_S Z^-1 V^T, and d = diag (T_SS + mu I)^-1.  Adding node j
-    turns entry i of d into d_i + B_ij^2 / (mu (1 + a_j)) and appends
-    1 / (mu (1 + a_j)): the same growth as `FagodState`, whose Schur
-    complement is mu (1 + a_j) and whose column (T_SS + mu I)^-1 T_Sj is
-    B_:j.  A step costs O(mn + nK).
+    On top of the shared Z^-1 the state keeps a_j = v_j Z^-1 v_j^T for
+    every node, the m x n matrix B = V_S Z^-1 V^T, and
+    d = diag (T_SS + mu I)^-1.  Adding node j turns entry i of d into
+    d_i + B_ij^2 / (mu (1 + a_j)) and appends 1 / (mu (1 + a_j)): the
+    same growth as `FagodState`, whose Schur complement is mu (1 + a_j)
+    and whose column (T_SS + mu I)^-1 T_Sj is B_:j.  A step costs
+    O(mn + nK).
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        factor = np.asarray(factor, dtype=float)
-        if factor.ndim != 2:
-            raise ValueError("filter factor must be an n x K matrix")
-        self.factor = factor
-        self.n, K = factor.shape
-        self.mu = mu
-        self._zinv = np.eye(K) / mu
-        self._a = np.einsum("ij,ij->i", factor, factor) / mu
+        super().__init__(factor, mu)
+        self._a = np.einsum("ij,ij->i", self.factor, self.factor) / mu
         # rows of B, grown by doubling; the first len(selected) are live
         self._b = np.empty((0, self.n))
         self._d = np.zeros(0)
-        self.selected = []
-        self._taken = np.zeros(self.n, dtype=bool)
 
     def objective(self) -> float:
         if not self.selected:
@@ -323,9 +343,7 @@ class FactoredFagodState:
         return obj
 
     def add(self, j: int) -> None:
-        j = int(j)
-        if self._taken[j]:
-            raise ValueError(f"node {j} already selected")
+        j = self._free(j)
         v = self.factor[j]
         u = self._zinv @ v
         s = 1.0 + float(v @ u)
@@ -342,15 +360,31 @@ class FactoredFagodState:
         self._b[:m] -= b_j[:, None] * h
         self._b[m] = h
         self._a -= s * h * h
-        self._zinv = update_inverse_rank_one(self._zinv, v)
-        self.selected.append(j)
-        self._taken[j] = True
+        super().add(j)
 
 
-def _argmin_with_ties(values: np.ndarray) -> int:
-    # np.argmin returns the first minimum: the deterministic
-    # (value, index) reduction with smallest-index tie-breaking
-    return int(np.argmin(values))
+def _check_budget(M: int, n: int) -> None:
+    if not 1 <= M <= n:
+        raise ValueError(f"budget M={M} out of range [1, {n}]")
+
+
+def _greedy(state, M: int, step, method: str, params: dict) -> SamplingSet:
+    """The incremental greedy loop: `step(state)` names the next node and
+    its trace value, then the node joins the state."""
+    _check_budget(M, state.n)
+    trace = []
+    for _ in range(M):
+        j, value = step(state)
+        trace.append(float(value))
+        state.add(j)
+    return SamplingSet(tuple(state.selected), tuple(trace), method, params)
+
+
+def _smallest(scores: np.ndarray):
+    # np.argmin returns the first minimum, so ties go to the smallest
+    # index; the winning score is the step's trace value
+    j = int(np.argmin(scores))
+    return j, scores[j]
 
 
 def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
@@ -363,147 +397,85 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
     step the node with the smallest resulting objective joins the set;
     ties go to the smallest node index.
     """
+    if method in ("agod", "god") and (basis is None or K is None):
+        raise ValueError(f"{method} needs basis and K")
     if method == "agod":
-        if basis is None or K is None:
-            raise ValueError("agod needs basis and K")
-        _check_budget(M, basis.n)
-        state = AgodState(basis, K, mu)
+        state = LoadedGramState(basis.low_frequency(K), mu)
         params = {"K": K, "mu": mu}
     elif method == "fagod":
         if filt is None:
             raise ValueError("fagod needs a filter matrix")
         if isinstance(filt, ApproxFilter):
-            _check_budget(M, filt.n)
             state = FactoredFagodState(filt.factor, mu)
             params = {"K": filt.bandwidth, "mu": mu}
         else:
-            T = np.asarray(filt, dtype=float)
-            _check_budget(M, T.shape[0])
-            state = FagodState(T, mu)
+            state = FagodState(filt, mu)
             params = {"K": None, "mu": mu}
     elif method == "god":
-        if basis is None or K is None:
-            raise ValueError("god needs basis and K")
+        # pseudo-inverse objective below full rank: no incremental form,
+        # evaluated from scratch (reference implementation, small n only)
         _check_budget(M, basis.n)
-        return _greedy_god(basis, K, M)
+        selected, trace = greedy_minimize(
+            lambda S: objective_agod(S, basis, K, 0.0), basis.n, M)
+        return SamplingSet(tuple(selected), tuple(trace), "god",
+                           {"K": K, "mu": 0.0})
     else:
         raise ValueError(f"unknown greedy method {method!r}")
-
-    trace = []
-    for _ in range(M):
-        scores = state.candidate_objectives()
-        j = _argmin_with_ties(scores)
-        trace.append(float(scores[j]))
-        state.add(j)
-    return SamplingSet(tuple(state.selected), tuple(trace), method, params)
-
-
-def _check_budget(M: int, n: int) -> None:
-    if not 1 <= M <= n:
-        raise ValueError(f"budget M={M} out of range [1, {n}]")
-
-
-def _greedy_god(basis: SpectralBasis, K: int, M: int) -> SamplingSet:
-    # pseudo-inverse objective below full rank: no incremental form,
-    # evaluate from scratch (reference implementation, small n only)
-    selected: list[int] = []
-    trace = []
-    for _ in range(M):
-        best_val, best_j = np.inf, -1
-        for j in range(basis.n):
-            if j in selected:
-                continue
-            val = objective_agod(selected + [j], basis, K, 0.0)
-            if val < best_val:
-                best_val, best_j = val, j
-        selected.append(best_j)
-        trace.append(best_val)
-    return SamplingSet(tuple(selected), tuple(trace), "god", {"K": K, "mu": 0.0})
+    return _greedy(state, M, lambda s: _smallest(s.candidate_objectives()),
+                   method, params)
 
 
 def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
     """Greedy log-determinant maximization of the loaded Gram matrix.
 
-    The determinant gain of adding node j is 1 + v_j Zinv v_j^T (matrix
-    determinant lemma), so each step is a vectorized argmax followed by a
-    rank-one inverse update.  The trace records (1/K) ln |Z^-1|.
+    The determinant gain of adding node j is 1 + g_j (matrix determinant
+    lemma), so each step takes the largest g_j.  The trace records
+    (1/K) ln |Z^-1|, accumulated from log1p(g_j): ranking by the updated
+    log-determinant instead would merge gains closer than its last digit.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    _check_budget(M, basis.n)
-    vk = basis.low_frequency(K)
-    zinv = np.eye(K) / mu
+    state = LoadedGramState(basis.low_frequency(K), mu)
     logdet = K * np.log(mu)
-    taken = np.zeros(basis.n, dtype=bool)
-    selected = []
-    trace = []
-    for _ in range(M):
-        u = vk @ zinv
-        gain = np.einsum("ij,ij->i", u, vk)
-        gain[taken] = -np.inf
+
+    def largest_gain(s):
+        nonlocal logdet
+        _, gain = s.projections()
+        gain[s._taken] = -np.inf
         j = int(np.argmax(gain))
         logdet += np.log1p(gain[j])
-        zinv = update_inverse_rank_one(zinv, vk[j])
-        taken[j] = True
-        selected.append(j)
-        trace.append(-logdet / K)
-    return SamplingSet(tuple(selected), tuple(trace), "dopt", {"K": K, "mu": mu})
+        return j, -logdet / K
+
+    return _greedy(state, M, largest_gain, "dopt", {"K": K, "mu": mu})
 
 
 def greedy_aoptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
     """Greedy trace minimization of the inverted loaded Gram matrix."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    _check_budget(M, basis.n)
-    vk = basis.low_frequency(K)
-    zinv = np.eye(K) / mu
-    taken = np.zeros(basis.n, dtype=bool)
-    selected = []
-    trace = []
-    for _ in range(M):
-        u = vk @ zinv
-        denom = 1.0 + np.einsum("ij,ij->i", u, vk)
-        new_tr = np.trace(zinv) - (u ** 2).sum(axis=1) / denom
-        new_tr[taken] = np.inf
-        j = _argmin_with_ties(new_tr)
-        zinv = update_inverse_rank_one(zinv, vk[j])
-        taken[j] = True
-        selected.append(j)
-        trace.append(float(new_tr[j]))
-    return SamplingSet(tuple(selected), tuple(trace), "aopt", {"K": K, "mu": mu})
+    state = LoadedGramState(basis.low_frequency(K), mu)
+    return _greedy(state, M, lambda s: _smallest(s.candidate_traces()),
+                   "aopt", {"K": K, "mu": mu})
 
 
 def greedy_eoptimal(basis: SpectralBasis, K: int, M: int) -> SamplingSet:
     """Greedy maximization of the smallest singular value of V_SK.
 
     Below |S| = K the smallest of the |S| singular values is used, which
-    extends the criterion to every step.
+    extends the criterion to every step.  Runs the plain greedy loop on
+    the negated value (no incremental form; small n only).
     """
     _check_budget(M, basis.n)
-    vk = basis.low_frequency(K)
-    selected: list[int] = []
-    trace = []
-    for _ in range(M):
-        best_val, best_j = -np.inf, -1
-        for j in range(basis.n):
-            if j in selected:
-                continue
-            sv = np.linalg.svd(vk[selected + [j], :], compute_uv=False)
-            val = float(sv[-1])
-            if val > best_val:
-                best_val, best_j = val, j
-        selected.append(best_j)
-        trace.append(best_val)
-    return SamplingSet(tuple(selected), tuple(trace), "eopt", {"K": K, "mu": None})
+    selected, trace = greedy_minimize(
+        lambda S: -objective_eopt(S, basis, K), basis.n, M)
+    return SamplingSet(tuple(selected), tuple(-v for v in trace), "eopt",
+                       {"K": K, "mu": None})
 
 
 def random_select(mode: str, basis: SpectralBasis, K: int, M: int,
-                  seed: int, mu: float = DEFAULT_MU) -> SamplingSet:
+                  seed: int) -> SamplingSet:
     """Random sampling without replacement, uniform or leverage-weighted.
 
     Leverage mode draws sequentially with renormalization over the
-    remaining nodes.  The trace records the agod objective of each prefix
-    so random baselines plot on the same axis as the greedy methods.
+    remaining nodes.  A random set minimizes no objective, so its trace
+    is empty; `objective_agod` scores any prefix on the greedy methods'
+    axis.
     """
     _check_budget(M, basis.n)
     rng = rng_from(seed)
@@ -522,19 +494,18 @@ def random_select(mode: str, basis: SpectralBasis, K: int, M: int,
             weights = weights[keep]
     else:
         raise ValueError(f"unknown random mode {mode!r}")
-    state = AgodState(basis, K, mu)
-    trace = []
-    for j in chosen:
-        state.add(j)
-        trace.append(state.objective())
-    return SamplingSet(tuple(chosen), tuple(trace), f"rand-{mode}",
-                       {"K": K, "mu": mu, "seed": seed})
+    return SamplingSet(tuple(chosen), (), f"rand-{mode}", {"K": K, "seed": seed})
 
 
 def save_sampling_csv(sampling: SamplingSet, path) -> None:
-    """Write a selection as CSV rows `step,node,objective`."""
+    """Write a selection as CSV rows `step,node,objective`.
+
+    A selection without a trace writes every node with an empty objective.
+    """
+    objectives = ([repr(v) for v in sampling.objective_trace]
+                  or [""] * sampling.size)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,node,objective\n")
-        for step, (node, obj) in enumerate(
-                zip(sampling.indices, sampling.objective_trace), start=1):
-            fh.write(f"{step},{node},{obj!r}\n")
+        for step, (node, obj) in enumerate(zip(sampling.indices, objectives),
+                                           start=1):
+            fh.write(f"{step},{node},{obj}\n")

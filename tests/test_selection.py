@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (AgodState, FactoredFagodState, FagodState, SamplingSet,
-                     approximate_lowpass, build_laplacian, eigendecompose,
-                     exact_lowpass, gen_community, gen_er, gen_sensor,
+from gsample import (FactoredFagodState, FagodState, LoadedGramState,
+                     SamplingSet, approximate_lowpass, build_laplacian,
+                     eigendecompose, exact_lowpass, gen_community, gen_er, gen_sensor,
                      greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
                      greedy_select, leverage_scores, objective_agod,
                      objective_aopt, objective_dopt, objective_eopt,
@@ -124,7 +124,7 @@ def test_incremental_state_matches_direct_inverse_every_step():
     # the module's master numerical invariant
     basis = _basis(10, 6, 6)
     K = 4
-    state = AgodState(basis, K, MU)
+    state = LoadedGramState(basis.low_frequency(K), MU)
     rng = np.random.Generator(np.random.PCG64(13))
     for j in rng.permutation(10):
         state.add(int(j))
@@ -145,7 +145,7 @@ def test_greedy_runs_keep_incremental_state_faithful(sensor10):
     _, _, basis = sensor10
     K = 3
     sel = greedy_select("agod", 8, basis=basis, K=K, mu=MU)
-    state = AgodState(basis, K, MU)
+    state = LoadedGramState(basis.low_frequency(K), MU)
     for j in sel.indices:
         state.add(j)
         direct = _gram_inv(basis, state.selected, K, MU)
@@ -170,7 +170,7 @@ def test_greedy_fagod_accepts_filter_object(sensor10):
     again = greedy_select("fagod", 4, filt=filt.filter, mu=MU)
     assert sel.indices == again.indices
     with pytest.raises(ValueError):
-        AgodState(basis, 3, 0.0)
+        LoadedGramState(basis.low_frequency(3), 0.0)
     with pytest.raises(ValueError):
         FagodState(filt.filter, -1.0)
 
@@ -178,7 +178,7 @@ def test_greedy_fagod_accepts_filter_object(sensor10):
 def test_candidate_objectives_match_from_scratch(sensor10):
     _, _, basis = sensor10
     K = 3
-    state = AgodState(basis, K, MU)
+    state = LoadedGramState(basis.low_frequency(K), MU)
     for j in (4, 1, 7):
         state.add(j)
     scores = state.candidate_objectives()
@@ -202,14 +202,18 @@ def test_candidate_objectives_match_from_scratch(sensor10):
                 objective_fagod(fstate.selected + [j], T, MU), abs=1e-9)
 
 
-def _approx_filter(model, n, K, seed):
+def _model_laplacian(model, n, seed):
     if model == "G1":
         graph = gen_sensor(n, 6, seed)
     elif model == "G2":
         graph = gen_er(n, min(1.0, 8.0 / n), seed)
     else:
         graph = gen_community(n, seed)
-    return approximate_lowpass(build_laplacian(graph), K)
+    return build_laplacian(graph)
+
+
+def _approx_filter(model, n, K, seed):
+    return approximate_lowpass(_model_laplacian(model, n, seed), K)
 
 
 @pytest.mark.parametrize("model,n,K,M", [
@@ -290,6 +294,46 @@ def test_factored_state_on_degenerate_factors(factor, log_mu):
         state.add(int(np.argmin(scores)))
         assert state.objective() == pytest.approx(
             objective_fagod(state.selected, T, mu), rel=1e-7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degenerate_factor(), st.floats(-6.0, 0.0))
+def test_loaded_gram_state_on_degenerate_factors(factor, log_mu):
+    # Z^-1 and the agod, aopt and dopt scores of the shared state against
+    # the loaded Gram inverted from scratch at every step
+    mu = 10.0 ** log_mu
+    n, K = factor.shape
+    state = LoadedGramState(factor, mu)
+    for _ in range(n):
+        rows = factor[state.selected]
+        z = rows.T @ rows + mu * np.eye(K)
+        zinv = np.linalg.inv(z)
+        assert np.abs(state.inverse - zinv).max() <= 1e-7 * np.abs(zinv).max()
+        assert state.objective() == pytest.approx(np.diag(zinv).max(), rel=1e-7)
+        agod = state.candidate_objectives()
+        aopt = state.candidate_traces()
+        _, gain = state.projections()
+        for c in range(n):
+            v = factor[c]
+            if c in state.selected:
+                assert agod[c] == np.inf and aopt[c] == np.inf
+                continue
+            grown = np.linalg.inv(z + np.outer(v, v))
+            assert agod[c] == pytest.approx(np.diag(grown).max(), rel=1e-7)
+            assert aopt[c] == pytest.approx(np.trace(grown), rel=1e-7)
+            assert gain[c] == pytest.approx(v @ np.linalg.solve(z, v), rel=1e-7)
+        state.add(int(np.argmin(agod)))
+
+
+def test_loaded_gram_state_validation():
+    with pytest.raises(ValueError, match="n x K"):
+        LoadedGramState(np.ones(3), MU)
+    state = LoadedGramState(np.eye(3)[:, :2], 0.5)
+    assert state.objective() == 2.0
+    state.add(1)
+    with pytest.raises(ValueError, match="already selected"):
+        state.add(1)
+    assert state.selected == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +456,20 @@ def test_aoptimal_empty_value_and_oracle():
     assert list(sel.indices) == naive
 
 
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_aopt_dopt_match_plain_greedy_oracle(model):
+    # the incremental loop against from-scratch objectives at n = 40
+    n, K, M = 40, 4, 12
+    basis = eigendecompose(_model_laplacian(model, n, 3))
+    for greedy, objective in ((greedy_aoptimal, objective_aopt),
+                              (greedy_doptimal, objective_dopt)):
+        sel = greedy(basis, K, MU, M)
+        slow, trace = greedy_minimize(
+            lambda S: objective(S, basis, K, MU), n, M)
+        assert list(sel.indices) == slow
+        assert sel.objective_trace == pytest.approx(trace, rel=1e-10)
+
+
 def test_eoptimal_first_pick_and_oracle():
     basis = _basis(6, 3, 16)
     K = 3
@@ -430,6 +488,9 @@ def test_eoptimal_first_pick_and_oracle():
                 best, bj = val, j
         selected.append(bj)
     assert list(sel.indices) == selected
+    # the trace is the criterion itself, not its negation
+    assert sel.objective_trace == tuple(
+        objective_eopt(sel.indices[:m], basis, K) for m in range(1, 5))
 
 
 def test_random_select_modes(sensor10):
@@ -439,10 +500,8 @@ def test_random_select_modes(sensor10):
     a = random_select("leverage", basis, 3, 4, seed=5)
     b = random_select("leverage", basis, 3, 4, seed=5)
     assert a.indices == b.indices
-    assert len(a.objective_trace) == 4
-    # trace carries the loaded max-diag objective of each prefix
-    assert a.objective_trace[-1] == pytest.approx(
-        objective_agod(a.indices, basis, 3, MU), abs=1e-8)
+    # a random set minimizes no objective, so it carries no trace
+    assert a.objective_trace == ()
     with pytest.raises(ValueError):
         random_select("other", basis, 3, 2, seed=0)
 
@@ -462,6 +521,8 @@ def test_sampling_set_validation():
         SamplingSet((1, 1), (0.5, 0.4), "agod")
     with pytest.raises(ValueError):
         SamplingSet((1, 2), (0.5,), "agod")
+    # an empty trace marks a selection that minimizes no objective
+    assert SamplingSet((1, 2), (), "rand-uniform").objective_trace == ()
 
 
 def test_sampling_csv(tmp_path, sensor8):
@@ -473,6 +534,19 @@ def test_sampling_csv(tmp_path, sensor8):
     assert lines[0] == "step,node,objective"
     assert len(lines) == 4
     assert lines[1].startswith(f"1,{sel.indices[0]},")
+
+
+def test_sampling_csv_without_trace(tmp_path, sensor8):
+    _, _, basis = sensor8
+    sel = random_select("uniform", basis, 2, 8, seed=3)
+    path = tmp_path / "rand.csv"
+    save_sampling_csv(sel, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,node,objective"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(step) for step, _, _ in rows] == list(range(1, 9))
+    assert tuple(int(node) for _, node, _ in rows) == sel.indices
+    assert all(obj == "" for _, _, obj in rows)
 
 
 # ---------------------------------------------------------------------------
