@@ -4,6 +4,9 @@ Builds the three random graph families, decomposes their Laplacians, and
 shows bandlimited signals living in the low-frequency eigenspace.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from gsample import (build_laplacian, eigendecompose, gen_community, gen_er,
@@ -24,8 +27,9 @@ for name, g in graphs.items():
     print(f"{name:28s} n={g.n}  edges={g.edge_count:4d}  "
           f"lambda_1={eigs[1]:.4f}  lambda_max={eigs[-1]:.2f}")
 
-save_graph(graphs["sensor (6-nn geometric)"], "/tmp/sensor64.txt")
-print("\nedge list written to /tmp/sensor64.txt (format: 'i j w' per line)")
+path = os.path.join(tempfile.mkdtemp(prefix="gsample-demo-"), "sensor64.txt")
+save_graph(graphs["sensor (6-nn geometric)"], path)
+print(f"\nedge list written to {path} (format: 'i j w' per line)")
 
 print()
 print("=" * 60)

@@ -5,6 +5,9 @@ its filter-submatrix variant) next to the trace/log-det/spectral-norm
 baselines and random sampling, all on the same sensor graph.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from gsample import (DEFAULT_MU, build_laplacian, eigendecompose,
@@ -42,5 +45,7 @@ agod = selections["agod (max-diag, loaded)"]
 print("\nper-step objective trace of the loaded max-diag greedy:")
 print("  " + "  ".join(f"{v:.3f}" for v in agod.objective_trace))
 
-save_sampling_csv(agod, "/tmp/agod_selection.csv")
-print("\nselection written to /tmp/agod_selection.csv (step,node,objective)")
+path = os.path.join(tempfile.mkdtemp(prefix="gsample-demo-"),
+                    "agod_selection.csv")
+save_sampling_csv(agod, path)
+print(f"\nselection written to {path} (step,node,objective)")

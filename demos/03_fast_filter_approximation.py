@@ -10,7 +10,7 @@ import numpy as np
 from gsample import (build_laplacian, eigendecompose, exact_lowpass,
                      gen_sensor, greedy_jacobi, lowpass_from_givens,
                      rotation_budget)
-from gsample.filters import apply_rotation, offdiag_sq_norm
+from gsample.oracle import apply_rotation, offdiag_sq_norm
 
 n, K = 32, 5
 lap = build_laplacian(gen_sensor(n, 6, seed=9))
@@ -26,7 +26,7 @@ w = lap.matrix.copy()
 initial = offdiag_sq_norm(w)
 for step, (p, q, theta) in enumerate(seq.rotations, start=1):
     apply_rotation(w, p, q, theta)
-    if step in (1, 10, 50, 100, len(seq.rotations)):
+    if step in (1, 10, 50, 100, seq.count):
         print(f"  after {step:4d} rotations: off-diag energy "
               f"{offdiag_sq_norm(w):10.4f}  ({offdiag_sq_norm(w)/initial:.1%} "
               f"of initial)")

@@ -51,7 +51,7 @@ print("=" * 64)
 print("3. Greedy decay guarantee (per-step gap under the geometric bound)")
 print("=" * 64)
 ok, rows = greedy_decay_check(
-    lambda S: objective_agod(S, basis6, 2, 0.1), 6, 2, 0.1, 3)
+    lambda S: objective_agod(S, basis6, 2, 0.1), 6, 0.1, 3)
 print(f"  bound holds at every step: {ok}")
 for row in rows:
     print(f"  l={row['l']}  gap ratio {row['ratio']:.5f}  <=  "

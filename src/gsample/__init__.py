@@ -10,7 +10,7 @@ the theory (monotonicity, approximate supermodularity, greedy decay).
 
 from .bench import (ExperimentResult, ExperimentSpec, ResultRow, SpecError,
                     parse_spec_file, parse_spec_text, run_experiment,
-                    run_single, write_result_csv)
+                    write_result_csv)
 from .filters import (ApproxFilter, GivensSeq, approximate_lowpass,
                       exact_lowpass, greedy_jacobi, lowpass_from_givens,
                       rotation_budget)
@@ -20,8 +20,8 @@ from .oracle import (AlphaReport, SuboptimalityReport, empirical_alpha,
                      exhaustive_optimum, greedy_decay_check,
                      relative_suboptimality, theorem_bounds)
 from .reconstruction import (Reconstruction, biased_reconstruct,
-                             blue_reconstruct, error_covariance,
-                             filter_reconstruct, rmse, snr_to_sigma2)
+                             blue_reconstruct, filter_reconstruct, rmse,
+                             snr_to_sigma2)
 from .rng import RNG_NAME, child_seed, rng_from
 from .selection import (DEFAULT_MU, FactoredFagodState, FagodState,
                         LoadedGramState, SamplingSet, greedy_aoptimal,
@@ -45,7 +45,7 @@ __all__ = [
     "SpectralBasis",
     "SuboptimalityReport", "approximate_lowpass", "biased_reconstruct",
     "blue_reconstruct", "build_laplacian", "child_seed", "eigendecompose",
-    "empirical_alpha", "error_covariance", "exact_lowpass",
+    "empirical_alpha", "exact_lowpass",
     "exhaustive_optimum", "filter_reconstruct", "gen_community", "gen_er",
     "gen_sensor", "gen_signal", "gft", "greedy_aoptimal", "greedy_decay_check",
     "greedy_doptimal", "greedy_eoptimal", "greedy_jacobi", "greedy_select",
@@ -54,7 +54,7 @@ __all__ = [
     "objective_dopt", "objective_eopt", "objective_fagod", "observe",
     "parse_spec_file", "parse_spec_text", "random_select",
     "relative_suboptimality", "rmse", "rng_from", "rotation_budget",
-    "run_experiment", "run_single", "save_graph",
+    "run_experiment", "save_graph",
     "snr_to_sigma2", "theorem_bounds",
     "update_inverse_grow", "update_inverse_rank_one", "write_result_csv",
 ]

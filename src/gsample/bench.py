@@ -18,16 +18,15 @@ Studies:
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .filters import approximate_lowpass, exact_lowpass, rotation_budget
 from .graphs import build_laplacian, gen_community, gen_er, gen_sensor
-from .oracle import (COMB_GUARD, empirical_alpha, exhaustive_optimum,
-                     relative_suboptimality)
+from .oracle import COMB_GUARD, empirical_alpha, relative_suboptimality
 from .reconstruction import (biased_reconstruct, blue_reconstruct,
                              filter_reconstruct, rmse, snr_to_sigma2)
 from .rng import RNG_NAME, child_seed
@@ -36,8 +35,6 @@ from .selection import (DEFAULT_MU, SamplingSet, greedy_aoptimal,
                         objective_agod, objective_dopt, objective_fagod,
                         random_select)
 from .spectral import SIGNAL_MODELS, eigendecompose, gen_signal, observe
-
-THREADS_ENV = "GSAMPLE_THREADS"
 
 RMSE_STUDIES = ("rmse_vs_size", "rmse_vs_snr", "rmse_vs_n")
 RUN_STUDIES = RMSE_STUDIES + ("objective_gap", "suboptimality")
@@ -537,6 +534,8 @@ def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
     ctx = _TrialContext(spec, spec.n, trial)
     T = ctx.exact_filter()
 
+    # each method's relative_suboptimality enumerates the same subsets
+    @functools.cache
     def g(indices):
         return objective_fagod(indices, T, ctx.mu)
 
@@ -546,48 +545,33 @@ def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
         selections[method] = ctx.select(method, m_max)
     rows = []
     for m in sorted(spec.sweep):
-        g_star, _ = exhaustive_optimum(g, spec.n, m)
-        g_empty = g(())
         for method in spec.methods:
             t0 = time.perf_counter()
-            # canonical order: a prefix equal to the argmin scores r = 0 exactly
-            prefix = tuple(sorted(selections[method].indices[:m]))
-            g_hat = g(prefix)
-            gap = g_empty - g_star
-            if gap <= 0:
-                raise RuntimeError(f"degenerate suboptimality instance "
-                                   f"(trial {trial}, M={m})")
-            r = (g_hat - g_star) / gap
+            report = relative_suboptimality(g, selections[method].indices[:m],
+                                            spec.n, m)
             wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append(ResultRow(spec.study, spec.graph, spec.signal, method,
-                                  m, trial, r, wall_ms,
+                                  m, trial, report.r, wall_ms,
                                   _trial_seed(spec, trial, m)))
     order = {m: i for i, m in enumerate(spec.methods)}
     rows.sort(key=lambda row: (order[row.method], row.sweep, row.trial))
     return rows
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get(THREADS_ENV, "")
-        threads = int(env) if env else 1
-    if threads < 1:
-        raise ValueError("thread count must be at least 1")
-    return threads
-
-
 def run_experiment(spec: ExperimentSpec, threads: int | None = None,
                    use_blue: bool = False) -> ExperimentResult:
     """Execute a spec and return deterministic result rows.
 
-    Trials run as independent work items on a bounded thread pool; rows
-    are sorted by (method, sweep, trial) in spec order before returning,
-    so scheduling never affects the output.
+    Trials run as independent work items on a pool of `threads` threads
+    (one when None); rows are sorted by (method, sweep, trial) in spec
+    order before returning, so scheduling never affects the output.
     """
     if spec.study not in RUN_STUDIES:
         raise SpecError(f"study {spec.study!r} runs through the oracle "
                         "subcommand, not run")
-    threads = _resolve_threads(threads)
+    threads = 1 if threads is None else threads
+    if threads < 1:
+        raise ValueError("thread count must be at least 1")
 
     def work(trial):
         if spec.study in RMSE_STUDIES:
@@ -612,24 +596,6 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     if spec.study in RMSE_STUDIES and any(r.value < 0 for r in rows):
         raise RuntimeError("negative RMSE value")
     return ExperimentResult(spec, tuple(rows))
-
-
-def run_single(spec: ExperimentSpec, method: str, sweep_value, trial: int,
-               use_blue: bool = False) -> ResultRow:
-    """Recompute one row standalone (seed-lineage check hook)."""
-    narrowed = replace(spec, methods=(method,))
-    if spec.study in RMSE_STUDIES:
-        rows = _rmse_trial_rows(narrowed, trial, use_blue)
-    elif spec.study == "objective_gap":
-        rows = _gap_trial_rows(spec, trial)
-    elif spec.study == "suboptimality":
-        rows = _subopt_trial_rows(narrowed, trial)
-    else:
-        raise SpecError(f"study {spec.study!r} has no single-row form")
-    for row in rows:
-        if row.method == method and row.sweep == sweep_value:
-            return row
-    raise ValueError(f"sweep value {sweep_value!r} not in spec sweep")
 
 
 def run_alpha_certificate(spec: ExperimentSpec):

@@ -46,7 +46,7 @@ def _build_parser() -> _Parser:
     run.add_argument("spec", help="path to a key=value spec file")
     run.add_argument("--out", help="override the spec's output path")
     run.add_argument("--threads", type=int, default=None,
-                     help=f"worker threads (default: ${bench.THREADS_ENV} or 1)")
+                     help="worker threads (default: 1)")
     run.add_argument("--desk", action="store_true",
                      help="desk-scale preset: n=200, 50 trials")
     run.add_argument("--blue", action="store_true",

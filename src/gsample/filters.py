@@ -11,7 +11,6 @@ references live in `gsample.oracle`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,77 +27,50 @@ OFFDIAG_TOL = 1e-12
 class GivensSeq:
     """Ordered Givens rotations (p, q, theta) acting on an n-point space.
 
-    The rotations are held as an (m, 2) int64 array of planes and an array
-    of m angles, which the kernels read; the `rotations` tuple of Python
-    (int, int, float) triples is built on first access.
+    `planes` is an (m, 2) int64 array of the (p, q) pairs, 0 <= p < q < n,
+    and `thetas` holds the m angles; both are read-only, and the kernels
+    read them as they are.
     """
 
-    def __init__(self, n: int, rotations):
-        rots = tuple(rotations)
-        table = np.array(rots, dtype=float).reshape(len(rots), 3)
-        planes = table[:, :2].astype(np.int64)
+    def __init__(self, n: int, planes, thetas):
+        planes = np.ascontiguousarray(planes, dtype=np.int64)
+        thetas = np.ascontiguousarray(thetas, dtype=float)
+        if planes.ndim != 2 or planes.shape[1] != 2 \
+                or thetas.shape != (planes.shape[0],):
+            raise ValueError(f"need (m, 2) planes and m angles, got shapes "
+                             f"{planes.shape} and {thetas.shape}")
         p, q = planes[:, 0], planes[:, 1]
         bad = ~((0 <= p) & (p < q) & (q < n))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
                 f"rotation plane ({p[i]}, {q[i]}) out of range for n={n}")
-        self._adopt(n, planes, np.ascontiguousarray(table[:, 2]))
-
-    @classmethod
-    def _from_arrays(cls, n: int, planes: np.ndarray,
-                     thetas: np.ndarray) -> "GivensSeq":
-        # a sequence of valid (m, 2) int64 planes and m float64 angles,
-        # both C-contiguous, as the Jacobi kernel returns them
-        seq = object.__new__(cls)
-        seq._adopt(n, planes, thetas)
-        return seq
-
-    def _adopt(self, n: int, planes: np.ndarray, thetas: np.ndarray) -> None:
         planes.setflags(write=False)
         thetas.setflags(write=False)
-        self._n, self._planes, self._thetas = n, planes, thetas
+        self.n, self.planes, self.thetas = n, planes, thetas
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @functools.cached_property
     def rotations(self) -> tuple:
-        return tuple(zip(self._planes[:, 0].tolist(),
-                         self._planes[:, 1].tolist(), self._thetas.tolist()))
+        """The rotations as (int, int, float) triples, in order."""
+        return tuple(zip(self.planes[:, 0].tolist(),
+                         self.planes[:, 1].tolist(), self.thetas.tolist()))
 
     @property
     def count(self) -> int:
-        return len(self._thetas)
-
-    def __eq__(self, other):
-        if not isinstance(other, GivensSeq):
-            return NotImplemented
-        return (self.n == other.n
-                and np.array_equal(self._planes, other._planes)
-                and np.array_equal(self._thetas, other._thetas))
-
-    def __hash__(self):
-        return hash((self.n, self._planes.tobytes(), self._thetas.tobytes()))
-
-    def to_matrix(self) -> np.ndarray:
-        """Product of the rotations, applied in order to the identity."""
-        q_t = np.eye(self.n)
-        _kernels.rotate_rows(q_t, self._planes, self._thetas)
-        return q_t.T.copy()
+        return len(self.thetas)
 
     def low_frequency(self, perm, K: int) -> np.ndarray:
-        """Columns perm[:K] of `to_matrix()`, as an n x K array.
+        """Columns perm[:K] of the rotation product Q = G_1 ... G_m, as an
+        n x K array.
 
-        With Q = G_1 ... G_m, Q e_c = G_1 (... (G_m e_c)): the transposed
-        rotations (same planes, negated angles) go in reverse order over the
-        identity columns perm[:K], so each one costs O(K) instead of O(n).
+        Q e_c = G_1 (... (G_m e_c)): the transposed rotations (same planes,
+        negated angles) go in reverse order over the identity columns
+        perm[:K], so each one costs O(K) instead of O(n).
         """
         block = np.zeros((self.n, K))
         block[np.asarray(perm[:K]), np.arange(K)] = 1.0
-        _kernels.rotate_rows(block, np.ascontiguousarray(self._planes[::-1]),
-                             -self._thetas[::-1])
+        _kernels.rotate_rows(block, np.ascontiguousarray(self.planes[::-1]),
+                             -self.thetas[::-1])
         return block
 
 
@@ -138,38 +110,13 @@ def rotation_budget(n: int) -> int:
     return int(math.ceil(6.0 * n * math.log10(n)))
 
 
-def _rotate_columns(mat: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    # right-multiplication by the rotation with entries [[c, s], [-s, c]]
-    # in the (p, q) plane
-    col_p = c * mat[:, p] - s * mat[:, q]
-    col_q = s * mat[:, p] + c * mat[:, q]
-    mat[:, p] = col_p
-    mat[:, q] = col_q
-
-
-def _rotate_symmetric(w: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    # two-sided update W <- G^T W G, then explicit zero of the target pair
-    _rotate_columns(w, p, q, c, s)
-    row_p = c * w[p, :] - s * w[q, :]
-    row_q = s * w[p, :] + c * w[q, :]
-    w[p, :] = row_p
-    w[q, :] = row_q
-    w[p, q] = 0.0
-    w[q, p] = 0.0
-
-
-def apply_rotation(w: np.ndarray, p: int, q: int, theta: float) -> None:
-    """In-place two-sided rotation of a symmetric matrix (test/replay hook)."""
-    _rotate_symmetric(w, p, q, math.cos(theta), math.sin(theta))
-
-
-def greedy_jacobi(lap: Laplacian, J: int, tol: float = OFFDIAG_TOL):
+def greedy_jacobi(lap: Laplacian, J: int):
     """Greedy Jacobi diagonalization truncated at J rotations.
 
     Each step zeroes the largest off-diagonal entry of the working matrix
     (ties: smallest row, then smallest column), which lowers the squared
     off-diagonal norm by exactly 2 W_pq^2.  Stops early once all
-    off-diagonal magnitudes fall to `tol`.
+    off-diagonal magnitudes fall to OFFDIAG_TOL.
 
     Returns (GivensSeq, approximate eigenvalues sorted ascending, perm)
     where perm maps rotated coordinates to the ascending order.
@@ -185,9 +132,10 @@ def greedy_jacobi(lap: Laplacian, J: int, tol: float = OFFDIAG_TOL):
         raise ValueError("Laplacian must be exactly symmetric")
     n = w.shape[0]
     if n >= 2 and J > 0:
-        seq = GivensSeq._from_arrays(n, *_kernels.greedy_jacobi_sweep(w, J, tol))
+        planes, thetas = _kernels.greedy_jacobi_sweep(w, J, OFFDIAG_TOL)
     else:
-        seq = GivensSeq(n, ())
+        planes, thetas = np.empty((0, 2), dtype=np.int64), np.empty(0)
+    seq = GivensSeq(n, planes, thetas)
     # the kernel leaves the lower triangle stale; only the diagonal is used
     diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
@@ -225,31 +173,3 @@ def exact_lowpass(basis: SpectralBasis, K: int) -> np.ndarray:
     """Ideal low-pass filter V_K V_K^T (an orthogonal projector of rank K)."""
     vk = basis.low_frequency(K)
     return vk @ vk.T
-
-
-def offdiag_sq_norm(mat: np.ndarray) -> float:
-    """Squared Frobenius norm of the off-diagonal part."""
-    return float((mat ** 2).sum() - (np.diag(mat) ** 2).sum())
-
-
-def save_givens_csv(givens: GivensSeq, path) -> None:
-    """Write rotations as CSV rows `p,q,theta` (round-trip float repr)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p,q,theta\n")
-        for p, q, theta in givens.rotations:
-            fh.write(f"{p},{q},{theta!r}\n")
-
-
-def load_givens_csv(path, n: int) -> GivensSeq:
-    rotations = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "p,q,theta":
-            raise ValueError(f"{path}: expected header 'p,q,theta', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            p, q, theta = line.split(",")
-            rotations.append((int(p), int(q), float(theta)))
-    return GivensSeq(n, tuple(rotations))

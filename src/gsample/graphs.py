@@ -163,27 +163,24 @@ def gen_er(n: int, p: float, seed: int = 0) -> Graph:
         f"no connected ER graph in {MAX_CONNECT_ATTEMPTS} attempts (n={n}, p={p})")
 
 
-def gen_community(n: int, seed: int = 0, p_in: float = 0.3,
-                  p_out: float | None = None) -> Graph:
+def gen_community(n: int, seed: int = 0) -> Graph:
     """Stochastic block model with floor(sqrt(n)/2) communities.
 
     Community sizes are random with a minimum of 2 nodes each; edges are
-    unit weight with probability p_in inside a community and p_out = 2/n
-    across communities.
+    unit weight with probability 0.3 inside a community and 2/n across
+    communities.
     """
     if n < 8:
         raise ValueError("community model needs n >= 8")
     c = int(np.floor(np.sqrt(n) / 2.0))
     c = max(c, 1)
-    if p_out is None:
-        p_out = 2.0 / n
     for attempt in range(MAX_CONNECT_ATTEMPTS):
         used_seed = seed + attempt
         rng = rng_from(used_seed)
         sizes = 2 + rng.multinomial(n - 2 * c, np.full(c, 1.0 / c))
         labels = np.repeat(np.arange(c), sizes)
         same = labels[:, None] == labels[None, :]
-        prob = np.where(same, p_in, p_out)
+        prob = np.where(same, 0.3, 2.0 / n)
         draws = rng.random((n, n))
         upper = np.triu(draws < prob, k=1)
         adj = (upper | upper.T).astype(float)

@@ -6,8 +6,8 @@ optima over all fixed-size subsets, relative suboptimality of candidate
 sets, the empirical approximate-supermodularity constant alpha with its
 closed-form lower bounds, and the geometric decay guarantee for greedy
 minimization of monotone alpha-supermodular objectives.  It also keeps the
-plain numpy greedy Jacobi sweep and rotation product that the compiled
-kernels behind `gsample.filters` must reproduce bit for bit.
+plain numpy Jacobi rotations, greedy sweep and rotation product that the
+compiled kernels behind `gsample.filters` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .filters import OFFDIAG_TOL, _rotate_columns, apply_rotation
+from .filters import OFFDIAG_TOL
 
 # Hard ceiling on enumerated subsets; exceeding it is an error, never a
 # silent truncation.
@@ -182,7 +182,7 @@ def greedy_minimize(objective, n: int, M: int):
     return selected, trace
 
 
-def greedy_decay_check(objective, n: int, K: int, mu: float, M: int):
+def greedy_decay_check(objective, n: int, mu: float, M: int):
     """Verify the geometric decay of the greedy optimality gap.
 
     For every prefix length l the normalized gap against the exhaustive
@@ -193,7 +193,6 @@ def greedy_decay_check(objective, n: int, K: int, mu: float, M: int):
     is a measurement of greedy's gap, not a consequence of a proven
     alpha.  Returns (all_hold, per-step records).
     """
-    del K  # recorded in the caller's instance description; unused here
     alpha, _ = theorem_bounds(mu)
     selected, _ = greedy_minimize(objective, n, M)
     g_empty = float(objective(()))
@@ -213,6 +212,36 @@ def greedy_decay_check(objective, n: int, K: int, mu: float, M: int):
         rows.append({"l": l, "ratio": ratio, "bound": bound,
                      "exp_bound": exp_bound, "holds": holds})
     return ok, rows
+
+
+def _rotate_columns(mat: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+    # right-multiplication by the rotation with entries [[c, s], [-s, c]]
+    # in the (p, q) plane
+    col_p = c * mat[:, p] - s * mat[:, q]
+    col_q = s * mat[:, p] + c * mat[:, q]
+    mat[:, p] = col_p
+    mat[:, q] = col_q
+
+
+def _rotate_symmetric(w: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+    # two-sided update W <- G^T W G, then explicit zero of the target pair
+    _rotate_columns(w, p, q, c, s)
+    row_p = c * w[p, :] - s * w[q, :]
+    row_q = s * w[p, :] + c * w[q, :]
+    w[p, :] = row_p
+    w[q, :] = row_q
+    w[p, q] = 0.0
+    w[q, p] = 0.0
+
+
+def apply_rotation(w: np.ndarray, p: int, q: int, theta: float) -> None:
+    """In-place two-sided rotation of a symmetric matrix."""
+    _rotate_symmetric(w, p, q, math.cos(theta), math.sin(theta))
+
+
+def offdiag_sq_norm(mat: np.ndarray) -> float:
+    """Squared Frobenius norm of the off-diagonal part."""
+    return float((mat ** 2).sum() - (np.diag(mat) ** 2).sum())
 
 
 class _RowMax:
@@ -262,7 +291,7 @@ def jacobi_angle(w_pp: float, w_qq: float, w_pq: float) -> float:
     return 0.5 * math.atan2(2.0 * w_pq, w_qq - w_pp)
 
 
-def greedy_jacobi_reference(lap, J: int, tol: float = OFFDIAG_TOL):
+def greedy_jacobi_reference(lap, J: int):
     """Numpy reference of `filters.greedy_jacobi`.
 
     Returns (rotations as a tuple of (p, q, theta), approximate eigenvalues
@@ -275,7 +304,7 @@ def greedy_jacobi_reference(lap, J: int, tol: float = OFFDIAG_TOL):
         tracker = _RowMax(w)
         for _ in range(J):
             p, q, val = tracker.pick()
-            if val <= tol:
+            if val <= OFFDIAG_TOL:
                 break
             theta = jacobi_angle(w[p, p], w[q, q], w[p, q])
             apply_rotation(w, p, q, theta)
@@ -287,8 +316,9 @@ def greedy_jacobi_reference(lap, J: int, tol: float = OFFDIAG_TOL):
 
 
 def givens_matrix_reference(n: int, rotations) -> np.ndarray:
-    """Numpy reference of `GivensSeq.to_matrix`: the rotations applied in
-    order to the columns of the identity."""
+    """Numpy reference of the rotation product Q = G_1 ... G_m: the
+    rotations applied in order to the columns of the identity.
+    `GivensSeq.low_frequency` returns columns of Q."""
     q_mat = np.eye(n)
     for p, q, theta in rotations:
         _rotate_columns(q_mat, p, q, math.cos(theta), math.sin(theta))

@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import ApproxFilter
+from .selection import RANK_TOL
 from .spectral import Observation, SpectralBasis
-
-# Relative singular-value cutoff for rank decisions; the unbiased
-# estimator degrades silently on near-singular systems without it.
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,19 +106,6 @@ def filter_reconstruct(obs: Observation, filt, mu: float) -> Reconstruction:
     return Reconstruction(values, "filter", {"mu": mu})
 
 
-def error_covariance(basis: SpectralBasis, K: int, sample_indices) -> np.ndarray:
-    """Estimation-error covariance V_K (V_SK^T V_SK)^-1 V_K^T of the BLUE."""
-    idx = list(sample_indices)
-    vk = basis.low_frequency(K)
-    vsk = vk[idx, :]
-    u, s, vt = np.linalg.svd(vsk, full_matrices=False)
-    if s.size < K or s[-1] <= RANK_TOL * s[0]:
-        raise ValueError("sampled eigenvector rows are rank deficient")
-    gram_inv = vt.T @ np.diag(1.0 / s ** 2) @ vt
-    cov = vk @ gram_inv @ vk.T
-    return (cov + cov.T) / 2.0
-
-
 def rmse(x_star: np.ndarray, x: np.ndarray) -> float:
     """Root mean square error sqrt(||x* - x||^2 / n)."""
     x_star = np.asarray(x_star, dtype=float)
@@ -134,14 +118,3 @@ def rmse(x_star: np.ndarray, x: np.ndarray) -> float:
 def snr_to_sigma2(snr_db: float) -> float:
     """Noise variance for a target SNR in dB against signal power 0.5."""
     return 0.5 * 10.0 ** (-snr_db / 10.0)
-
-
-def save_reconstruction_csv(rec: Reconstruction, truth: np.ndarray, path) -> None:
-    """Write recovered values next to the ground truth, one row per node."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != rec.values.shape:
-        raise ValueError("ground truth length must match reconstruction")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("recovered,truth\n")
-        for a, b in zip(rec.values, truth):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")

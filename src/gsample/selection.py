@@ -41,10 +41,10 @@ from .spectral import SpectralBasis, leverage_scores
 DEFAULT_KAPPA0 = 100.0
 DEFAULT_MU = 1.0 / (DEFAULT_KAPPA0 - 1.0)
 
-# Relative cutoff for pseudo-inverse ranks (god objective, BLUE).
+# Relative singular-value cutoff for rank decisions (god objective, BLUE);
+# the unbiased estimator degrades silently on near-singular systems without
+# it.
 RANK_TOL = 1e-10
-
-G_OPTIMAL_METHODS = ("god", "agod", "fagod")
 
 
 @dataclass(frozen=True)

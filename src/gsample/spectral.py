@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,22 +226,3 @@ def leverage_scores(basis: SpectralBasis, K: int) -> np.ndarray:
     """
     vk = basis.low_frequency(K)
     return (vk ** 2).sum(axis=1) / K
-
-
-def save_signal_csv(signal: GraphSignal, path) -> None:
-    """Write node-domain values as a single-column CSV with header `value`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value"])
-        for v in signal.values:
-            writer.writerow([repr(float(v))])
-
-
-def load_signal_csv(path) -> GraphSignal:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["value"]:
-            raise ValueError(f"{path}: expected header 'value', got {header}")
-        values = [float(row[0]) for row in reader if row]
-    return GraphSignal(np.array(values))

@@ -8,8 +8,7 @@ from gsample import (SpecError, greedy_aoptimal, greedy_doptimal,
                      greedy_eoptimal, greedy_select, observe, parse_spec_text,
                      rmse, run_experiment, write_result_csv)
 from gsample.bench import (apply_desk_preset, resolve_k,
-                           run_alpha_certificate, run_single,
-                           run_subopt_reports)
+                           run_alpha_certificate, run_subopt_reports)
 from gsample.cli import main
 from gsample.oracle import theorem_bounds
 from gsample.rng import child_seed
@@ -127,26 +126,6 @@ def test_rerun_and_thread_invariance(tmp_path):
         paths.append(path)
     a, b, c = (p.read_text() for p in paths)
     assert _strip_wall(a) == _strip_wall(b) == _strip_wall(c)
-
-
-def test_env_thread_fallback(tmp_path, monkeypatch):
-    spec = parse_spec_text(
-        "study = rmse_vs_size\nn = 16\nK = 3\nmethods = rand-uniform\n"
-        "sweep = 4\ntrials = 2")
-    monkeypatch.setenv("GSAMPLE_THREADS", "2")
-    baseline = run_experiment(spec, threads=1)
-    env_run = run_experiment(spec)  # picks up the env fallback
-    assert [(r.value, r.seed) for r in baseline.rows] == \
-        [(r.value, r.seed) for r in env_run.rows]
-
-
-def test_run_single_reproduces_rows():
-    spec = parse_spec_text(SMALL_RMSE_SPEC)
-    result = run_experiment(spec)
-    for row in (result.rows[0], result.rows[-1]):
-        again = run_single(spec, row.method, row.sweep, row.trial)
-        assert again.value == row.value
-        assert again.seed == row.seed
 
 
 def test_snr_study_budget_is_bandwidth():

@@ -19,8 +19,10 @@ def test_demos_present():
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
+    # TMPDIR keeps the files the demos write out of the shared temp directory
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   TMPDIR=str(tmp_path)),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,7 +1,7 @@
 """The compiled filter kernels against their numpy references.
 
-`greedy_jacobi` and `GivensSeq.to_matrix` run in C; `gsample.oracle`
-keeps the numpy loops they replaced.  The kernels repeat the references'
+`greedy_jacobi` and the rotation product `_kernels.rotate_rows` run in C;
+`gsample.oracle` keeps the numpy loops they replaced.  The kernels repeat the references'
 arithmetic term by term, so every comparison here is exact: the same
 (p, q) sequence, bitwise-equal angles, eigenvalues and rotation products.
 """
@@ -37,6 +37,13 @@ def _thetas(rotations):
     return np.array([theta for _, _, theta in rotations], dtype=float)
 
 
+def _product_bytes(seq):
+    # the kernel applies the rotations in order to the rows of Q^T = I
+    q_t = np.eye(seq.n)
+    _kernels.rotate_rows(q_t, seq.planes, seq.thetas)
+    return q_t.T.tobytes()
+
+
 def assert_matches_reference(lap, J):
     seq, eigs, perm = greedy_jacobi(lap, J)
     ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(lap, J)
@@ -46,7 +53,7 @@ def assert_matches_reference(lap, J):
     assert eigs.tobytes() == ref_eigs.tobytes()
     assert np.array_equal(perm, ref_perm)
     reference_q = givens_matrix_reference(seq.n, ref_rotations)
-    assert seq.to_matrix().tobytes() == reference_q.tobytes()
+    assert _product_bytes(seq) == reference_q.tobytes()
     return seq
 
 
@@ -208,7 +215,7 @@ def test_small_symmetric_matrices_match_reference(matrix, J):
 def _outputs(lap, J):
     seq, eigs, perm = greedy_jacobi(lap, J)
     return (seq.rotations, _thetas(seq.rotations).tobytes(), eigs.tobytes(),
-            perm.tobytes(), seq.to_matrix().tobytes())
+            perm.tobytes(), _product_bytes(seq))
 
 
 def test_concurrent_calls_match_serial():
@@ -240,10 +247,26 @@ def test_bad_input_fails_loudly(matrix, message):
 def test_givens_seq_names_first_bad_plane():
     with pytest.raises(ValueError,
                        match=r"rotation plane \(2, 2\) out of range for n=4"):
-        GivensSeq(4, ((0, 1, 0.1), (2, 2, 0.3), (3, 1, 0.0)))
-    seq = GivensSeq(4, [(np.int64(0), 3.0, np.float32(0.5))])
+        GivensSeq(4, np.array([[0, 1], [2, 2], [3, 1]]),
+                  np.array([0.1, 0.3, 0.0]))
+    for planes in ([[1, 0]], [[-1, 2]], [[0, 4]]):
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            GivensSeq(4, np.array(planes), np.array([0.5]))
+    seq = GivensSeq(4, np.array([[0, 3]]), np.array([0.5]))
     assert seq.rotations == ((0, 3, 0.5),)
     assert all(type(v) is t for v, t in zip(seq.rotations[0], (int, int, float)))
+    assert not seq.planes.flags.writeable and not seq.thetas.flags.writeable
+
+
+@pytest.mark.parametrize("planes,thetas", [
+    (np.array([[0, 1], [1, 2]]), np.array([0.1])),
+    (np.array([[0, 1]]), np.array([0.1, 0.2])),
+    (np.array([0, 1]), np.array([0.1])),
+    (np.empty((0, 2)), np.array([0.1])),
+])
+def test_givens_seq_rejects_mismatched_arrays(planes, thetas):
+    with pytest.raises(ValueError, match=r"need \(m, 2\) planes and m angles"):
+        GivensSeq(4, planes, thetas)
 
 
 def test_kernel_builds_without_warnings(tmp_path):

@@ -128,7 +128,7 @@ def test_decay_bound_formula_edge_cases():
 def test_greedy_decay_check_holds():
     basis = _basis(8, 3)
     obj = lambda S: objective_agod(S, basis, 2, 0.1)  # noqa: E731
-    ok, rows = greedy_decay_check(obj, 8, 2, 0.1, 3)
+    ok, rows = greedy_decay_check(obj, 8, 0.1, 3)
     assert ok
     assert [row["l"] for row in rows] == [1, 2, 3]
     # the first greedy pick is the exhaustive size-1 optimum

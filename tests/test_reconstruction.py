@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from gsample import (biased_reconstruct, blue_reconstruct, build_laplacian,
-                     eigendecompose, error_covariance, exact_lowpass,
-                     filter_reconstruct, gen_sensor, gen_signal, observe,
-                     rmse, snr_to_sigma2)
-from gsample.reconstruction import save_reconstruction_csv
+                     eigendecompose, exact_lowpass, filter_reconstruct,
+                     gen_sensor, gen_signal, observe, rmse, snr_to_sigma2)
 
 MU = 1 / 99
 
@@ -130,21 +128,6 @@ def test_filter_reconstruct_zero_observation():
     assert np.array_equal(rec.values, np.zeros(12))
 
 
-def test_error_covariance_identities():
-    basis, _ = _instance(seed=10)
-    K = 4
-    cov_full = error_covariance(basis, K, range(12))
-    assert np.abs(cov_full - exact_lowpass(basis, K)).max() <= 1e-9
-    idx = [0, 2, 5, 7, 9]
-    cov = error_covariance(basis, K, idx)
-    vsk = basis.eigenvectors[idx, :K]
-    assert np.trace(cov) == pytest.approx(
-        np.trace(np.linalg.inv(vsk.T @ vsk)), rel=1e-9)
-    assert np.linalg.eigvalsh(cov).min() >= -1e-9
-    with pytest.raises(ValueError):
-        error_covariance(basis, K, [0, 1])
-
-
 def test_bias_shrinks_as_loading_vanishes():
     basis, signal = _instance(seed=11)
     idx = [0, 1, 4, 6, 8, 11]
@@ -172,14 +155,3 @@ def test_snr_to_sigma2():
     assert snr_to_sigma2(0) == pytest.approx(0.5, abs=1e-15)
     assert snr_to_sigma2(20) == pytest.approx(5e-3, rel=1e-12)
     assert snr_to_sigma2(10) == pytest.approx(0.05, rel=1e-12)
-
-
-def test_reconstruction_csv(tmp_path):
-    basis, signal = _instance(seed=12)
-    obs = observe(signal, [0, 3, 5, 9], 0.0)
-    rec = blue_reconstruct(obs, basis, 4)
-    path = tmp_path / "rec.csv"
-    save_reconstruction_csv(rec, signal.values, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "recovered,truth"
-    assert len(lines) == 13

@@ -6,7 +6,6 @@ import pytest
 from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
                      gen_er, gen_sensor, gen_signal, gft, igft,
                      leverage_scores, observe)
-from gsample.spectral import load_signal_csv, save_signal_csv
 
 
 def test_two_node_path_closed_form(path2):
@@ -143,16 +142,6 @@ def test_leverage_scores(path2, sensor10):
     assert leverage_scores(b10, 10) == pytest.approx(np.full(10, 0.1), abs=1e-12)
     for K in (1, 3, 7):
         assert abs(leverage_scores(b10, K).sum() - 1.0) <= 1e-12
-
-
-def test_signal_csv_round_trip(tmp_path, sensor8):
-    _, _, basis = sensor8
-    sig = gen_signal("GS1", basis, seed=5, bandwidth=4)
-    path = tmp_path / "sig.csv"
-    save_signal_csv(sig, path)
-    assert path.read_text().splitlines()[0] == "value"
-    loaded = load_signal_csv(path)
-    assert np.array_equal(loaded.values, sig.values)
 
 
 # ---------------------------------------------------------------------------
