@@ -30,10 +30,9 @@ from .oracle import COMB_GUARD, empirical_alpha, relative_suboptimality
 from .reconstruction import (biased_reconstruct, blue_reconstruct,
                              filter_reconstruct, rmse, snr_to_sigma2)
 from .rng import RNG_NAME, child_seed
-from .selection import (DEFAULT_MU, SamplingSet, greedy_aoptimal,
-                        greedy_doptimal, greedy_eoptimal, greedy_select,
-                        objective_agod, objective_dopt, objective_fagod,
-                        random_select)
+from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
+                        greedy_eoptimal, greedy_select, objective_agod,
+                        objective_dopt, objective_fagod, random_select)
 from .spectral import SIGNAL_MODELS, eigendecompose, gen_signal, observe
 
 RMSE_STUDIES = ("rmse_vs_size", "rmse_vs_snr", "rmse_vs_n")
@@ -49,9 +48,8 @@ GAP_CURVES = ("G-G", "G-D", "D-D")
 
 CSV_HEADER = "study,graph,signal,method,sweep,trial,value,wall_ms,seed"
 
-_SPEC_KEYS = ("study", "graph", "signal", "methods", "n", "K", "mu", "kappa0",
-              "J", "trials", "base_seed", "sweep", "sigma2", "out", "knn",
-              "p", "max_set_size")
+_SPEC_KEYS = ("study", "graph", "signal", "methods", "n", "K", "mu", "J",
+              "trials", "base_seed", "sweep", "sigma2", "out", "knn", "p")
 
 
 class SpecError(ValueError):
@@ -75,7 +73,6 @@ class ExperimentSpec:
     out: str = ""
     knn: int = 6
     er_p: float = 0.05
-    max_set_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,6 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    spec: ExperimentSpec
     rows: tuple
     rng_name: str = RNG_NAME
 
@@ -197,18 +193,8 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
     else:
         K = def_k
 
-    if "mu" in data and "kappa0" in data:
-        raise SpecError(f"{anchor('kappa0')}: give either mu or kappa0, not both")
-    if "mu" in data:
-        mu = _parse_scalar("mu", data["mu"], linenos["mu"], source, float)
-    elif "kappa0" in data:
-        kappa0 = _parse_scalar("kappa0", data["kappa0"], linenos["kappa0"],
-                               source, float)
-        if kappa0 <= 1:
-            raise SpecError(f"{anchor('kappa0')}: kappa0 must exceed 1")
-        mu = 1.0 / (kappa0 - 1.0)
-    else:
-        mu = DEFAULT_MU
+    mu = _parse_scalar("mu", data["mu"], linenos["mu"], source, float) \
+        if "mu" in data else DEFAULT_MU
     if mu <= 0:
         raise SpecError(f"{anchor('mu')}: mu must be positive")
 
@@ -236,6 +222,8 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         kind = int if study in _INT_SWEEP_STUDIES else float
         sweep = tuple(_parse_scalar("sweep", t, linenos["sweep"], source, kind)
                       for t in tokens)
+        if len(set(sweep)) != len(sweep):
+            raise SpecError(f"{anchor('sweep')}: duplicate sweep value")
     else:
         sweep = def_sweep
 
@@ -249,13 +237,6 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         if sigma2 < 0:
             raise SpecError(f"{anchor('sigma2')}: sigma2 must be nonnegative")
 
-    if "max_set_size" in data and study != "alpha":
-        raise SpecError(f"{anchor('max_set_size')}: max_set_size applies to "
-                        "the alpha study only")
-    max_set_size = _parse_scalar("max_set_size", data["max_set_size"],
-                                 linenos["max_set_size"], source, int) \
-        if "max_set_size" in data else None
-
     knn = _parse_scalar("knn", data["knn"], linenos.get("knn"), source, int) \
         if "knn" in data else 6
     er_p = _parse_scalar("p", data["p"], linenos.get("p"), source, float) \
@@ -265,8 +246,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
     spec = ExperimentSpec(study=study, graph=graph, signal=signal,
                           methods=methods, n=n, K=K, mu=mu, J=J,
                           trials=trials, base_seed=base_seed, sweep=sweep,
-                          sigma2=sigma2, out=out, knn=knn, er_p=er_p,
-                          max_set_size=max_set_size)
+                          sigma2=sigma2, out=out, knn=knn, er_p=er_p)
     _validate_consistency(spec, source, linenos)
     return spec
 
@@ -318,9 +298,6 @@ def _validate_consistency(spec: ExperimentSpec, source, linenos):
             raise SpecError(f"{where('n')}: alpha enumeration limited to n <= 8")
         if any(v <= 0 for v in spec.sweep):
             raise SpecError(f"{where('sweep')}: alpha study sweeps mu values > 0")
-        m = spec.max_set_size if spec.max_set_size is not None else spec.n - 1
-        if not 0 <= m <= spec.n - 1:
-            raise SpecError(f"{where('max_set_size')}: must lie in [0, n-1]")
     if spec.study == "rmse_vs_n" and spec.graph == "G3" and min(spec.sweep) < 8:
         raise SpecError(f"{where('sweep')}: community graphs need n >= 8")
 
@@ -402,20 +379,20 @@ class _TrialContext:
             self._exact = exact_lowpass(self.basis, self.K)
         return self._exact
 
-    def select(self, method: str, M: int):
-        """Sampling set of size M; greedy methods run once per trial.
+    def select(self, method: str, M: int) -> tuple:
+        """Indices of a sampling set of size M; greedy methods run once per
+        trial.
 
         A greedy method runs at the largest budget the trial needs, and
         every smaller budget gets a prefix of that selection.
         """
         if method not in PREFIX_METHODS:
-            return self._select(method, M)
+            return self._select(method, M).indices
         full = self._greedy.get(method)
-        if full is None or full.size < M:
-            full = self._greedy[method] = self._select(method,
-                                                       max(M, self._largest))
-        return SamplingSet(full.indices[:M], full.objective_trace[:M],
-                           full.method, full.params)
+        if full is None or len(full) < M:
+            full = self._greedy[method] = self._select(
+                method, max(M, self._largest)).indices
+        return full[:M]
 
     def _select(self, method: str, M: int):
         if method == "agod":
@@ -477,8 +454,10 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
                 budget, sigma2 = int(sweep_value), spec.sigma2
             seed = _trial_seed(spec, trial, sweep_value)
             try:
-                sampling = ctx.select(method, budget)
-                obs = observe(ctx.signal, sampling.indices, sigma2,
+                # select before the signal is built, so a lazily built
+                # signal is not held through the Jacobi sweep
+                indices = ctx.select(method, budget)
+                obs = observe(ctx.signal, indices, sigma2,
                               seed=child_seed(seed, "noise", method))
                 rec = ctx.reconstruct(method, obs, use_blue)
                 value = rmse(rec.values, ctx.signal.values)
@@ -502,10 +481,10 @@ def _gap_trial_rows(spec: ExperimentSpec, trial: int):
     wall_ms = (time.perf_counter() - t0) * 1e3 / (3 * len(spec.sweep))
     values = {}
     for m in spec.sweep:
-        prefix = agod_set.indices[:m]
+        prefix = agod_set[:m]
         gg = objective_agod(prefix, ctx.basis, ctx.K, ctx.mu)
         gd = objective_dopt(prefix, ctx.basis, ctx.K, ctx.mu)
-        dd = objective_dopt(dopt_set.indices[:m], ctx.basis, ctx.K, ctx.mu)
+        dd = objective_dopt(dopt_set[:m], ctx.basis, ctx.K, ctx.mu)
         # max diag dominates the geometric mean of the eigenvalues
         if math.log(gg) < gd - 1e-9:
             raise RuntimeError(f"log max-diag fell below normalized log-det "
@@ -525,11 +504,13 @@ def _gap_trial_rows(spec: ExperimentSpec, trial: int):
     return rows
 
 
-def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
+def _subopt_trial(spec: ExperimentSpec, trial: int, methods):
     """Relative suboptimality of each method on an exhaustively solved instance.
 
     The reference objective is the exact-filter max-diag criterion; every
-    method's set is scored against the same exhaustive optimum.
+    method's set is scored against the same exhaustive optimum.  Yields
+    (method, M, SuboptimalityReport, wall_ms) for each budget M in
+    ascending order and each method.
     """
     ctx = _TrialContext(spec, spec.n, trial)
     T = ctx.exact_filter()
@@ -539,23 +520,21 @@ def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
     def g(indices):
         return objective_fagod(indices, T, ctx.mu)
 
-    m_max = max(spec.sweep)
-    selections = {}
-    for method in spec.methods:
-        selections[method] = ctx.select(method, m_max)
-    rows = []
+    selections = {method: ctx.select(method, max(spec.sweep))
+                  for method in methods}
     for m in sorted(spec.sweep):
-        for method in spec.methods:
+        for method in methods:
             t0 = time.perf_counter()
-            report = relative_suboptimality(g, selections[method].indices[:m],
+            report = relative_suboptimality(g, selections[method][:m],
                                             spec.n, m)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(ResultRow(spec.study, spec.graph, spec.signal, method,
-                                  m, trial, report.r, wall_ms,
-                                  _trial_seed(spec, trial, m)))
-    order = {m: i for i, m in enumerate(spec.methods)}
-    rows.sort(key=lambda row: (order[row.method], row.sweep, row.trial))
-    return rows
+            yield method, m, report, (time.perf_counter() - t0) * 1e3
+
+
+def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
+    return [ResultRow(spec.study, spec.graph, spec.signal, method, m, trial,
+                      report.r, wall_ms, _trial_seed(spec, trial, m))
+            for method, m, report, wall_ms in _subopt_trial(spec, trial,
+                                                            spec.methods)]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int | None = None,
@@ -567,8 +546,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     order before returning, so scheduling never affects the output.
     """
     if spec.study not in RUN_STUDIES:
-        raise SpecError(f"study {spec.study!r} runs through the oracle "
-                        "subcommand, not run")
+        raise SpecError(f"study {spec.study!r} runs through "
+                        "`gsample oracle alpha`, not `gsample run`")
     threads = 1 if threads is None else threads
     if threads < 1:
         raise ValueError("thread count must be at least 1")
@@ -595,7 +574,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
         raise RuntimeError(f"row count {len(rows)} != expected {expected}")
     if spec.study in RMSE_STUDIES and any(r.value < 0 for r in rows):
         raise RuntimeError("negative RMSE value")
-    return ExperimentResult(spec, tuple(rows))
+    return ExperimentResult(tuple(rows))
 
 
 def run_alpha_certificate(spec: ExperimentSpec):
@@ -605,14 +584,13 @@ def run_alpha_certificate(spec: ExperimentSpec):
     """
     if spec.study != "alpha":
         raise SpecError("run_alpha_certificate needs study = alpha")
-    max_size = spec.max_set_size if spec.max_set_size is not None else spec.n - 1
     reports = []
     for trial in range(spec.trials):
         ctx = _TrialContext(spec, spec.n, trial)
         for mu in spec.sweep:
             def g(indices, _mu=mu):
                 return objective_agod(indices, ctx.basis, ctx.K, _mu)
-            report = empirical_alpha(g, spec.n, max_size, mu)
+            report = empirical_alpha(g, spec.n, spec.n - 1, mu)
             reports.append((f"{spec.graph}-n{spec.n}-t{trial}", report))
     return reports
 
@@ -625,20 +603,9 @@ def run_subopt_reports(spec: ExperimentSpec):
     """
     if spec.study != "suboptimality":
         raise SpecError("run_subopt_reports needs study = suboptimality")
-    method = spec.methods[0]
-    out = []
-    for trial in range(spec.trials):
-        ctx = _TrialContext(spec, spec.n, trial)
-        T = ctx.exact_filter()
-
-        def g(indices):
-            return objective_fagod(indices, T, ctx.mu)
-
-        selection = ctx.select(method, max(spec.sweep))
-        for m in sorted(spec.sweep):
-            report = relative_suboptimality(g, selection.indices[:m], spec.n, m)
-            out.append((f"{spec.graph}-n{spec.n}-t{trial}", m, report))
-    return out
+    return [(f"{spec.graph}-n{spec.n}-t{trial}", m, report)
+            for trial in range(spec.trials)
+            for _, m, report, _ in _subopt_trial(spec, trial, spec.methods[:1])]
 
 
 def _fmt(value) -> str:

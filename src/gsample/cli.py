@@ -74,9 +74,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     spec = bench.parse_spec_file(args.spec)
-    if spec.study == "alpha":
-        raise bench.SpecError(
-            f"{args.spec}: study 'alpha' runs via `gsample oracle alpha`")
     if args.desk:
         spec = bench.apply_desk_preset(spec)
     result = bench.run_experiment(spec, threads=args.threads,

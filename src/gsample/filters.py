@@ -80,7 +80,6 @@ class ApproxFilter:
 
     givens: GivensSeq
     approx_eigs: np.ndarray
-    perm: np.ndarray
     factor: np.ndarray
     bandwidth: int
 
@@ -158,7 +157,7 @@ def lowpass_from_givens(givens: GivensSeq, perm, K: int,
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     eigs = None if approx_eigs is None else np.asarray(approx_eigs, dtype=float)
-    return ApproxFilter(givens, eigs, perm, givens.low_frequency(perm, K), K)
+    return ApproxFilter(givens, eigs, givens.low_frequency(perm, K), K)
 
 
 def approximate_lowpass(lap: Laplacian, K: int, J: int | None = None) -> ApproxFilter:

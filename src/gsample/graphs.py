@@ -53,18 +53,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian L = D - A with its degree vector."""
+    """Combinatorial Laplacian L = D - A."""
 
     matrix: np.ndarray
-    degree: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        d = np.asarray(self.degree, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "degree", d)
 
     @property
     def n(self) -> int:
@@ -79,9 +75,7 @@ def build_laplacian(graph: Graph) -> Laplacian:
     constructor enforces.
     """
     adj = graph.adjacency
-    deg = adj.sum(axis=1)
-    lap = np.diag(deg) - adj
-    return Laplacian(lap, deg)
+    return Laplacian(np.diag(adj.sum(axis=1)) - adj)
 
 
 def _is_connected(adjacency: np.ndarray) -> bool:

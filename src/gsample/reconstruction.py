@@ -9,7 +9,7 @@ matrix is the Givens approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .spectral import Observation, SpectralBasis
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Recovered full-length signal with method tag and residual info."""
+    """Recovered full-length signal."""
 
     values: np.ndarray
-    method: str
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.values, dtype=float)
@@ -56,17 +54,14 @@ def blue_reconstruct(obs: Observation, basis: SpectralBasis, K: int) -> Reconstr
             f"sampled eigenvector rows are rank deficient ({len(obs.sample_indices)} "
             f"samples, bandwidth {K})")
     xhat = vt.T @ ((u.T @ obs.values) / s)
-    values = basis.low_frequency(K) @ xhat
-    residual = float(np.linalg.norm(vsk @ xhat - obs.values))
-    return Reconstruction(values, "blue", {"residual": residual, "K": K})
+    return Reconstruction(basis.low_frequency(K) @ xhat)
 
 
-def _loaded_solve(vk: np.ndarray, obs: Observation, mu: float):
-    # V_K (V_SK^T V_SK + mu I)^-1 V_SK^T y, with V_SK and the coefficients
+def _loaded_solve(vk: np.ndarray, obs: Observation, mu: float) -> Reconstruction:
+    # V (V_S^T V_S + mu I)^-1 V_S^T y for an n x K factor V
     vsk = vk[list(obs.sample_indices), :]
     z = vsk.T @ vsk + mu * np.eye(vk.shape[1])
-    xhat = np.linalg.solve(z, vsk.T @ obs.values)
-    return vk @ xhat, vsk, xhat
+    return Reconstruction(vk @ np.linalg.solve(z, vsk.T @ obs.values))
 
 
 def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,
@@ -78,9 +73,7 @@ def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    values, vsk, xhat = _loaded_solve(basis.low_frequency(K), obs, mu)
-    residual = float(np.linalg.norm(vsk @ xhat - obs.values))
-    return Reconstruction(values, "biased", {"residual": residual, "K": K, "mu": mu})
+    return _loaded_solve(basis.low_frequency(K), obs, mu)
 
 
 def filter_reconstruct(obs: Observation, filt, mu: float) -> Reconstruction:
@@ -96,14 +89,11 @@ def filter_reconstruct(obs: Observation, filt, mu: float) -> Reconstruction:
     if mu <= 0:
         raise ValueError("mu must be positive")
     if isinstance(filt, ApproxFilter):
-        values, _, _ = _loaded_solve(filt.factor, obs, mu)
-        return Reconstruction(values, "filter", {"mu": mu})
+        return _loaded_solve(filt.factor, obs, mu)
     T = np.asarray(filt, dtype=float)
     idx = list(obs.sample_indices)
     tss = T[np.ix_(idx, idx)] + mu * np.eye(len(idx))
-    w = np.linalg.solve(tss, obs.values)
-    values = T[:, idx] @ w
-    return Reconstruction(values, "filter", {"mu": mu})
+    return Reconstruction(T[:, idx] @ np.linalg.solve(tss, obs.values))
 
 
 def rmse(x_star: np.ndarray, x: np.ndarray) -> float:

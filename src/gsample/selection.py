@@ -27,7 +27,7 @@ rounds out the set of strategies benchmarked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class SamplingSet:
 
     indices: tuple
     objective_trace: tuple
-    method: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -368,7 +366,7 @@ def _check_budget(M: int, n: int) -> None:
         raise ValueError(f"budget M={M} out of range [1, {n}]")
 
 
-def _greedy(state, M: int, step, method: str, params: dict) -> SamplingSet:
+def _greedy(state, M: int, step) -> SamplingSet:
     """The incremental greedy loop: `step(state)` names the next node and
     its trace value, then the node joins the state."""
     _check_budget(M, state.n)
@@ -377,7 +375,7 @@ def _greedy(state, M: int, step, method: str, params: dict) -> SamplingSet:
         j, value = step(state)
         trace.append(float(value))
         state.add(j)
-    return SamplingSet(tuple(state.selected), tuple(trace), method, params)
+    return SamplingSet(tuple(state.selected), tuple(trace))
 
 
 def _smallest(scores: np.ndarray):
@@ -401,28 +399,23 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
         raise ValueError(f"{method} needs basis and K")
     if method == "agod":
         state = LoadedGramState(basis.low_frequency(K), mu)
-        params = {"K": K, "mu": mu}
     elif method == "fagod":
         if filt is None:
             raise ValueError("fagod needs a filter matrix")
         if isinstance(filt, ApproxFilter):
             state = FactoredFagodState(filt.factor, mu)
-            params = {"K": filt.bandwidth, "mu": mu}
         else:
             state = FagodState(filt, mu)
-            params = {"K": None, "mu": mu}
     elif method == "god":
         # pseudo-inverse objective below full rank: no incremental form,
         # evaluated from scratch (reference implementation, small n only)
         _check_budget(M, basis.n)
         selected, trace = greedy_minimize(
             lambda S: objective_agod(S, basis, K, 0.0), basis.n, M)
-        return SamplingSet(tuple(selected), tuple(trace), "god",
-                           {"K": K, "mu": 0.0})
+        return SamplingSet(tuple(selected), tuple(trace))
     else:
         raise ValueError(f"unknown greedy method {method!r}")
-    return _greedy(state, M, lambda s: _smallest(s.candidate_objectives()),
-                   method, params)
+    return _greedy(state, M, lambda s: _smallest(s.candidate_objectives()))
 
 
 def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
@@ -444,14 +437,13 @@ def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> Sampling
         logdet += np.log1p(gain[j])
         return j, -logdet / K
 
-    return _greedy(state, M, largest_gain, "dopt", {"K": K, "mu": mu})
+    return _greedy(state, M, largest_gain)
 
 
 def greedy_aoptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
     """Greedy trace minimization of the inverted loaded Gram matrix."""
     state = LoadedGramState(basis.low_frequency(K), mu)
-    return _greedy(state, M, lambda s: _smallest(s.candidate_traces()),
-                   "aopt", {"K": K, "mu": mu})
+    return _greedy(state, M, lambda s: _smallest(s.candidate_traces()))
 
 
 def greedy_eoptimal(basis: SpectralBasis, K: int, M: int) -> SamplingSet:
@@ -464,8 +456,7 @@ def greedy_eoptimal(basis: SpectralBasis, K: int, M: int) -> SamplingSet:
     _check_budget(M, basis.n)
     selected, trace = greedy_minimize(
         lambda S: -objective_eopt(S, basis, K), basis.n, M)
-    return SamplingSet(tuple(selected), tuple(-v for v in trace), "eopt",
-                       {"K": K, "mu": None})
+    return SamplingSet(tuple(selected), tuple(-v for v in trace))
 
 
 def random_select(mode: str, basis: SpectralBasis, K: int, M: int,
@@ -494,7 +485,7 @@ def random_select(mode: str, basis: SpectralBasis, K: int, M: int,
             weights = weights[keep]
     else:
         raise ValueError(f"unknown random mode {mode!r}")
-    return SamplingSet(tuple(chosen), (), f"rand-{mode}", {"K": K, "seed": seed})
+    return SamplingSet(tuple(chosen), ())
 
 
 def save_sampling_csv(sampling: SamplingSet, path) -> None:

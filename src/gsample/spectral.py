@@ -97,7 +97,6 @@ class Observation:
 
     sample_indices: tuple
     values: np.ndarray
-    noise_variance: float
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.sample_indices)
@@ -207,8 +206,6 @@ def observe(signal: GraphSignal, sample_indices, sigma2: float,
             seed: int = 0) -> Observation:
     """Sample the signal on `sample_indices` with i.i.d. N(0, sigma2) noise."""
     idx = [int(i) for i in sample_indices]
-    if len(set(idx)) != len(idx):
-        raise ValueError("sample indices must be distinct")
     if idx and not (0 <= min(idx) and max(idx) < signal.n):
         raise ValueError("sample index out of range")
     if sigma2 < 0:
@@ -216,7 +213,7 @@ def observe(signal: GraphSignal, sample_indices, sigma2: float,
     y = signal.values[idx].copy()
     if sigma2 > 0:
         y = y + rng_from(seed).normal(0.0, np.sqrt(sigma2), size=len(idx))
-    return Observation(tuple(idx), y, float(sigma2))
+    return Observation(tuple(idx), y)
 
 
 def leverage_scores(basis: SpectralBasis, K: int) -> np.ndarray:

@@ -1,12 +1,13 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gsample.bench as bench
 from gsample import (SpecError, greedy_aoptimal, greedy_doptimal,
-                     greedy_eoptimal, greedy_select, observe, parse_spec_text,
-                     rmse, run_experiment, write_result_csv)
+                     greedy_eoptimal, greedy_select, observe, parse_spec_file,
+                     parse_spec_text, rmse, run_experiment, write_result_csv)
 from gsample.bench import (apply_desk_preset, resolve_k,
                            run_alpha_certificate, run_subopt_reports)
 from gsample.cli import main
@@ -14,6 +15,7 @@ from gsample.oracle import theorem_bounds
 from gsample.rng import child_seed
 from gsample import load_graph
 
+SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 
 SMALL_RMSE_SPEC = """
 # desk-size smoke spec
@@ -66,12 +68,12 @@ def test_parse_defaults():
     ("n = 10", "missing required key 'study'"),
     ("study = rmse_vs_size\ntrials = 0", ":2: trials"),
     ("study = rmse_vs_size\nsweep = 4, x", ":2: sweep must be int"),
+    ("study = rmse_vs_size\nsweep = 4, 6, 4", ":2: duplicate sweep value"),
+    ("study = rmse_vs_snr\nsweep = 5, 5.0", ":2: duplicate sweep value"),
     ("study = rmse_vs_size\nmethods = warp", ":2: unknown method"),
     ("study = objective_gap\nmethods = agod", ":2: methods are fixed"),
-    ("study = rmse_vs_size\nmu = 0.1\nkappa0 = 100", "not both"),
     ("study = rmse_vs_n\nn = 100", "n is swept"),
     ("study = rmse_vs_snr\nsigma2 = 0.1", "derives sigma2"),
-    ("study = rmse_vs_size\nmax_set_size = 3", "alpha study only"),
     ("study = rmse_vs_size\nn = 12\nK = 20", "exceeds n"),
     ("study = rmse_vs_size\nn = 12\nsweep = 20", "out of range"),
     ("study = alpha\nn = 12", "n <= 8"),
@@ -82,9 +84,10 @@ def test_parse_rejects_bad_specs(text, match):
         parse_spec_text(text)
 
 
-def test_kappa0_conversion():
-    spec = parse_spec_text("study = rmse_vs_size\nkappa0 = 51")
-    assert spec.mu == pytest.approx(1 / 50)
+@pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.spec")),
+                         ids=lambda path: path.name)
+def test_committed_spec_parses(path):
+    assert parse_spec_file(path).study in bench.ALL_STUDIES
 
 
 def test_desk_preset():
@@ -223,18 +226,20 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
 
     def direct(ctx, method, M):
         if method in ("agod", "god"):
-            return greedy_select(method, M, basis=ctx.basis, K=ctx.K, mu=ctx.mu)
-        if method == "fagod":
-            return greedy_select("fagod", M, filt=ctx.approx_filter(), mu=ctx.mu)
-        if method == "fagod-exact":
-            return greedy_select("fagod", M, filt=ctx.exact_filter(), mu=ctx.mu)
-        if method == "dopt":
-            return greedy_doptimal(ctx.basis, ctx.K, ctx.mu, M)
-        if method == "aopt":
-            return greedy_aoptimal(ctx.basis, ctx.K, ctx.mu, M)
-        if method == "eopt":
-            return greedy_eoptimal(ctx.basis, ctx.K, M)
-        return ctx.select(method, M)
+            sel = greedy_select(method, M, basis=ctx.basis, K=ctx.K, mu=ctx.mu)
+        elif method == "fagod":
+            sel = greedy_select("fagod", M, filt=ctx.approx_filter(), mu=ctx.mu)
+        elif method == "fagod-exact":
+            sel = greedy_select("fagod", M, filt=ctx.exact_filter(), mu=ctx.mu)
+        elif method == "dopt":
+            sel = greedy_doptimal(ctx.basis, ctx.K, ctx.mu, M)
+        elif method == "aopt":
+            sel = greedy_aoptimal(ctx.basis, ctx.K, ctx.mu, M)
+        elif method == "eopt":
+            sel = greedy_eoptimal(ctx.basis, ctx.K, M)
+        else:
+            return ctx.select(method, M)
+        return sel.indices
 
     rows = {(r.method, r.sweep, r.trial): r for r in result.rows}
     for trial in range(spec.trials):
@@ -242,10 +247,10 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
         fresh = bench._TrialContext(spec, spec.n, trial)
         for method in spec.methods:
             for M in spec.sweep:
-                sampling = direct(ctx, method, M)
-                assert fresh.select(method, M) == sampling
+                indices = direct(ctx, method, M)
+                assert fresh.select(method, M) == indices
                 row = rows[(method, M, trial)]
-                obs = observe(ctx.signal, sampling.indices, spec.sigma2,
+                obs = observe(ctx.signal, indices, spec.sigma2,
                               seed=child_seed(row.seed, "noise", method))
                 rec = ctx.reconstruct(method, obs, use_blue=False)
                 value = rmse(rec.values, ctx.signal.values)
@@ -303,12 +308,19 @@ def test_alpha_certificate_reports():
 
 def test_subopt_reports():
     spec = parse_spec_text(
-        "study = suboptimality\nn = 8\nK = 2\nsweep = 2, 3\ntrials = 2\n"
-        "methods = fagod-exact")
+        "study = suboptimality\nn = 8\nK = 2\nsweep = 3, 2\ntrials = 2\n"
+        "methods = rand-uniform, fagod-exact")
     reports = run_subopt_reports(spec)
     assert len(reports) == 4
-    for _, M, rep in reports:
+    # the oracle reports and the run rows score the first method alike
+    rows = {(r.trial, r.sweep): r.value for r in run_experiment(spec).rows
+            if r.method == "rand-uniform"}
+    for label, M, rep in reports:
         assert rep.g_star <= rep.g_hat
+        trial = int(label.rsplit("-t", 1)[1])
+        assert repr(rep.r) == repr(rows[(trial, M)]), (label, M)
+    assert [(label, M) for label, M, _ in reports] == [
+        (f"G1-n8-t{t}", M) for t in range(2) for M in (2, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ def test_two_node_path_single_rotation(path2):
 
 
 def test_diagonal_matrix_stops_immediately():
-    lap = Laplacian(np.diag([3.0, 1.0, 2.0]), np.array([3.0, 1.0, 2.0]))
+    lap = Laplacian(np.diag([3.0, 1.0, 2.0]))
     seq, eigs, perm = greedy_jacobi(lap, 10)
     assert seq.count == 0
     assert np.array_equal(eigs, [1.0, 2.0, 3.0])

@@ -12,7 +12,6 @@ def test_laplacian_two_node_path():
     g = Graph(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
     lap = build_laplacian(g)
     assert np.array_equal(lap.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert np.array_equal(lap.degree, np.array([1.0, 1.0]))
 
 
 def test_laplacian_edgeless():

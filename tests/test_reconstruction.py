@@ -59,7 +59,7 @@ def test_biased_converges_to_blue():
 def test_biased_zero_observation():
     basis, signal = _instance(seed=5)
     obs = observe(signal, [0, 4], 0.0)
-    zero_obs = type(obs)(obs.sample_indices, np.zeros(2), 0.0)
+    zero_obs = type(obs)(obs.sample_indices, np.zeros(2))
     rec = biased_reconstruct(zero_obs, basis, 4, MU)
     assert np.array_equal(rec.values, np.zeros(12))
 
@@ -105,8 +105,6 @@ def test_factored_filter_reconstruct_matches_dense():
             obs = observe(signal, idx, 5e-3, seed=size)
             fast = filter_reconstruct(obs, filt, MU)
             dense = filter_reconstruct(obs, filt.filter, MU)
-            assert fast.method == dense.method == "filter"
-            assert fast.diagnostics == dense.diagnostics == {"mu": MU}
             assert np.abs(fast.values - dense.values).max() <= 1e-12
 
 
@@ -123,7 +121,7 @@ def test_filter_reconstruct_identity_filter():
 def test_filter_reconstruct_zero_observation():
     basis, signal = _instance(seed=9)
     obs = observe(signal, [0, 1, 2], 0.0)
-    zero_obs = type(obs)(obs.sample_indices, np.zeros(3), 0.0)
+    zero_obs = type(obs)(obs.sample_indices, np.zeros(3))
     rec = filter_reconstruct(zero_obs, exact_lowpass(basis, 4), MU)
     assert np.array_equal(rec.values, np.zeros(12))
 
