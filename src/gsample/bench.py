@@ -22,10 +22,11 @@ import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .filters import approximate_lowpass, exact_lowpass, rotation_budget
-from .graphs import build_laplacian, gen_community, gen_er, gen_sensor
+from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
+                     gen_community, gen_er, gen_sensor)
 from .oracle import COMB_GUARD, empirical_alpha, relative_suboptimality
 from .reconstruction import (biased_reconstruct, blue_reconstruct,
                              filter_reconstruct, rmse, snr_to_sigma2)
@@ -56,23 +57,31 @@ class SpecError(ValueError):
     """Raised for malformed or inconsistent experiment specs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
+    """A parsed spec.  The defaults below, and `_STUDY_DEFAULTS` for the
+    fields without one, are the only defaults of the spec keys."""
+
     study: str
+    # per-study defaults in _STUDY_DEFAULTS
+    methods: tuple
+    n: int
+    K: object                 # int, "model", or "auto" (= n // 20)
+    trials: int
+    sweep: tuple
     graph: str = "G1"
     signal: str = "GS1"
-    methods: tuple = ()
-    n: int = 400
-    K: object = "model"       # int, "model", or "auto" (= n // 20)
     mu: float = DEFAULT_MU
     J: object = "auto"        # int or "auto" (= ceil(6 n log10 n))
-    trials: int = 150
     base_seed: int = 0
-    sweep: tuple = ()
     sigma2: float = 5e-3
-    out: str = ""
-    knn: int = 6
-    er_p: float = 0.05
+    out: str = ""             # "" means f"{study}.csv"
+    knn: int = SENSOR_KNN
+    p: float = ER_P
+
+    def __post_init__(self):
+        if not self.out:
+            object.__setattr__(self, "out", f"{self.study}.csv")
 
 
 @dataclass(frozen=True)
@@ -98,17 +107,20 @@ class ExperimentResult:
 # spec parsing and validation
 
 _STUDY_DEFAULTS = {
-    # study: (n, K, trials, sweep, methods)
-    "rmse_vs_size": (400, "model", 150, (5, 10, 15, 20, 25, 30),
-                     ("fagod", "rand-uniform")),
-    "rmse_vs_snr": (400, "model", 150, (0.0, 5.0, 10.0, 15.0, 20.0),
-                    ("fagod", "rand-uniform")),
-    "rmse_vs_n": (400, "auto", 150, (100, 200, 300, 400),
-                  ("fagod", "rand-uniform")),
-    "objective_gap": (120, 10, 1, tuple(range(5, 41, 5)), GAP_CURVES),
-    "suboptimality": (10, 2, 50, (2, 3, 4, 5, 6),
-                      ("fagod-exact", "rand-uniform")),
-    "alpha": (6, 2, 50, (0.01, 0.1, 1.0), ("agod",)),
+    "rmse_vs_size": dict(n=400, K="model", trials=150,
+                         sweep=(5, 10, 15, 20, 25, 30),
+                         methods=("fagod", "rand-uniform")),
+    "rmse_vs_snr": dict(n=400, K="model", trials=150,
+                        sweep=(0.0, 5.0, 10.0, 15.0, 20.0),
+                        methods=("fagod", "rand-uniform")),
+    "rmse_vs_n": dict(n=400, K="auto", trials=150, sweep=(100, 200, 300, 400),
+                      methods=("fagod", "rand-uniform")),
+    "objective_gap": dict(n=120, K=10, trials=1, sweep=tuple(range(5, 41, 5)),
+                          methods=GAP_CURVES),
+    "suboptimality": dict(n=10, K=2, trials=50, sweep=(2, 3, 4, 5, 6),
+                          methods=("fagod-exact", "rand-uniform")),
+    "alpha": dict(n=6, K=2, trials=50, sweep=(0.01, 0.1, 1.0),
+                  methods=("agod",)),
 }
 
 _INT_SWEEP_STUDIES = ("rmse_vs_size", "rmse_vs_n", "objective_gap",
@@ -116,6 +128,23 @@ _INT_SWEEP_STUDIES = ("rmse_vs_size", "rmse_vs_n", "objective_gap",
 
 # studies whose sweep values are sampling budgets; the others select K nodes
 BUDGET_STUDIES = ("rmse_vs_size", "objective_gap", "suboptimality")
+
+# numeric keys and their types; K and J also take the words in _WORDS
+_NUMERIC_KEYS = {"n": int, "K": int, "mu": float, "J": int, "trials": int,
+                 "base_seed": int, "sigma2": float, "knn": int, "p": float}
+_WORDS = {"K": ("model", "auto"), "J": ("auto",)}
+# (range test, what it asks) of a numeric key; graph sizes, n included,
+# are checked in _validate_consistency
+_RANGES = {
+    "K": (lambda v: v >= 1, "positive"),
+    "mu": (lambda v: v > 0, "positive"),
+    "J": (lambda v: v >= 0, "nonnegative"),
+    "trials": (lambda v: v >= 1, "at least 1"),
+    "sigma2": (lambda v: v >= 0, "nonnegative"),
+    "knn": (lambda v: v >= 1, "at least 1"),
+    "p": (lambda v: 0 < v <= 1, "in (0, 1]"),
+}
+_MODEL_KEYS = {"graph": GRAPH_MODELS, "signal": SIGNAL_MODELS}
 
 
 def _parse_scalar(key, value, lineno, source, kind):
@@ -127,7 +156,11 @@ def _parse_scalar(key, value, lineno, source, kind):
 
 
 def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
-    """Parse and fully validate a flat key=value experiment spec."""
+    """Parse and fully validate a flat key=value experiment spec.
+
+    Only the keys present in the text are set; every other field keeps
+    its default from `ExperimentSpec` or `_STUDY_DEFAULTS`.
+    """
     data = {}
     linenos = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,101 +185,48 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
 
     if "study" not in data:
         raise SpecError(f"{source}: missing required key 'study'")
-    study = data["study"]
+    study = data.pop("study")
     if study not in ALL_STUDIES:
         raise SpecError(f"{anchor('study')}: unknown study {study!r} "
                         f"(expected one of {', '.join(ALL_STUDIES)})")
-    def_n, def_k, def_trials, def_sweep, def_methods = _STUDY_DEFAULTS[study]
-
-    graph = data.get("graph", "G1")
-    if graph not in GRAPH_MODELS:
-        raise SpecError(f"{anchor('graph')}: unknown graph model {graph!r}")
-    signal = data.get("signal", "GS1")
-    if signal not in SIGNAL_MODELS:
-        raise SpecError(f"{anchor('signal')}: unknown signal model {signal!r}")
-
     if study in ("objective_gap", "alpha") and "methods" in data:
         raise SpecError(f"{anchor('methods')}: methods are fixed for study {study!r}")
-    if "methods" in data:
-        methods = tuple(m.strip() for m in data["methods"].split(","))
-        for m in methods:
-            if m not in METHOD_NAMES:
-                raise SpecError(f"{anchor('methods')}: unknown method {m!r} "
-                                f"(expected one of {', '.join(METHOD_NAMES)})")
-        if len(set(methods)) != len(methods):
-            raise SpecError(f"{anchor('methods')}: duplicate method")
-    else:
-        methods = def_methods
-
     if study == "rmse_vs_n" and "n" in data:
         raise SpecError(f"{anchor('n')}: n is swept in rmse_vs_n; remove the n key")
-    n = _parse_scalar("n", data["n"], linenos.get("n"), source, int) \
-        if "n" in data else def_n
-    if n < 2:
-        raise SpecError(f"{anchor('n')}: n must be at least 2")
+    if study == "rmse_vs_snr" and "sigma2" in data:
+        raise SpecError(f"{anchor('sigma2')}: rmse_vs_snr derives sigma2 "
+                        "from the swept SNR")
 
-    if "K" in data:
-        K = data["K"] if data["K"] in ("model", "auto") else \
-            _parse_scalar("K", data["K"], linenos["K"], source, int)
-        if isinstance(K, int) and K < 1:
-            raise SpecError(f"{anchor('K')}: K must be positive")
-    else:
-        K = def_k
+    values = {}
+    for key, value in data.items():
+        if key in _MODEL_KEYS and value not in _MODEL_KEYS[key]:
+            raise SpecError(f"{anchor(key)}: unknown {key} model {value!r}")
+        if key in _NUMERIC_KEYS and value not in _WORDS.get(key, ()):
+            value = _parse_scalar(key, value, linenos[key], source,
+                                  _NUMERIC_KEYS[key])
+            ok, rule = _RANGES.get(key, (None, None))
+            if ok and not ok(value):
+                raise SpecError(f"{anchor(key)}: {key} must be {rule}")
+        elif key == "methods":
+            value = tuple(m.strip() for m in value.split(","))
+            for m in value:
+                if m not in METHOD_NAMES:
+                    raise SpecError(f"{anchor(key)}: unknown method {m!r} "
+                                    f"(expected one of {', '.join(METHOD_NAMES)})")
+            if len(set(value)) != len(value):
+                raise SpecError(f"{anchor(key)}: duplicate method")
+        elif key == "sweep":
+            tokens = [t.strip() for t in value.split(",") if t.strip()]
+            if not tokens:
+                raise SpecError(f"{anchor(key)}: sweep must not be empty")
+            kind = int if study in _INT_SWEEP_STUDIES else float
+            value = tuple(_parse_scalar(key, t, linenos[key], source, kind)
+                          for t in tokens)
+            if len(set(value)) != len(value):
+                raise SpecError(f"{anchor(key)}: duplicate sweep value")
+        values[key] = value
 
-    mu = _parse_scalar("mu", data["mu"], linenos["mu"], source, float) \
-        if "mu" in data else DEFAULT_MU
-    if mu <= 0:
-        raise SpecError(f"{anchor('mu')}: mu must be positive")
-
-    if "J" in data:
-        J = "auto" if data["J"] == "auto" else \
-            _parse_scalar("J", data["J"], linenos["J"], source, int)
-        if isinstance(J, int) and J < 0:
-            raise SpecError(f"{anchor('J')}: J must be nonnegative")
-    else:
-        J = "auto"
-
-    trials = _parse_scalar("trials", data["trials"], linenos.get("trials"),
-                           source, int) if "trials" in data else def_trials
-    if trials < 1:
-        raise SpecError(f"{anchor('trials')}: trials must be at least 1")
-
-    base_seed = _parse_scalar("base_seed", data["base_seed"],
-                              linenos.get("base_seed"), source, int) \
-        if "base_seed" in data else 0
-
-    if "sweep" in data:
-        tokens = [t.strip() for t in data["sweep"].split(",") if t.strip()]
-        if not tokens:
-            raise SpecError(f"{anchor('sweep')}: sweep must not be empty")
-        kind = int if study in _INT_SWEEP_STUDIES else float
-        sweep = tuple(_parse_scalar("sweep", t, linenos["sweep"], source, kind)
-                      for t in tokens)
-        if len(set(sweep)) != len(sweep):
-            raise SpecError(f"{anchor('sweep')}: duplicate sweep value")
-    else:
-        sweep = def_sweep
-
-    sigma2 = 5e-3
-    if "sigma2" in data:
-        if study == "rmse_vs_snr":
-            raise SpecError(f"{anchor('sigma2')}: rmse_vs_snr derives sigma2 "
-                            "from the swept SNR")
-        sigma2 = _parse_scalar("sigma2", data["sigma2"], linenos["sigma2"],
-                               source, float)
-        if sigma2 < 0:
-            raise SpecError(f"{anchor('sigma2')}: sigma2 must be nonnegative")
-
-    knn = _parse_scalar("knn", data["knn"], linenos.get("knn"), source, int) \
-        if "knn" in data else 6
-    er_p = _parse_scalar("p", data["p"], linenos.get("p"), source, float) \
-        if "p" in data else 0.05
-    out = data.get("out", f"{study}.csv")
-
-    spec = ExperimentSpec(study=study, graph=graph, signal=signal,
-                          methods=methods, n=n, K=K, mu=mu, J=J,
-                          trials=trials, base_seed=base_seed, sweep=sweep,
-                          sigma2=sigma2, out=out, knn=knn, er_p=er_p)
+    spec = ExperimentSpec(study=study, **{**_STUDY_DEFAULTS[study], **values})
     _validate_consistency(spec, source, linenos)
     return spec
 
@@ -272,17 +252,44 @@ def resolve_j(spec: ExperimentSpec, n: int) -> int:
     return rotation_budget(n) if spec.J == "auto" else int(spec.J)
 
 
+def _signal_bandwidth(spec: ExperimentSpec, n: int) -> int:
+    """Bandwidth of the ground-truth signal: the resolved K under K = auto,
+    the signal model's own otherwise."""
+    return resolve_k(spec, n) if spec.K == "auto" else \
+        SIGNAL_MODELS[spec.signal][0]
+
+
+def _er_all_draws_disconnected(n: int, p: float) -> float:
+    """Estimated chance that all of `gen_er`'s draws of G(n, p) are
+    disconnected: P(connected) ~ exp(-lambda), where lambda =
+    n (1 - p)^(n - 1) is the expected number of isolated nodes."""
+    lam = n * (1.0 - p) ** (n - 1)
+    return (1.0 - math.exp(-lam)) ** MAX_CONNECT_ATTEMPTS
+
+
 def _validate_consistency(spec: ExperimentSpec, source, linenos):
     def where(key):
         return f"{source}:{linenos[key]}" if key in linenos else source
 
+    # every graph size the spec builds, and the key that sets them
+    size_key = "sweep" if spec.study == "rmse_vs_n" else "n"
     sizes = spec.sweep if spec.study == "rmse_vs_n" else (spec.n,)
     for n in sizes:
+        if n < 2:
+            raise SpecError(f"{where(size_key)}: graph size {n} is below 2")
         k_eff = resolve_k(spec, n)
         if k_eff > n:
             raise SpecError(f"{where('K')}: bandwidth K={k_eff} exceeds n={n}")
-        if k_eff < 1:
-            raise SpecError(f"{where('K')}: resolved bandwidth is below 1 at n={n}")
+        width = _signal_bandwidth(spec, n)
+        if spec.study in RMSE_STUDIES and width > n:
+            raise SpecError(f"{where(size_key)}: signal {spec.signal} has "
+                            f"bandwidth {width} > n={n}")
+        if spec.graph == "G3" and n < 8:
+            raise SpecError(f"{where(size_key)}: community graphs need n >= 8")
+        # a run fails if all draws of the ER graph are disconnected
+        if spec.graph == "G2" and _er_all_draws_disconnected(n, spec.p) > 1e-6:
+            raise SpecError(f"{where(size_key)}: G(n={n}, p={spec.p}) is too "
+                            f"rarely connected for {MAX_CONNECT_ATTEMPTS} draws")
     if spec.study in BUDGET_STUDIES:
         for m in spec.sweep:
             if not 1 <= m <= spec.n:
@@ -298,28 +305,22 @@ def _validate_consistency(spec: ExperimentSpec, source, linenos):
             raise SpecError(f"{where('n')}: alpha enumeration limited to n <= 8")
         if any(v <= 0 for v in spec.sweep):
             raise SpecError(f"{where('sweep')}: alpha study sweeps mu values > 0")
-    if spec.study == "rmse_vs_n" and spec.graph == "G3" and min(spec.sweep) < 8:
-        raise SpecError(f"{where('sweep')}: community graphs need n >= 8")
-
-
-def apply_desk_preset(spec: ExperimentSpec) -> ExperimentSpec:
-    """Desk-scale preset: 50 trials, n = 200 where n is a free parameter."""
-    updates = {"trials": min(spec.trials, 50)}
-    if spec.study in ("rmse_vs_size", "rmse_vs_snr"):
-        updates["n"] = 200
-    return replace(spec, **updates)
 
 
 # ---------------------------------------------------------------------------
 # per-trial machinery
 
-def _make_graph(spec: ExperimentSpec, n: int, trial: int):
-    seed = child_seed(spec.base_seed, "graph", spec.graph, n, trial)
-    if spec.graph == "G1":
-        # toy instances can be smaller than the default neighbour count
-        return gen_sensor(n, min(spec.knn, n - 1), seed)
-    if spec.graph == "G2":
-        return gen_er(n, spec.er_p, seed)
+def make_graph(model: str, n: int, seed: int, knn: int, p: float):
+    """A graph of model G1 (sensor), G2 (Erdos-Renyi) or G3 (community).
+
+    knn is clamped to n - 1, so toy instances smaller than the neighbour
+    count still build.  Serves `run` and `graph gen`; it calls the
+    generators by this module's names, which perfbench's tracer wraps.
+    """
+    if model == "G1":
+        return gen_sensor(n, min(knn, n - 1), seed)
+    if model == "G2":
+        return gen_er(n, p, seed)
     return gen_community(n, seed)
 
 
@@ -343,12 +344,12 @@ class _TrialContext:
         self.trial = trial
         self.K = resolve_k(spec, n)
         self.mu = spec.mu
-        self.graph = _make_graph(spec, n, trial)
-        self.lap = build_laplacian(self.graph)
-        default_k, tail_var = SIGNAL_MODELS[spec.signal]
-        self._signal_k = self.K if spec.K == "auto" else None
-        width = None if tail_var is not None else \
-            max(self.K, self._signal_k or default_k)
+        seed = child_seed(spec.base_seed, "graph", spec.graph, n, trial)
+        self.lap = build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
+                                              spec.p))
+        self._signal_k = _signal_bandwidth(spec, n)
+        width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
+            max(self.K, self._signal_k)
         self.basis = eigendecompose(self.lap, width)
         # the largest sampling budget any row of this trial selects
         self._largest = max(spec.sweep) if spec.study in BUDGET_STUDIES \

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import bench
-from .graphs import gen_community, gen_er, gen_sensor, save_graph
+from .graphs import ER_P, SENSOR_KNN, save_graph
 from .oracle import save_alpha_csv, save_subopt_csv
 from .rng import RNG_NAME
 
@@ -47,8 +47,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", help="override the spec's output path")
     run.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: 1)")
-    run.add_argument("--desk", action="store_true",
-                     help="desk-scale preset: n=200, 50 trials")
     run.add_argument("--blue", action="store_true",
                      help="use the unbiased estimator whenever |S| >= K")
 
@@ -63,19 +61,18 @@ def _build_parser() -> _Parser:
     graph = sub.add_parser("graph", help="graph utilities")
     gsub = graph.add_subparsers(dest="graph_command", required=True)
     gen = gsub.add_parser("gen", help="generate a graph, save as edge list")
-    gen.add_argument("--model", required=True, choices=("G1", "G2", "G3"))
+    gen.add_argument("--model", required=True, choices=bench.GRAPH_MODELS)
     gen.add_argument("--n", required=True, type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--knn", type=int, default=6, help="G1 neighbour count")
-    gen.add_argument("--p", type=float, default=0.05, help="G2 edge probability")
+    gen.add_argument("--knn", type=int, default=SENSOR_KNN,
+                     help="G1 neighbour count, at most n - 1")
+    gen.add_argument("--p", type=float, default=ER_P, help="G2 edge probability")
     gen.add_argument("--out", required=True)
     return parser
 
 
 def _cmd_run(args) -> int:
     spec = bench.parse_spec_file(args.spec)
-    if args.desk:
-        spec = bench.apply_desk_preset(spec)
     result = bench.run_experiment(spec, threads=args.threads,
                                   use_blue=args.blue)
     out = args.out or spec.out
@@ -113,12 +110,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    if args.model == "G1":
-        graph = gen_sensor(args.n, args.knn, args.seed)
-    elif args.model == "G2":
-        graph = gen_er(args.n, args.p, args.seed)
-    else:
-        graph = gen_community(args.n, args.seed)
+    graph = bench.make_graph(args.model, args.n, args.seed, args.knn, args.p)
     save_graph(graph, args.out)
     print(f"wrote {args.model} graph (n={graph.n}, "
           f"edges={graph.edge_count}, seed={graph.meta['seed']}) to {args.out}")

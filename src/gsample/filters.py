@@ -89,10 +89,6 @@ class ApproxFilter:
         object.__setattr__(self, "factor", f)
 
     @property
-    def n(self) -> int:
-        return self.factor.shape[0]
-
-    @property
     def filter(self) -> np.ndarray:
         """The dense n x n filter V~_K V~_K^T, built on each access.
 

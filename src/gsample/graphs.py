@@ -17,6 +17,11 @@ from .rng import rng_from
 # many times before giving up.
 MAX_CONNECT_ATTEMPTS = 50
 
+# Default neighbour count of the G1 sensor model and edge probability of
+# the G2 Erdos-Renyi model.
+SENSOR_KNN = 6
+ER_P = 0.05
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -102,7 +107,7 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return near
 
 
-def gen_sensor(n: int, k_nn: int = 6, seed: int = 0) -> Graph:
+def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
     """Random geometric sensor graph on the unit square.
 
     Nodes are placed uniformly at random; each node is linked to its
@@ -111,8 +116,8 @@ def gen_sensor(n: int, k_nn: int = 6, seed: int = 0) -> Graph:
     distance to the k_nn-th neighbour.  Disconnected draws are resampled
     with an incremented seed.
     """
-    if n < k_nn + 1:
-        raise ValueError("need n >= k_nn + 1")
+    if not 1 <= k_nn < n:
+        raise ValueError(f"need 1 <= k_nn < n, got k_nn={k_nn}, n={n}")
     for attempt in range(MAX_CONNECT_ATTEMPTS):
         used_seed = seed + attempt
         rng = rng_from(used_seed)
@@ -129,9 +134,15 @@ def gen_sensor(n: int, k_nn: int = 6, seed: int = 0) -> Graph:
         near_dist = np.take_along_axis(dist, near, axis=1)
         theta = near_dist[:, k_nn].mean()
         weights = np.exp(-(near_dist[:, 1:] ** 2) / (2.0 * theta ** 2))
+        del dist
+        # (x_i - x_j)^2 equals (x_j - x_i)^2 exactly, so dist is bitwise
+        # symmetric and a mutual pair gets the same weight from either end:
+        # writing both directions is the union symmetrization max(A, A^T)
+        # without a second n x n array
+        rows, cols = np.arange(n)[:, None], near[:, 1:]
         adj = np.zeros((n, n))
-        adj[np.arange(n)[:, None], near[:, 1:]] = weights
-        adj = np.maximum(adj, adj.T)
+        adj[rows, cols] = weights
+        adj[cols, rows] = weights
         if _is_connected(adj):
             return Graph(n, adj, meta={"model": "sensor", "seed": used_seed,
                                        "k_nn": k_nn})

@@ -31,10 +31,6 @@ class Reconstruction:
         x.setflags(write=False)
         object.__setattr__(self, "values", x)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 def _sampled_rows(basis: SpectralBasis, obs: Observation, K: int) -> np.ndarray:
     vk = basis.low_frequency(K)

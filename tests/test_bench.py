@@ -8,8 +8,8 @@ import gsample.bench as bench
 from gsample import (SpecError, greedy_aoptimal, greedy_doptimal,
                      greedy_eoptimal, greedy_select, observe, parse_spec_file,
                      parse_spec_text, rmse, run_experiment, write_result_csv)
-from gsample.bench import (apply_desk_preset, resolve_k,
-                           run_alpha_certificate, run_subopt_reports)
+from gsample.bench import (resolve_k, run_alpha_certificate,
+                           run_subopt_reports)
 from gsample.cli import main
 from gsample.oracle import theorem_bounds
 from gsample.rng import child_seed
@@ -57,6 +57,9 @@ def test_parse_defaults():
     assert spec.n == 400 and spec.trials == 150
     assert resolve_k(spec, spec.n) == 10
     assert spec.mu == pytest.approx(1 / 99)
+    assert (spec.graph, spec.signal, spec.J, spec.base_seed, spec.sigma2,
+            spec.knn, spec.p, spec.out) == (
+        "G1", "GS1", "auto", 0, 5e-3, 6, 0.05, "rmse_vs_size.csv")
     g3 = parse_spec_text("study = rmse_vs_size\nsignal = GS3")
     assert resolve_k(g3, g3.n) == 40
 
@@ -78,6 +81,20 @@ def test_parse_defaults():
     ("study = rmse_vs_size\nn = 12\nsweep = 20", "out of range"),
     ("study = alpha\nn = 12", "n <= 8"),
     ("study = rmse_vs_size\nnonsense line", "expected 'key = value'"),
+    # each of these passes no run: the parser rejects it up front
+    ("study = rmse_vs_size\nknn = 0", ":2: knn must be at least 1"),
+    ("study = rmse_vs_size\nn = 30\nknn = -3", ":3: knn must be at least 1"),
+    ("study = rmse_vs_size\ngraph = G2\np = 0", ":3: p must be in"),
+    ("study = suboptimality\ngraph = G3\nn = 6", ":3: community graphs"),
+    ("study = objective_gap\ngraph = G3\nn = 7\nK = 2\nsweep = 3",
+     ":3: community graphs"),
+    ("study = rmse_vs_size\nsignal = GS3\nn = 30\nK = 4\nsweep = 5",
+     ":3: signal GS3 has bandwidth 40"),
+    ("study = rmse_vs_size\nn = 5\nK = 2\nsweep = 3",
+     ":2: signal GS1 has bandwidth 10"),
+    ("study = suboptimality\ngraph = G2\nn = 10", ":3: G\\(n=10"),
+    ("study = rmse_vs_size\ngraph = G2\nn = 60", ":3: G\\(n=60"),
+    ("study = rmse_vs_n\nsweep = 1, 40", ":2: graph size 1 is below 2"),
 ])
 def test_parse_rejects_bad_specs(text, match):
     with pytest.raises(SpecError, match=match):
@@ -88,11 +105,6 @@ def test_parse_rejects_bad_specs(text, match):
                          ids=lambda path: path.name)
 def test_committed_spec_parses(path):
     assert parse_spec_file(path).study in bench.ALL_STUDIES
-
-
-def test_desk_preset():
-    spec = apply_desk_preset(parse_spec_text("study = rmse_vs_size"))
-    assert spec.n == 200 and spec.trials == 50
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +401,14 @@ def test_cli_graph_gen(tmp_path, capsys):
                  "--out", str(out)]) == 0
     graph = load_graph(out)
     assert graph.n == 12
+    # the neighbour count is clamped to n - 1, as in a spec's trial graph
+    assert main(["graph", "gen", "--model", "G1", "--n", "5", "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert np.array_equal(load_graph(out).adjacency,
+                          bench.make_graph("G1", 5, 4, 6, 0.05).adjacency)
+    assert main(["graph", "gen", "--model", "G1", "--n", "30", "--knn", "-3",
+                 "--out", str(out)]) == 2
+    assert "k_nn" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

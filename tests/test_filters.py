@@ -166,7 +166,7 @@ def test_factor_is_read_only_and_filter_is_its_outer_product():
     lap = build_laplacian(gen_sensor(12, 4, seed=1))
     seq, eigs, perm = greedy_jacobi(lap, 30)
     filt = lowpass_from_givens(seq, perm, 3, approx_eigs=eigs)
-    assert filt.n == 12 and filt.bandwidth == 3
+    assert filt.factor.shape[0] == 12 and filt.bandwidth == 3
     with pytest.raises(ValueError):
         filt.factor[0, 0] = 1.0
     assert np.array_equal(filt.filter, filt.factor @ filt.factor.T)

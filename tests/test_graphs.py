@@ -76,6 +76,28 @@ def test_sensor_symmetrization_matches_knn_union():
             assert (g.adjacency[i, j] > 0) == expected
 
 
+@pytest.mark.parametrize("n,k,seed", [(7, 6, 0), (20, 3, 1), (200, 6, 2),
+                                      (800, 6, 3)])
+def test_sensor_weights_equal_the_max_union_of_directed_knn(n, k, seed):
+    # reference: directed k-nn weights, then max(A, A^T), bit for bit
+    g = gen_sensor(n, k, seed=seed)
+    pos = np.random.Generator(np.random.PCG64(g.meta["seed"])).random((n, 2))
+    dist = _distances(pos)
+    near = np.argsort(dist, axis=1, kind="stable")[:, :k + 1]
+    near_dist = np.take_along_axis(dist, near, axis=1)
+    theta = near_dist[:, k].mean()
+    directed = np.zeros((n, n))
+    directed[np.arange(n)[:, None], near[:, 1:]] = np.exp(
+        -(near_dist[:, 1:] ** 2) / (2.0 * theta ** 2))
+    assert np.array_equal(g.adjacency, np.maximum(directed, directed.T))
+
+
+@pytest.mark.parametrize("k_nn", [0, -3, 10])
+def test_sensor_rejects_neighbour_counts_outside_1_to_n_minus_1(k_nn):
+    with pytest.raises(ValueError, match="k_nn"):
+        gen_sensor(10, k_nn, seed=0)
+
+
 def _distances(pos):
     return np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
 

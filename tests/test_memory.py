@@ -1,12 +1,13 @@
-"""Memory of the eigen-free path after the Jacobi sweep, and of the
-truncated eigensolver.
+"""Memory of the sensor-graph generator, of the eigen-free path after the
+Jacobi sweep, and of the truncated eigensolver.
 
 Filter synthesis, fagod selection and reconstruction work on the n x K
 factor of the approximate filter and a K x K loaded Gram, so their peak
 allocation stays far below one dense n x n array.  A dense filter brought
 back onto this path fails the bound.  The subset eigensolver holds one
 n x n working copy of the Laplacian and O(nK) more, where the full
-decomposition holds several n x n arrays.
+decomposition holds several n x n arrays.  The sensor generator frees
+its distance matrix before it builds the adjacency.
 """
 
 import tracemalloc
@@ -60,3 +61,9 @@ def test_truncated_eigendecomposition_allocates_one_dense_copy():
     assert full > 3 * dense_mb
     assert part < dense_mb + 1.0, f"peak {part:.2f} MiB"
     assert part < 0.4 * full
+
+
+def test_sensor_graph_holds_at_most_two_dense_arrays_at_once():
+    n = 800
+    peak = _peak_mb(lambda: gen_sensor(n, 6, seed=0))
+    assert peak < 2.5 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
