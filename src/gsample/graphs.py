@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .rng import rng_from
@@ -83,8 +84,12 @@ def build_laplacian(graph: Graph) -> Laplacian:
     return Laplacian(np.diag(adj.sum(axis=1)) - adj)
 
 
-def _is_connected(adjacency: np.ndarray) -> bool:
-    ncomp, _ = connected_components((adjacency > 0).astype(np.int8), directed=False)
+def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the undirected graph on n nodes with the edges
+    (rows[k], cols[k]) is connected; each edge may be listed in one or
+    both directions."""
+    edges = csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    ncomp, _ = connected_components(edges, directed=False)
     return ncomp == 1
 
 
@@ -135,17 +140,19 @@ def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
         theta = near_dist[:, k_nn].mean()
         weights = np.exp(-(near_dist[:, 1:] ** 2) / (2.0 * theta ** 2))
         del dist
+        rows, cols = np.arange(n)[:, None], near[:, 1:]
+        linked = weights > 0  # an underflowed weight is no edge
+        if not _is_connected(n, np.nonzero(linked)[0], cols[linked]):
+            continue
         # (x_i - x_j)^2 equals (x_j - x_i)^2 exactly, so dist is bitwise
         # symmetric and a mutual pair gets the same weight from either end:
         # writing both directions is the union symmetrization max(A, A^T)
         # without a second n x n array
-        rows, cols = np.arange(n)[:, None], near[:, 1:]
         adj = np.zeros((n, n))
         adj[rows, cols] = weights
         adj[cols, rows] = weights
-        if _is_connected(adj):
-            return Graph(n, adj, meta={"model": "sensor", "seed": used_seed,
-                                       "k_nn": k_nn})
+        return Graph(n, adj, meta={"model": "sensor", "seed": used_seed,
+                                   "k_nn": k_nn})
     raise RuntimeError(
         f"no connected sensor graph in {MAX_CONNECT_ATTEMPTS} attempts (n={n})")
 
@@ -161,8 +168,8 @@ def gen_er(n: int, p: float, seed: int = 0) -> Graph:
         rng = rng_from(used_seed)
         draws = rng.random((n, n))
         upper = np.triu(draws < p, k=1)
-        adj = (upper | upper.T).astype(float)
-        if _is_connected(adj):
+        if _is_connected(n, *np.nonzero(upper)):
+            adj = (upper | upper.T).astype(float)
             return Graph(n, adj, meta={"model": "er", "seed": used_seed, "p": p})
     raise RuntimeError(
         f"no connected ER graph in {MAX_CONNECT_ATTEMPTS} attempts (n={n}, p={p})")
@@ -188,8 +195,8 @@ def gen_community(n: int, seed: int = 0) -> Graph:
         prob = np.where(same, 0.3, 2.0 / n)
         draws = rng.random((n, n))
         upper = np.triu(draws < prob, k=1)
-        adj = (upper | upper.T).astype(float)
-        if _is_connected(adj):
+        if _is_connected(n, *np.nonzero(upper)):
+            adj = (upper | upper.T).astype(float)
             return Graph(n, adj, meta={"model": "community", "seed": used_seed,
                                        "communities": int(c),
                                        "sizes": tuple(int(s) for s in sizes)})

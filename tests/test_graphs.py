@@ -5,7 +5,7 @@ import pytest
 
 from gsample import (Graph, build_laplacian, gen_community, gen_er,
                      gen_sensor, load_graph, save_graph)
-from gsample.graphs import _nearest
+from gsample.graphs import _is_connected, _nearest
 
 
 def test_laplacian_two_node_path():
@@ -131,6 +131,35 @@ def test_nearest_breaks_boundary_ties_by_column(k):
     # few distinct values: ties at every rank
     dist = rng.integers(0, 3, size=(25, 25)).astype(float)
     _assert_nearest_matches_stable_sort(dist, k)
+
+
+def _components_by_bfs(n, rows, cols):
+    neighbours = {i: set() for i in range(n)}
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    seen, frontier = {0}, [0]
+    while frontier:
+        for j in neighbours[frontier.pop()] - seen:
+            seen.add(j)
+            frontier.append(j)
+    return len(seen) == n
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_is_connected_matches_bfs_on_edge_lists(seed):
+    # draws near the connectivity threshold, each edge listed once in a
+    # random direction, some listed twice
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    p = 1.25 * math.log(n + 1) / n
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
+    flip = rng.random(len(rows)) < 0.5
+    rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
+    twice = rng.random(len(rows)) < 0.2
+    rows, cols = (np.concatenate([rows, cols[twice]]),
+                  np.concatenate([cols, rows[twice]]))
+    assert _is_connected(n, rows, cols) == _components_by_bfs(n, rows, cols)
 
 
 def test_sensor_determinism():

@@ -6,6 +6,7 @@ arithmetic term by term, so every comparison here is exact: the same
 (p, q) sequence, bitwise-equal angles, eigenvalues and rotation products.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,108 @@ def test_entry_raised_to_cached_row_max_follows_reference(upper):
     for i, row in enumerate(upper):
         matrix[i, i + 1:] = matrix[i + 1:, i] = row
     assert_matches_reference(Laplacian(matrix), 40)
+
+
+def _matrix(diag, upper):
+    matrix = np.diag(np.asarray(diag, dtype=float))
+    for i, row in enumerate(upper):
+        matrix[i, i + 1:] = matrix[i + 1:, i] = row
+    return matrix
+
+
+def _landing(v, x, c, s):
+    """A float y with s * x + c * y == v exactly, as the kernel rounds it:
+    entry (x, y) of columns (p, q) lands on v after the rotation."""
+    y = (v - s * x) / c
+    for _ in range(64):
+        if s * x + c * y == v:
+            return y
+        y = np.nextafter(y, np.inf if s * x + c * y < v else -np.inf)
+    raise AssertionError("no landing value")
+
+
+def _small_angle(w_pq, gap):
+    # a pivot far below the diagonal gap rotates by a tiny angle, so an
+    # entry keeps its magnitude, or can be made to land on one exactly
+    theta = 0.5 * math.atan2(2.0 * w_pq, gap)
+    return math.cos(theta), math.sin(theta)
+
+
+def _cached_p_ties_itself():
+    # row 0 peaks at 0.5 in columns 1 and 2; the rotation in (1, 3) has
+    # cos == 1 and w[0, 3] == 0, so w[0, 1] stays exactly 0.5 and keeps
+    # the row's first maximum
+    c, _ = _small_angle(1.0, 1e9)
+    assert c == 1.0
+    return _matrix([0.0, 0.0, 0.0, 1e9], [[0.5, 0.5, 0.0], [0.0, 1.0], [0.0]])
+
+
+def _q_ties_right_of_cached_p():
+    # row 0 peaks at 0.5 in columns 1 and 2; the rotation in (1, 3) drops
+    # w[0, 1] below 0.5 and lands w[0, 3] on it, so the row is rescanned
+    # and column 2 keeps the maximum
+    c, s = _small_angle(1.0, 1e6)
+    y = _landing(0.5, 0.5, c, s)
+    assert abs(c * 0.5 - s * y) < 0.5
+    return _matrix([0.0, 0.0, 0.0, 1e6], [[0.5, 0.5, y], [0.0, 1.0], [0.0]])
+
+
+def _middle_row_tied_from_left():
+    # row 1 peaks at 0.5 in column 3; the rotation in (0, 2) lands w[1, 2]
+    # on 0.5, left of it, and row 1 is the next pivot row
+    c, s = _small_angle(1.0, 1e6)
+    y = _landing(0.5, 0.5, c, s)
+    return _matrix([0.0, 0.0, 1e6, 0.0], [[0.5, 1.0, 0.0], [y, 0.5], [0.0]])
+
+
+# After a rotation in (p, q), the cached first maximum of a row above q is
+# settled from its new entries in columns p and q, and the row is rescanned
+# only when that cannot decide.  A row above p ("top") changes in both
+# columns, a row between p and q ("middle") only in column q.  Each witness
+# takes the named branch within its first few rotations; a wrong settle
+# moves a later pivot.
+@pytest.mark.parametrize("matrix", [
+    _matrix([2.0] * 4, [[-0.5, 0.0, 0.0], [-0.5, -0.5], [-1.0]]),
+    _matrix([2.0, 3.0, 1.0], [[-0.5, -1.0], [0.0]]),
+    _cached_p_ties_itself(),
+    _matrix([2.0] * 3, [[0.5, 0.5], [1.0]]),
+    _matrix([1.0, 3.0, 3.0, 3.0, 3.0],
+            [[1.0, 0.5, -1.0, 0.0], [0.0, 0.5, -0.5], [0.0, 0.5], [0.0]]),
+    _matrix([2.0] * 4, [[0.5, 0.0, 0.5], [-1.0, 0.0], [0.0]]),
+    _matrix([2.0] * 4, [[0.0, -1.0, 0.0], [0.5, -0.5], [0.0]]),
+    _q_ties_right_of_cached_p(),
+    _matrix([2.0] * 4, [[-0.5, -0.5, 0.5], [0.0, 0.0], [1.0]]),
+    _matrix([2.0, 3.0, 1.0, 2.0], [[-0.5, -0.5, -0.5], [0.0, 0.0], [1.0]]),
+    _matrix([1.0, 2.0, 2.0, 2.0], [[-0.5, 0.0, -1.0], [-1.0, 1.0], [0.0]]),
+    _matrix([2.0] * 5, [[0.5, -0.5, 0.0, 1.0], [0.5, -0.5, 0.5], [1.0, -0.5],
+                        [0.0]]),
+    _matrix([2.0] * 5, [[0.5, -1.0, -0.5, 0.0], [0.0, 0.0, 0.5], [0.5, 1.0],
+                        [1.0]]),
+    _middle_row_tied_from_left(),
+], ids=[
+    "top-cached-rises", "middle-cached-rises", "top-cached-p-ties-itself",
+    "top-cached-falls-other-beats", "top-cached-q-falls-p-ties-from-left",
+    "top-cached-falls-rescan", "middle-cached-falls-rescan",
+    "top-cached-p-falls-q-ties-right-rescan", "top-untouched-beaten-at-p",
+    "top-untouched-beaten-at-q", "middle-untouched-beaten-at-q",
+    "top-untouched-tied-from-left-at-p", "top-untouched-tied-from-left-at-q",
+    "middle-untouched-tied-from-left-at-q",
+])
+def test_settled_row_maxima_follow_reference(matrix):
+    assert_matches_reference(Laplacian(matrix), 40)
+
+
+# The pivot row comes from a tournament tree over the n - 1 row maxima,
+# padded to a power of two; ties go to the first row.  Sizes at and just
+# past a power of two, on a graph and on a matrix full of tied maxima.
+@pytest.mark.parametrize("n", [2, 3, 17, 18, 33, 34])
+def test_pivot_tree_sizes_match_reference(n):
+    assert_matches_reference(build_laplacian(_graph("G1", n, seed=n)),
+                             rotation_budget(n))
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.choice([0.0, 1.0, -1.0, 0.5, -0.5], size=(n, n)), 1)
+    assert_matches_reference(Laplacian(upper + upper.T + 2.0 * np.eye(n)),
+                             4 * n)
 
 
 # The row maximum is found in two passes: four running maxima over blocks
@@ -267,6 +370,16 @@ def test_givens_seq_names_first_bad_plane():
 def test_givens_seq_rejects_mismatched_arrays(planes, thetas):
     with pytest.raises(ValueError, match=r"need \(m, 2\) planes and m angles"):
         GivensSeq(4, planes, thetas)
+
+
+def test_build_removes_stale_builds(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernels, "_CACHE", tmp_path)
+    stale = tmp_path / "_kernels-0123456789abcdef.so"
+    stale.write_bytes(b"")
+    other = tmp_path / "notes.txt"
+    other.write_text("kept")
+    lib = _kernels._build()
+    assert sorted(tmp_path.iterdir()) == sorted([lib, other])
 
 
 def test_kernel_builds_without_warnings(tmp_path):
