@@ -1,9 +1,8 @@
 """Eigen-free against eigensolver path, per trial, on G1 sensor graphs.
 
-    PYTHONPATH=src python3 scripts/crossover.py [--trials 5]
+    PYTHONPATH=src python3 scripts/crossover.py
 
-For each size, `--trials` graphs (seeds 0, 1, ...) each run both paths
-once:
+For each size, TRIALS graphs (seeds 0, 1, ...) each run both paths once:
 
 * eigen-free: the greedy Jacobi sweep, the factor synthesis and fagod
   (`greedy_jacobi`, `lowpass_from_givens`, `greedy_select("fagod")`);
@@ -14,7 +13,6 @@ n = 200 (the desk spec), K = 40, M = 80 at n = 800 and 1600.  Prints the
 median milliseconds of each stage and of each path.  One BLAS thread.
 """
 
-import argparse
 import os
 import statistics
 import time
@@ -27,6 +25,7 @@ from gsample import (build_laplacian, eigendecompose, gen_sensor,  # noqa: E402
                      rotation_budget)
 
 SIZES = ((200, 10, 30), (800, 40, 80), (1600, 40, 80))
+TRIALS = 9
 
 
 def _timed(fn, *args, **kwargs):
@@ -49,14 +48,11 @@ def trial(n, K, M, seed):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=5)
-    args = parser.parse_args()
     for n, K, M in SIZES:
-        runs = [trial(n, K, M, seed) for seed in range(args.trials)]
+        runs = [trial(n, K, M, seed) for seed in range(TRIALS)]
         cells = [f"{name} {statistics.median(r[name] for r in runs):.1f}"
                  for name in runs[0]]
-        print(f"n={n} K={K} M={M} (median ms of {args.trials}): "
+        print(f"n={n} K={K} M={M} (median ms of {TRIALS}): "
               + ", ".join(cells))
 
 

@@ -24,9 +24,8 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("_kernel_cache")
 # No -ffast-math, no -march=native, no FMA contraction: the kernels must
-# round every product on its own, as numpy does.  -O3 vectorizes without
-# reassociating, so it changes no result.
-_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# round every product on its own, as numpy does.
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 # Rotations recorded per kernel call; bounds the output buffers for huge
 # budgets that stop early.
