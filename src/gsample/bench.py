@@ -22,7 +22,7 @@ import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .filters import approximate_lowpass, exact_lowpass, rotation_budget
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
@@ -30,11 +30,12 @@ from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
 from .oracle import COMB_GUARD, empirical_alpha, relative_suboptimality
 from .reconstruction import (biased_reconstruct, blue_reconstruct,
                              filter_reconstruct, rmse, snr_to_sigma2)
-from .rng import RNG_NAME, child_seed
+from .rng import child_seed
 from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
                         greedy_eoptimal, greedy_select, objective_agod,
                         objective_dopt, objective_fagod, random_select)
-from .spectral import SIGNAL_MODELS, eigendecompose, gen_signal, observe
+from .spectral import (SIGNAL_MODELS, check_gap, eigendecompose, gen_signal,
+                       observe)
 
 RMSE_STUDIES = ("rmse_vs_size", "rmse_vs_snr", "rmse_vs_n")
 RUN_STUDIES = RMSE_STUDIES + ("objective_gap", "suboptimality")
@@ -48,9 +49,6 @@ METHOD_NAMES = ("agod", "fagod", "fagod-exact", "god", "dopt", "aopt",
 GAP_CURVES = ("G-G", "G-D", "D-D")
 
 CSV_HEADER = "study,graph,signal,method,sweep,trial,value,wall_ms,seed"
-
-_SPEC_KEYS = ("study", "graph", "signal", "methods", "n", "K", "mu", "J",
-              "trials", "base_seed", "sweep", "sigma2", "out", "knn", "p")
 
 
 class SpecError(ValueError):
@@ -84,6 +82,10 @@ class ExperimentSpec:
             object.__setattr__(self, "out", f"{self.study}.csv")
 
 
+# a spec file sets the fields of ExperimentSpec, by name
+_SPEC_KEYS = tuple(field.name for field in fields(ExperimentSpec))
+
+
 @dataclass(frozen=True)
 class ResultRow:
     study: str
@@ -100,7 +102,6 @@ class ResultRow:
 @dataclass(frozen=True)
 class ExperimentResult:
     rows: tuple
-    rng_name: str = RNG_NAME
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,8 @@ class _TrialContext:
     Only the eigenpairs some consumer reads are computed: the K lowest for
     the selection and reconstruction bandwidth, or the signal model's
     bandwidth if larger.  GS2's tail touches every coefficient, so it
-    keeps the full basis.
+    keeps the full basis.  Both bandwidths must leave a spectral gap
+    wherever the basis holds the next eigenvalue.
     """
 
     def __init__(self, spec: ExperimentSpec, n: int, trial: int):
@@ -351,13 +353,14 @@ class _TrialContext:
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
         self.basis = eigendecompose(self.lap, width)
+        for bandwidth in (self.K, self._signal_k):
+            check_gap(self.basis.eigenvalues, bandwidth, n)
         # the largest sampling budget any row of this trial selects
         self._largest = max(spec.sweep) if spec.study in BUDGET_STUDIES \
             else self.K
         self._greedy = {}
         self._signal = None
         self._approx = None
-        self._exact = None
 
     @property
     def signal(self):
@@ -375,11 +378,6 @@ class _TrialContext:
                                                resolve_j(self.spec, self.n))
         return self._approx
 
-    def exact_filter(self):
-        if self._exact is None:
-            self._exact = exact_lowpass(self.basis, self.K)
-        return self._exact
-
     def select(self, method: str, M: int) -> tuple:
         """Indices of a sampling set of size M; greedy methods run once per
         trial.
@@ -396,14 +394,14 @@ class _TrialContext:
         return full[:M]
 
     def _select(self, method: str, M: int):
-        if method == "agod":
-            return greedy_select("agod", M, basis=self.basis, K=self.K, mu=self.mu)
+        # fagod-exact is fagod on V_K, the exact filter's factor
+        if method in ("agod", "fagod-exact"):
+            return greedy_select(method.removesuffix("-exact"), M,
+                                 basis=self.basis, K=self.K, mu=self.mu)
         if method == "god":
             return greedy_select("god", M, basis=self.basis, K=self.K)
         if method == "fagod":
             return greedy_select("fagod", M, filt=self.approx_filter(), mu=self.mu)
-        if method == "fagod-exact":
-            return greedy_select("fagod", M, filt=self.exact_filter(), mu=self.mu)
         if method == "dopt":
             return greedy_doptimal(self.basis, self.K, self.mu, M)
         if method == "aopt":
@@ -420,9 +418,9 @@ class _TrialContext:
     def reconstruct(self, method: str, obs, use_blue: bool):
         if method == "fagod":
             return filter_reconstruct(obs, self.approx_filter(), self.mu)
-        if method == "fagod-exact":
-            return filter_reconstruct(obs, self.exact_filter(), self.mu)
-        if use_blue and len(obs.sample_indices) >= self.K:
+        # fagod-exact's filter estimate on V_K is the loaded spectral one
+        if use_blue and method != "fagod-exact" \
+                and len(obs.sample_indices) >= self.K:
             return blue_reconstruct(obs, self.basis, self.K)
         return biased_reconstruct(obs, self.basis, self.K, self.mu)
 
@@ -514,7 +512,7 @@ def _subopt_trial(spec: ExperimentSpec, trial: int, methods):
     ascending order and each method.
     """
     ctx = _TrialContext(spec, spec.n, trial)
-    T = ctx.exact_filter()
+    T = exact_lowpass(ctx.basis, ctx.K)
 
     # each method's relative_suboptimality enumerates the same subsets
     @functools.cache

@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
     out = args.out or spec.out
     bench.write_result_csv(result, out)
     print(f"wrote {len(result.rows)} rows to {out} "
-          f"(study={spec.study}, rng={result.rng_name}, "
+          f"(study={spec.study}, rng={RNG_NAME}, "
           f"base_seed={spec.base_seed})")
     return EXIT_OK
 

@@ -76,12 +76,12 @@ class GivensSeq:
 
 @dataclass(frozen=True)
 class ApproxFilter:
-    """Low-pass filter T = V~_K V~_K^T, carried as its n x K factor V~_K."""
+    """Low-pass filter T = V~_K V~_K^T as its n x K factor V~_K; perfbench's
+    tracer tells trials apart by `givens`, the rotations behind it."""
 
     givens: GivensSeq
     approx_eigs: np.ndarray
     factor: np.ndarray
-    bandwidth: int
 
     def __post_init__(self):
         f = np.asarray(self.factor, dtype=float)
@@ -89,12 +89,13 @@ class ApproxFilter:
         object.__setattr__(self, "factor", f)
 
     @property
-    def filter(self) -> np.ndarray:
-        """The dense n x n filter V~_K V~_K^T, built on each access.
+    def bandwidth(self) -> int:
+        return self.factor.shape[1]
 
-        Selection and reconstruction work on `factor`; this is for
-        references and quality figures.
-        """
+    @property
+    def filter(self) -> np.ndarray:
+        """The dense n x n filter, built on each access; selection and
+        reconstruction read `factor`, references and quality figures this."""
         return self.factor @ self.factor.T
 
 
@@ -138,7 +139,7 @@ def greedy_jacobi(lap: Laplacian, J: int):
 
 
 def lowpass_from_givens(givens: GivensSeq, perm, K: int,
-                        approx_eigs=None) -> ApproxFilter:
+                        approx_eigs) -> ApproxFilter:
     """Synthesize the approximate low-pass filter from a rotation sequence.
 
     The accumulated rotation product, with columns reordered by `perm`
@@ -152,8 +153,8 @@ def lowpass_from_givens(givens: GivensSeq, perm, K: int,
     perm = np.asarray(perm, dtype=np.intp)
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    eigs = None if approx_eigs is None else np.asarray(approx_eigs, dtype=float)
-    return ApproxFilter(givens, eigs, givens.low_frequency(perm, K), K)
+    return ApproxFilter(givens, np.asarray(approx_eigs, dtype=float),
+                        givens.low_frequency(perm, K))
 
 
 def approximate_lowpass(lap: Laplacian, K: int, J: int | None = None) -> ApproxFilter:

@@ -32,25 +32,21 @@ class Reconstruction:
         object.__setattr__(self, "values", x)
 
 
-def _sampled_rows(basis: SpectralBasis, obs: Observation, K: int) -> np.ndarray:
-    vk = basis.low_frequency(K)
-    return vk[list(obs.sample_indices), :]
-
-
 def blue_reconstruct(obs: Observation, basis: SpectralBasis, K: int) -> Reconstruction:
     """Unbiased estimate via the pseudo-inverse of the sampled rows.
 
     Requires rank(V_SK) = K (so at least K samples).  Solved through the
     SVD with a relative rank cutoff rather than normal equations.
     """
-    vsk = _sampled_rows(basis, obs, K)
+    vk = basis.low_frequency(K)
+    vsk = vk[list(obs.sample_indices), :]
     u, s, vt = np.linalg.svd(vsk, full_matrices=False)
     if s.size < K or s[-1] <= RANK_TOL * s[0]:
         raise ValueError(
             f"sampled eigenvector rows are rank deficient ({len(obs.sample_indices)} "
             f"samples, bandwidth {K})")
     xhat = vt.T @ ((u.T @ obs.values) / s)
-    return Reconstruction(basis.low_frequency(K) @ xhat)
+    return Reconstruction(vk @ xhat)
 
 
 def _loaded_solve(vk: np.ndarray, obs: Observation, mu: float) -> Reconstruction:
@@ -75,12 +71,11 @@ def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,
 def filter_reconstruct(obs: Observation, filt, mu: float) -> Reconstruction:
     """Filter-domain biased estimate x = T_{:,S} (T_SS + mu I)^-1 y.
 
-    With the exact low-pass filter T = V_K V_K^T this equals the
-    spectral biased estimate (push-through identity); with an
-    approximate T it requires no eigendecomposition at all.  `filt` is a
-    dense filter matrix T or an `ApproxFilter`; for the latter the same
-    identity gives x = V (V_S^T V_S + mu I)^-1 V_S^T y from the n x K
-    factor V, without forming T.
+    For T = V V^T the push-through identity gives x = V (V_S^T V_S +
+    mu I)^-1 V_S^T y from the n x K factor V: an `ApproxFilter` is solved
+    that way, without forming T, and for the exact filter V_K V_K^T it is
+    `biased_reconstruct`, which the runner uses for fagod-exact.  A dense
+    filter matrix `filt` is solved as written, as a reference.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")

@@ -15,11 +15,11 @@ sampled eigenvector rows.  Three variants are provided:
 Every criterion but god and eopt is a score on one matrix, the K x K
 loaded Gram Z = V_S^T V_S + mu I of an n x K factor V: the K lowest
 eigenvectors for agod, aopt and dopt, the filter's factor for fagod
-(T = V V^T, as `ApproxFilter` carries it; through Woodbury nothing
-n x n is formed).  `LoadedGramState` keeps Z^-1 with rank-one
+(T = V V^T: V_K for the exact filter, V~_K for the Givens one; through
+Woodbury nothing n x n is formed).  `LoadedGramState` keeps Z^-1 with rank-one
 (Sherman-Morrison) updates, and one incremental greedy loop runs all
-four criteria.  A dense filter matrix grows (T_SS + mu I)^-1 by Schur
-complements instead (`FagodState`, the reference).  god and eopt have
+four criteria.  A dense filter matrix handed to `greedy_select` grows
+(T_SS + mu I)^-1 by Schur complements instead (`FagodState`).  god and eopt have
 no incremental form and run the plain greedy loop of
 `oracle.greedy_minimize`.  Random sampling, which minimizes nothing,
 rounds out the set of strategies benchmarked against each other.
@@ -390,22 +390,19 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
                   filt=None) -> SamplingSet:
     """Greedy minimization of one of the G-optimal objectives.
 
-    method: "agod" (needs basis, K), "fagod" (needs filt: ApproxFilter or
-    a filter matrix), or "god" (needs basis, K; mu forced to 0).  At each
-    step the node with the smallest resulting objective joins the set;
-    ties go to the smallest node index.
+    method: "agod" or "god" (need basis, K; god forces mu = 0), or "fagod"
+    on an `ApproxFilter` filt's factor, on V_K of the exact filter
+    V_K V_K^T given basis and K, or on a dense filter matrix filt (the
+    Schur-growth `FagodState`).  At each step the node with the smallest
+    resulting objective joins the set; ties go to the smallest node index.
     """
-    if method in ("agod", "god") and (basis is None or K is None):
+    if method not in ("agod", "fagod", "god"):
+        raise ValueError(f"unknown greedy method {method!r}")
+    if method == "fagod" and filt is not None:
+        state = (FactoredFagodState(filt.factor, mu)
+                 if isinstance(filt, ApproxFilter) else FagodState(filt, mu))
+    elif basis is None or K is None:
         raise ValueError(f"{method} needs basis and K")
-    if method == "agod":
-        state = LoadedGramState(basis.low_frequency(K), mu)
-    elif method == "fagod":
-        if filt is None:
-            raise ValueError("fagod needs a filter matrix")
-        if isinstance(filt, ApproxFilter):
-            state = FactoredFagodState(filt.factor, mu)
-        else:
-            state = FagodState(filt, mu)
     elif method == "god":
         # pseudo-inverse objective below full rank: no incremental form,
         # evaluated from scratch (reference implementation, small n only)
@@ -414,7 +411,8 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
             lambda S: objective_agod(S, basis, K, 0.0), basis.n, M)
         return SamplingSet(tuple(selected), tuple(trace))
     else:
-        raise ValueError(f"unknown greedy method {method!r}")
+        state = (LoadedGramState if method == "agod"
+                 else FactoredFagodState)(basis.low_frequency(K), mu)
     return _greedy(state, M, lambda s: _smallest(s.candidate_objectives()))
 
 

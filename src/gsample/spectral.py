@@ -119,6 +119,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v * signs
 
 
+def check_gap(eigenvalues, K: int, n: int) -> None:
+    """Raise ValueError when the ascending `eigenvalues` of an n-node graph
+    hold lambda_K+1 and it is too close to lambda_K (see `eigendecompose`)."""
+    w = eigenvalues
+    if K < len(w) and w[K] - w[K - 1] <= GAP_TOL * max(1.0, w[K]):
+        raise ValueError(
+            f"degenerate spectrum at the bandwidth (n={n}, K={K}): "
+            f"lambda_K = {w[K - 1]!r} and lambda_K+1 = {w[K]!r} are too "
+            "close for the K lowest eigenvectors to be unique")
+
+
 def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     """Symmetric eigendecomposition with deterministic ordering.
 
@@ -132,7 +143,7 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     dropped).  The K lowest eigenvectors span a unique subspace only when
     lambda_{K+1} > lambda_K, so the call raises ValueError when
     lambda_{K+1} - lambda_K <= tol * max(1, lambda_{K+1}), with
-    tol = GAP_TOL = 1e-8.
+    tol = GAP_TOL = 1e-8 (`check_gap`).
     """
     n = lap.n
     if K is None or K >= n:
@@ -143,11 +154,7 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
         raise ValueError(f"bandwidth K={K} must be at least 1")
     # LAPACK returns a subset's eigenvalues in ascending order
     w, v = scipy.linalg.eigh(lap.matrix, subset_by_index=[0, K], driver="evr")
-    if w[K] - w[K - 1] <= GAP_TOL * max(1.0, w[K]):
-        raise ValueError(
-            f"degenerate spectrum at the bandwidth (n={n}, K={K}): "
-            f"lambda_K = {w[K - 1]!r} and lambda_K+1 = {w[K]!r} are too "
-            "close for the K lowest eigenvectors to be unique")
+    check_gap(w, K, n)
     return SpectralBasis(w[:K], _fix_signs(v[:, :K]))
 
 

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 import gsample.bench as bench
-from gsample import (SpecError, greedy_aoptimal, greedy_doptimal,
-                     greedy_eoptimal, greedy_select, observe, parse_spec_file,
-                     parse_spec_text, rmse, run_experiment, write_result_csv)
+from gsample import (SpecError, exact_lowpass, greedy_aoptimal,
+                     greedy_doptimal, greedy_eoptimal, greedy_select, observe,
+                     parse_spec_file, parse_spec_text, rmse, run_experiment,
+                     write_result_csv)
 from gsample.bench import (resolve_k, run_alpha_certificate,
                            run_subopt_reports)
 from gsample.cli import main
 from gsample.oracle import theorem_bounds
+from gsample.reconstruction import biased_reconstruct
 from gsample.rng import child_seed
-from gsample import load_graph
+from gsample import Graph, load_graph
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 
@@ -119,7 +121,6 @@ def test_single_row_run():
     row = result.rows[0]
     assert row.method == "agod" and row.sweep == 4 and row.trial == 0
     assert row.value >= 0
-    assert result.rng_name == "pcg64"
 
 
 def test_row_count_and_order():
@@ -219,8 +220,8 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
     def counted(name, real):
         def wrapper(*args, **kwargs):
             label = args[0] if name == "greedy_select" else name
-            if label == "fagod":
-                label += "-exact" if isinstance(kwargs["filt"], np.ndarray) else ""
+            if label == "fagod" and "basis" in kwargs:
+                label += "-exact"
             budget = args[1] if name == "greedy_select" else args[-1]
             calls[(label, budget)] += 1
             return real(*args, **kwargs)
@@ -242,7 +243,9 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
         elif method == "fagod":
             sel = greedy_select("fagod", M, filt=ctx.approx_filter(), mu=ctx.mu)
         elif method == "fagod-exact":
-            sel = greedy_select("fagod", M, filt=ctx.exact_filter(), mu=ctx.mu)
+            # the dense Schur-growth reference on V_K V_K^T
+            sel = greedy_select("fagod", M, filt=exact_lowpass(ctx.basis, ctx.K),
+                                mu=ctx.mu)
         elif method == "dopt":
             sel = greedy_doptimal(ctx.basis, ctx.K, ctx.mu, M)
         elif method == "aopt":
@@ -271,6 +274,27 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
         assert fresh.select("agod", 10) == direct(ctx, "agod", 10)
 
 
+def test_exact_filter_rows_build_no_dense_filter(monkeypatch):
+    def dense(*args):
+        raise AssertionError("exact_lowpass called")
+
+    monkeypatch.setattr(bench, "exact_lowpass", dense)
+    spec = parse_spec_text(PREFIX_SPEC.replace(
+        "agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform",
+        "fagod-exact"))
+    result = run_experiment(spec, use_blue=True)
+    assert len(result.rows) == len(spec.sweep) * spec.trials
+    # --blue never switches fagod-exact to BLUE: its rows are the loaded
+    # solve on V_K
+    for row in result.rows:
+        ctx = bench._TrialContext(spec, spec.n, row.trial)
+        indices = ctx.select("fagod-exact", row.sweep)
+        obs = observe(ctx.signal, indices, spec.sigma2,
+                      seed=child_seed(row.seed, "noise", "fagod-exact"))
+        rec = biased_reconstruct(obs, ctx.basis, ctx.K, ctx.mu)
+        assert repr(row.value) == repr(rmse(rec.values, ctx.signal.values))
+
+
 @pytest.mark.parametrize("signal,K,width", [
     ("GS1", "4", 10), ("GS1", "12", 12), ("GS3", "4", 40), ("GS1", "auto", 3),
     ("GS2", "4", None), ("GS1", "60", 60)])
@@ -294,6 +318,35 @@ def test_trial_asks_only_for_the_eigenpairs_it_reads(monkeypatch, signal, K,
     assert ctx.basis.width == min(width or n, n)
     assert ctx.signal.n == n
     assert ctx.basis.low_frequency(ctx.K).shape == (n, ctx.K)
+
+
+def _graph(n, edges):
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1.0
+    return Graph(n, adj)
+
+
+def _cycle(n):
+    return _graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("graph,text,K", [
+    # full basis: GS1's width 10 reaches n = 8, and GS2 keeps every pair
+    (_cycle(8), "study = suboptimality\nK = 2\nsweep = 2", 2),
+    (_cycle(16), "study = rmse_vs_size\nsignal = GS2\nK = 2\nsweep = 2", 2),
+    # K below the signal bandwidth on two paths of 7 and 13 nodes: the
+    # subset solver checks only lambda_10 / lambda_11, which are apart,
+    # while lambda_1 = lambda_2 = 0
+    (_graph(20, [(i, i + 1) for i in range(19) if i != 6]),
+     "study = rmse_vs_size\nK = 1\nsweep = 2", 1)],
+    ids=["full-GS1", "full-GS2", "subset-below-signal"])
+def test_trial_checks_the_gap_at_each_bandwidth(monkeypatch, graph, text, K):
+    monkeypatch.setattr(bench, "make_graph", lambda *args: graph)
+    spec = parse_spec_text(f"{text}\nn = {graph.n}\nmethods = agod\ntrials = 1")
+    with pytest.raises(ValueError, match=f"degenerate spectrum at the "
+                       f"bandwidth \\(n={graph.n}, K={K}\\)"):
+        bench._TrialContext(spec, spec.n, 0)
 
 
 def test_suboptimality_study_values():

@@ -6,6 +6,7 @@ import pytest
 from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
                      gen_er, gen_sensor, gen_signal, gft, igft,
                      leverage_scores, observe)
+from gsample.spectral import check_gap
 
 
 def test_two_node_path_closed_form(path2):
@@ -201,6 +202,13 @@ def test_degenerate_bandwidth_fails_loudly():
         [0.0, 2 - math.sqrt(2), 2 - math.sqrt(2)], abs=1e-12)
     with pytest.raises(ValueError, match="at least 1"):
         eigendecompose(lap, 0)
+    # the same rule on the full basis, wherever it holds lambda_K+1
+    full = eigendecompose(lap).eigenvalues
+    with pytest.raises(ValueError, match=r"n=8, K=2.*0\.585.*0\.585"):
+        check_gap(full, 2, 8)
+    for K in (1, 3, 8):
+        check_gap(full, K, 8)
+    check_gap(basis.eigenvalues, 3, 8)
 
 
 def test_truncated_basis_refuses_what_it_does_not_hold():
