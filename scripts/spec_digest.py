@@ -1,0 +1,63 @@
+"""SHA-256 digests of every spec output, for byte-identity checks.
+
+    PYTHONPATH=src python3 scripts/spec_digest.py
+
+Runs each spec in `specs/` that `gsample run` accepts and prints the
+SHA-256 of its CSV's data columns, every column but `wall_ms`.  Then
+prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
+`gsample oracle subopt` on the specs of those studies.  The CSVs are
+written as the CLI writes them, to a temporary directory.  Running the
+script against two checkouts (PYTHONPATH pointing at each `src/`) and
+comparing the printed lines compares their results byte for byte.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from gsample import bench  # noqa: E402
+from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+TIMING_COLUMN = "wall_ms"
+
+
+def data_digest(path: Path) -> str:
+    """SHA-256 of a result CSV with its timing column dropped."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    drop = lines[0].split(",").index(TIMING_COLUMN)
+    kept = (",".join(f for i, f in enumerate(line.split(",")) if i != drop)
+            for line in lines)
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        for path in sorted(SPECS.glob("*.spec")):
+            spec = bench.parse_spec_file(path)
+            if spec.study in bench.RUN_STUDIES:
+                bench.write_result_csv(bench.run_experiment(spec), out)
+                print(f"run {path.name} {data_digest(out)}", flush=True)
+            if spec.study == "alpha":
+                save_alpha_csv(bench.run_alpha_certificate(spec), out)
+                print(f"oracle alpha {path.name} {file_digest(out)}",
+                      flush=True)
+            if spec.study == "suboptimality":
+                save_subopt_csv(bench.run_subopt_reports(spec), out)
+                print(f"oracle subopt {path.name} {file_digest(out)}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,16 @@
-/* Compiled loops of gsample.filters: the greedy Jacobi sweep and the
- * accumulation of its rotations.
+/* Compiled loops of gsample: the greedy Jacobi sweep and the
+ * accumulation of its rotations (gsample.filters), the k-nearest-neighbour
+ * scan of the sensor graph (gsample.graphs), and the greedy argmin scans
+ * of agod and fagod (gsample.selection).
  *
- * The arithmetic follows the numpy references in gsample.oracle term by
- * term, so the outputs are bit-identical to theirs.  That needs every
- * product rounded on its own: build with -ffp-contract=off and without
- * -ffast-math.  Nothing here allocates or keeps state; the caller owns
- * every buffer, so concurrent calls on different buffers are safe.
+ * The arithmetic follows the numpy code each kernel replaces term by
+ * term, so the outputs are bit-identical to it: the numpy references in
+ * gsample.oracle for the sweep, np.argsort of the distance matrix for the
+ * neighbours, and the states' candidate_objectives for the argmins.  That
+ * needs every product rounded on its own: build with -ffp-contract=off
+ * and without -ffast-math.  Nothing here allocates or keeps state; the
+ * caller owns every buffer, so concurrent calls on different buffers are
+ * safe.
  *
  * The sweep reads and writes only the diagonal and the strict upper
  * triangle (i < j) of its symmetric matrix and leaves the lower triangle
@@ -19,6 +24,12 @@
  * q, so its cached maximum is settled from those two entries, and the
  * row is rescanned only when they cannot decide.  Rows p and q get their
  * maxima in the loops that rotate them.
+ *
+ * The neighbour and argmin scans exit early: a node farther than the
+ * k + 1 kept ones is dropped on its squared distance, and a candidate
+ * whose running maximum already reaches the best objective so far is
+ * dropped before its other coordinates are read.  Both visit nodes in
+ * ascending order, so a dropped tie always loses to a smaller index.
  */
 #include <math.h>
 #include <stdint.h>
@@ -272,4 +283,159 @@ void rotate_rows(double *qt, int64_t width, int64_t count,
             rq[j] = s * a + c * b;
         }
     }
+}
+
+/* The k1 = k + 1 nearest nodes of each of the n points pos[2i],
+ * pos[2i + 1], itself included, as np.argsort(dist, axis=1,
+ * kind="stable")[:, :k1] of the distances sqrt(dx*dx + dy*dy) with
+ * dx = x_i - x_j: ordered by distance, ties by index.  Row i of near and
+ * near_dist (n x k1) gets the nodes and their distances.  sq (k1
+ * entries) is scratch for the squared distances of the kept nodes.
+ *
+ * Nodes come in ascending order, so a node at the distance of the last
+ * kept one loses the tie; one whose squared distance is at least that
+ * node's is dropped before its sqrt. */
+void knn(const double *pos, int64_t n, int64_t k1, int64_t *near,
+         double *near_dist, double *sq)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t *idx = near + i * k1;
+        double *dist = near_dist + i * k1;
+        double xi = pos[2 * i], yi = pos[2 * i + 1];
+        double worst = INFINITY;
+        int64_t kept = 0;
+        for (int64_t j = 0; j < n; j++) {
+            double dx = xi - pos[2 * j], dy = yi - pos[2 * j + 1];
+            double d2 = dx * dx + dy * dy;
+            if (d2 >= worst)
+                continue;
+            double d = sqrt(d2);
+            if (kept < k1)
+                kept++;
+            else if (d >= dist[k1 - 1])
+                continue;
+            /* insert after every kept node at most as far */
+            int64_t t = kept - 1;
+            for (; t > 0 && dist[t - 1] > d; t--) {
+                dist[t] = dist[t - 1];
+                idx[t] = idx[t - 1];
+                sq[t] = sq[t - 1];
+            }
+            dist[t] = d;
+            idx[t] = j;
+            sq[t] = d2;
+            if (kept == k1)
+                worst = sq[k1 - 1];
+        }
+    }
+}
+
+/* The K coordinates in descending order of diag, ties by index, as
+ * np.argsort(-diag, kind="stable"): an insertion sort, O(K^2) at worst,
+ * which is below the O(n K) scan it orders since K <= n. */
+static void descending(const double *diag, int64_t K, int64_t *order)
+{
+    for (int64_t k = 0; k < K; k++) {
+        int64_t t = k;
+        for (; t > 0 && diag[order[t - 1]] < diag[k]; t--)
+            order[t] = order[t - 1];
+        order[t] = k;
+    }
+}
+
+/* The agod step: argmin over the free nodes j (taken[j] == 0) of
+ * max_k (diag[k] - u[j, k]^2 / (1 + g[j])), each term rounded as numpy
+ * rounds diag - u ** 2 / (1 + g)[:, None].  u is row-major n x K; order
+ * (K entries) is scratch.  Coordinates go in descending order of diag,
+ * where the maximum usually sits, and a candidate is dropped once its
+ * running maximum reaches the best so far.  The winner's maximum, read in
+ * full, goes to *value and its index is returned; ties go to the smallest
+ * index.  Returns -1 when a diagonal entry, a free node's 1 + g[j] or a
+ * term read is not finite, or no node is free. */
+int64_t agod_argmin(const double *u, const double *g, const double *diag,
+                    const uint8_t *taken, int64_t n, int64_t K,
+                    int64_t *order, double *value)
+{
+    for (int64_t k = 0; k < K; k++)
+        if (!isfinite(diag[k]))
+            return -1;
+    descending(diag, K, order);
+    int64_t best = -1;
+    double best_val = INFINITY;
+    for (int64_t j = 0; j < n; j++) {
+        if (taken[j])
+            continue;
+        double s = 1.0 + g[j];
+        if (!isfinite(s))
+            return -1;
+        const double *row = u + j * K;
+        double run = -INFINITY;
+        int64_t t = 0;
+        for (; t < K; t++) {
+            int64_t k = order[t];
+            double c = diag[k] - row[k] * row[k] / s;
+            if (!isfinite(c))
+                return -1;
+            if (c > run) {
+                run = c;
+                if (run >= best_val)
+                    break;
+            }
+        }
+        if (t == K) {
+            best = j;
+            best_val = run;
+        }
+    }
+    *value = best_val;
+    return best;
+}
+
+/* The factored fagod step: argmin over the free nodes j of
+ * max(o_j, max_i (b[i, j]^2 o_j + d[i])) with o_j = 1 / (mu (1 + a[j])),
+ * each term rounded as numpy rounds np.square(b) * o + d[:, None].  b is
+ * row-major with n columns, of which the first m rows are read; order (m
+ * entries) is scratch.  Rows go in descending order of d, and a
+ * candidate is dropped once its running maximum reaches the best so far.
+ * Returns the winner, its objective in *value, as agod_argmin does; -1
+ * when an entry of d, a free node's o_j or a term read is not finite, or
+ * no node is free. */
+int64_t fagod_argmin(const double *b, const double *d, const double *a,
+                     const uint8_t *taken, int64_t n, int64_t m, double mu,
+                     int64_t *order, double *value)
+{
+    for (int64_t i = 0; i < m; i++)
+        if (!isfinite(d[i]))
+            return -1;
+    descending(d, m, order);
+    int64_t best = -1;
+    double best_val = INFINITY;
+    for (int64_t j = 0; j < n; j++) {
+        if (taken[j])
+            continue;
+        double own = 1.0 / (mu * (1.0 + a[j]));
+        if (!isfinite(own))
+            return -1;
+        if (own >= best_val)
+            continue;
+        double run = own;
+        int64_t t = 0;
+        for (; t < m; t++) {
+            double x = b[order[t] * n + j];
+            double c = x * x * own + d[order[t]];
+            if (!isfinite(c))
+                return -1;
+            if (c > run) {
+                run = c;
+                if (run >= best_val)
+                    break;
+            }
+        }
+        if (t == m) {
+            best = j;
+            best_val = run;
+        }
+    }
+    *value = best_val;
+    return best;
 }

@@ -325,9 +325,13 @@ def make_graph(model: str, n: int, seed: int, knn: int, p: float):
     return gen_community(n, seed)
 
 
-# Greedy methods whose picks at budget M are the first M picks at any larger
-# budget: no greedy step reads M, so one pass serves every budget of a trial.
-PREFIX_METHODS = ("agod", "god", "fagod", "fagod-exact", "dopt", "aopt", "eopt")
+# Methods whose picks at budget M are the first M picks at any larger
+# budget, so one pass serves every budget of a trial: no greedy step reads
+# M, and the leverage draw t reads only the t-th uniform of its stream and
+# the picks before it.  The uniform draw is left out: numpy's choice
+# without replacement draws a different stream for each M.
+PREFIX_METHODS = ("agod", "god", "fagod", "fagod-exact", "dopt", "aopt", "eopt",
+                  "rand-leverage")
 
 
 class _TrialContext:
@@ -358,7 +362,7 @@ class _TrialContext:
         # the largest sampling budget any row of this trial selects
         self._largest = max(spec.sweep) if spec.study in BUDGET_STUDIES \
             else self.K
-        self._greedy = {}
+        self._prefix = {}
         self._signal = None
         self._approx = None
 
@@ -379,17 +383,17 @@ class _TrialContext:
         return self._approx
 
     def select(self, method: str, M: int) -> tuple:
-        """Indices of a sampling set of size M; greedy methods run once per
-        trial.
+        """Indices of a sampling set of size M; the methods of
+        PREFIX_METHODS run once per trial.
 
-        A greedy method runs at the largest budget the trial needs, and
-        every smaller budget gets a prefix of that selection.
+        Such a method runs at the largest budget the trial needs, and every
+        smaller budget gets a prefix of that selection.
         """
         if method not in PREFIX_METHODS:
             return self._select(method, M).indices
-        full = self._greedy.get(method)
+        full = self._prefix.get(method)
         if full is None or len(full) < M:
-            full = self._greedy[method] = self._select(
+            full = self._prefix[method] = self._select(
                 method, max(M, self._largest)).indices
         return full[:M]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import Laplacian
+from .graphs import Laplacian, exactly_symmetric
 from .spectral import SpectralBasis
 
 # Off-diagonal magnitudes at or below this stop the Jacobi sweep early.
@@ -124,7 +124,7 @@ def greedy_jacobi(lap: Laplacian, J: int):
         raise ValueError(f"Laplacian must be square, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("Laplacian has non-finite entries")
-    if not np.array_equal(w, w.T):
+    if not exactly_symmetric(w):
         raise ValueError("Laplacian must be exactly symmetric")
     n = w.shape[0]
     if n >= 2 and J > 0:

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
+from . import _kernels
 from .rng import rng_from
 
 # Generators resample a disconnected draw with an incremented seed this
@@ -22,6 +23,25 @@ MAX_CONNECT_ATTEMPTS = 50
 # the G2 Erdos-Renyi model.
 SENSOR_KNN = 6
 ER_P = 0.05
+
+# Rows per block of `exactly_symmetric`.
+SYMMETRY_BLOCK = 128
+
+
+def exactly_symmetric(a: np.ndarray) -> bool:
+    """np.array_equal(a, a.T) for a square matrix a, without its n x n
+    boolean temporary.
+
+    Each block of SYMMETRY_BLOCK rows is compared, from its diagonal
+    block on, with the same columns read down: every pair of entries
+    once, and every diagonal entry with itself, so a NaN anywhere fails
+    as it does in the full comparison.  Stops at the first unequal block.
+    """
+    for i in range(0, a.shape[0], SYMMETRY_BLOCK):
+        end = i + SYMMETRY_BLOCK
+        if not np.array_equal(a[i:end, i:], a[i:, i:end].T):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -43,7 +63,7 @@ class Graph:
             raise ValueError("graph needs at least 2 nodes")
         if adj.shape != (self.n, self.n):
             raise ValueError(f"adjacency shape {adj.shape} != ({self.n}, {self.n})")
-        if not np.array_equal(adj, adj.T):
+        if not exactly_symmetric(adj):
             raise ValueError("adjacency must be exactly symmetric")
         if np.any(adj < 0):
             raise ValueError("edge weights must be nonnegative")
@@ -93,25 +113,6 @@ def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
     return ncomp == 1
 
 
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k + 1 smallest entries of each row of `dist`.
-
-    Equal to np.argsort(dist, axis=1, kind="stable")[:, :k + 1]: ordered
-    by distance, ties by column.  A partition finds the candidates; a row
-    whose (k + 1)-th smallest value is shared by an entry left outside it
-    falls back to the stable sort, which settles that tie by column.
-    """
-    cand = np.argpartition(dist, k, axis=1)[:, :k + 1]
-    vals = np.take_along_axis(dist, cand, axis=1)
-    order = np.lexsort((cand, vals), axis=1)
-    near = np.take_along_axis(cand, order, axis=1)
-    kth = vals.max(axis=1, keepdims=True)
-    tied = np.count_nonzero(dist <= kth, axis=1) > k + 1
-    if tied.any():
-        near[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k + 1]
-    return near
-
-
 def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
     """Random geometric sensor graph on the unit square.
 
@@ -127,25 +128,18 @@ def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
         used_seed = seed + attempt
         rng = rng_from(used_seed)
         pos = rng.random((n, 2))
-        # sqrt(dx*dx + dy*dy) in place, with one n x n temporary
-        dist = pos[:, 0, None] - pos[None, :, 0]
-        dist *= dist
-        dy = pos[:, 1, None] - pos[None, :, 1]
-        dy *= dy
-        dist += dy
-        del dy
-        np.sqrt(dist, out=dist)
-        near = _nearest(dist, k_nn)  # column 0 is the node itself
-        near_dist = np.take_along_axis(dist, near, axis=1)
+        # the k_nn + 1 nearest by sqrt(dx*dx + dy*dy), ties by index, as
+        # a stable argsort of the distance matrix orders them; column 0
+        # is the node itself
+        near, near_dist = _kernels.knn(pos, k_nn)
         theta = near_dist[:, k_nn].mean()
         weights = np.exp(-(near_dist[:, 1:] ** 2) / (2.0 * theta ** 2))
-        del dist
         rows, cols = np.arange(n)[:, None], near[:, 1:]
         linked = weights > 0  # an underflowed weight is no edge
         if not _is_connected(n, np.nonzero(linked)[0], cols[linked]):
             continue
-        # (x_i - x_j)^2 equals (x_j - x_i)^2 exactly, so dist is bitwise
-        # symmetric and a mutual pair gets the same weight from either end:
+        # (x_i - x_j)^2 equals (x_j - x_i)^2 exactly, so distances are
+        # bitwise symmetric and a mutual pair gets the same weight from either end:
         # writing both directions is the union symmetrization max(A, A^T)
         # without a second n x n array
         adj = np.zeros((n, n))

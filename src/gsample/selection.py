@@ -21,8 +21,11 @@ Woodbury nothing n x n is formed).  `LoadedGramState` keeps Z^-1 with rank-one
 four criteria.  A dense filter matrix handed to `greedy_select` grows
 (T_SS + mu I)^-1 by Schur complements instead (`FagodState`).  god and eopt have
 no incremental form and run the plain greedy loop of
-`oracle.greedy_minimize`.  Random sampling, which minimizes nothing,
-rounds out the set of strategies benchmarked against each other.
+`oracle.greedy_minimize`.  The agod and fagod steps take their argmin in
+compiled early-exit scans (`smallest_candidate`); the numpy
+`candidate_objectives` stay as their references.  Random sampling,
+which minimizes nothing, rounds out the set of strategies benchmarked
+against each other.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .filters import ApproxFilter
 from .oracle import greedy_minimize
 from .rng import rng_from
@@ -192,7 +196,9 @@ class LoadedGramState:
     eigenvectors for agod, aopt and dopt, the filter's factor for fagod.
     `add` makes one rank-one (Sherman-Morrison) update, and `projections`
     gives U = V Z^-1 and g_j = u_j . v_j for every node in one pass; the
-    agod objective is max diag Z^-1.
+    agod objective is max diag Z^-1.  `smallest_candidate` is the agod
+    step, by the compiled scan; `candidate_objectives` is its numpy
+    reference.
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
@@ -207,6 +213,7 @@ class LoadedGramState:
         self._zinv = np.eye(self.K) / mu
         self.selected = []
         self._taken = np.zeros(self.n, dtype=bool)
+        self._scan = None
 
     @property
     def inverse(self) -> np.ndarray:
@@ -227,6 +234,18 @@ class LoadedGramState:
         obj = cand.max(axis=1)
         obj[self._taken] = np.inf
         return obj
+
+    def smallest_candidate(self):
+        """The first node of smallest `candidate_objectives` and that
+        objective, bit for bit, without the n x K temporaries: U and g as
+        `projections` computes them, written into the scan's buffers."""
+        if self._scan is None:
+            self._scan = _kernels.AgodScan(self.n, self.K, self._taken)
+        scan = self._scan
+        np.matmul(self.factor, self._zinv, out=scan.u)
+        np.einsum("ij,ij->i", scan.u, self.factor, out=scan.g)
+        np.copyto(scan.diag, np.diagonal(self._zinv))
+        return scan()
 
     def candidate_traces(self) -> np.ndarray:
         """Tr (Z + v_j^T v_j)^-1 = Tr Z^-1 - |u_j|^2 / (1 + g_j) for each j
@@ -292,6 +311,9 @@ class FagodState:
         obj[cand] = np.maximum(grown_max, 1.0 / schur)
         return obj
 
+    def smallest_candidate(self):
+        return _smallest(self.candidate_objectives())
+
     def add(self, j: int) -> None:
         j = int(j)
         if self._taken[j]:
@@ -319,26 +341,36 @@ class FactoredFagodState(LoadedGramState):
     def __init__(self, factor: np.ndarray, mu: float):
         super().__init__(factor, mu)
         self._a = np.einsum("ij,ij->i", self.factor, self.factor) / mu
-        # rows of B, grown by doubling; the first len(selected) are live
+        # rows of B and entries of d, grown by doubling; the first
+        # len(selected) are live
         self._b = np.empty((0, self.n))
-        self._d = np.zeros(0)
+        self._d = np.empty(0)
 
     def objective(self) -> float:
         if not self.selected:
             return 1.0 / self.mu
-        return float(self._d.max())
+        return float(self._d[:len(self.selected)].max())
 
     def candidate_objectives(self) -> np.ndarray:
         """Objective after adding each node j (inf where already selected)."""
         # the new node's own diagonal, 1 / Schur complement
         obj = 1.0 / (self.mu * (1.0 + self._a))
-        if self.selected:
-            grown = np.square(self._b[:len(self.selected)])
+        m = len(self.selected)
+        if m:
+            grown = np.square(self._b[:m])
             grown *= obj
-            grown += self._d[:, None]
+            grown += self._d[:m, None]
             obj = np.maximum(obj, grown.max(axis=0))
         obj[self._taken] = np.inf
         return obj
+
+    def smallest_candidate(self):
+        """The first node of smallest `candidate_objectives` and that
+        objective, bit for bit, by the compiled scan of B's columns."""
+        if self._scan is None:
+            self._scan = _kernels.FagodScan(self._b, self._d, self._a,
+                                            self._taken, self.mu)
+        return self._scan(len(self.selected))
 
     def add(self, j: int) -> None:
         j = self._free(j)
@@ -349,12 +381,14 @@ class FactoredFagodState(LoadedGramState):
         h = self.factor @ u / s
         m = len(self.selected)
         if m == self._b.shape[0]:
-            grown = np.empty((min(self.n, 2 * m + 8), self.n))
-            grown[:m] = self._b
-            self._b = grown
+            rows = min(self.n, 2 * m + 8)
+            self._b = np.concatenate([self._b, np.empty((rows - m, self.n))])
+            self._d = np.concatenate([self._d, np.empty(rows - m)])
+            self._scan = None  # bound to the old buffers
         b_j = self._b[:m, j].copy()
         schur = self.mu * s
-        self._d = np.append(self._d + b_j ** 2 / schur, 1.0 / schur)
+        self._d[:m] += b_j ** 2 / schur
+        self._d[m] = 1.0 / schur
         self._b[:m] -= b_j[:, None] * h
         self._b[m] = h
         self._a -= s * h * h
@@ -413,7 +447,7 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
     else:
         state = (LoadedGramState if method == "agod"
                  else FactoredFagodState)(basis.low_frequency(K), mu)
-    return _greedy(state, M, lambda s: _smallest(s.candidate_objectives()))
+    return _greedy(state, M, lambda s: s.smallest_candidate())
 
 
 def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
@@ -462,9 +496,10 @@ def random_select(mode: str, basis: SpectralBasis, K: int, M: int,
     """Random sampling without replacement, uniform or leverage-weighted.
 
     Leverage mode draws sequentially with renormalization over the
-    remaining nodes.  A random set minimizes no objective, so its trace
-    is empty; `objective_agod` scores any prefix on the greedy methods'
-    axis.
+    remaining nodes, one uniform per pick, so its first picks are the
+    same at every budget M.  A random set minimizes no objective, so its
+    trace is empty; `objective_agod` scores any prefix on the greedy
+    methods' axis.
     """
     _check_budget(M, basis.n)
     rng = rng_from(seed)

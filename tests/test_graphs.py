@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gsample import (Graph, build_laplacian, gen_community, gen_er,
-                     gen_sensor, load_graph, save_graph)
-from gsample.graphs import _is_connected, _nearest
+from gsample import (Graph, Laplacian, build_laplacian, gen_community,
+                     gen_er, gen_sensor, greedy_jacobi, load_graph, save_graph)
+from gsample import _kernels
+from gsample.graphs import SYMMETRY_BLOCK, _is_connected, exactly_symmetric
 
 
 def test_laplacian_two_node_path():
@@ -35,6 +36,49 @@ def test_graph_rejects_bad_adjacency():
         Graph(2, np.array([[1.0, 0.5], [0.5, 0.0]]))  # self-loop
     with pytest.raises(ValueError):
         Graph(1, np.zeros((1, 1)))  # too small
+
+
+_LAST = 2 * SYMMETRY_BLOCK + 4
+
+
+@pytest.mark.parametrize("i,j", [
+    (0, 5), (5, 0), (0, _LAST),                     # first row
+    (_LAST, 3), (3, _LAST), (_LAST, _LAST - 1),     # last row
+    (SYMMETRY_BLOCK - 1, SYMMETRY_BLOCK),           # across a block boundary
+    (SYMMETRY_BLOCK, SYMMETRY_BLOCK - 1),
+    (SYMMETRY_BLOCK - 1, 2 * SYMMETRY_BLOCK + 1)])
+def test_one_asymmetric_pair_is_rejected_wherever_it_sits(i, j):
+    n = _LAST + 1
+    rng = np.random.default_rng(i * n + j)
+    adj = np.triu(rng.random((n, n)), 1)
+    adj += adj.T
+    assert exactly_symmetric(adj) and Graph(n, adj.copy()).n == n
+    adj[i, j] = np.nextafter(adj[i, j], 2.0)
+    assert not exactly_symmetric(adj)
+    with pytest.raises(ValueError, match="adjacency must be exactly symmetric"):
+        Graph(n, adj)
+    lap = Laplacian(np.diag(adj.sum(axis=1)) - adj)
+    with pytest.raises(ValueError, match="Laplacian must be exactly symmetric"):
+        greedy_jacobi(lap, 5)
+
+
+def test_symmetry_check_agrees_with_the_full_comparison():
+    # NaN fails everywhere, on the diagonal too; -0.0 equals 0.0
+    rng = np.random.default_rng(0)
+    for n in (1, 2, SYMMETRY_BLOCK, SYMMETRY_BLOCK + 1, 2 * SYMMETRY_BLOCK + 3):
+        base = rng.integers(0, 3, size=(n, n)).astype(float)
+        base += base.T
+        for i, j, value in [(0, 0, np.nan), (n - 1, n - 1, np.nan),
+                            (0, n - 1, np.nan), (n - 1, 0, -0.0)]:
+            a = base.copy()
+            a[i, j] = value
+            if value == 0.0:
+                a[j, i] = 0.0
+            assert exactly_symmetric(a) == np.array_equal(a, a.T)
+    nan_loop = np.zeros((3, 3))
+    nan_loop[1, 1] = np.nan
+    with pytest.raises(ValueError, match="adjacency must be exactly symmetric"):
+        Graph(3, nan_loop)
 
 
 def test_sensor_two_nodes_closed_form():
@@ -102,9 +146,15 @@ def _distances(pos):
     return np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
 
 
-def _assert_nearest_matches_stable_sort(dist, k):
+def _assert_nearest_matches_stable_sort(pos, k):
+    # the k-NN kernel of gen_sensor against a stable sort of the full
+    # distance matrix: the same nodes in the same order, the same distances
+    dist = _distances(pos)
     expected = np.argsort(dist, axis=1, kind="stable")[:, :k + 1]
-    assert np.array_equal(_nearest(dist, k), expected)
+    near, near_dist = _kernels.knn(np.ascontiguousarray(pos), k)
+    assert np.array_equal(near, expected)
+    assert near_dist.tobytes() == \
+        np.take_along_axis(dist, expected, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (7, 6), (40, 1), (40, 6), (300, 6),
@@ -112,7 +162,7 @@ def _assert_nearest_matches_stable_sort(dist, k):
 def test_nearest_matches_stable_sort_on_random_draws(n, k):
     rng = np.random.default_rng(n + k)
     for _ in range(3):
-        _assert_nearest_matches_stable_sort(_distances(rng.random((n, 2))), k)
+        _assert_nearest_matches_stable_sort(rng.random((n, 2)), k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
@@ -123,14 +173,41 @@ def test_nearest_breaks_boundary_ties_by_column(k):
     pos = rng.random((30, 2))
     pos[[4, 9, 17]] = pos[12]
     pos[25] = pos[2]
-    _assert_nearest_matches_stable_sort(_distances(pos), k)
+    _assert_nearest_matches_stable_sort(pos, k)
     # a lattice: four equidistant neighbours, then four more on the
     # diagonals
     grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), -1)
-    _assert_nearest_matches_stable_sort(_distances(grid.reshape(-1, 2)), k)
-    # few distinct values: ties at every rank
-    dist = rng.integers(0, 3, size=(25, 25)).astype(float)
-    _assert_nearest_matches_stable_sort(dist, k)
+    _assert_nearest_matches_stable_sort(grid.reshape(-1, 2), k)
+    # few distinct positions: ties at every rank
+    _assert_nearest_matches_stable_sort(
+        rng.integers(0, 3, size=(25, 2)).astype(float), k)
+
+
+def test_nearest_ties_on_the_rounded_distance():
+    # nodes 1 and 2 lie at different squared distances from node 0 whose
+    # square roots round to the same distance: a tie, which goes to node
+    # 1, although node 2 is nearer before the square root
+    pos = np.array([[0.5, 0.5], [0.4612061875836073, 0.7974811592659301],
+                    [0.6637881060959387, 0.7513433036734924], [0.9, 0.1]])
+    d = pos[0] - pos[1:3]
+    squared = (d * d).sum(axis=1)
+    assert squared[1] < squared[0] and np.sqrt(squared[0]) == np.sqrt(squared[1])
+    for k in (1, 2, 3):
+        _assert_nearest_matches_stable_sort(pos, k)
+    assert _kernels.knn(pos, 1)[0][0].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_nearest_keeps_every_node_at_k_n_minus_1(n):
+    rng = np.random.default_rng(n)
+    _assert_nearest_matches_stable_sort(rng.random((n, 2)), n - 1)
+    # all points in one place: every row is 0..n-1, the node itself
+    # among its twins
+    _assert_nearest_matches_stable_sort(np.full((n, 2), 0.5), n - 1)
+    _assert_nearest_matches_stable_sort(np.full((n, 2), 0.5), 0)
+    for k in (-1, n):
+        with pytest.raises(ValueError, match="0 <= k < n"):
+            _kernels.knn(np.full((n, 2), 0.5), k)
 
 
 def _components_by_bfs(n, rows, cols):

@@ -1,9 +1,13 @@
-"""The compiled filter kernels against their numpy references.
+"""The compiled kernels against their numpy references.
 
 `greedy_jacobi` and the rotation product `_kernels.rotate_rows` run in C;
-`gsample.oracle` keeps the numpy loops they replaced.  The kernels repeat the references'
-arithmetic term by term, so every comparison here is exact: the same
-(p, q) sequence, bitwise-equal angles, eigenvalues and rotation products.
+`gsample.oracle` keeps the numpy loops they replaced.  The greedy argmin
+scans of agod and fagod (`smallest_candidate`) run in C too; the states'
+`candidate_objectives` are their numpy references.  The kernels repeat
+the references' arithmetic term by term, so every comparison here is
+exact: the same (p, q) sequence, bitwise-equal angles, eigenvalues and
+rotation products, the same picks and bitwise-equal objectives.  The
+k-NN kernel of `gen_sensor` is checked in test_graphs.py.
 """
 
 import math
@@ -18,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (Graph, GivensSeq, Laplacian, build_laplacian,
-                     gen_community, gen_er, gen_sensor, greedy_jacobi,
-                     rotation_budget)
+from gsample import (FactoredFagodState, Graph, GivensSeq, Laplacian,
+                     LoadedGramState, approximate_lowpass, build_laplacian,
+                     eigendecompose, gen_community, gen_er, gen_sensor,
+                     greedy_jacobi, greedy_select, rotation_budget)
 from gsample import _kernels
 from gsample.filters import OFFDIAG_TOL
 from gsample.oracle import givens_matrix_reference, greedy_jacobi_reference
@@ -393,3 +398,148 @@ def test_kernel_builds_without_warnings(tmp_path):
          "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE), "-lm"],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# greedy argmin scans
+
+
+def _numpy_step(state):
+    # the scan the kernels replace: np.argmin of the numpy objectives
+    scores = state.candidate_objectives()
+    j = int(np.argmin(scores))
+    return j, float(scores[j])
+
+
+def assert_scan_matches_numpy(state, steps):
+    """Compare the compiled step with the numpy one, then take it; returns
+    the picks and their objectives."""
+    picks, values = [], []
+    for _ in range(steps):
+        want = _numpy_step(state)
+        got = state.smallest_candidate()
+        assert got[0] == want[0] and not state._taken[got[0]]
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        state.add(got[0])
+        picks.append(got[0])
+        values.append(got[1])
+    return picks, values
+
+
+_STATES = {"agod": LoadedGramState, "fagod": FactoredFagodState}
+
+
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+@pytest.mark.parametrize("mu", [1 / 99, 1e-3, 1e-6])
+def test_argmin_scans_match_numpy_on_full_passes(model, mu):
+    n, K, M = 200, 10, 30
+    lap = build_laplacian(_graph(model, n, 5))
+    basis = eigendecompose(lap, K + 1)
+    filt = approximate_lowpass(lap, K)
+    exact = basis.low_frequency(K)
+    for method, factor, selected in [
+            ("agod", exact, greedy_select("agod", M, basis=basis, K=K, mu=mu)),
+            ("fagod", exact,
+             greedy_select("fagod", M, basis=basis, K=K, mu=mu)),
+            ("fagod", filt.factor, greedy_select("fagod", M, filt=filt, mu=mu)),
+            ("agod", filt.factor, None)]:
+        picks, values = assert_scan_matches_numpy(
+            _STATES[method](factor, mu), M)
+        if selected is not None:
+            assert list(selected.indices) == picks
+            assert selected.objective_trace == tuple(values)
+
+
+@pytest.mark.parametrize("method", ["agod", "fagod"])
+def test_argmin_scans_break_ties_by_index(method):
+    # a constant column: every free node scores the same, so the picks
+    # run 0, 1, 2, ...
+    flat = np.full((9, 1), 1 / 3)
+    picks, _ = assert_scan_matches_numpy(_STATES[method](flat, 0.5), 9)
+    assert picks == list(range(9))
+    # each row three times: twins tie at every step, and a taken twin
+    # leaves the next one to win
+    rng = np.random.default_rng(2)
+    factor = np.repeat(rng.standard_normal((5, 3)), 3, axis=0)
+    assert_scan_matches_numpy(_STATES[method](factor[::-1].copy(), 1e-3), 15)
+
+
+@st.composite
+def _factor_with_ties(draw):
+    n = draw(st.integers(1, 9))
+    K = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1e-3, 2.0])
+    rows = draw(st.lists(st.lists(values, min_size=K, max_size=K),
+                         min_size=n, max_size=n))
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_with_ties(), st.sampled_from([1e-6, 1e-3, 1 / 99, 1.0]),
+       st.sampled_from(sorted(_STATES)))
+def test_argmin_scans_match_numpy_on_small_factors(factor, mu, method):
+    assert_scan_matches_numpy(_STATES[method](factor, mu), len(factor))
+
+
+def _first_free(state):
+    return int(np.argmin(state._taken))
+
+
+@pytest.mark.parametrize("poke", ["factor", "own"])
+def test_non_finite_candidate_fails_loudly(poke):
+    rng = np.random.default_rng(0)
+    factor = rng.standard_normal((12, 3))
+    state = (LoadedGramState if poke == "factor" else FactoredFagodState)(
+        factor, 1e-3)
+    state.add(4)
+    if poke == "factor":
+        factor[7, 2] = np.nan   # g_7 and row 7 of U turn NaN
+    else:
+        state._a[7] = -1.0      # o_7 = 1 / 0
+    with pytest.raises(ValueError, match="not finite"):
+        state.smallest_candidate()
+
+
+@pytest.mark.parametrize("where,value", [("b", np.inf), ("b", np.nan),
+                                         ("d", np.nan)])
+def test_non_finite_fagod_term_fails_loudly(where, value):
+    rng = np.random.default_rng(1)
+    state = FactoredFagodState(rng.standard_normal((12, 3)), 1e-3)
+    for j in (0, 5):
+        state.add(j)
+    if where == "b":
+        # the first free node is never dropped, so its column is read
+        state._b[0, _first_free(state)] = value
+    else:
+        state._d[1] = value
+    with pytest.raises(ValueError, match="not finite"):
+        state.smallest_candidate()
+
+
+def test_agod_scan_rejects_a_non_finite_g():
+    # with g_j = inf every term of node j reads diag_k - u_jk^2 / inf =
+    # diag_k, which is finite: only the check on 1 + g_j catches it
+    taken = np.zeros(4, dtype=bool)
+    scan = _kernels.AgodScan(4, 2, taken)
+    scan.u[:], scan.g[:], scan.diag[:] = 1.0, 0.5, 2.0
+    assert scan() == (0, 2.0 - 1.0 / 1.5)
+    scan.g[2] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        scan()
+
+
+def test_scan_buffers_are_checked_when_bound():
+    taken = np.zeros(5, dtype=bool)
+    with pytest.raises(ValueError, match="C-contiguous bool"):
+        _kernels.AgodScan(5, 2, taken.astype(np.uint8))
+    b, d, a = np.zeros((4, 5)), np.zeros(4), np.zeros(5)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _kernels.FagodScan(np.zeros((4, 10))[:, ::2], d, a, taken, 1.0)
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        _kernels.FagodScan(b, np.zeros(3), a, taken, 1.0)
+    scan = _kernels.FagodScan(b, d, a, taken, 1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        scan(5)
+    taken[:] = True
+    with pytest.raises(ValueError, match="no node is free"):
+        scan(0)
