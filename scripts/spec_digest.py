@@ -6,9 +6,11 @@ Runs each spec in `specs/` that `gsample run` accepts and prints the
 SHA-256 of its CSV's data columns, every column but `wall_ms`.  Then
 prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
 `gsample oracle subopt` on the specs of those studies.  The CSVs are
-written as the CLI writes them, to a temporary directory.  Running the
-script against two checkouts (PYTHONPATH pointing at each `src/`) and
-comparing the printed lines compares their results byte for byte.
+written as the CLI writes them, to a temporary directory.  Last it
+prints one SHA-256 over the fixed grid GRAPH_DRAWS of `bench.make_graph`
+draws, the graphs of `run` and `graph gen`.  Running the script against
+two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
+printed lines compares their results byte for byte.
 """
 
 import hashlib
@@ -21,10 +23,22 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from gsample import bench  # noqa: E402
+from gsample.graphs import ER_P, SENSOR_KNN  # noqa: E402
 from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 TIMING_COLUMN = "wall_ms"
+
+# (model, n, seed, knn, p): 11 sizes x 4 seeds x (four G1 neighbour
+# counts, three G2 edge probabilities, G3) = 352 draws, failing ones
+# included
+GRAPH_DRAWS = tuple(
+    (model, n, seed, knn, p)
+    for n in (2, 3, 5, 8, 12, 20, 50, 100, 200, 400, 800)
+    for seed in (0, 1, 7, 123)
+    for model, knn, p in ([("G1", knn, ER_P) for knn in (1, 2, 6, 10)]
+                          + [("G2", SENSOR_KNN, p) for p in (0.05, 0.3, 1.0)]
+                          + [("G3", SENSOR_KNN, ER_P)]))
 
 
 def data_digest(path: Path) -> str:
@@ -38,6 +52,21 @@ def data_digest(path: Path) -> str:
 
 def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def generator_digest() -> str:
+    """SHA-256 over GRAPH_DRAWS: each draw's adjacency bytes and sorted
+    meta, or the exception type where the draw fails."""
+    digest = hashlib.sha256()
+    for draw in GRAPH_DRAWS:
+        try:
+            graph = bench.make_graph(*draw)
+        except (ValueError, RuntimeError) as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        digest.update(graph.adjacency.tobytes())
+        digest.update(repr(sorted(graph.meta.items())).encode())
+    return digest.hexdigest()
 
 
 def main() -> int:
@@ -56,6 +85,7 @@ def main() -> int:
                 save_subopt_csv(bench.run_subopt_reports(spec), out)
                 print(f"oracle subopt {path.name} {file_digest(out)}",
                       flush=True)
+    print(f"generators {len(GRAPH_DRAWS)} draws {generator_digest()}")
     return 0
 
 

@@ -134,16 +134,14 @@ BUDGET_STUDIES = ("rmse_vs_size", "objective_gap", "suboptimality")
 _NUMERIC_KEYS = {"n": int, "K": int, "mu": float, "J": int, "trials": int,
                  "base_seed": int, "sigma2": float, "knn": int, "p": float}
 _WORDS = {"K": ("model", "auto"), "J": ("auto",)}
-# (range test, what it asks) of a numeric key; graph sizes, n included,
-# are checked in _validate_consistency
+# (range test, what it asks) of a numeric key; the graph settings n, knn
+# and p are checked by graph_problem
 _RANGES = {
     "K": (lambda v: v >= 1, "positive"),
     "mu": (lambda v: v > 0, "positive"),
     "J": (lambda v: v >= 0, "nonnegative"),
     "trials": (lambda v: v >= 1, "at least 1"),
     "sigma2": (lambda v: v >= 0, "nonnegative"),
-    "knn": (lambda v: v >= 1, "at least 1"),
-    "p": (lambda v: 0 < v <= 1, "in (0, 1]"),
 }
 _MODEL_KEYS = {"graph": GRAPH_MODELS, "signal": SIGNAL_MODELS}
 
@@ -182,7 +180,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         linenos[key] = lineno
 
     def anchor(key):
-        return f"{source}:{linenos[key]}"
+        return f"{source}:{linenos[key]}" if key in linenos else source
 
     if "study" not in data:
         raise SpecError(f"{source}: missing required key 'study'")
@@ -228,7 +226,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         values[key] = value
 
     spec = ExperimentSpec(study=study, **{**_STUDY_DEFAULTS[study], **values})
-    _validate_consistency(spec, source, linenos)
+    _validate_consistency(spec, anchor)
     return spec
 
 
@@ -260,24 +258,14 @@ def _signal_bandwidth(spec: ExperimentSpec, n: int) -> int:
         SIGNAL_MODELS[spec.signal][0]
 
 
-def _er_all_draws_disconnected(n: int, p: float) -> float:
-    """Estimated chance that all of `gen_er`'s draws of G(n, p) are
-    disconnected: P(connected) ~ exp(-lambda), where lambda =
-    n (1 - p)^(n - 1) is the expected number of isolated nodes."""
-    lam = n * (1.0 - p) ** (n - 1)
-    return (1.0 - math.exp(-lam)) ** MAX_CONNECT_ATTEMPTS
-
-
-def _validate_consistency(spec: ExperimentSpec, source, linenos):
-    def where(key):
-        return f"{source}:{linenos[key]}" if key in linenos else source
-
+def _validate_consistency(spec: ExperimentSpec, where):
     # every graph size the spec builds, and the key that sets them
     size_key = "sweep" if spec.study == "rmse_vs_n" else "n"
     sizes = spec.sweep if spec.study == "rmse_vs_n" else (spec.n,)
     for n in sizes:
-        if n < 2:
-            raise SpecError(f"{where(size_key)}: graph size {n} is below 2")
+        if problem := graph_problem(spec.graph, n, spec.knn, spec.p):
+            key, message = problem
+            raise SpecError(f"{where(size_key if key == 'n' else key)}: {message}")
         k_eff = resolve_k(spec, n)
         if k_eff > n:
             raise SpecError(f"{where('K')}: bandwidth K={k_eff} exceeds n={n}")
@@ -285,12 +273,6 @@ def _validate_consistency(spec: ExperimentSpec, source, linenos):
         if spec.study in RMSE_STUDIES and width > n:
             raise SpecError(f"{where(size_key)}: signal {spec.signal} has "
                             f"bandwidth {width} > n={n}")
-        if spec.graph == "G3" and n < 8:
-            raise SpecError(f"{where(size_key)}: community graphs need n >= 8")
-        # a run fails if all draws of the ER graph are disconnected
-        if spec.graph == "G2" and _er_all_draws_disconnected(n, spec.p) > 1e-6:
-            raise SpecError(f"{where(size_key)}: G(n={n}, p={spec.p}) is too "
-                            f"rarely connected for {MAX_CONNECT_ATTEMPTS} draws")
     if spec.study in BUDGET_STUDIES:
         for m in spec.sweep:
             if not 1 <= m <= spec.n:
@@ -310,6 +292,29 @@ def _validate_consistency(spec: ExperimentSpec, source, linenos):
 
 # ---------------------------------------------------------------------------
 # per-trial machinery
+
+def graph_problem(model: str, n: int, knn: int, p: float):
+    """The setting at fault ("n", "knn" or "p") and the message of the first
+    rule `make_graph(model, n, seed, knn, p)` breaks, or None: the one check
+    of the graph settings, for specs and `graph gen`.  G2 fails when all
+    MAX_CONNECT_ATTEMPTS draws are disconnected with a chance above 1e-6:
+    P(connected) ~ exp(-lambda), lambda = n (1 - p)^(n - 1) the expected
+    number of isolated nodes."""
+    if n < 2:
+        return "n", f"graph size {n} is below 2"
+    if knn < 1:
+        return "knn", "knn must be at least 1"
+    if not 0 < p <= 1:
+        return "p", "p must be in (0, 1]"
+    if model == "G3" and n < 8:
+        return "n", "community graphs need n >= 8"
+    if model == "G2":
+        lam = n * (1.0 - p) ** (n - 1)
+        if (1.0 - math.exp(-lam)) ** MAX_CONNECT_ATTEMPTS > 1e-6:
+            return "n", (f"G(n={n}, p={p}) is too rarely connected for "
+                         f"{MAX_CONNECT_ATTEMPTS} draws")
+    return None
+
 
 def make_graph(model: str, n: int, seed: int, knn: int, p: float):
     """A graph of model G1 (sensor), G2 (Erdos-Renyi) or G3 (community).
@@ -611,17 +616,11 @@ def run_subopt_reports(spec: ExperimentSpec):
             for _, m, report, _ in _subopt_trial(spec, trial, spec.methods[:1])]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_result_csv(result: ExperimentResult, path) -> None:
     """Write rows under the fixed header; wall_ms is the only jittery column."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in result.rows:
             fh.write(",".join([r.study, r.graph, r.signal, r.method,
-                               _fmt(r.sweep), str(r.trial), repr(float(r.value)),
+                               str(r.sweep), str(r.trial), repr(float(r.value)),
                                f"{r.wall_ms:.3f}", str(r.seed)]) + "\n")

@@ -110,6 +110,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if problem := bench.graph_problem(args.model, args.n, args.knn, args.p):
+        raise bench.SpecError(problem[1])
     graph = bench.make_graph(args.model, args.n, args.seed, args.knn, args.p)
     save_graph(graph, args.out)
     print(f"wrote {args.model} graph (n={graph.n}, "

@@ -113,6 +113,26 @@ def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
     return ncomp == 1
 
 
+def _resample(model: str, n: int, seed: int, draw) -> Graph:
+    """The first connected graph `draw(rng)` returns over the seeds seed,
+    seed + 1, ... (MAX_CONNECT_ATTEMPTS of them): `draw` gives the adjacency,
+    None when disconnected, and the model's own `meta` fields."""
+    for used_seed in range(seed, seed + MAX_CONNECT_ATTEMPTS):
+        adj, meta = draw(rng_from(used_seed))
+        if adj is not None:
+            return Graph(n, adj, meta={"model": model, "seed": used_seed, **meta})
+    raise RuntimeError(f"no connected {model} graph in {MAX_CONNECT_ATTEMPTS} "
+                       f"attempts (n={n})")
+
+
+def _bernoulli_edges(rng, n: int, prob):
+    """Unit-weight adjacency with each pair i < j linked with probability
+    prob (a scalar or an n x n array), or None when it is disconnected."""
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    if _is_connected(n, *np.nonzero(upper)):
+        return (upper | upper.T).astype(float)
+
+
 def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
     """Random geometric sensor graph on the unit square.
 
@@ -124,9 +144,8 @@ def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
     """
     if not 1 <= k_nn < n:
         raise ValueError(f"need 1 <= k_nn < n, got k_nn={k_nn}, n={n}")
-    for attempt in range(MAX_CONNECT_ATTEMPTS):
-        used_seed = seed + attempt
-        rng = rng_from(used_seed)
+
+    def draw(rng):
         pos = rng.random((n, 2))
         # the k_nn + 1 nearest by sqrt(dx*dx + dy*dy), ties by index, as
         # a stable argsort of the distance matrix orders them; column 0
@@ -137,7 +156,7 @@ def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
         rows, cols = np.arange(n)[:, None], near[:, 1:]
         linked = weights > 0  # an underflowed weight is no edge
         if not _is_connected(n, np.nonzero(linked)[0], cols[linked]):
-            continue
+            return None, {}
         # (x_i - x_j)^2 equals (x_j - x_i)^2 exactly, so distances are
         # bitwise symmetric and a mutual pair gets the same weight from either end:
         # writing both directions is the union symmetrization max(A, A^T)
@@ -145,10 +164,9 @@ def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
         adj = np.zeros((n, n))
         adj[rows, cols] = weights
         adj[cols, rows] = weights
-        return Graph(n, adj, meta={"model": "sensor", "seed": used_seed,
-                                   "k_nn": k_nn})
-    raise RuntimeError(
-        f"no connected sensor graph in {MAX_CONNECT_ATTEMPTS} attempts (n={n})")
+        return adj, {"k_nn": k_nn}
+
+    return _resample("sensor", n, seed, draw)
 
 
 def gen_er(n: int, p: float, seed: int = 0) -> Graph:
@@ -157,16 +175,8 @@ def gen_er(n: int, p: float, seed: int = 0) -> Graph:
         raise ValueError("edge probability must be in (0, 1]")
     if n < 2:
         raise ValueError("graph needs at least 2 nodes")
-    for attempt in range(MAX_CONNECT_ATTEMPTS):
-        used_seed = seed + attempt
-        rng = rng_from(used_seed)
-        draws = rng.random((n, n))
-        upper = np.triu(draws < p, k=1)
-        if _is_connected(n, *np.nonzero(upper)):
-            adj = (upper | upper.T).astype(float)
-            return Graph(n, adj, meta={"model": "er", "seed": used_seed, "p": p})
-    raise RuntimeError(
-        f"no connected ER graph in {MAX_CONNECT_ATTEMPTS} attempts (n={n}, p={p})")
+    return _resample("er", n, seed,
+                     lambda rng: (_bernoulli_edges(rng, n, p), {"p": p}))
 
 
 def gen_community(n: int, seed: int = 0) -> Graph:
@@ -179,23 +189,15 @@ def gen_community(n: int, seed: int = 0) -> Graph:
     if n < 8:
         raise ValueError("community model needs n >= 8")
     c = int(np.floor(np.sqrt(n) / 2.0))
-    c = max(c, 1)
-    for attempt in range(MAX_CONNECT_ATTEMPTS):
-        used_seed = seed + attempt
-        rng = rng_from(used_seed)
+
+    def draw(rng):
         sizes = 2 + rng.multinomial(n - 2 * c, np.full(c, 1.0 / c))
         labels = np.repeat(np.arange(c), sizes)
-        same = labels[:, None] == labels[None, :]
-        prob = np.where(same, 0.3, 2.0 / n)
-        draws = rng.random((n, n))
-        upper = np.triu(draws < prob, k=1)
-        if _is_connected(n, *np.nonzero(upper)):
-            adj = (upper | upper.T).astype(float)
-            return Graph(n, adj, meta={"model": "community", "seed": used_seed,
-                                       "communities": int(c),
-                                       "sizes": tuple(int(s) for s in sizes)})
-    raise RuntimeError(
-        f"no connected community graph in {MAX_CONNECT_ATTEMPTS} attempts (n={n})")
+        prob = np.where(labels[:, None] == labels[None, :], 0.3, 2.0 / n)
+        return _bernoulli_edges(rng, n, prob), {
+            "communities": c, "sizes": tuple(int(s) for s in sizes)}
+
+    return _resample("community", n, seed, draw)
 
 
 def save_graph(graph: Graph, path) -> None:

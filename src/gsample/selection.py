@@ -150,16 +150,17 @@ def objective_eopt(indices, basis: SpectralBasis, K: int) -> float:
     return float(sv[-1])
 
 
-def update_inverse_rank_one(zinv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sherman-Morrison: inverse of Z + v^T v given Zinv, for a row vector v.
-
-    For positive definite Z the denominator 1 + v Zinv v^T is at least 1,
-    so the update never divides by anything small.
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
+def _sherman_morrison(zinv: np.ndarray, v: np.ndarray):
+    """(Z + v^T v)^-1 given Zinv for a 1-d v, with u = Zinv v^T and the
+    divisor s = 1 + v u, at least 1 for positive definite Z."""
     u = zinv @ v
-    denom = 1.0 + float(v @ u)
-    return zinv - np.outer(u, u) / denom
+    s = 1.0 + float(v @ u)
+    return zinv - np.outer(u, u) / s, u, s
+
+
+def update_inverse_rank_one(zinv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sherman-Morrison: inverse of Z + v^T v given Zinv, for a row vector v."""
+    return _sherman_morrison(zinv, np.asarray(v, dtype=float).reshape(-1))[0]
 
 
 def update_inverse_grow(minv: np.ndarray, col: np.ndarray,
@@ -195,10 +196,10 @@ class LoadedGramState:
     The one holder of Z^-1 for an n x K factor V: the K lowest
     eigenvectors for agod, aopt and dopt, the filter's factor for fagod.
     `add` makes one rank-one (Sherman-Morrison) update, and `projections`
-    gives U = V Z^-1 and g_j = u_j . v_j for every node in one pass; the
-    agod objective is max diag Z^-1.  `smallest_candidate` is the agod
-    step, by the compiled scan; `candidate_objectives` is its numpy
-    reference.
+    gives U = V Z^-1 and g_j = u_j . v_j for every node in one pass, which
+    every step reads; the agod objective is max diag Z^-1.
+    `smallest_candidate` is the agod step, by the compiled scan;
+    `candidate_objectives` is its numpy reference.
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
@@ -213,16 +214,21 @@ class LoadedGramState:
         self._zinv = np.eye(self.K) / mu
         self.selected = []
         self._taken = np.zeros(self.n, dtype=bool)
-        self._scan = None
+        self._agod = None
 
     @property
     def inverse(self) -> np.ndarray:
         return self._zinv.copy()
 
     def projections(self):
-        """U = V Z^-1 (row j is v_j Z^-1) and g_j = v_j Z^-1 v_j^T."""
-        u = self.factor @ self._zinv
-        return u, np.einsum("ij,ij->i", u, self.factor)
+        """U = V Z^-1 (row j is v_j Z^-1) and g_j = v_j Z^-1 v_j^T, written
+        into the agod scan's buffers; they hold until the next `add`."""
+        if self._agod is None:
+            self._agod = _kernels.AgodScan(self.n, self.K, self._taken)
+        scan = self._agod
+        np.matmul(self.factor, self._zinv, out=scan.u)
+        np.einsum("ij,ij->i", scan.u, self.factor, out=scan.g)
+        return scan.u, scan.g
 
     def objective(self) -> float:
         return max_diag(self._zinv)
@@ -237,15 +243,10 @@ class LoadedGramState:
 
     def smallest_candidate(self):
         """The first node of smallest `candidate_objectives` and that
-        objective, bit for bit, without the n x K temporaries: U and g as
-        `projections` computes them, written into the scan's buffers."""
-        if self._scan is None:
-            self._scan = _kernels.AgodScan(self.n, self.K, self._taken)
-        scan = self._scan
-        np.matmul(self.factor, self._zinv, out=scan.u)
-        np.einsum("ij,ij->i", scan.u, self.factor, out=scan.g)
-        np.copyto(scan.diag, np.diagonal(self._zinv))
-        return scan()
+        objective, bit for bit, without the n x K temporaries."""
+        self.projections()
+        np.copyto(self._agod.diag, np.diagonal(self._zinv))
+        return self._agod()
 
     def candidate_traces(self) -> np.ndarray:
         """Tr (Z + v_j^T v_j)^-1 = Tr Z^-1 - |u_j|^2 / (1 + g_j) for each j
@@ -255,17 +256,15 @@ class LoadedGramState:
         traces[self._taken] = np.inf
         return traces
 
-    def _free(self, j) -> int:
+    def add(self, j: int):
+        """Select node j; returns u = Z^-1 v_j^T and s = 1 + v_j u."""
         j = int(j)
         if self._taken[j]:
             raise ValueError(f"node {j} already selected")
-        return j
-
-    def add(self, j: int) -> None:
-        j = self._free(j)
-        self._zinv = update_inverse_rank_one(self._zinv, self.factor[j])
+        self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
         self.selected.append(j)
         self._taken[j] = True
+        return u, s
 
 
 class FagodState:
@@ -345,6 +344,7 @@ class FactoredFagodState(LoadedGramState):
         # len(selected) are live
         self._b = np.empty((0, self.n))
         self._d = np.empty(0)
+        self._scan = None
 
     def objective(self) -> float:
         if not self.selected:
@@ -373,13 +373,10 @@ class FactoredFagodState(LoadedGramState):
         return self._scan(len(self.selected))
 
     def add(self, j: int) -> None:
-        j = self._free(j)
-        v = self.factor[j]
-        u = self._zinv @ v
-        s = 1.0 + float(v @ u)
+        j, m = int(j), len(self.selected)
+        u, s = super().add(j)
         # the new row of B: v_j Z'^-1 V^T = (V Z^-1 v_j^T)^T / s
         h = self.factor @ u / s
-        m = len(self.selected)
         if m == self._b.shape[0]:
             rows = min(self.n, 2 * m + 8)
             self._b = np.concatenate([self._b, np.empty((rows - m, self.n))])
@@ -392,7 +389,6 @@ class FactoredFagodState(LoadedGramState):
         self._b[:m] -= b_j[:, None] * h
         self._b[m] = h
         self._a -= s * h * h
-        super().add(j)
 
 
 def _check_budget(M: int, n: int) -> None:
@@ -463,8 +459,7 @@ def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> Sampling
 
     def largest_gain(s):
         nonlocal logdet
-        _, gain = s.projections()
-        gain[s._taken] = -np.inf
+        gain = np.where(s._taken, -np.inf, s.projections()[1])
         j = int(np.argmax(gain))
         logdet += np.log1p(gain[j])
         return j, -logdet / K

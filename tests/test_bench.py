@@ -459,9 +459,39 @@ def test_cli_graph_gen(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert np.array_equal(load_graph(out).adjacency,
                           bench.make_graph("G1", 5, 4, 6, 0.05).adjacency)
+    # a bad value is a validation error, as in a spec
     assert main(["graph", "gen", "--model", "G1", "--n", "30", "--knn", "-3",
-                 "--out", str(out)]) == 2
-    assert "k_nn" in capsys.readouterr().err
+                 "--out", str(out)]) == 1
+    assert "knn must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "G1", "--n", "1"],
+    ["--model", "G1", "--n", "30", "--knn", "0"],
+    ["--model", "G2", "--n", "30", "--p", "0"],
+    ["--model", "G3", "--n", "4"],
+    ["--model", "G2", "--n", "3", "--p", "0.01"],
+], ids=lambda flags: "_".join(f.lstrip("-") for f in flags))
+def test_cli_graph_gen_rejects_what_validate_rejects(tmp_path, capsys,
+                                                     monkeypatch, flags):
+    def no_draw(*args):
+        raise AssertionError("drew a graph for a rejected value")
+
+    for name in ("gen_sensor", "gen_er", "gen_community"):
+        monkeypatch.setattr(bench, name, no_draw)
+    # the spec that sets each flag's value
+    spec_key = {"--model": "graph", "--n": "n", "--knn": "knn", "--p": "p"}
+    spec = tmp_path / "bad.spec"
+    spec.write_text("study = rmse_vs_size\n" + "".join(
+        f"{spec_key[flag]} = {value}\n"
+        for flag, value in zip(flags[::2], flags[1::2])), encoding="utf-8")
+    assert main(["validate", str(spec)]) == 1
+    # the validator's message after its `file:line: ` anchor
+    message = capsys.readouterr().err.split(": ", 2)[2]
+    out = tmp_path / "g.txt"
+    assert main(["graph", "gen", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

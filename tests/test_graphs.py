@@ -5,8 +5,10 @@ import pytest
 
 from gsample import (Graph, Laplacian, build_laplacian, gen_community,
                      gen_er, gen_sensor, greedy_jacobi, load_graph, save_graph)
-from gsample import _kernels
-from gsample.graphs import SYMMETRY_BLOCK, _is_connected, exactly_symmetric
+from gsample import _kernels, graphs
+from gsample.graphs import (MAX_CONNECT_ATTEMPTS, SYMMETRY_BLOCK, _is_connected,
+                            exactly_symmetric)
+from gsample.rng import rng_from
 
 
 def test_laplacian_two_node_path():
@@ -285,6 +287,23 @@ def test_community_determinism():
     assert np.array_equal(a.adjacency, b.adjacency)
     with pytest.raises(ValueError):
         gen_community(7, seed=0)
+
+
+@pytest.mark.parametrize("model,make", [
+    ("sensor", lambda: gen_sensor(20, 3, seed=5)),
+    ("er", lambda: gen_er(20, 0.5, seed=5)),
+    ("community", lambda: gen_community(20, seed=5)),
+])
+def test_generators_give_up_after_max_connect_attempts(monkeypatch, model,
+                                                       make):
+    seeds = []
+    monkeypatch.setattr(graphs, "_is_connected", lambda n, rows, cols: False)
+    monkeypatch.setattr(graphs, "rng_from",
+                        lambda seed: seeds.append(seed) or rng_from(seed))
+    with pytest.raises(RuntimeError, match=rf"^no connected {model} graph in "
+                       rf"{MAX_CONNECT_ATTEMPTS} attempts \(n=20\)$"):
+        make()
+    assert seeds == list(range(5, 5 + MAX_CONNECT_ATTEMPTS))
 
 
 @pytest.mark.parametrize("make", [
