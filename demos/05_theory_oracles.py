@@ -39,11 +39,11 @@ print(f"  {'mu':>6s} {'empirical alpha':>16s} {'max-diag curve':>15s} "
       f"{'trace curve':>12s}")
 for mu in (0.01, 0.1, 1.0):
     rep = empirical_alpha(
-        lambda S, mu=mu: objective_agod(S, basis6, 2, mu), 6, 5, mu)
+        lambda S, mu=mu: objective_agod(S, basis6, 2, mu), 6, mu)
     bg, bt = theorem_bounds(mu)
     print(f"  {mu:6.2f} {rep.alpha_empirical:16.6f} {bg:15.6f} {bt:12.6f}")
 print("  (scalar bandwidth K=1 is the supermodular case: alpha = 1 exactly)")
-rep1 = empirical_alpha(lambda S: objective_agod(S, basis6, 1, 0.1), 6, 5, 0.1)
+rep1 = empirical_alpha(lambda S: objective_agod(S, basis6, 1, 0.1), 6, 0.1)
 print(f"  K=1 check: empirical alpha = {rep1.alpha_empirical:.6f}")
 
 print()

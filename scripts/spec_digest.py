@@ -6,9 +6,11 @@ Runs each spec in `specs/` that `gsample run` accepts and prints the
 SHA-256 of its CSV's data columns, every column but `wall_ms`.  Then
 prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
 `gsample oracle subopt` on the specs of those studies.  The CSVs are
-written as the CLI writes them, to a temporary directory.  Last it
+written as the CLI writes them, to a temporary directory.  Then it
 prints one SHA-256 over the fixed grid GRAPH_DRAWS of `bench.make_graph`
-draws, the graphs of `run` and `graph gen`.  Running the script against
+draws, the graphs of `run` and `graph gen`, and last one over
+`greedy_jacobi` on the Laplacians of the grid JACOBI_GRAPHS at the
+default rotation budget.  Running the script against
 two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
 """
@@ -23,7 +25,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from gsample import bench  # noqa: E402
-from gsample.graphs import ER_P, SENSOR_KNN  # noqa: E402
+from gsample.filters import greedy_jacobi, rotation_budget  # noqa: E402
+from gsample.graphs import ER_P, SENSOR_KNN, build_laplacian  # noqa: E402
 from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -39,6 +42,12 @@ GRAPH_DRAWS = tuple(
     for model, knn, p in ([("G1", knn, ER_P) for knn in (1, 2, 6, 10)]
                           + [("G2", SENSOR_KNN, p) for p in (0.05, 0.3, 1.0)]
                           + [("G3", SENSOR_KNN, ER_P)]))
+
+# (model, n, seed, knn, p): G1, G2 and G3 at four sizes and two seeds; G2
+# links with p = 8 / n, so every size connects
+JACOBI_GRAPHS = tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n))
+                      for model in bench.GRAPH_MODELS
+                      for n in (16, 60, 200, 400) for seed in (0, 1))
 
 
 def data_digest(path: Path) -> str:
@@ -69,6 +78,18 @@ def generator_digest() -> str:
     return digest.hexdigest()
 
 
+def jacobi_digest() -> str:
+    """SHA-256 over JACOBI_GRAPHS: the bytes of each sweep's planes,
+    angles, approximate eigenvalues and perm."""
+    digest = hashlib.sha256()
+    for model, n, seed, knn, p in JACOBI_GRAPHS:
+        lap = build_laplacian(bench.make_graph(model, n, seed, knn, p))
+        seq, eigs, perm = greedy_jacobi(lap, rotation_budget(n))
+        for part in (seq.planes, seq.thetas, eigs, perm):
+            digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
@@ -85,7 +106,9 @@ def main() -> int:
                 save_subopt_csv(bench.run_subopt_reports(spec), out)
                 print(f"oracle subopt {path.name} {file_digest(out)}",
                       flush=True)
-    print(f"generators {len(GRAPH_DRAWS)} draws {generator_digest()}")
+    print(f"generators {len(GRAPH_DRAWS)} draws {generator_digest()}",
+          flush=True)
+    print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}")
     return 0
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, fields
 from .filters import approximate_lowpass, exact_lowpass, rotation_budget
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
-from .oracle import COMB_GUARD, empirical_alpha, relative_suboptimality
+from .oracle import (ALPHA_MAX_NODES, COMB_GUARD, empirical_alpha,
+                     relative_suboptimality)
 from .reconstruction import (biased_reconstruct, blue_reconstruct,
                              filter_reconstruct, rmse, snr_to_sigma2)
 from .rng import child_seed
@@ -144,14 +145,22 @@ _RANGES = {
     "sigma2": (lambda v: v >= 0, "nonnegative"),
 }
 _MODEL_KEYS = {"graph": GRAPH_MODELS, "signal": SIGNAL_MODELS}
+# the key a study's sweep sets, and why a spec may not set it too
+_SWEPT_KEYS = {"rmse_vs_n": ("n", "n is swept in rmse_vs_n"),
+               "rmse_vs_snr": ("sigma2", "rmse_vs_snr derives sigma2 from "
+                               "the swept SNR"),
+               "alpha": ("mu", "mu is swept in the alpha study")}
 
 
 def _parse_scalar(key, value, lineno, source, kind):
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         raise SpecError(
             f"{source}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(number):
+        raise SpecError(f"{source}:{lineno}: {key} must be finite, got {value!r}")
+    return number
 
 
 def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
@@ -190,11 +199,9 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
                         f"(expected one of {', '.join(ALL_STUDIES)})")
     if study in ("objective_gap", "alpha") and "methods" in data:
         raise SpecError(f"{anchor('methods')}: methods are fixed for study {study!r}")
-    if study == "rmse_vs_n" and "n" in data:
-        raise SpecError(f"{anchor('n')}: n is swept in rmse_vs_n; remove the n key")
-    if study == "rmse_vs_snr" and "sigma2" in data:
-        raise SpecError(f"{anchor('sigma2')}: rmse_vs_snr derives sigma2 "
-                        "from the swept SNR")
+    swept, why = _SWEPT_KEYS.get(study, (None, None))
+    if swept in data:
+        raise SpecError(f"{anchor(swept)}: {why}; remove the {swept} key")
 
     values = {}
     for key, value in data.items():
@@ -284,8 +291,9 @@ def _validate_consistency(spec: ExperimentSpec, where):
             raise SpecError(f"{where('n')}: exhaustive search needs "
                             f"C(n, M) <= {COMB_GUARD}")
     if spec.study == "alpha":
-        if spec.n > 8:
-            raise SpecError(f"{where('n')}: alpha enumeration limited to n <= 8")
+        if spec.n > ALPHA_MAX_NODES:
+            raise SpecError(f"{where('n')}: alpha enumeration limited to "
+                            f"n <= {ALPHA_MAX_NODES}")
         if any(v <= 0 for v in spec.sweep):
             raise SpecError(f"{where('sweep')}: alpha study sweeps mu values > 0")
 
@@ -443,24 +451,21 @@ def _trial_seed(spec: ExperimentSpec, trial: int, sweep_value) -> int:
 
 
 def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
+    """One context per graph size, built when the size changes, so a
+    trial holds one graph at a time."""
     rows = []
-    if spec.study == "rmse_vs_n":
-        contexts = {n: _TrialContext(spec, int(n), trial) for n in spec.sweep}
-    else:
-        contexts = {spec.n: _TrialContext(spec, spec.n, trial)}
-    for method in spec.methods:
-        for sweep_value in spec.sweep:
+    ctx = None
+    for sweep_value in spec.sweep:
+        n = int(sweep_value) if spec.study == "rmse_vs_n" else spec.n
+        if ctx is None or ctx.n != n:
+            ctx = None  # drop the last size's context before the next is built
+            ctx = _TrialContext(spec, n, trial)
+        budget = int(sweep_value) if spec.study == "rmse_vs_size" else ctx.K
+        sigma2 = snr_to_sigma2(sweep_value) if spec.study == "rmse_vs_snr" \
+            else spec.sigma2
+        seed = _trial_seed(spec, trial, sweep_value)
+        for method in spec.methods:
             t0 = time.perf_counter()
-            if spec.study == "rmse_vs_n":
-                ctx = contexts[sweep_value]
-                budget, sigma2 = ctx.K, spec.sigma2
-            elif spec.study == "rmse_vs_snr":
-                ctx = contexts[spec.n]
-                budget, sigma2 = ctx.K, snr_to_sigma2(sweep_value)
-            else:
-                ctx = contexts[spec.n]
-                budget, sigma2 = int(sweep_value), spec.sigma2
-            seed = _trial_seed(spec, trial, sweep_value)
             try:
                 # select before the signal is built, so a lazily built
                 # signal is not held through the Jacobi sweep
@@ -504,7 +509,7 @@ def _gap_trial_rows(spec: ExperimentSpec, trial: int):
             raise RuntimeError(f"{curve} objective trace increased with the "
                                f"budget (trial {trial})")
     rows = []
-    for curve in GAP_CURVES:
+    for curve in spec.methods:
         for m in spec.sweep:
             rows.append(ResultRow(spec.study, spec.graph, spec.signal, curve,
                                   m, trial, values[m][curve], wall_ms,
@@ -573,8 +578,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(work, range(spec.trials)))
     rows = [row for batch in batches for row in batch]
-    method_order = {m: i for i, m in enumerate(
-        GAP_CURVES if spec.study == "objective_gap" else spec.methods)}
+    method_order = {m: i for i, m in enumerate(spec.methods)}
     sweep_order = {v: i for i, v in enumerate(spec.sweep)}
     rows.sort(key=lambda r: (method_order[r.method], sweep_order[r.sweep], r.trial))
     expected = len(method_order) * len(spec.sweep) * spec.trials
@@ -598,7 +602,7 @@ def run_alpha_certificate(spec: ExperimentSpec):
         for mu in spec.sweep:
             def g(indices, _mu=mu):
                 return objective_agod(indices, ctx.basis, ctx.K, _mu)
-            report = empirical_alpha(g, spec.n, spec.n - 1, mu)
+            report = empirical_alpha(g, spec.n, mu)
             reports.append((f"{spec.graph}-n{spec.n}-t{trial}", report))
     return reports
 

@@ -6,6 +6,7 @@ most, where dense storage is simpler and faster than sparse bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +49,9 @@ def exactly_symmetric(a: np.ndarray) -> bool:
 class Graph:
     """Undirected weighted graph on nodes 0..n-1.
 
-    The adjacency matrix must be exactly symmetric with nonnegative
-    weights and a zero diagonal.  `meta` records generator provenance
-    (model tag, seed actually used).
+    The adjacency matrix must be finite and exactly symmetric, with
+    nonnegative weights and a zero diagonal.  `meta` records generator
+    provenance (model tag, seed actually used).
     """
 
     n: int
@@ -63,9 +64,14 @@ class Graph:
             raise ValueError("graph needs at least 2 nodes")
         if adj.shape != (self.n, self.n):
             raise ValueError(f"adjacency shape {adj.shape} != ({self.n}, {self.n})")
+        # reductions, not an n x n boolean; a NaN comes out of both
+        heaviest, lightest = float(adj.max()), float(adj.min())
+        for weight in (heaviest, lightest):
+            if not math.isfinite(weight):
+                raise ValueError(f"adjacency has a non-finite weight {weight}")
         if not exactly_symmetric(adj):
             raise ValueError("adjacency must be exactly symmetric")
-        if np.any(adj < 0):
+        if lightest < 0:
             raise ValueError("edge weights must be nonnegative")
         if np.any(np.diag(adj) != 0):
             raise ValueError("self-loops are not allowed")
@@ -240,6 +246,8 @@ def load_graph(path, n: int | None = None) -> Graph:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {i}")
             if i < 0 or j < 0 or i >= j:
                 raise ValueError(f"{path}:{lineno}: indices must satisfy 0 <= i < j")
+            if not math.isfinite(w):
+                raise ValueError(f"{path}:{lineno}: non-finite weight {parts[2]!r}")
             if w < 0:
                 raise ValueError(f"{path}:{lineno}: negative weight {w}")
             if n is not None and j >= n:

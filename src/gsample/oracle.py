@@ -40,7 +40,6 @@ class SuboptimalityReport:
     g_star: float
     g_empty: float
     r: float
-    optimal_set: tuple
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,13 @@ def relative_suboptimality(objective, candidate_set, n: int, M: int) -> Suboptim
     if len(candidate) != M:
         raise ValueError(f"candidate set has size {len(candidate)}, expected {M}")
     g_hat = float(objective(candidate))
-    g_star, best_set = exhaustive_optimum(objective, n, M)
+    g_star, _ = exhaustive_optimum(objective, n, M)
     g_empty = float(objective(()))
     gap = g_empty - g_star
     if gap <= 0:
         raise ValueError("degenerate instance: g(empty) <= g*")
     r = (g_hat - g_star) / gap
-    return SuboptimalityReport(g_hat, g_star, g_empty, r, best_set)
+    return SuboptimalityReport(g_hat, g_star, g_empty, r)
 
 
 def _subset_values(objective, n: int):
@@ -102,24 +101,20 @@ def _subset_values(objective, n: int):
     return values
 
 
-def empirical_alpha(objective, n: int, max_set_size: int, mu: float) -> AlphaReport:
+def empirical_alpha(objective, n: int, mu: float) -> AlphaReport:
     """Exact alpha by enumerating every A subset of B and j outside B.
 
     alpha is the smallest ratio of marginal gains [g(A+j) - g(A)] /
-    [g(B+j) - g(B)] over |B| <= max_set_size.  Ratios with a denominator
-    below DEGENERATE_GAIN in magnitude are skipped and counted.
+    [g(B+j) - g(B)].  Ratios with a denominator below DEGENERATE_GAIN in
+    magnitude are skipped and counted.
     """
     if n > ALPHA_MAX_NODES:
         raise ValueError(f"alpha enumeration limited to n <= {ALPHA_MAX_NODES}")
-    if not 0 <= max_set_size <= n - 1:
-        raise ValueError("max_set_size must leave at least one node outside B")
     g = _subset_values(objective, n)
     alpha = np.inf
     skipped = 0
     considered = 0
     for b_mask in range(2 ** n):
-        if bin(b_mask).count("1") > max_set_size:
-            continue
         for j in range(n):
             bit = 1 << j
             if b_mask & bit:
@@ -244,72 +239,34 @@ def offdiag_sq_norm(mat: np.ndarray) -> float:
     return float((mat ** 2).sum() - (np.diag(mat) ** 2).sum())
 
 
-class _RowMax:
-    """Running per-row maximum of |W| over the strict upper triangle.
-
-    Keeps pair selection at O(n) per rotation after the O(n^2) setup.
-    Rows whose cached entry may have been invalidated by a rotation are
-    recomputed with a fresh argmax, which also preserves the tie rule
-    (smallest p, then smallest q).
-    """
-
-    def __init__(self, w: np.ndarray):
-        self.w = w
-        self.n = w.shape[0]
-        self.best_col = np.zeros(self.n - 1, dtype=np.intp)
-        self.best_val = np.zeros(self.n - 1)
-        for i in range(self.n - 1):
-            self._recompute(i)
-
-    def _recompute(self, i: int) -> None:
-        row = np.abs(self.w[i, i + 1 :])
-        j = int(np.argmax(row))
-        self.best_col[i] = i + 1 + j
-        self.best_val[i] = row[j]
-
-    def pick(self):
-        p = int(np.argmax(self.best_val))
-        return p, int(self.best_col[p]), float(self.best_val[p])
-
-    def update_after_rotation(self, p: int, q: int) -> None:
-        stale = np.zeros(self.n - 1, dtype=bool)
-        if p > 0:
-            stale[:p] |= np.abs(self.w[:p, p]) >= self.best_val[:p]
-        if q > 0:
-            stale[:q] |= np.abs(self.w[:q, q]) >= self.best_val[:q]
-        stale |= (self.best_col == p) | (self.best_col == q)
-        if p < self.n - 1:
-            stale[p] = True
-        if q < self.n - 1:
-            stale[q] = True
-        for i in np.nonzero(stale)[0]:
-            self._recompute(int(i))
-
-
 def jacobi_angle(w_pp: float, w_qq: float, w_pq: float) -> float:
     """Classical Jacobi angle that zeroes the (p, q) entry."""
     return 0.5 * math.atan2(2.0 * w_pq, w_qq - w_pp)
 
 
 def greedy_jacobi_reference(lap, J: int):
-    """Numpy reference of `filters.greedy_jacobi`.
+    """Numpy reference of `filters.greedy_jacobi`, by its definition.
 
-    Returns (rotations as a tuple of (p, q, theta), approximate eigenvalues
-    sorted ascending, perm).
+    Each of at most J rotations zeroes the first largest |w_pq|, p < q,
+    of the current matrix in row-major order; the sweep stops once that
+    magnitude is at most OFFDIAG_TOL.  Every pivot is a fresh scan of the
+    strict upper triangle.  Returns (rotations as a tuple of
+    (p, q, theta), approximate eigenvalues sorted ascending, perm).
     """
     w = lap.matrix.astype(float).copy()
     n = w.shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    # entries outside the strict upper triangle stay zero
+    magnitude = np.zeros((n, n))
     rotations = []
-    if n >= 2 and J > 0:
-        tracker = _RowMax(w)
-        for _ in range(J):
-            p, q, val = tracker.pick()
-            if val <= OFFDIAG_TOL:
-                break
-            theta = jacobi_angle(w[p, p], w[q, q], w[p, q])
-            apply_rotation(w, p, q, theta)
-            rotations.append((p, q, theta))
-            tracker.update_after_rotation(p, q)
+    for _ in range(J):
+        np.abs(w, out=magnitude, where=upper)
+        p, q = divmod(int(np.argmax(magnitude)), n)
+        if magnitude[p, q] <= OFFDIAG_TOL:
+            break
+        theta = jacobi_angle(w[p, p], w[q, q], w[p, q])
+        apply_rotation(w, p, q, theta)
+        rotations.append((p, q, theta))
     diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
     return tuple(rotations), diag[perm], perm

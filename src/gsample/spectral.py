@@ -147,6 +147,9 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     """
     n = lap.n
     if K is None or K >= n:
+        # eigh returns NaNs for a non-finite matrix without complaint
+        if not np.isfinite(lap.matrix).all():
+            raise ValueError("Laplacian has non-finite entries")
         w, v = np.linalg.eigh(lap.matrix)
         order = np.argsort(w, kind="stable")
         return SpectralBasis(w[order], _fix_signs(v[:, order]))

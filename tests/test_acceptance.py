@@ -134,7 +134,7 @@ def test_criterion_02_alpha_certificate():
         expected = ((1.0 - (1.0 / 3.0) / (mu + 5.0 / 6.0)) / mu
                     - (2.0 / 3.0 + mu)
                     / ((2.0 / 3.0 + mu) * (0.5 + mu) - 1.0 / 6.0))
-        rep = empirical_alpha(g, 3, 2, mu)
+        rep = empirical_alpha(g, 3, mu)
         # zero up to rounding: the middle Fiedler entry is ~1e-16, not 0
         holds = (abs(gain_empty) <= 1e-12 and gain_after > 0.0
                  and gain_after == pytest.approx(expected, rel=1e-9)
@@ -152,7 +152,7 @@ def test_criterion_02_alpha_certificate():
         def g(S):
             return objective_agod(S, basis, K, mu)
 
-        rep = empirical_alpha(g, n, n - 1, mu)
+        rep = empirical_alpha(g, n, mu)
         bound_met += rep.alpha_empirical >= rep.bound_g
         values = {}
         for mask in range(2 ** n):

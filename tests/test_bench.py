@@ -97,6 +97,12 @@ def test_parse_defaults():
     ("study = suboptimality\ngraph = G2\nn = 10", ":3: G\\(n=10"),
     ("study = rmse_vs_size\ngraph = G2\nn = 60", ":3: G\\(n=60"),
     ("study = rmse_vs_n\nsweep = 1, 40", ":2: graph size 1 is below 2"),
+    # every spec number is finite, and a study's sweep owns the key it sets
+    ("study = rmse_vs_size\nmu = inf", ":2: mu must be finite"),
+    ("study = rmse_vs_size\nsigma2 = inf", ":2: sigma2 must be finite"),
+    ("study = rmse_vs_snr\nsweep = nan, nan", ":2: sweep must be finite"),
+    ("study = alpha\nsweep = nan", ":2: sweep must be finite"),
+    ("study = alpha\nmu = 0.1", ":2: mu is swept in the alpha study"),
 ])
 def test_parse_rejects_bad_specs(text, match):
     with pytest.raises(SpecError, match=match):

@@ -40,6 +40,15 @@ def test_graph_rejects_bad_adjacency():
         Graph(1, np.zeros((1, 1)))  # too small
 
 
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+def test_graph_rejects_non_finite_weights(weight):
+    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    adj[1, 2] = adj[2, 1] = weight
+    # named as non-finite, before the symmetry check could fail on a NaN
+    with pytest.raises(ValueError, match=f"non-finite weight {weight}"):
+        Graph(3, adj)
+
+
 _LAST = 2 * SYMMETRY_BLOCK + 4
 
 
@@ -79,7 +88,7 @@ def test_symmetry_check_agrees_with_the_full_comparison():
             assert exactly_symmetric(a) == np.array_equal(a, a.T)
     nan_loop = np.zeros((3, 3))
     nan_loop[1, 1] = np.nan
-    with pytest.raises(ValueError, match="adjacency must be exactly symmetric"):
+    with pytest.raises(ValueError, match="non-finite weight nan"):
         Graph(3, nan_loop)
 
 
@@ -348,6 +357,9 @@ def test_edge_list_comments_ignored(tmp_path):
     ("1 0 1.0", "0 <= i < j"),
     ("0 1", "expected"),
     ("0 1 abc", "unparsable"),
+    ("0 1 inf", ":1: non-finite weight 'inf'"),
+    ("0 1 nan", ":1: non-finite weight 'nan'"),
+    ("0 1 1e400", ":1: non-finite weight '1e400'"),
 ])
 def test_edge_list_rejects_bad_lines(tmp_path, line, match):
     path = tmp_path / "bad.txt"

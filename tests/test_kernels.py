@@ -1,7 +1,7 @@
 """The compiled kernels against their numpy references.
 
 `greedy_jacobi` and the rotation product `_kernels.rotate_rows` run in C;
-`gsample.oracle` keeps the numpy loops they replaced.  The greedy argmin
+`gsample.oracle` keeps the definitions they reproduce.  The greedy argmin
 scans of agod and fagod (`smallest_candidate`) run in C too; the states'
 `candidate_objectives` are their numpy references.  The kernels repeat
 the references' arithmetic term by term, so every comparison here is

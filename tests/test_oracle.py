@@ -73,7 +73,7 @@ def test_relative_suboptimality_extremes():
 
 def test_empirical_alpha_includes_trivial_ratio_one():
     basis = _basis(6, 1)
-    rep = empirical_alpha(lambda S: objective_agod(S, basis, 2, 0.1), 6, 5, 0.1)
+    rep = empirical_alpha(lambda S: objective_agod(S, basis, 2, 0.1), 6, 0.1)
     # A = B contributes ratio exactly 1, so alpha can never exceed 1
     assert rep.alpha_empirical <= 1.0
     assert rep.alpha_empirical >= 0.0
@@ -83,16 +83,16 @@ def test_empirical_alpha_includes_trivial_ratio_one():
 def test_empirical_alpha_scalar_case_is_supermodular():
     # K = 1 reduces to g(S) = 1/(sum + mu): genuinely supermodular, alpha = 1
     basis = _basis(6, 2)
-    rep = empirical_alpha(lambda S: objective_agod(S, basis, 1, 0.1), 6, 5, 0.1)
+    rep = empirical_alpha(lambda S: objective_agod(S, basis, 1, 0.1), 6, 0.1)
     assert rep.alpha_empirical == pytest.approx(1.0, abs=1e-9)
     assert rep.skipped == 0
 
 
 def test_empirical_alpha_guards():
     with pytest.raises(ValueError):
-        empirical_alpha(lambda S: 0.0, 9, 5, 0.1)
+        empirical_alpha(lambda S: 0.0, 9, 0.1)
     with pytest.raises(ValueError, match="degenerate"):
-        empirical_alpha(lambda S: 1.0, 4, 3, 0.1)  # constant objective
+        empirical_alpha(lambda S: 1.0, 4, 0.1)  # constant objective
 
 
 def test_theorem_bounds_spot_values():
@@ -149,7 +149,7 @@ def test_greedy_minimize_prefix_consistency():
 def test_report_csv_writers(tmp_path):
     basis = _basis(6, 5)
     alpha_rep = empirical_alpha(lambda S: objective_agod(S, basis, 2, 0.1),
-                                6, 5, 0.1)
+                                6, 0.1)
     apath = tmp_path / "alpha.csv"
     save_alpha_csv([("inst0", alpha_rep)], apath)
     lines = apath.read_text().splitlines()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
-                     gen_er, gen_sensor, gen_signal, gft, igft,
+from gsample import (Graph, Laplacian, build_laplacian, eigendecompose,
+                     gen_community, gen_er, gen_sensor, gen_signal, gft, igft,
                      leverage_scores, observe)
 from gsample.spectral import check_gap
 
@@ -190,6 +190,14 @@ def test_bandwidth_at_or_past_n_takes_the_dense_path(K):
     assert again.width == 8
     assert again.eigenvalues.tobytes() == full.eigenvalues.tobytes()
     assert again.eigenvectors.tobytes() == full.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_full_basis_rejects_non_finite_laplacian(entry):
+    matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    matrix[0, 0] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(Laplacian(matrix))
 
 
 def test_degenerate_bandwidth_fails_loudly():
