@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 scripts/spec_digest.py
 
 Runs each spec in `specs/` that `gsample run` accepts and prints the
-SHA-256 of its CSV's data columns, every column but `wall_ms`.  Then
+SHA-256 of its CSV's data columns, every column but `wall_ms`.  Each such
+spec runs twice, at the default process count and in process
+(threads=1), and the script exits 1 if the two disagree.  Then
 prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
 `gsample oracle subopt` on the specs of those studies.  The CSVs are
 written as the CLI writes them, to a temporary directory.  Then it
@@ -91,13 +93,21 @@ def jacobi_digest() -> str:
 
 
 def main() -> int:
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         for path in sorted(SPECS.glob("*.spec")):
             spec = bench.parse_spec_file(path)
             if spec.study in bench.RUN_STUDIES:
                 bench.write_result_csv(bench.run_experiment(spec), out)
-                print(f"run {path.name} {data_digest(out)}", flush=True)
+                digest = data_digest(out)
+                print(f"run {path.name} {digest}", flush=True)
+                bench.write_result_csv(bench.run_experiment(spec, threads=1),
+                                       out)
+                if data_digest(out) != digest:
+                    print(f"{path.name}: data columns differ at threads=1",
+                          file=sys.stderr)
+                    status = 1
             if spec.study == "alpha":
                 save_alpha_csv(bench.run_alpha_certificate(spec), out)
                 print(f"oracle alpha {path.name} {file_digest(out)}",
@@ -109,7 +119,7 @@ def main() -> int:
     print(f"generators {len(GRAPH_DRAWS)} draws {generator_digest()}",
           flush=True)
     print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ cached library, and installing a new build deletes the builds of earlier
 sources.  A failed build raises ImportError with the compiler's message.
 ctypes releases the interpreter lock for the duration of each call, and
 the kernels keep no state, so threads may call them at once on different
-buffers.
+buffers; the worker processes `bench.run_experiment` forks use the
+library their parent loaded.
 
 The kernels take raw addresses; the wrappers here check each array's
 type, shape and layout first.  (ndpointer argtypes would check on every

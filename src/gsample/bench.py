@@ -4,7 +4,8 @@ Experiments are described by flat `key = value` spec files (lists are
 comma-separated) and produce CSV rows
 `study,graph,signal,method,sweep,trial,value,wall_ms,seed`.  Every data
 column is a pure function of the spec, so reruns are byte-identical
-regardless of thread count; wall_ms is the only non-reproducible column.
+whatever the number of processes the trials run in; wall_ms is the only
+non-reproducible column.
 
 Studies:
 
@@ -18,10 +19,17 @@ Studies:
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import ctypes
 import functools
 import math
+import os
+import signal
+import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
 
 from .filters import approximate_lowpass, exact_lowpass, rotation_budget
@@ -550,34 +558,157 @@ def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
                                                             spec.methods)]
 
 
+def _trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
+    if spec.study in RMSE_STUDIES:
+        return _rmse_trial_rows(spec, trial, use_blue)
+    if spec.study == "objective_gap":
+        return _gap_trial_rows(spec, trial)
+    return _subopt_trial_rows(spec, trial)
+
+
+def _share_rows(spec: ExperimentSpec, trials, use_blue: bool):
+    """The rows of `trials`, run in order, and the failure that ended the
+    share as (trial, exception), or None."""
+    rows = []
+    for trial in trials:
+        try:
+            rows += _trial_rows(spec, trial, use_blue)
+        except Exception as exc:
+            return rows, (trial, exc)
+    return rows, None
+
+
+# Trials run in forked worker processes on Linux only: the workers are tied
+# to their parent's life with prctl, and placed with sched_getcpu.
+_FORKS = sys.platform.startswith("linux")
+_LIBC = ctypes.CDLL(None, use_errno=True) if _FORKS else None
+if _LIBC:
+    _LIBC.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    _LIBC.sched_getcpu.argtypes = ()
+_PR_SET_PDEATHSIG = 1
+# set_num_threads of the OpenBLAS builds: plain, numpy's and scipy's wheels
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads",
+                        "scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads")
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_init(parent: int) -> None:
+    """Kill the worker with its parent, leave Ctrl-C to the parent, and set
+    every loaded OpenBLAS to one thread, since a worker runs on one CPU."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if _LIBC.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent died before prctl took effect
+        os._exit(1)
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(library, name):
+                setter = getattr(library, name)
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                break
+
+
+def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
+    """`_share_rows` in a worker, pinned to `cpu` for the share.
+
+    The caller names a CPU other than its own: unpinned, or pinned once
+    for good, a worker was left on the caller's CPU for whole ops on a
+    2-vCPU Linux 6.18 guest, and the two ran no faster than one process.
+    """
+    with contextlib.suppress(OSError):  # the CPU left the worker's cpuset
+        os.sched_setaffinity(0, {cpu})
+    return _share_rows(spec, trials, use_blue)
+
+
+def _worker_pool():
+    """The persistent pool of usable CPUs - 1 forked workers (at least one).
+
+    Its workers are forked by the thread of the first call that submits,
+    before the pool's manager thread starts, and keep the module state of
+    that moment; they die with that thread.  A spawned worker would import
+    numpy and scipy afresh, about 0.2 s that every new `gsample run`
+    would pay, and a pool made per call costs about 10 ms to fork and
+    shut down.  The pool's modules load with it, so an in-process run
+    does not import them.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            _pool = ProcessPoolExecutor(
+                max(1, len(os.sched_getaffinity(0)) - 1),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_worker_init, initargs=(os.getpid(),))
+        return _pool
+
+
+def _drop_pool(pool, wait: bool = False) -> None:
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    if pool is not None:
+        pool.shutdown(wait=wait, cancel_futures=True)
+
+
+def _other_cpus() -> list:
+    """The usable CPUs but the one the caller runs on, or that one alone."""
+    here = _LIBC.sched_getcpu()
+    return [c for c in sorted(os.sched_getaffinity(0)) if c != here] or [here]
+
+
+# close the pool while the modules it runs on are still loaded
+atexit.register(lambda: _drop_pool(_pool, wait=True))
+
+
 def run_experiment(spec: ExperimentSpec, threads: int | None = None,
                    use_blue: bool = False) -> ExperimentResult:
     """Execute a spec and return deterministic result rows.
 
-    Trials run as independent work items on a pool of `threads` threads
-    (one when None); rows are sorted by (method, sweep, trial) in spec
-    order before returning, so scheduling never affects the output.
+    `threads` is the number of processes the trials run in, the usable
+    CPUs by default.  With W = min(trials, threads), the calling process
+    runs the trials t = 0 (mod W) itself, and the share t = w (mod W) of
+    each w > 0 goes to a persistent pool of forked workers as one task.
+    At W = 1, and off Linux, every trial runs in process and no process
+    starts.  A failed trial raises what it raises at threads = 1, and a
+    broken pool raises BrokenProcessPool and is replaced at the next call.
+    Rows are sorted by (method, sweep, trial) in spec order before
+    returning, so scheduling never affects the output.
     """
     if spec.study not in RUN_STUDIES:
         raise SpecError(f"study {spec.study!r} runs through "
                         "`gsample oracle alpha`, not `gsample run`")
-    threads = 1 if threads is None else threads
+    if threads is None:
+        threads = len(os.sched_getaffinity(0)) if _FORKS else 1
     if threads < 1:
         raise ValueError("thread count must be at least 1")
-
-    def work(trial):
-        if spec.study in RMSE_STUDIES:
-            return _rmse_trial_rows(spec, trial, use_blue)
-        if spec.study == "objective_gap":
-            return _gap_trial_rows(spec, trial)
-        return _subopt_trial_rows(spec, trial)
-
-    if threads == 1:
-        batches = [work(t) for t in range(spec.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(work, range(spec.trials)))
-    rows = [row for batch in batches for row in batch]
+    width = min(spec.trials, threads) if _FORKS else 1
+    shares = [range(w, spec.trials, width) for w in range(width)]
+    pool = _worker_pool() if width > 1 else None
+    futures = []
+    try:
+        if pool:
+            cpus = _other_cpus()
+            futures = [pool.submit(_worker_share, spec, share, use_blue,
+                                   cpus[w % len(cpus)])
+                       for w, share in enumerate(shares[1:])]
+        outcomes = [_share_rows(spec, shares[0], use_blue)]
+        outcomes += [future.result() for future in futures]
+    except BrokenExecutor:  # a worker died: BrokenProcessPool
+        _drop_pool(pool)
+        raise
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [row for share_rows, _ in outcomes for row in share_rows]
     method_order = {m: i for i, m in enumerate(spec.methods)}
     sweep_order = {v: i for i, v in enumerate(spec.sweep)}
     rows.sort(key=lambda r: (method_order[r.method], sweep_order[r.sweep], r.trial))

@@ -122,7 +122,8 @@ def greedy_jacobi(lap: Laplacian, J: int):
     w = np.array(lap.matrix, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"Laplacian must be square, got shape {w.shape}")
-    if not np.isfinite(w).all():
+    # reductions, not an n x n boolean; a NaN comes out of both
+    if w.size and not (math.isfinite(w.max()) and math.isfinite(w.min())):
         raise ValueError("Laplacian has non-finite entries")
     if not exactly_symmetric(w):
         raise ValueError("Laplacian must be exactly symmetric")

@@ -139,15 +139,21 @@ def test_row_count_and_order():
 
 
 def test_rerun_and_thread_invariance(tmp_path):
-    spec = parse_spec_text(SMALL_RMSE_SPEC)
-    paths = []
-    for tag, threads in (("a", 1), ("b", 1), ("c", 4)):
-        result = run_experiment(spec, threads=threads)
-        path = tmp_path / f"{tag}.csv"
-        write_result_csv(result, path)
-        paths.append(path)
-    a, b, c = (p.read_text() for p in paths)
-    assert _strip_wall(a) == _strip_wall(b) == _strip_wall(c)
+    # threads=None runs as many processes as there are usable CPUs; 3 and
+    # 4 can exceed them, so several shares queue on one worker
+    for text in (SMALL_RMSE_SPEC,
+                 "study = rmse_vs_n\nmethods = fagod, rand-leverage\n"
+                 "sweep = 22, 44\ntrials = 5\nbase_seed = 2\n",
+                 "study = suboptimality\nn = 8\nK = 2\nsweep = 2, 3\n"
+                 "trials = 5\nmethods = fagod-exact, rand-uniform\n"):
+        spec = parse_spec_text(text)
+        outputs = []
+        for tag, threads in (("a", 1), ("b", 1), ("c", None), ("d", 2),
+                             ("e", 3), ("f", 4)):
+            path = tmp_path / f"{tag}.csv"
+            write_result_csv(run_experiment(spec, threads=threads), path)
+            outputs.append(_strip_wall(path.read_text()))
+        assert outputs == [outputs[0]] * len(outputs), spec.study
 
 
 def test_snr_study_budget_is_bandwidth():
@@ -236,7 +242,8 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
     for name in ("greedy_select", "greedy_doptimal", "greedy_aoptimal",
                  "greedy_eoptimal"):
         monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
-    result = run_experiment(spec)
+    # in process: workers forked before the patch would not count
+    result = run_experiment(spec, threads=1)
     monkeypatch.undo()
     # one pass per deterministic method and trial, at the largest budget
     assert calls == Counter({(m, 6): spec.trials for m in (
@@ -288,7 +295,8 @@ def test_exact_filter_rows_build_no_dense_filter(monkeypatch):
     spec = parse_spec_text(PREFIX_SPEC.replace(
         "agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform",
         "fagod-exact"))
-    result = run_experiment(spec, use_blue=True)
+    # in process: workers forked before the patch would not call it
+    result = run_experiment(spec, threads=1, use_blue=True)
     assert len(result.rows) == len(spec.sweep) * spec.trials
     # --blue never switches fagod-exact to BLUE: its rows are the loaded
     # solve on V_K

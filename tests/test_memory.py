@@ -7,7 +7,9 @@ allocation stays far below one dense n x n array.  A dense filter brought
 back onto this path fails the bound.  The subset eigensolver holds one
 n x n working copy of the Laplacian and O(nK) more, where the full
 decomposition holds several n x n arrays.  The sensor generator builds
-no distance matrix, so its adjacency is its one n x n array.
+no distance matrix, so its adjacency is its one n x n array.  The Jacobi
+sweep checks its input with reductions and row blocks, next to its one
+n x n working copy.
 """
 
 import tracemalloc
@@ -67,3 +69,13 @@ def test_sensor_graph_holds_one_dense_array():
     n = 800
     peak = _peak_mb(lambda: gen_sensor(n, 6, seed=0))
     assert peak < 1.5 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+
+
+def test_greedy_jacobi_checks_its_input_beside_one_working_copy():
+    n = 800
+    lap = build_laplacian(gen_sensor(n, 6, seed=0))
+    greedy_jacobi(lap, 0)  # warm up
+    # at J = 0 the sweep only copies and checks the Laplacian; an n x n
+    # boolean (0.61 MiB here) would show above the copy
+    extra = _peak_mb(lambda: greedy_jacobi(lap, 0)) - n * n * 8 / MIB
+    assert extra < 0.5 * n * n / MIB, f"{extra:.2f} MiB above the copy"
