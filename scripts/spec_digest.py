@@ -12,7 +12,8 @@ written as the CLI writes them, to a temporary directory.  Then it
 prints one SHA-256 over the fixed grid GRAPH_DRAWS of `bench.make_graph`
 draws, the graphs of `run` and `graph gen`, and last one over
 `greedy_jacobi` on the Laplacians of the grid JACOBI_GRAPHS at the
-default rotation budget.  Running the script against
+default rotation budget, and one over the picks of fagod on dense exact
+filters on the grid DENSE_FAGOD.  Running the script against
 two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
 """
@@ -27,9 +28,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from gsample import bench  # noqa: E402
-from gsample.filters import greedy_jacobi, rotation_budget  # noqa: E402
+from gsample.filters import (exact_lowpass, greedy_jacobi,  # noqa: E402
+                             rotation_budget)
 from gsample.graphs import ER_P, SENSOR_KNN, build_laplacian  # noqa: E402
 from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
+from gsample.selection import greedy_select  # noqa: E402
+from gsample.spectral import eigendecompose  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 TIMING_COLUMN = "wall_ms"
@@ -50,6 +54,15 @@ GRAPH_DRAWS = tuple(
 JACOBI_GRAPHS = tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n))
                       for model in bench.GRAPH_MODELS
                       for n in (16, 60, 200, 400) for seed in (0, 1))
+
+# (model, n, seed, knn, p, K, mu): G1, G2 and G3 at three sizes and two
+# seeds, two bandwidths and two loadings; each selects K nodes: past K the
+# twin nodes of the dense G2 graph at n = 10 tie exactly, and rounding
+# picks among them
+DENSE_FAGOD = tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n), K, mu)
+                    for model in bench.GRAPH_MODELS
+                    for n in (10, 30, 60) for seed in (0, 1)
+                    for K in (2, 4) for mu in (1 / 99, 1e-3))
 
 
 def data_digest(path: Path) -> str:
@@ -92,6 +105,18 @@ def jacobi_digest() -> str:
     return digest.hexdigest()
 
 
+def dense_fagod_digest() -> str:
+    """SHA-256 over DENSE_FAGOD: the indices of `greedy_select("fagod")`
+    on the dense V_K V_K^T of each graph, at budget K."""
+    digest = hashlib.sha256()
+    for model, n, seed, knn, p, K, mu in DENSE_FAGOD:
+        basis = eigendecompose(
+            build_laplacian(bench.make_graph(model, n, seed, knn, p)))
+        picks = greedy_select("fagod", K, filt=exact_lowpass(basis, K), mu=mu)
+        digest.update(repr(picks.indices).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,7 +143,9 @@ def main() -> int:
                       flush=True)
     print(f"generators {len(GRAPH_DRAWS)} draws {generator_digest()}",
           flush=True)
-    print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}")
+    print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}",
+          flush=True)
+    print(f"dense fagod {len(DENSE_FAGOD)} picks {dense_fagod_digest()}")
     return status
 
 

@@ -23,13 +23,12 @@ from .reconstruction import (Reconstruction, biased_reconstruct,
                              blue_reconstruct, filter_reconstruct, rmse,
                              snr_to_sigma2)
 from .rng import RNG_NAME, child_seed, rng_from
-from .selection import (DEFAULT_MU, FactoredFagodState, FagodState,
+from .selection import (DEFAULT_MU, FactoredFagodState,
                         LoadedGramState, SamplingSet, greedy_aoptimal,
                         greedy_doptimal, greedy_eoptimal,
                         greedy_select, objective_agod, objective_aopt,
                         objective_dopt, objective_eopt, objective_fagod,
-                        random_select,
-                        update_inverse_grow, update_inverse_rank_one)
+                        random_select, update_inverse_rank_one)
 from .spectral import (GraphSignal, Observation, SpectralBasis,
                        eigendecompose, gen_signal, gft, igft,
                        leverage_scores, observe)
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaReport", "ApproxFilter", "DEFAULT_MU",
-    "ExperimentResult", "ExperimentSpec", "FactoredFagodState", "FagodState",
+    "ExperimentResult", "ExperimentSpec", "FactoredFagodState",
     "GivensSeq", "Graph", "GraphSignal", "Laplacian", "LoadedGramState",
     "Observation",
     "RNG_NAME", "Reconstruction", "ResultRow", "SamplingSet", "SpecError",
@@ -56,5 +55,5 @@ __all__ = [
     "relative_suboptimality", "rmse", "rng_from", "rotation_budget",
     "run_experiment", "save_graph",
     "snr_to_sigma2", "theorem_bounds",
-    "update_inverse_grow", "update_inverse_rank_one", "write_result_csv",
+    "update_inverse_rank_one", "write_result_csv",
 ]

@@ -586,12 +586,48 @@ if _LIBC:
     _LIBC.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
     _LIBC.sched_getcpu.argtypes = ()
 _PR_SET_PDEATHSIG = 1
-# set_num_threads of the OpenBLAS builds: plain, numpy's and scipy's wheels
-_BLAS_THREAD_SETTERS = ("openblas_set_num_threads",
-                        "scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads")
+# get and set of the thread count in the OpenBLAS builds: plain, numpy's
+# and scipy's wheels
+_BLAS_THREAD_FUNCTIONS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
 _pool = None
 _pool_lock = threading.Lock()
+
+
+@functools.cache
+def _blas_threads() -> tuple:
+    """(getter, setter) of the thread count of every loaded OpenBLAS,
+    looked up once per process; a worker forked later inherits them."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = sorted({line.split()[-1] for line in maps
+                        if "openblas" in line})
+    found = []
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for get, set_ in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(library, get):
+                getter, setter = getattr(library, get), getattr(library, set_)
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                found.append((getter, setter))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread, restored on exit."""
+    libraries = _blas_threads()
+    before = [getter() for getter, _ in libraries]
+    for _, setter in libraries:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(libraries, before):
+            setter(count)
 
 
 def _worker_init(parent: int) -> None:
@@ -602,16 +638,8 @@ def _worker_init(parent: int) -> None:
         raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
     if os.getppid() != parent:  # the parent died before prctl took effect
         os._exit(1)
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line}
-    for path in paths:
-        library = ctypes.CDLL(path)
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(library, name):
-                setter = getattr(library, name)
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                setter(1)
-                break
+    for _, setter in _blas_threads():
+        setter(1)
 
 
 def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
@@ -629,9 +657,11 @@ def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
 def _worker_pool():
     """The persistent pool of usable CPUs - 1 forked workers (at least one).
 
-    Its workers are forked by the thread of the first call that submits,
-    before the pool's manager thread starts, and keep the module state of
-    that moment; they die with that thread.  A spawned worker would import
+    Its workers are forked by the main thread at the first call that
+    submits, before the pool's manager thread starts, and keep the module
+    state of that moment.  `PR_SET_PDEATHSIG` kills them when the thread
+    that forked them exits, so `run_experiment` makes and uses the pool
+    from the main thread only.  A spawned worker would import
     numpy and scipy afresh, about 0.2 s that every new `gsample run`
     would pay, and a pool made per call costs about 10 ms to fork and
     shut down.  The pool's modules load with it, so an in-process run
@@ -673,34 +703,40 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
                    use_blue: bool = False) -> ExperimentResult:
     """Execute a spec and return deterministic result rows.
 
-    `threads` is the number of processes the trials run in, the usable
-    CPUs by default.  With W = min(trials, threads), the calling process
-    runs the trials t = 0 (mod W) itself, and the share t = w (mod W) of
-    each w > 0 goes to a persistent pool of forked workers as one task.
-    At W = 1, and off Linux, every trial runs in process and no process
-    starts.  A failed trial raises what it raises at threads = 1, and a
-    broken pool raises BrokenProcessPool and is replaced at the next call.
+    `threads` caps the number of processes the trials run in, one per
+    usable CPU at most and by default.  With W = min(trials, threads,
+    usable CPUs), the calling process runs the trials t = 0 (mod W)
+    itself, at one OpenBLAS thread, and the share t = w (mod W) of each
+    w > 0 goes to a persistent pool of forked workers as one task.  At
+    W = 1, off Linux, and off the main thread, every trial runs in
+    process, with the BLAS threads as they are, and no process starts.
+    A failed trial raises what it raises at threads = 1, and a broken
+    pool raises BrokenProcessPool and is replaced at the next call.
     Rows are sorted by (method, sweep, trial) in spec order before
     returning, so scheduling never affects the output.
     """
     if spec.study not in RUN_STUDIES:
         raise SpecError(f"study {spec.study!r} runs through "
                         "`gsample oracle alpha`, not `gsample run`")
+    cpus = len(os.sched_getaffinity(0)) if _FORKS else 1
     if threads is None:
-        threads = len(os.sched_getaffinity(0)) if _FORKS else 1
+        threads = cpus
     if threads < 1:
         raise ValueError("thread count must be at least 1")
-    width = min(spec.trials, threads) if _FORKS else 1
+    width = min(spec.trials, threads, cpus)
+    if threading.current_thread() is not threading.main_thread():
+        width = 1
     shares = [range(w, spec.trials, width) for w in range(width)]
     pool = _worker_pool() if width > 1 else None
     futures = []
     try:
         if pool:
-            cpus = _other_cpus()
+            others = _other_cpus()
             futures = [pool.submit(_worker_share, spec, share, use_blue,
-                                   cpus[w % len(cpus)])
+                                   others[w % len(others)])
                        for w, share in enumerate(shares[1:])]
-        outcomes = [_share_rows(spec, shares[0], use_blue)]
+        with _one_blas_thread() if pool else contextlib.nullcontext():
+            outcomes = [_share_rows(spec, shares[0], use_blue)]
         outcomes += [future.result() for future in futures]
     except BrokenExecutor:  # a worker died: BrokenProcessPool
         _drop_pool(pool)

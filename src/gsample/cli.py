@@ -46,8 +46,9 @@ def _build_parser() -> _Parser:
     run.add_argument("spec", help="path to a key=value spec file")
     run.add_argument("--out", help="override the spec's output path")
     run.add_argument("--threads", type=int, default=None,
-                     help="processes the trials run in (default: the "
-                     "usable CPUs; 1 runs them in process)")
+                     help="most processes the trials run in, one per "
+                     "usable CPU at most (default: the usable CPUs; 1 runs "
+                     "them in process)")
     run.add_argument("--blue", action="store_true",
                      help="use the unbiased estimator whenever |S| >= K")
 

@@ -18,8 +18,8 @@ eigenvectors for agod, aopt and dopt, the filter's factor for fagod
 (T = V V^T: V_K for the exact filter, V~_K for the Givens one; through
 Woodbury nothing n x n is formed).  `LoadedGramState` keeps Z^-1 with rank-one
 (Sherman-Morrison) updates, and one incremental greedy loop runs all
-four criteria.  A dense filter matrix handed to `greedy_select` grows
-(T_SS + mu I)^-1 by Schur complements instead (`FagodState`).  god and eopt have
+four criteria.  A dense filter matrix handed to `greedy_select` is
+factored once, T = F F^T, from its eigenpairs.  god and eopt have
 no incremental form and run the plain greedy loop of
 `oracle.greedy_minimize`.  The agod and fagod steps take their argmin in
 compiled early-exit scans (`smallest_candidate`); the numpy
@@ -163,33 +163,6 @@ def update_inverse_rank_one(zinv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _sherman_morrison(zinv, np.asarray(v, dtype=float).reshape(-1))[0]
 
 
-def update_inverse_grow(minv: np.ndarray, col: np.ndarray,
-                        diag_entry: float) -> np.ndarray:
-    """Inverse of the one-row/column extension [[M, col], [col^T, d]].
-
-    Uses the Schur complement s = d - col^T Minv col, which is positive
-    whenever the extended matrix is positive definite.
-    """
-    m = minv.shape[0]
-    if m == 0:
-        if diag_entry <= 0:
-            raise ValueError("cannot grow: nonpositive diagonal entry")
-        return np.array([[1.0 / diag_entry]])
-    col = np.asarray(col, dtype=float).reshape(-1)
-    if col.shape != (m,):
-        raise ValueError(f"column length {col.shape} != current size {m}")
-    w = minv @ col
-    schur = float(diag_entry - col @ w)
-    if schur <= 0:
-        raise ValueError("nonpositive Schur complement; extended matrix not PD")
-    out = np.empty((m + 1, m + 1))
-    out[:m, :m] = minv + np.outer(w, w) / schur
-    out[:m, m] = -w / schur
-    out[m, :m] = -w / schur
-    out[m, m] = 1.0 / schur
-    return out
-
-
 class LoadedGramState:
     """Incremental state for the K x K loaded Gram Z = V_S^T V_S + mu I.
 
@@ -267,62 +240,6 @@ class LoadedGramState:
         return u, s
 
 
-class FagodState:
-    """Incremental state for the filter-submatrix objective.
-
-    Grows (T_SS + mu I)^-1 one node at a time via Schur complements and
-    scores candidates without forming any inverse from scratch.
-    """
-
-    def __init__(self, T: np.ndarray, mu: float):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        T = np.asarray(T, dtype=float)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ValueError("filter matrix must be square")
-        self.T = T
-        self.n = T.shape[0]
-        self.mu = mu
-        self._ainv = np.zeros((0, 0))
-        self.selected = []
-        self._taken = np.zeros(self.n, dtype=bool)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._ainv.copy()
-
-    def objective(self) -> float:
-        if not self.selected:
-            return 1.0 / self.mu
-        return max_diag(self._ainv)
-
-    def candidate_objectives(self) -> np.ndarray:
-        obj = np.full(self.n, np.inf)
-        cand = np.nonzero(~self._taken)[0]
-        loaded_diag = self.T[cand, cand] + self.mu
-        if not self.selected:
-            obj[cand] = 1.0 / loaded_diag
-            return obj
-        c = self.T[np.ix_(self.selected, cand)]
-        w = self._ainv @ c
-        schur = loaded_diag - np.einsum("ij,ij->j", c, w)
-        grown_max = (np.diagonal(self._ainv)[:, None] + w ** 2 / schur).max(axis=0)
-        obj[cand] = np.maximum(grown_max, 1.0 / schur)
-        return obj
-
-    def smallest_candidate(self):
-        return _smallest(self.candidate_objectives())
-
-    def add(self, j: int) -> None:
-        j = int(j)
-        if self._taken[j]:
-            raise ValueError(f"node {j} already selected")
-        col = self.T[self.selected, j]
-        self._ainv = update_inverse_grow(self._ainv, col, self.T[j, j] + self.mu)
-        self.selected.append(j)
-        self._taken[j] = True
-
-
 class FactoredFagodState(LoadedGramState):
     """fagod state for a filter given by its n x K factor V, T = V V^T.
 
@@ -332,9 +249,9 @@ class FactoredFagodState(LoadedGramState):
     every node, the m x n matrix B = V_S Z^-1 V^T, and
     d = diag (T_SS + mu I)^-1.  Adding node j turns entry i of d into
     d_i + B_ij^2 / (mu (1 + a_j)) and appends 1 / (mu (1 + a_j)): the
-    same growth as `FagodState`, whose Schur complement is mu (1 + a_j)
-    and whose column (T_SS + mu I)^-1 T_Sj is B_:j.  A step costs
-    O(mn + nK).
+    bordered inverse of T_SS + mu I grown by node j, whose Schur
+    complement is mu (1 + a_j) and whose column (T_SS + mu I)^-1 T_Sj is
+    B_:j.  A step costs O(mn + nK).
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
@@ -391,6 +308,27 @@ class FactoredFagodState(LoadedGramState):
         self._a -= s * h * h
 
 
+def _dense_factor(T) -> np.ndarray:
+    """An n x r factor F with T = F F^T for a dense PSD filter matrix T.
+
+    F holds the eigenvectors of T scaled by the square roots of the
+    eigenvalues above tol = n eps max(|lambda|, 1); eigenvalues in
+    [-tol, tol] are rounding and dropped, and one below -tol raises.
+    """
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError("filter matrix must be square")
+    if not np.isfinite(T).all():
+        raise ValueError("filter matrix must be finite")
+    lam, vec = np.linalg.eigh(T)
+    tol = len(lam) * np.finfo(float).eps * max(np.abs(lam).max(initial=0), 1)
+    if len(lam) and lam[0] < -tol:
+        raise ValueError(f"filter matrix is not positive semidefinite: "
+                         f"eigenvalue {lam[0]:.3g}")
+    keep = lam > tol
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
 def _check_budget(M: int, n: int) -> None:
     if not 1 <= M <= n:
         raise ValueError(f"budget M={M} out of range [1, {n}]")
@@ -422,15 +360,18 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
 
     method: "agod" or "god" (need basis, K; god forces mu = 0), or "fagod"
     on an `ApproxFilter` filt's factor, on V_K of the exact filter
-    V_K V_K^T given basis and K, or on a dense filter matrix filt (the
-    Schur-growth `FagodState`).  At each step the node with the smallest
-    resulting objective joins the set; ties go to the smallest node index.
+    V_K V_K^T given basis and K, or on a dense symmetric positive
+    semidefinite filter matrix filt, factored once from its eigenpairs.
+    Every fagod form runs `FactoredFagodState`.  At each step the node
+    with the smallest resulting objective joins the set; ties go to the
+    smallest node index.
     """
     if method not in ("agod", "fagod", "god"):
         raise ValueError(f"unknown greedy method {method!r}")
     if method == "fagod" and filt is not None:
-        state = (FactoredFagodState(filt.factor, mu)
-                 if isinstance(filt, ApproxFilter) else FagodState(filt, mu))
+        state = FactoredFagodState(
+            filt.factor if isinstance(filt, ApproxFilter)
+            else _dense_factor(filt), mu)
     elif basis is None or K is None:
         raise ValueError(f"{method} needs basis and K")
     elif method == "god":

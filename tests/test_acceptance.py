@@ -32,12 +32,13 @@ import time
 import numpy as np
 import pytest
 
-from gsample import (Graph, build_laplacian, eigendecompose, empirical_alpha,
+from gsample import (FactoredFagodState, Graph, build_laplacian,
+                     eigendecompose, empirical_alpha,
                      exact_lowpass, gen_sensor, gen_signal, greedy_decay_check,
                      greedy_jacobi, greedy_select, lowpass_from_givens,
                      objective_agod, objective_fagod, observe,
                      relative_suboptimality, rotation_budget, theorem_bounds,
-                     update_inverse_grow, update_inverse_rank_one)
+                     update_inverse_rank_one)
 from gsample.bench import parse_spec_text, run_experiment
 from gsample.cli import main
 from gsample.oracle import (DEGENERATE_GAIN, apply_rotation, greedy_minimize,
@@ -232,15 +233,24 @@ def test_criterion_05_incremental_update_fidelity():
         updated = update_inverse_rank_one(np.linalg.inv(z), v)
         dense = np.linalg.inv(z + np.outer(v, v))
         worst = max(worst, float(np.abs(updated - dense).max()))
-    for _ in range(500):
-        m = int(rng.integers(1, 8))
-        a = rng.normal(size=(m + 1, m + 1))
-        full = a @ a.T + float(rng.uniform(0.05, 1.0)) * np.eye(m + 1)
-        grown = update_inverse_grow(np.linalg.inv(full[:m, :m]),
-                                    full[:m, m], full[m, m])
-        worst = max(worst, float(np.abs(grown - np.linalg.inv(full)).max()))
-    ok = worst <= 1e-8
-    detail = f"max deviation over 1000 updates: {worst:.3g}"
+    # the factored fagod state grows max diag (T_SS + mu I)^-1 node by
+    # node for T = V V^T: each objective against the direct inverse
+    worst_grown = 0.0
+    for _ in range(100):
+        n, k = int(rng.integers(5, 9)), int(rng.integers(1, 5))
+        factor = rng.normal(size=(n, k))
+        mu = float(rng.uniform(0.05, 1.0))
+        T = factor @ factor.T
+        state = FactoredFagodState(factor, mu)
+        for j in rng.permutation(n)[:5]:
+            state.add(int(j))
+            S = state.selected
+            direct = np.linalg.inv(T[np.ix_(S, S)] + mu * np.eye(len(S)))
+            worst_grown = max(worst_grown, abs(
+                state.objective() - direct.diagonal().max()))
+    ok = worst <= 1e-8 and worst_grown <= 1e-8
+    detail = (f"max deviation over 500 rank-one updates: {worst:.3g}, "
+              f"over 500 grown fagod objectives: {worst_grown:.3g}")
     _report(5, "incremental inverses match dense inversion", ok, detail)
     assert ok, detail
 

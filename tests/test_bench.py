@@ -256,7 +256,7 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
         elif method == "fagod":
             sel = greedy_select("fagod", M, filt=ctx.approx_filter(), mu=ctx.mu)
         elif method == "fagod-exact":
-            # the dense Schur-growth reference on V_K V_K^T
+            # the dense V_K V_K^T, which greedy_select factors itself
             sel = greedy_select("fagod", M, filt=exact_lowpass(ctx.basis, ctx.K),
                                 mu=ctx.mu)
         elif method == "dopt":

@@ -1,4 +1,5 @@
-"""Trials in forked worker processes: failures, lifetimes and a broken pool.
+"""Trials in forked worker processes: failures, lifetimes, a broken pool,
+the process cap and the forking thread.
 
 Rows do not depend on the process count (`test_bench.py`); these tests
 check what the processes themselves do.  Scripts that must start from a
@@ -127,3 +128,78 @@ def test_broken_pool_raises_once_and_is_replaced():
     assert _data(run_experiment(spec, threads=2)) == serial
     assert all(w.pid not in {p.pid for p in workers}
                for w in multiprocessing.active_children())
+
+
+def test_processes_are_capped_at_the_usable_cpus(monkeypatch):
+    # threads above the CPU count would leave the caller 1/threads of the
+    # trials and a worker the rest, in sequence
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        pytest.skip("needs two usable CPUs")
+    spec = parse_spec_text(TWO_TRIALS.replace("trials = 2", "trials = 8"))
+    caller_shares = []
+    share_rows = bench._share_rows
+
+    def recorded(spec, trials, use_blue):
+        caller_shares.append(trials)
+        return share_rows(spec, trials, use_blue)
+
+    monkeypatch.setattr(bench, "_share_rows", recorded)
+    run_experiment(spec, threads=8)
+    assert caller_shares == [range(0, 8, cpus)]
+
+
+def test_calls_off_the_main_thread_run_in_process():
+    # workers die with the thread that forked them, so a pool forked by a
+    # thread that has exited would break the next call
+    script = f"""
+import multiprocessing, threading
+from gsample.bench import parse_spec_text, run_experiment
+spec = parse_spec_text({TWO_TRIALS!r})
+data = lambda result: [(r.method, r.sweep, r.trial, r.value, r.seed)
+                       for r in result.rows]
+results = []
+thread = threading.Thread(
+    target=lambda: results.append(run_experiment(spec, threads=2)))
+thread.start()
+thread.join()
+print(len(multiprocessing.active_children()))
+main = run_experiment(spec, threads=2)
+print(len(multiprocessing.active_children()))
+print(int(data(main) == data(results[0])))
+"""
+    proc = _python(script)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    in_thread, in_main, same = map(int, out.split())
+    assert in_thread == 0 and in_main >= 1 and same == 1
+
+
+def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):
+    # with workers running, the caller drops its OpenBLAS to one thread
+    # for its own share and restores the count; in process it keeps it
+    libraries = bench._blas_threads()
+    if len(os.sched_getaffinity(0)) < 2 or not libraries:
+        pytest.skip("needs two usable CPUs and OpenBLAS")
+    counts = lambda: [get() for get, _ in libraries]  # noqa: E731
+    during = []
+    share_rows = bench._share_rows
+
+    def recorded(spec, trials, use_blue):
+        during.append(counts())
+        return share_rows(spec, trials, use_blue)
+
+    monkeypatch.setattr(bench, "_share_rows", recorded)
+    spec = parse_spec_text(TWO_TRIALS)
+    original = counts()
+    try:
+        for _, setter in libraries:
+            setter(2)
+        run_experiment(spec, threads=2)
+        after = counts()
+        run_experiment(spec, threads=1)
+    finally:
+        for (_, setter), count in zip(libraries, original):
+            setter(count)
+    two = [2] * len(libraries)
+    assert during == [[1] * len(libraries), two] and after == two

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (FactoredFagodState, FagodState, LoadedGramState,
+from gsample import (FactoredFagodState, LoadedGramState,
                      SamplingSet, approximate_lowpass, build_laplacian,
                      eigendecompose, exact_lowpass, gen_community, gen_er, gen_sensor,
                      greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
                      greedy_select, leverage_scores, objective_agod,
                      objective_aopt, objective_dopt, objective_eopt,
-                     objective_fagod, random_select,
-                     update_inverse_grow, update_inverse_rank_one)
+                     objective_fagod, random_select, update_inverse_rank_one)
 from gsample.oracle import greedy_minimize
 from gsample.selection import save_sampling_csv
 
@@ -99,27 +98,6 @@ def test_rank_one_update_dense_oracle():
         assert np.abs(update_inverse_rank_one(zinv, v) - expected).max() <= 1e-9
 
 
-def test_grow_update_closed_forms():
-    assert np.array_equal(update_inverse_grow(np.zeros((0, 0)), np.zeros(0), 4.0),
-                          np.array([[0.25]]))
-    minv = np.diag([0.5, 0.25])
-    grown = update_inverse_grow(minv, np.zeros(2), 2.0)
-    assert grown == pytest.approx(np.diag([0.5, 0.25, 0.5]), abs=1e-15)
-    with pytest.raises(ValueError):
-        update_inverse_grow(np.eye(1), np.array([2.0]), 1.0)  # schur <= 0
-
-
-def test_grow_update_dense_oracle():
-    rng = np.random.Generator(np.random.PCG64(12))
-    for _ in range(50):
-        m = int(rng.integers(1, 6))
-        a = rng.normal(size=(m + 1, m + 1))
-        full = a @ a.T + 0.5 * np.eye(m + 1)
-        minv = np.linalg.inv(full[:m, :m])
-        grown = update_inverse_grow(minv, full[:m, m], full[m, m])
-        assert np.abs(grown - np.linalg.inv(full)).max() <= 1e-9
-
-
 def test_incremental_state_matches_direct_inverse_every_step():
     # the module's master numerical invariant
     basis = _basis(10, 6, 6)
@@ -132,12 +110,13 @@ def test_incremental_state_matches_direct_inverse_every_step():
         assert np.abs(state.inverse - direct).max() <= 1e-8
 
     T = exact_lowpass(basis, K)
-    fstate = FagodState(T, MU)
+    fstate = FactoredFagodState(basis.low_frequency(K), MU)
     for j in rng.permutation(10)[:7]:
         fstate.add(int(j))
         S = fstate.selected
         direct = np.linalg.inv(T[np.ix_(S, S)] + MU * np.eye(len(S)))
-        assert np.abs(fstate.inverse - direct).max() <= 1e-8
+        assert fstate.objective() == pytest.approx(np.diag(direct).max(),
+                                                   rel=1e-10)
 
 
 def test_greedy_runs_keep_incremental_state_faithful(sensor10):
@@ -153,16 +132,14 @@ def test_greedy_runs_keep_incremental_state_faithful(sensor10):
 
     T = exact_lowpass(basis, K)
     fsel = greedy_select("fagod", 8, filt=T, mu=MU)
-    fstate = FagodState(T, MU)
-    for j in fsel.indices:
-        fstate.add(j)
-        S = fstate.selected
-        direct = np.linalg.inv(T[np.ix_(S, S)] + MU * np.eye(len(S)))
-        assert np.abs(fstate.inverse - direct).max() <= 1e-8
+    for m in range(1, 9):
+        S = list(fsel.indices[:m])
+        direct = np.linalg.inv(T[np.ix_(S, S)] + MU * np.eye(m))
+        assert fsel.objective_trace[m - 1] == pytest.approx(
+            np.diag(direct).max(), rel=1e-10)
 
 
 def test_greedy_fagod_accepts_filter_object(sensor10):
-    from gsample import approximate_lowpass
     _, lap, basis = sensor10
     filt = approximate_lowpass(lap, 3, J=60)
     sel = greedy_select("fagod", 4, filt=filt, mu=MU)
@@ -170,8 +147,30 @@ def test_greedy_fagod_accepts_filter_object(sensor10):
     assert sel.indices == again.indices
     with pytest.raises(ValueError):
         LoadedGramState(basis.low_frequency(3), 0.0)
-    with pytest.raises(ValueError):
-        FagodState(filt.filter, -1.0)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        greedy_select("fagod", 4, filt=filt.filter, mu=-1.0)
+
+
+def test_dense_filter_is_factored_or_rejected():
+    # a dense T is factored from its eigenpairs: a rank-deficient PSD T
+    # keeps its rank, and rounding below zero is dropped, not rejected
+    rng = np.random.Generator(np.random.PCG64(9))
+    factor = rng.normal(size=(7, 2))
+    T = factor @ factor.T
+    sel = greedy_select("fagod", 5, filt=T, mu=MU)
+    slow, trace = greedy_minimize(lambda S: objective_fagod(S, T, MU), 7, 5)
+    assert list(sel.indices) == slow
+    assert sel.objective_trace == pytest.approx(trace, rel=1e-10)
+    assert greedy_select("fagod", 3, filt=np.zeros((4, 4)),
+                         mu=0.5).objective_trace == (2.0, 2.0, 2.0)
+    not_psd = T - 0.1 * np.eye(7)
+    for bad, message in ((not_psd, "not positive semidefinite"),
+                         (np.ones((3, 4)), "square"),
+                         (np.ones(4), "square"),
+                         (np.where(np.eye(4) > 0, np.nan, 0.0), "finite"),
+                         (np.full((2, 2), np.inf), "finite")):
+        with pytest.raises(ValueError, match=message):
+            greedy_select("fagod", 2, filt=bad, mu=MU)
 
 
 def test_candidate_objectives_match_from_scratch(sensor10):
@@ -189,7 +188,7 @@ def test_candidate_objectives_match_from_scratch(sensor10):
                 objective_agod(state.selected + [j], basis, K, MU), abs=1e-9)
 
     T = exact_lowpass(basis, K)
-    fstate = FagodState(T, MU)
+    fstate = FactoredFagodState(basis.low_frequency(K), MU)
     for j in (2, 8):
         fstate.add(j)
     fscores = fstate.candidate_objectives()
@@ -219,7 +218,8 @@ def _approx_filter(model, n, K, seed):
     ("G1", 100, 5, 30), ("G2", 100, 5, 30), ("G3", 100, 5, 30),
     ("G1", 200, 10, 30), ("G2", 200, 10, 30), ("G3", 200, 10, 30)])
 def test_factored_fagod_matches_dense_filter_path(model, n, K, M):
-    # the factored state against the dense Schur-growth state on T = V V^T
+    # the Givens factor V against the factor greedy_select takes from the
+    # eigenpairs of the dense T = V V^T: two factors of one filter
     for seed in range(2):
         filt = _approx_filter(model, n, K, seed)
         fast = greedy_select("fagod", M, filt=filt, mu=MU)
@@ -298,15 +298,16 @@ def test_factored_state_on_degenerate_factors(factor, log_mu):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_degenerate_factor(), st.floats(-3.0, 0.0))
-def test_dense_fagod_state_on_degenerate_factors(factor, log_mu):
-    # the dense Schur growth drifts from the from-scratch value as mu
-    # falls (worst relative error over 800 draws: 9.4e-10 for mu in
-    # [1e-3, 1e-2], 2.8e-7 in [1e-4, 1e-3], 1.5e-3 in [1e-6, 1e-5]), so
-    # it is held to 1e-7 only from mu = 1e-3 up
+@given(_degenerate_factor(), st.floats(-6.0, 0.0))
+def test_dense_filter_path_on_degenerate_factors(factor, log_mu):
+    # greedy_select factors the singular dense T itself; each trace value
+    # is the from-scratch objective of its prefix
     mu = 10.0 ** log_mu
     T = factor @ factor.T
-    _assert_fagod_state_matches_from_scratch(FagodState(T, mu), T, mu)
+    sel = greedy_select("fagod", len(T), filt=T, mu=mu)
+    for m, value in enumerate(sel.objective_trace, start=1):
+        assert value == pytest.approx(
+            objective_fagod(sel.indices[:m], T, mu), rel=1e-7)
 
 
 @settings(max_examples=150, deadline=None)
