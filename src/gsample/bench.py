@@ -673,6 +673,7 @@ def _worker_pool():
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
+            _blas_threads()  # looked up here, so every worker inherits it
             _pool = ProcessPoolExecutor(
                 max(1, len(os.sched_getaffinity(0)) - 1),
                 mp_context=multiprocessing.get_context("fork"),

@@ -314,14 +314,19 @@ def _dense_factor(T) -> np.ndarray:
     F holds the eigenvectors of T scaled by the square roots of the
     eigenvalues above tol = n eps max(|lambda|, 1); eigenvalues in
     [-tol, tol] are rounding and dropped, and one below -tol raises.
+    T must be symmetric to n eps max(|T_ij|, 1).
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("filter matrix must be square")
     if not np.isfinite(T).all():
         raise ValueError("filter matrix must be finite")
+    eps = len(T) * np.finfo(float).eps
+    # eigh reads one triangle only, so an asymmetric T would pass unseen
+    if np.abs(T - T.T).max(initial=0) > eps * max(np.abs(T).max(initial=0), 1):
+        raise ValueError("filter matrix must be symmetric")
     lam, vec = np.linalg.eigh(T)
-    tol = len(lam) * np.finfo(float).eps * max(np.abs(lam).max(initial=0), 1)
+    tol = eps * max(np.abs(lam).max(initial=0), 1)
     if len(lam) and lam[0] < -tol:
         raise ValueError(f"filter matrix is not positive semidefinite: "
                          f"eigenvalue {lam[0]:.3g}")

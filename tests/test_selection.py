@@ -164,7 +164,10 @@ def test_dense_filter_is_factored_or_rejected():
     assert greedy_select("fagod", 3, filt=np.zeros((4, 4)),
                          mu=0.5).objective_trace == (2.0, 2.0, 2.0)
     not_psd = T - 0.1 * np.eye(7)
+    asymmetric = T.copy()
+    asymmetric[0, 1] += 1.0  # eigh, reading one triangle, would miss it
     for bad, message in ((not_psd, "not positive semidefinite"),
+                         (asymmetric, "symmetric"),
                          (np.ones((3, 4)), "square"),
                          (np.ones(4), "square"),
                          (np.where(np.eye(4) > 0, np.nan, 0.0), "finite"),
@@ -219,7 +222,8 @@ def _approx_filter(model, n, K, seed):
     ("G1", 200, 10, 30), ("G2", 200, 10, 30), ("G3", 200, 10, 30)])
 def test_factored_fagod_matches_dense_filter_path(model, n, K, M):
     # the Givens factor V against the factor greedy_select takes from the
-    # eigenpairs of the dense T = V V^T: two factors of one filter
+    # eigenpairs of the dense T = V V^T: two factors of one filter, both
+    # held past the state's buffer regrowth (m = 8, 24) to the direct inverse
     for seed in range(2):
         filt = _approx_filter(model, n, K, seed)
         fast = greedy_select("fagod", M, filt=filt, mu=MU)
@@ -227,6 +231,10 @@ def test_factored_fagod_matches_dense_filter_path(model, n, K, M):
         assert fast.indices == dense.indices
         assert fast.objective_trace == pytest.approx(dense.objective_trace,
                                                      rel=1e-10)
+        for m in range(1, M + 1):
+            assert fast.objective_trace[m - 1] == pytest.approx(
+                objective_fagod(list(fast.indices[:m]), filt.filter, MU),
+                rel=1e-10)
 
 
 def test_factored_fagod_matches_plain_greedy_oracle():
