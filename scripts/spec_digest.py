@@ -5,7 +5,9 @@
 Runs each spec in `specs/` that `gsample run` accepts and prints the
 SHA-256 of its CSV's data columns, every column but `wall_ms`.  Each such
 spec runs twice, at the default process count and in process
-(threads=1), and the script exits 1 if the two disagree.  Then
+(threads=1), and the script exits 1 if the two disagree; so does its
+first trial alone (trials = 1), which at the default thread count runs
+a fagod trial's Jacobi sweep beside its eigensolve on a spare CPU.  Then
 prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
 `gsample oracle subopt` on the specs of those studies.  The CSVs are
 written as the CLI writes them, to a temporary directory.  Then it
@@ -18,6 +20,7 @@ two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
 """
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -132,6 +135,16 @@ def main() -> int:
                 if data_digest(out) != digest:
                     print(f"{path.name}: data columns differ at threads=1",
                           file=sys.stderr)
+                    status = 1
+                first = dataclasses.replace(spec, trials=1)
+                digests = set()
+                for threads in (None, 1):
+                    bench.write_result_csv(
+                        bench.run_experiment(first, threads=threads), out)
+                    digests.add(data_digest(out))
+                if len(digests) != 1:
+                    print(f"{path.name}: data columns of its first trial "
+                          "alone differ at threads=1", file=sys.stderr)
                     status = 1
             if spec.study == "alpha":
                 save_alpha_csv(bench.run_alpha_certificate(spec), out)

@@ -139,6 +139,8 @@ def greedy_jacobi_sweep(w: np.ndarray, budget: int, tol: float):
     del best_col, best_val, tree
     if not planes:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    if len(planes) == 1 and got == size:  # one full call: its own buffers
+        return pl, th
     return np.concatenate(planes), np.concatenate(thetas)
 
 

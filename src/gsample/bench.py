@@ -32,7 +32,10 @@ import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
 
-from .filters import approximate_lowpass, exact_lowpass, rotation_budget
+# approximate_lowpass is not called here; perfbench's tracer wraps it
+# under this module's name
+from .filters import (_greedy_jacobi, approximate_lowpass,  # noqa: F401
+                      exact_lowpass, lowpass_from_givens, rotation_budget)
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
 from .oracle import (ALPHA_MAX_NODES, COMB_GUARD, empirical_alpha,
@@ -43,8 +46,8 @@ from .rng import child_seed
 from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
                         greedy_eoptimal, greedy_select, objective_agod,
                         objective_dopt, objective_fagod, random_select)
-from .spectral import (SIGNAL_MODELS, check_gap, eigendecompose, gen_signal,
-                       observe)
+from .spectral import (SIGNAL_MODELS, _eigendecompose, check_gap,
+                       eigendecompose, gen_signal, observe)
 
 RMSE_STUDIES = ("rmse_vs_size", "rmse_vs_snr", "rmse_vs_n")
 RUN_STUDIES = RMSE_STUDIES + ("objective_gap", "suboptimality")
@@ -355,29 +358,65 @@ PREFIX_METHODS = ("agod", "god", "fagod", "fagod-exact", "dopt", "aopt", "eopt",
                   "rand-leverage")
 
 
-class _TrialContext:
-    """Lazily built per-trial objects shared by every method and sweep value.
+def _truth_and_filter(w, width, K: int, J: int, spare_cpu: bool):
+    """The basis of the `width` lowest eigenpairs (all of them for None)
+    and the Givens filter of bandwidth K after J rotations, of the
+    Laplacian whose working copy w the sweep rotates in place.
 
-    Only the eigenpairs some consumer reads are computed: the K lowest for
-    the selection and reconstruction bandwidth, or the signal model's
-    bandwidth if larger.  GS2's tail touches every coefficient, so it
-    keeps the full basis.  Both bandwidths must leave a spectral gap
-    wherever the basis holds the next eigenvalue.
+    Neither stage reads the other's result.  The eigensolver overwrites
+    its own F-ordered copy of w, the transpose of a copy, which holds the
+    Laplacian's values because w passes the sweep's exact symmetry check
+    first; with the Laplacian itself dropped, two dense n x n arrays are
+    held at once.  With `spare_cpu` the compiled sweep runs on a second
+    thread while this one solves (`run_experiment` has every OpenBLAS at
+    one thread); otherwise the solve runs first and the sweep after it.
+    A failure raises as it does without `spare_cpu`: the solver's before
+    the sweep's.
+    """
+    copies = [w.copy().T]
+
+    def solve():
+        # popped, so the solver's copy is freed when the solve returns
+        return _eigendecompose(copies.pop(), width, overwrite_a=True)
+
+    (givens, eigs, perm), basis = _greedy_jacobi(w, J, solve, spare_cpu)
+    return basis, lowpass_from_givens(givens, perm, K, eigs)
+
+
+class _TrialContext:
+    """Per-trial objects shared by every method and sweep value.
+
+    The basis and, when a method selects on the Givens filter (fagod),
+    that filter are built with the context; `filter` is None otherwise.
+    The signal is drawn at its first use.  Only the eigenpairs some
+    consumer reads are computed: the K lowest for the selection and
+    reconstruction bandwidth, or the signal model's bandwidth if larger.
+    GS2's tail touches every coefficient, so it keeps the full basis.
+    Both bandwidths must leave a spectral gap wherever the basis holds
+    the next eigenvalue.  `spare_cpu` lets `_truth_and_filter` run the
+    Jacobi sweep beside the eigensolver.
     """
 
-    def __init__(self, spec: ExperimentSpec, n: int, trial: int):
+    def __init__(self, spec: ExperimentSpec, n: int, trial: int,
+                 spare_cpu: bool = False):
         self.spec = spec
         self.n = n
         self.trial = trial
         self.K = resolve_k(spec, n)
         self.mu = spec.mu
         seed = child_seed(spec.base_seed, "graph", spec.graph, n, trial)
-        self.lap = build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
-                                              spec.p))
+        lap = build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
+                                         spec.p))
         self._signal_k = _signal_bandwidth(spec, n)
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
-        self.basis = eigendecompose(self.lap, width)
+        if "fagod" in spec.methods:
+            w = lap.matrix.copy()  # the sweep's working copy
+            del lap  # so that L is gone before the solver's copy is made
+            self.basis, self.filter = _truth_and_filter(
+                w, width, self.K, resolve_j(spec, n), spare_cpu)
+        else:
+            self.basis, self.filter = eigendecompose(lap, width), None
         for bandwidth in (self.K, self._signal_k):
             check_gap(self.basis.eigenvalues, bandwidth, n)
         # the largest sampling budget any row of this trial selects
@@ -385,7 +424,6 @@ class _TrialContext:
             else self.K
         self._prefix = {}
         self._signal = None
-        self._approx = None
 
     @property
     def signal(self):
@@ -396,12 +434,6 @@ class _TrialContext:
                            self.n, self.trial),
                 bandwidth=self._signal_k)
         return self._signal
-
-    def approx_filter(self):
-        if self._approx is None:
-            self._approx = approximate_lowpass(self.lap, self.K,
-                                               resolve_j(self.spec, self.n))
-        return self._approx
 
     def select(self, method: str, M: int) -> tuple:
         """Indices of a sampling set of size M; the methods of
@@ -426,7 +458,7 @@ class _TrialContext:
         if method == "god":
             return greedy_select("god", M, basis=self.basis, K=self.K)
         if method == "fagod":
-            return greedy_select("fagod", M, filt=self.approx_filter(), mu=self.mu)
+            return greedy_select("fagod", M, filt=self.filter, mu=self.mu)
         if method == "dopt":
             return greedy_doptimal(self.basis, self.K, self.mu, M)
         if method == "aopt":
@@ -442,7 +474,7 @@ class _TrialContext:
 
     def reconstruct(self, method: str, obs, use_blue: bool):
         if method == "fagod":
-            return filter_reconstruct(obs, self.approx_filter(), self.mu)
+            return filter_reconstruct(obs, self.filter, self.mu)
         # fagod-exact's filter estimate on V_K is the loaded spectral one
         if use_blue and method != "fagod-exact" \
                 and len(obs.sample_indices) >= self.K:
@@ -458,7 +490,8 @@ def _trial_seed(spec: ExperimentSpec, trial: int, sweep_value) -> int:
     return child_seed(spec.base_seed, spec.study, trial, sweep_value)
 
 
-def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
+def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
+                     spare_cpu: bool):
     """One context per graph size, built when the size changes, so a
     trial holds one graph at a time."""
     rows = []
@@ -467,7 +500,7 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
         n = int(sweep_value) if spec.study == "rmse_vs_n" else spec.n
         if ctx is None or ctx.n != n:
             ctx = None  # drop the last size's context before the next is built
-            ctx = _TrialContext(spec, n, trial)
+            ctx = _TrialContext(spec, n, trial, spare_cpu)
         budget = int(sweep_value) if spec.study == "rmse_vs_size" else ctx.K
         sigma2 = snr_to_sigma2(sweep_value) if spec.study == "rmse_vs_snr" \
             else spec.sigma2
@@ -475,8 +508,6 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
         for method in spec.methods:
             t0 = time.perf_counter()
             try:
-                # select before the signal is built, so a lazily built
-                # signal is not held through the Jacobi sweep
                 indices = ctx.select(method, budget)
                 obs = observe(ctx.signal, indices, sigma2,
                               seed=child_seed(seed, "noise", method))
@@ -525,7 +556,8 @@ def _gap_trial_rows(spec: ExperimentSpec, trial: int):
     return rows
 
 
-def _subopt_trial(spec: ExperimentSpec, trial: int, methods):
+def _subopt_trial(spec: ExperimentSpec, trial: int, methods,
+                  spare_cpu: bool = False):
     """Relative suboptimality of each method on an exhaustively solved instance.
 
     The reference objective is the exact-filter max-diag criterion; every
@@ -533,7 +565,7 @@ def _subopt_trial(spec: ExperimentSpec, trial: int, methods):
     (method, M, SuboptimalityReport, wall_ms) for each budget M in
     ascending order and each method.
     """
-    ctx = _TrialContext(spec, spec.n, trial)
+    ctx = _TrialContext(spec, spec.n, trial, spare_cpu)
     T = exact_lowpass(ctx.basis, ctx.K)
 
     # each method's relative_suboptimality enumerates the same subsets
@@ -551,35 +583,40 @@ def _subopt_trial(spec: ExperimentSpec, trial: int, methods):
             yield method, m, report, (time.perf_counter() - t0) * 1e3
 
 
-def _subopt_trial_rows(spec: ExperimentSpec, trial: int):
+def _subopt_trial_rows(spec: ExperimentSpec, trial: int, spare_cpu: bool):
     return [ResultRow(spec.study, spec.graph, spec.signal, method, m, trial,
                       report.r, wall_ms, _trial_seed(spec, trial, m))
-            for method, m, report, wall_ms in _subopt_trial(spec, trial,
-                                                            spec.methods)]
+            for method, m, report, wall_ms in _subopt_trial(
+                spec, trial, spec.methods, spare_cpu)]
 
 
-def _trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool):
+def _trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
+                spare_cpu: bool):
     if spec.study in RMSE_STUDIES:
-        return _rmse_trial_rows(spec, trial, use_blue)
-    if spec.study == "objective_gap":
+        return _rmse_trial_rows(spec, trial, use_blue, spare_cpu)
+    if spec.study == "objective_gap":  # selects on the basis only
         return _gap_trial_rows(spec, trial)
-    return _subopt_trial_rows(spec, trial)
+    return _subopt_trial_rows(spec, trial, spare_cpu)
 
 
-def _share_rows(spec: ExperimentSpec, trials, use_blue: bool):
+def _share_rows(spec: ExperimentSpec, trials, use_blue: bool,
+                spare_cpu: bool = False):
     """The rows of `trials`, run in order, and the failure that ended the
-    share as (trial, exception), or None."""
+    share as (trial, exception), or None.  `spare_cpu`: see
+    `_TrialContext`."""
     rows = []
     for trial in trials:
         try:
-            rows += _trial_rows(spec, trial, use_blue)
+            rows += _trial_rows(spec, trial, use_blue, spare_cpu)
         except Exception as exc:
             return rows, (trial, exc)
     return rows, None
 
 
 # Trials run in forked worker processes on Linux only: the workers are tied
-# to their parent's life with prctl, and placed with sched_getcpu.
+# to their parent's life with prctl, and placed with sched_getcpu.  The
+# OpenBLAS thread counts are set there too: the libraries are found in
+# /proc/self/maps.
 _FORKS = sys.platform.startswith("linux")
 _LIBC = ctypes.CDLL(None, use_errno=True) if _FORKS else None
 if _LIBC:
@@ -707,12 +744,19 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     `threads` caps the number of processes the trials run in, one per
     usable CPU at most and by default.  With W = min(trials, threads,
     usable CPUs), the calling process runs the trials t = 0 (mod W)
-    itself, at one OpenBLAS thread, and the share t = w (mod W) of each
-    w > 0 goes to a persistent pool of forked workers as one task.  At
-    W = 1, off Linux, and off the main thread, every trial runs in
-    process, with the BLAS threads as they are, and no process starts.
-    A failed trial raises what it raises at threads = 1, and a broken
-    pool raises BrokenProcessPool and is replaced at the next call.
+    itself, and the share t = w (mod W) of each w > 0 goes to a
+    persistent pool of forked workers as one task.  At W = 1, off Linux,
+    and off the main thread, every trial runs in process and no process
+    starts.  On Linux every trial runs at one OpenBLAS thread, in a
+    worker or in the caller, which restores its own count afterwards:
+    from n = 150 or so the eigensolver's last bits depend on that count,
+    so rows would otherwise depend on where the trial ran.
+    A run at W = 1 whose min(threads, usable CPUs) is 2 or more has a
+    CPU to spare: a trial that selects with fagod runs its Jacobi sweep
+    on a second thread beside the eigensolve of the basis its signal is
+    drawn from (`_truth_and_filter`).  A failed trial raises what it
+    raises at threads = 1, and a broken pool raises BrokenProcessPool
+    and is replaced at the next call.
     Rows are sorted by (method, sweep, trial) in spec order before
     returning, so scheduling never affects the output.
     """
@@ -736,8 +780,9 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
             futures = [pool.submit(_worker_share, spec, share, use_blue,
                                    others[w % len(others)])
                        for w, share in enumerate(shares[1:])]
-        with _one_blas_thread() if pool else contextlib.nullcontext():
-            outcomes = [_share_rows(spec, shares[0], use_blue)]
+        with _one_blas_thread() if _FORKS else contextlib.nullcontext():
+            outcomes = [_share_rows(spec, shares[0], use_blue,
+                                    width == 1 and min(threads, cpus) >= 2)]
         outcomes += [future.result() for future in futures]
     except BrokenExecutor:  # a worker died: BrokenProcessPool
         _drop_pool(pool)

@@ -11,7 +11,9 @@ references live in `gsample.oracle`.
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +119,23 @@ def greedy_jacobi(lap: Laplacian, J: int):
     Returns (GivensSeq, approximate eigenvalues sorted ascending, perm)
     where perm maps rotated coordinates to the ascending order.
     """
+    return _greedy_jacobi(np.array(lap.matrix, dtype=float), J)[0]
+
+
+def _greedy_jacobi(w: np.ndarray, J: int, beside=lambda: None,
+                   thread: bool = False):
+    """`greedy_jacobi` on w, a float working copy of the Laplacian, which
+    it checks and then rotates in place.
+
+    `beside()` runs on the calling thread once the checks pass: with
+    `thread`, while a second thread makes the kernel call (ctypes
+    releases the interpreter lock for it), and otherwise just before
+    that call.  Either way a failure of `beside` is raised first, after
+    the second thread has been joined.  Returns greedy_jacobi's triple
+    and what `beside` returned.
+    """
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")
-    w = np.array(lap.matrix, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"Laplacian must be square, got shape {w.shape}")
     # reductions, not an n x n boolean; a NaN comes out of both
@@ -129,14 +145,24 @@ def greedy_jacobi(lap: Laplacian, J: int):
         raise ValueError("Laplacian must be exactly symmetric")
     n = w.shape[0]
     if n >= 2 and J > 0:
-        planes, thetas = _kernels.greedy_jacobi_sweep(w, J, OFFDIAG_TOL)
+        sweep = functools.partial(_kernels.greedy_jacobi_sweep, w, J,
+                                  OFFDIAG_TOL)
     else:
-        planes, thetas = np.empty((0, 2), dtype=np.int64), np.empty(0)
+        def sweep():
+            return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    if thread:
+        with ThreadPoolExecutor(1) as second:  # joined on exit
+            rotated = second.submit(sweep)
+            aside = beside()
+        planes, thetas = rotated.result()
+    else:
+        aside = beside()
+        planes, thetas = sweep()
     seq = GivensSeq(n, planes, thetas)
     # the kernel leaves the lower triangle stale; only the diagonal is used
     diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
-    return seq, diag[perm], perm
+    return (seq, diag[perm], perm), aside
 
 
 def lowpass_from_givens(givens: GivensSeq, perm, K: int,

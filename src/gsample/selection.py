@@ -352,8 +352,10 @@ def _greedy(state, M: int, step) -> SamplingSet:
 
 
 def _smallest(scores: np.ndarray):
-    # np.argmin returns the first minimum, so ties go to the smallest
-    # index; the winning score is the step's trace value
+    # np.argmin returns the first minimum, so scores equal to the last bit
+    # go to the smallest index (candidates that tie in exact arithmetic go
+    # whichever way rounding sends them); the winning score is the step's
+    # trace value
     j = int(np.argmin(scores))
     return j, scores[j]
 
@@ -368,8 +370,9 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
     V_K V_K^T given basis and K, or on a dense symmetric positive
     semidefinite filter matrix filt, factored once from its eigenpairs.
     Every fagod form runs `FactoredFagodState`.  At each step the node
-    with the smallest resulting objective joins the set; ties go to the
-    smallest node index.
+    with the smallest resulting objective joins the set; objectives
+    equal to the last bit go to the smallest node index, while a tie in
+    exact arithmetic goes whichever way rounding sends it.
     """
     if method not in ("agod", "fagod", "god"):
         raise ValueError(f"unknown greedy method {method!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +113,12 @@ class Observation:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     v = vectors.copy()
-    significant = np.abs(v) > SIGN_TOL
+    # |v| > SIGN_TOL, without an n x K float temporary
+    significant = (v > SIGN_TOL) | (v < -SIGN_TOL)
     first = significant.argmax(axis=0)  # index of first non-negligible entry
     lead = v[first, np.arange(v.shape[1])]
-    signs = np.where(lead < 0, -1.0, 1.0)
-    return v * signs
+    v *= np.where(lead < 0, -1.0, 1.0)
+    return v
 
 
 def check_gap(eigenvalues, K: int, n: int) -> None:
@@ -145,18 +147,32 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     lambda_{K+1} - lambda_K <= tol * max(1, lambda_{K+1}), with
     tol = GAP_TOL = 1e-8 (`check_gap`).
     """
-    n = lap.n
+    return _eigendecompose(lap.matrix, K)
+
+
+def _eigendecompose(a: np.ndarray, K: int | None = None,
+                    overwrite_a: bool = False) -> SpectralBasis:
+    """`eigendecompose` of the symmetric n x n array a.
+
+    With `overwrite_a` the subset solver may use a as its workspace, and
+    an F-contiguous a is not copied first; the full `eigh` always works
+    on a copy.  A Laplacian's matrix is never passed with `overwrite_a`:
+    scipy writes into a read-only array without complaint.
+    """
+    n = a.shape[0]
+    # LAPACK returns NaNs for a non-finite matrix without complaint; two
+    # reductions, not an n x n boolean, and a NaN comes out of both
+    if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
+        raise ValueError("Laplacian has non-finite entries")
     if K is None or K >= n:
-        # eigh returns NaNs for a non-finite matrix without complaint
-        if not np.isfinite(lap.matrix).all():
-            raise ValueError("Laplacian has non-finite entries")
-        w, v = np.linalg.eigh(lap.matrix)
+        w, v = np.linalg.eigh(a)
         order = np.argsort(w, kind="stable")
         return SpectralBasis(w[order], _fix_signs(v[:, order]))
     if K < 1:
         raise ValueError(f"bandwidth K={K} must be at least 1")
     # LAPACK returns a subset's eigenvalues in ascending order
-    w, v = scipy.linalg.eigh(lap.matrix, subset_by_index=[0, K], driver="evr")
+    w, v = scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
+                             overwrite_a=overwrite_a, check_finite=False)
     check_gap(w, K, n)
     return SpectralBasis(w[:K], _fix_signs(v[:, :K]))
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gsample.bench as bench
-from gsample import (SpecError, exact_lowpass, greedy_aoptimal,
+from gsample import (SpecError, approximate_lowpass, build_laplacian,
+                     eigendecompose, exact_lowpass, greedy_aoptimal,
                      greedy_doptimal, greedy_eoptimal, greedy_select, observe,
                      parse_spec_file, parse_spec_text, rmse, run_experiment,
                      write_result_csv)
@@ -254,7 +255,7 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
         if method in ("agod", "god"):
             sel = greedy_select(method, M, basis=ctx.basis, K=ctx.K, mu=ctx.mu)
         elif method == "fagod":
-            sel = greedy_select("fagod", M, filt=ctx.approx_filter(), mu=ctx.mu)
+            sel = greedy_select("fagod", M, filt=ctx.filter, mu=ctx.mu)
         elif method == "fagod-exact":
             # the dense V_K V_K^T, which greedy_select factors itself
             sel = greedy_select("fagod", M, filt=exact_lowpass(ctx.basis, ctx.K),
@@ -285,6 +286,29 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
                 assert repr(row.value) == repr(value), (method, M, trial)
         # a budget past the largest in the spec runs the method again
         assert fresh.select("agod", 10) == direct(ctx, "agod", 10)
+
+
+@pytest.mark.parametrize("spare_cpu", [True, False])
+@pytest.mark.parametrize("model,width", [("G1", 10), ("G2", None),
+                                         ("G3", 40)])
+def test_joint_stage_matches_the_separate_calls(model, width, spare_cpu):
+    # the trial's basis and Givens filter, from one working copy of L,
+    # equal eigendecompose's and approximate_lowpass's bit for bit, and
+    # the Laplacian itself is never written
+    n, K, J = 120, 8, 900
+    lap = build_laplacian(bench.make_graph(model, n, 4, 6, 0.08))
+    before = lap.matrix.tobytes()
+    basis, filt = bench._truth_and_filter(lap.matrix.copy(), width, K, J,
+                                          spare_cpu)
+    exact, approx = eigendecompose(lap, width), approximate_lowpass(lap, K, J)
+    assert lap.matrix.tobytes() == before
+    assert basis.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
+    assert basis.eigenvectors.tobytes() == exact.eigenvectors.tobytes()
+    for got, want in [(filt.factor, approx.factor),
+                      (filt.approx_eigs, approx.approx_eigs),
+                      (filt.givens.planes, approx.givens.planes),
+                      (filt.givens.thetas, approx.givens.thetas)]:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_exact_filter_rows_build_no_dense_filter(monkeypatch):

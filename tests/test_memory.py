@@ -1,5 +1,6 @@
 """Memory of the sensor-graph generator, of the eigen-free path after the
-Jacobi sweep, and of the truncated eigensolver.
+Jacobi sweep, of the truncated eigensolver, and of a fagod trial that
+solves for its truth basis beside the sweep.
 
 Filter synthesis, fagod selection and reconstruction work on the n x K
 factor of the approximate filter and a K x K loaded Gram, so their peak
@@ -9,13 +10,17 @@ n x n working copy of the Laplacian and O(nK) more, where the full
 decomposition holds several n x n arrays.  The sensor generator builds
 no distance matrix, so its adjacency is its one n x n array.  The Jacobi
 sweep checks its input with reductions and row blocks, next to its one
-n x n working copy.
+n x n working copy.  A fagod trial drops its Laplacian once the sweep
+has its working copy, so the sweep and the solver hold two n x n arrays
+between them.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import gsample.bench as bench
 from gsample import (DEFAULT_MU, build_laplacian, eigendecompose,
                      filter_reconstruct, gen_sensor, gen_signal, greedy_jacobi,
                      greedy_select, lowpass_from_givens, observe,
@@ -79,3 +84,16 @@ def test_greedy_jacobi_checks_its_input_beside_one_working_copy():
     # boolean (0.61 MiB here) would show above the copy
     extra = _peak_mb(lambda: greedy_jacobi(lap, 0)) - n * n * 8 / MIB
     assert extra < 0.5 * n * n / MIB, f"{extra:.2f} MiB above the copy"
+
+
+@pytest.mark.parametrize("spare_cpu", [True, False])
+def test_fagod_trial_holds_two_dense_arrays(spare_cpu):
+    # the Laplacian held beside the sweep's and the solver's copies reads
+    # above 3 dense arrays
+    n = 800
+    spec = bench.parse_spec_text(
+        f"study = rmse_vs_size\nn = {n}\nK = 40\nsignal = GS3\n"
+        "methods = fagod\nsweep = 80\ntrials = 1")
+    bench._TrialContext(spec, 60, 0, spare_cpu)  # warm up
+    peak = _peak_mb(lambda: bench._rmse_trial_rows(spec, 0, False, spare_cpu))
+    assert peak < 2.5 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"

@@ -1,9 +1,10 @@
 """Trials in forked worker processes: failures, lifetimes, a broken pool,
-the process cap and the forking thread.
+the process cap and the forking thread; and the Jacobi sweep on a second
+thread beside the eigensolve of a run with a CPU to spare.
 
 Rows do not depend on the process count (`test_bench.py`); these tests
-check what the processes themselves do.  Scripts that must start from a
-process without a pool run in a fresh interpreter.
+check what the processes and threads themselves do.  Scripts that must
+start from a process without a pool run in a fresh interpreter.
 """
 
 import multiprocessing
@@ -12,14 +13,18 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gsample._kernels as kernels
 import gsample.bench as bench
+from gsample import Graph
 from gsample.bench import ExperimentSpec, parse_spec_text, run_experiment
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -140,9 +145,9 @@ def test_processes_are_capped_at_the_usable_cpus(monkeypatch):
     caller_shares = []
     share_rows = bench._share_rows
 
-    def recorded(spec, trials, use_blue):
+    def recorded(spec, trials, *args):
         caller_shares.append(trials)
-        return share_rows(spec, trials, use_blue)
+        return share_rows(spec, trials, *args)
 
     monkeypatch.setattr(bench, "_share_rows", recorded)
     run_experiment(spec, threads=8)
@@ -176,8 +181,9 @@ print(int(data(main) == data(results[0])))
 
 
 def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):
-    # with workers running, the caller drops its OpenBLAS to one thread
-    # for its own share and restores the count; in process it keeps it
+    # the caller drops its OpenBLAS to one thread for its own share, as
+    # the workers run theirs, with workers running or in process, and
+    # restores the count
     libraries = bench._blas_threads()
     if len(os.sched_getaffinity(0)) < 2 or not libraries:
         pytest.skip("needs two usable CPUs and OpenBLAS")
@@ -185,9 +191,9 @@ def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):
     during = []
     share_rows = bench._share_rows
 
-    def recorded(spec, trials, use_blue):
+    def recorded(spec, trials, *args):
         during.append(counts())
-        return share_rows(spec, trials, use_blue)
+        return share_rows(spec, trials, *args)
 
     monkeypatch.setattr(bench, "_share_rows", recorded)
     spec = parse_spec_text(TWO_TRIALS)
@@ -202,4 +208,158 @@ def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):
         for (_, setter), count in zip(libraries, original):
             setter(count)
     two = [2] * len(libraries)
-    assert during == [[1] * len(libraries), two] and after == two
+    assert during == [[1] * len(libraries)] * 2 and after == two
+
+
+# one trial that selects with fagod: at the default thread count it has a
+# CPU to spare, at threads = 1 it does not
+ONE_FAGOD = ("study = rmse_vs_size\nn = {n}\nK = {K}\ngraph = {graph}\n"
+             "signal = {signal}\nmethods = fagod, agod, fagod-exact\n"
+             "sweep = 4, 12\ntrials = 1\nbase_seed = 3\n")
+
+
+def _needs_two_cpus():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads, numpy's default on two CPUs,
+    and its count restored after the test: from n = 150 or so the
+    eigensolver's last bits depend on the count."""
+    libraries = bench._blas_threads()
+    if not libraries:
+        pytest.skip("needs OpenBLAS")
+    original = [get() for get, _ in libraries]
+    for _, setter in libraries:
+        setter(2)
+    yield [2] * len(libraries)
+    for (_, setter), count in zip(libraries, original):
+        setter(count)
+
+
+def _watch_the_solve(monkeypatch):
+    """Record, at each truth eigensolve of the joint stage, the live
+    thread count and the counts of every loaded OpenBLAS."""
+    seen = []
+    solve = bench._eigendecompose
+
+    def watched(*args, **kwargs):
+        seen.append((threading.active_count(),
+                     [get() for get, _ in bench._blas_threads()]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "_eigendecompose", watched)
+    return seen
+
+
+@pytest.mark.parametrize("signal", ["GS1", "GS3", "GS2"])
+@pytest.mark.parametrize("graph", ["G1", "G2", "G3"])
+def test_sweep_beside_the_solve_leaves_rows_unchanged(monkeypatch,
+                                                      two_blas_threads,
+                                                      graph, signal):
+    # GS2 keeps the full basis, from np.linalg.eigh; the others the
+    # subset solver's
+    _needs_two_cpus()
+    seen = _watch_the_solve(monkeypatch)
+    spec = parse_spec_text(ONE_FAGOD.format(n=160, K=8, graph=graph,
+                                            signal=signal))
+    before = threading.active_count()
+    beside = _data(run_experiment(spec))
+    assert threading.active_count() == before
+    alone = _data(run_experiment(spec, threads=1))
+    assert threading.active_count() == before
+    assert beside == alone
+    # the sweep's thread was alive during the solve only at the default
+    assert [threads for threads, _ in seen] == [before + 1, before]
+
+
+def _cycle(n):
+    adj = np.zeros((n, n))
+    for i in range(n):
+        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
+    return Graph(n, adj)
+
+
+@pytest.mark.parametrize("n,signal,K", [
+    # the subset solver raises on the cycle's equal lambda_10, lambda_11
+    (20, "GS1", 4),
+    # the full basis holds and the trial's check at K raises afterwards
+    (16, "GS2", 2)], ids=["in-the-solve", "after-the-solve"])
+def test_failed_truth_solve_raises_as_at_one_thread(monkeypatch, n, signal,
+                                                    K):
+    _needs_two_cpus()
+    monkeypatch.setattr(bench, "make_graph", lambda *args: _cycle(n))
+    spec = parse_spec_text(ONE_FAGOD.format(n=n, K=K, graph="G1",
+                                            signal=signal))
+    before = threading.active_count()
+    messages = []
+    for threads in (None, 1):
+        with pytest.raises(ValueError) as info:
+            run_experiment(spec, threads=threads)
+        messages.append(str(info.value))
+        assert threading.active_count() == before
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"degenerate spectrum at the bandwidth "
+                                  f"(n={n}, K=")
+
+
+@pytest.mark.parametrize("solve_fails", [False, True])
+def test_failed_sweep_thread_raises_as_at_one_thread(monkeypatch,
+                                                     solve_fails):
+    # a failure on the sweep's thread reaches the caller; when the solve
+    # fails too, its failure is raised, as at threads = 1, where the
+    # solve runs first
+    _needs_two_cpus()
+
+    def broken(*args):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(kernels, "greedy_jacobi_sweep", broken)
+    if solve_fails:
+        monkeypatch.setattr(bench, "make_graph", lambda *args: _cycle(20))
+    spec = parse_spec_text(ONE_FAGOD.format(n=20 if solve_fails else 60,
+                                            K=4, graph="G1", signal="GS1"))
+    before = threading.active_count()
+    messages = []
+    for threads in (None, 1):
+        with pytest.raises((RuntimeError, ValueError)) as info:
+            run_experiment(spec, threads=threads)
+        messages.append((type(info.value), str(info.value)))
+        assert threading.active_count() == before
+    assert messages[0] == messages[1]
+    assert messages[0][0] is (ValueError if solve_fails else RuntimeError)
+
+
+def test_sweep_beside_the_solve_runs_at_one_blas_thread(monkeypatch,
+                                                        two_blas_threads):
+    # the solve beside the sweep, and the solve alone, run at one OpenBLAS
+    # thread; the caller's count is restored after each call
+    _needs_two_cpus()
+    seen = _watch_the_solve(monkeypatch)
+    spec = parse_spec_text(ONE_FAGOD.format(n=60, K=4, graph="G1",
+                                            signal="GS1"))
+    counts = lambda: [get() for get, _ in bench._blas_threads()]  # noqa: E731
+    afters = []
+    for threads in (None, 1):
+        run_experiment(spec, threads=threads)
+        afters.append(counts())
+    one = [1] * len(two_blas_threads)
+    assert seen == [(threading.active_count() + 1, one),
+                    (threading.active_count(), one)]
+    assert afters == [two_blas_threads] * 2
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_rows_do_not_depend_on_the_blas_thread_count(two_blas_threads,
+                                                     trials):
+    # a trial runs at one OpenBLAS thread in the caller as in a worker,
+    # whatever the caller's own count: the eigensolver's last bits
+    # depend on it at this n
+    spec = parse_spec_text(ONE_FAGOD.format(
+        n=160, K=8, graph="G1", signal="GS1").replace(
+        "trials = 1", f"trials = {trials}"))
+    runs = [_data(run_experiment(spec, threads=threads))
+            for threads in (1, None, 2)]
+    assert runs == [runs[0]] * 3

@@ -200,6 +200,14 @@ def test_full_basis_rejects_non_finite_laplacian(entry):
         eigendecompose(Laplacian(matrix))
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_subset_solve_rejects_non_finite_laplacian(entry):
+    matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    matrix[1, 1] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(Laplacian(matrix), 1)
+
+
 def test_degenerate_bandwidth_fails_loudly():
     # the 8-cycle's spectrum is 2 - 2 cos(2 pi k / 8): lambda_2 = lambda_3
     lap = build_laplacian(_cycle(8))
