@@ -14,8 +14,9 @@ written as the CLI writes them, to a temporary directory.  Then it
 prints one SHA-256 over the fixed grid GRAPH_DRAWS of `bench.make_graph`
 draws, the graphs of `run` and `graph gen`, and last one over
 `greedy_jacobi` on the Laplacians of the grid JACOBI_GRAPHS at the
-default rotation budget, and one over the picks of fagod on dense exact
-filters on the grid DENSE_FAGOD.  Running the script against
+default rotation budget, one over the picks of fagod on dense exact
+filters on the grid DENSE_FAGOD, and one over the agod, dopt and aopt
+picks on the grid SPECTRAL_PICKS.  Running the script against
 two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
 """
@@ -35,7 +36,8 @@ from gsample.filters import (exact_lowpass, greedy_jacobi,  # noqa: E402
                              rotation_budget)
 from gsample.graphs import ER_P, SENSOR_KNN, build_laplacian  # noqa: E402
 from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
-from gsample.selection import greedy_select  # noqa: E402
+from gsample.selection import (greedy_aoptimal,  # noqa: E402
+                               greedy_doptimal, greedy_select)
 from gsample.spectral import eigendecompose  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -66,6 +68,15 @@ DENSE_FAGOD = tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n), K, mu)
                     for model in bench.GRAPH_MODELS
                     for n in (10, 30, 60) for seed in (0, 1)
                     for K in (2, 4) for mu in (1 / 99, 1e-3))
+
+# (model, n, seed, knn, p, K, mu): G1, G2 and G3 at two sizes and two
+# seeds, K = n / 20 and three loadings down to 1e-5; each selects 4K
+# nodes, past the bandwidth
+SPECTRAL_PICKS = tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n),
+                        n // 20, mu)
+                       for model in bench.GRAPH_MODELS
+                       for n in (100, 200) for seed in (0, 1)
+                       for mu in (1 / 99, 1e-3, 1e-5))
 
 
 def data_digest(path: Path) -> str:
@@ -120,6 +131,20 @@ def dense_fagod_digest() -> str:
     return digest.hexdigest()
 
 
+def spectral_picks_digest() -> str:
+    """SHA-256 over SPECTRAL_PICKS: the indices of agod, dopt and aopt on
+    the K + 1 lowest eigenpairs of each graph, at budget 4K."""
+    digest = hashlib.sha256()
+    for model, n, seed, knn, p, K, mu in SPECTRAL_PICKS:
+        basis = eigendecompose(
+            build_laplacian(bench.make_graph(model, n, seed, knn, p)), K + 1)
+        for picks in (greedy_select("agod", 4 * K, basis=basis, K=K, mu=mu),
+                      greedy_doptimal(basis, K, mu, 4 * K),
+                      greedy_aoptimal(basis, K, mu, 4 * K)):
+            digest.update(repr(picks.indices).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,7 +183,9 @@ def main() -> int:
           flush=True)
     print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}",
           flush=True)
-    print(f"dense fagod {len(DENSE_FAGOD)} picks {dense_fagod_digest()}")
+    print(f"dense fagod {len(DENSE_FAGOD)} picks {dense_fagod_digest()}",
+          flush=True)
+    print(f"spectral picks {len(SPECTRAL_PICKS)} {spectral_picks_digest()}")
     return status
 
 

@@ -179,22 +179,24 @@ def knn(pos: np.ndarray, k: int):
 
 
 class AgodScan:
-    """The agod argmin kernel with buffers of its own, for one state.
+    """The agod argmin kernel, bound to one state's buffers.
 
-    Fill `u` (n x K) with U = V Z^-1, `g` with g_j = u_j . v_j and `diag`
-    with diag Z^-1, then call: the result is the free node (taken[j]
-    false) of smallest max_k (diag_k - u_jk^2 / (1 + g_j)) and that
-    value, bitwise as the numpy scan of `LoadedGramState` finds them.
-    `taken` (n bools) is the state's and must stay in place.  Raises
-    ValueError when a value the scan reads is not finite or no node is
-    free.
+    u (n x K) holds U = V Z^-1, g the n values g_j = u_j . v_j and `diag`,
+    the scan's own, diag Z^-1.  Fill `diag`, then call: the result is the
+    free node (taken[j] false) of smallest max_k (diag_k - u_jk^2 /
+    (1 + g_j)) and that value, bitwise as the numpy scan of
+    `LoadedGramState` finds them.  u, g and taken (n bools) must stay in
+    place.  Raises ValueError when a value the scan reads is not finite
+    or no node is free.
     """
 
-    def __init__(self, n: int, K: int, taken: np.ndarray):
-        self.u, self.g, self.diag = np.empty((n, K)), np.empty(n), np.empty(K)
+    def __init__(self, u: np.ndarray, g: np.ndarray, taken: np.ndarray):
+        n, K = u.shape
+        self.diag = np.empty(K)
         self._order, self._value = np.empty(K, dtype=np.int64), np.empty(1)
-        self._taken = taken
-        self._args = (self.u.ctypes.data, self.g.ctypes.data,
+        self._buffers = (u, g, taken)
+        self._args = (_address(u, np.float64, (n, K)),
+                      _address(g, np.float64, (n,)),
                       self.diag.ctypes.data,
                       _address(taken, np.bool_, (n,)), n, K,
                       self._order.ctypes.data, self._value.ctypes.data)

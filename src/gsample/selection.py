@@ -16,16 +16,17 @@ Every criterion but god and eopt is a score on one matrix, the K x K
 loaded Gram Z = V_S^T V_S + mu I of an n x K factor V: the K lowest
 eigenvectors for agod, aopt and dopt, the filter's factor for fagod
 (T = V V^T: V_K for the exact filter, V~_K for the Givens one; through
-Woodbury nothing n x n is formed).  `LoadedGramState` keeps Z^-1 with rank-one
-(Sherman-Morrison) updates, and one incremental greedy loop runs all
-four criteria.  A dense filter matrix handed to `greedy_select` is
-factored once, T = F F^T, from its eigenpairs.  god and eopt have
-no incremental form and run the plain greedy loop of
-`oracle.greedy_minimize`.  The agod and fagod steps take their argmin in
-compiled early-exit scans (`smallest_candidate`); the numpy
-`candidate_objectives` stay as their references.  Random sampling,
-which minimizes nothing, rounds out the set of strategies benchmarked
-against each other.
+Woodbury nothing n x n is formed).  `LoadedGramState` keeps Z^-1 with
+rank-one (Sherman-Morrison) updates, and with one matvec per step the
+per-node g_j = v_j Z^-1 v_j^T and U = V Z^-1 that the criteria read, so
+a step costs O(nK); one incremental greedy loop runs all four criteria.
+A dense filter matrix handed to `greedy_select` is factored once,
+T = F F^T, from its eigenpairs.  god and eopt have no incremental form
+and run the plain greedy loop of `oracle.greedy_minimize`.  The agod and
+fagod steps take their argmin in compiled early-exit scans
+(`smallest_candidate`); the numpy `candidate_objectives` stay as their
+references.  Random sampling, which minimizes nothing, rounds out the
+set of strategies benchmarked against each other.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger
 
 from . import _kernels
 from .filters import ApproxFilter
@@ -168,11 +170,13 @@ class LoadedGramState:
 
     The one holder of Z^-1 for an n x K factor V: the K lowest
     eigenvectors for agod, aopt and dopt, the filter's factor for fagod.
-    `add` makes one rank-one (Sherman-Morrison) update, and `projections`
-    gives U = V Z^-1 and g_j = u_j . v_j for every node in one pass, which
-    every step reads; the agod objective is max diag Z^-1.
-    `smallest_candidate` is the agod step, by the compiled scan;
-    `candidate_objectives` is its numpy reference.
+    `add` makes one rank-one (Sherman-Morrison) update of Z^-1 and one
+    matvec, h = V u / s, which updates g_j = v_j Z^-1 v_j^T for every
+    node (g -= s h^2) and, once a step has read it, U = V Z^-1
+    (U -= h u^T, by BLAS dger in place), so a step costs O(nK).
+    dopt reads g only; aopt reads |u_j|^2 off the kept U, and the agod
+    objective is max diag Z^-1.  `smallest_candidate` is the agod step,
+    by the compiled scan; `candidate_objectives` is its numpy reference.
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
@@ -185,6 +189,8 @@ class LoadedGramState:
         self.n, self.K = factor.shape
         self.mu = mu
         self._zinv = np.eye(self.K) / mu
+        self.g = np.einsum("ij,ij->i", factor, factor) / mu
+        self._u = None  # U = V Z^-1, formed when a step first reads it
         self.selected = []
         self._taken = np.zeros(self.n, dtype=bool)
         self._agod = None
@@ -194,14 +200,11 @@ class LoadedGramState:
         return self._zinv.copy()
 
     def projections(self):
-        """U = V Z^-1 (row j is v_j Z^-1) and g_j = v_j Z^-1 v_j^T, written
-        into the agod scan's buffers; they hold until the next `add`."""
-        if self._agod is None:
-            self._agod = _kernels.AgodScan(self.n, self.K, self._taken)
-        scan = self._agod
-        np.matmul(self.factor, self._zinv, out=scan.u)
-        np.einsum("ij,ij->i", scan.u, self.factor, out=scan.g)
-        return scan.u, scan.g
+        """U = V Z^-1 (row j is v_j Z^-1) and g, the state's own arrays,
+        which `add` updates in place."""
+        if self._u is None:
+            self._u = self.factor @ self._zinv
+        return self._u, self.g
 
     def objective(self) -> float:
         return max_diag(self._zinv)
@@ -217,7 +220,8 @@ class LoadedGramState:
     def smallest_candidate(self):
         """The first node of smallest `candidate_objectives` and that
         objective, bit for bit, without the n x K temporaries."""
-        self.projections()
+        if self._agod is None:
+            self._agod = _kernels.AgodScan(*self.projections(), self._taken)
         np.copyto(self._agod.diag, np.diagonal(self._zinv))
         return self._agod()
 
@@ -225,19 +229,30 @@ class LoadedGramState:
         """Tr (Z + v_j^T v_j)^-1 = Tr Z^-1 - |u_j|^2 / (1 + g_j) for each j
         (inf where already selected): the aopt criterion."""
         u, g = self.projections()
-        traces = np.trace(self._zinv) - (u ** 2).sum(axis=1) / (1.0 + g)
+        # read off the kept U: |u_j|^2 updated by its own rank-one
+        # recursion drifted to 2e-2 of its largest value at mu = 1e-6
+        # on small degenerate factors, where these stayed within 2e-9
+        traces = np.einsum("ij,ij->i", u, u)
+        traces /= 1.0 + g
+        np.subtract(np.trace(self._zinv), traces, out=traces)
         traces[self._taken] = np.inf
         return traces
 
     def add(self, j: int):
-        """Select node j; returns u = Z^-1 v_j^T and s = 1 + v_j u."""
+        """Select node j; returns u = Z^-1 v_j^T, s = 1 + v_j u and
+        h = V u / s, the column V Z'^-1 v_j^T of the grown state."""
         j = int(j)
         if self._taken[j]:
             raise ValueError(f"node {j} already selected")
         self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
+        h = self.factor @ u / s
+        self.g -= s * h * h
+        if self._u is not None:
+            # U.T is U's memory in Fortran order: U -= h u^T in place
+            _dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
         self.selected.append(j)
         self._taken[j] = True
-        return u, s
+        return u, s, h
 
 
 class FactoredFagodState(LoadedGramState):
@@ -245,18 +260,17 @@ class FactoredFagodState(LoadedGramState):
 
     By Woodbury, (T_SS + mu I)^-1 = mu^-1 (I - V_S Z^-1 V_S^T) with the
     K x K loaded Gram Z = V_S^T V_S + mu I, so nothing n x n is formed.
-    On top of the shared Z^-1 the state keeps a_j = v_j Z^-1 v_j^T for
-    every node, the m x n matrix B = V_S Z^-1 V^T, and
-    d = diag (T_SS + mu I)^-1.  Adding node j turns entry i of d into
-    d_i + B_ij^2 / (mu (1 + a_j)) and appends 1 / (mu (1 + a_j)): the
+    On top of the shared Z^-1 and g_j = v_j Z^-1 v_j^T the state keeps
+    the m x n matrix B = V_S Z^-1 V^T and d = diag (T_SS + mu I)^-1; it
+    never forms U.  Adding node j turns entry i of d into
+    d_i + B_ij^2 / (mu (1 + g_j)) and appends 1 / (mu (1 + g_j)): the
     bordered inverse of T_SS + mu I grown by node j, whose Schur
-    complement is mu (1 + a_j) and whose column (T_SS + mu I)^-1 T_Sj is
+    complement is mu (1 + g_j) and whose column (T_SS + mu I)^-1 T_Sj is
     B_:j.  A step costs O(mn + nK).
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
         super().__init__(factor, mu)
-        self._a = np.einsum("ij,ij->i", self.factor, self.factor) / mu
         # rows of B and entries of d, grown by doubling; the first
         # len(selected) are live
         self._b = np.empty((0, self.n))
@@ -271,7 +285,7 @@ class FactoredFagodState(LoadedGramState):
     def candidate_objectives(self) -> np.ndarray:
         """Objective after adding each node j (inf where already selected)."""
         # the new node's own diagonal, 1 / Schur complement
-        obj = 1.0 / (self.mu * (1.0 + self._a))
+        obj = 1.0 / (self.mu * (1.0 + self.g))
         m = len(self.selected)
         if m:
             grown = np.square(self._b[:m])
@@ -285,15 +299,14 @@ class FactoredFagodState(LoadedGramState):
         """The first node of smallest `candidate_objectives` and that
         objective, bit for bit, by the compiled scan of B's columns."""
         if self._scan is None:
-            self._scan = _kernels.FagodScan(self._b, self._d, self._a,
+            self._scan = _kernels.FagodScan(self._b, self._d, self.g,
                                             self._taken, self.mu)
         return self._scan(len(self.selected))
 
     def add(self, j: int) -> None:
         j, m = int(j), len(self.selected)
-        u, s = super().add(j)
-        # the new row of B: v_j Z'^-1 V^T = (V Z^-1 v_j^T)^T / s
-        h = self.factor @ u / s
+        # h, the new row of B: v_j Z'^-1 V^T = (V Z^-1 v_j^T)^T / s
+        _, s, h = super().add(j)
         if m == self._b.shape[0]:
             rows = min(self.n, 2 * m + 8)
             self._b = np.concatenate([self._b, np.empty((rows - m, self.n))])
@@ -305,7 +318,6 @@ class FactoredFagodState(LoadedGramState):
         self._d[m] = 1.0 / schur
         self._b[:m] -= b_j[:, None] * h
         self._b[m] = h
-        self._a -= s * h * h
 
 
 def _dense_factor(T) -> np.ndarray:
@@ -408,7 +420,7 @@ def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> Sampling
 
     def largest_gain(s):
         nonlocal logdet
-        gain = np.where(s._taken, -np.inf, s.projections()[1])
+        gain = np.where(s._taken, -np.inf, s.g)
         j = int(np.argmax(gain))
         logdet += np.log1p(gain[j])
         return j, -logdet / K

@@ -111,8 +111,9 @@ class Observation:
         object.__setattr__(self, "values", y)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
+def _fix_signs(v: np.ndarray) -> np.ndarray:
+    """Flip the columns of v in place so that each one's first entry
+    above SIGN_TOL in magnitude is positive; returns v."""
     # |v| > SIGN_TOL, without an n x K float temporary
     significant = (v > SIGN_TOL) | (v < -SIGN_TOL)
     first = significant.argmax(axis=0)  # index of first non-negligible entry
@@ -165,16 +166,17 @@ def _eigendecompose(a: np.ndarray, K: int | None = None,
     if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
         raise ValueError("Laplacian has non-finite entries")
     if K is None or K >= n:
+        # eigh returns the eigenvalues ascending and v C-ordered and its
+        # own, so the signs are fixed in place
         w, v = np.linalg.eigh(a)
-        order = np.argsort(w, kind="stable")
-        return SpectralBasis(w[order], _fix_signs(v[:, order]))
+        return SpectralBasis(w, _fix_signs(v))
     if K < 1:
         raise ValueError(f"bandwidth K={K} must be at least 1")
     # LAPACK returns a subset's eigenvalues in ascending order
     w, v = scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
                              overwrite_a=overwrite_a, check_finite=False)
     check_gap(w, K, n)
-    return SpectralBasis(w[:K], _fix_signs(v[:, :K]))
+    return SpectralBasis(w[:K], _fix_signs(v[:, :K].copy()))
 
 
 def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:

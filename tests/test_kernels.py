@@ -493,9 +493,9 @@ def test_non_finite_candidate_fails_loudly(poke):
         factor, 1e-3)
     state.add(4)
     if poke == "factor":
-        factor[7, 2] = np.nan   # g_7 and row 7 of U turn NaN
+        factor[7, 2] = np.nan   # row 7 of U, formed at the scan, turns NaN
     else:
-        state._a[7] = -1.0      # o_7 = 1 / 0
+        state.g[7] = -1.0       # o_7 = 1 / 0
     with pytest.raises(ValueError, match="not finite"):
         state.smallest_candidate()
 
@@ -519,11 +519,11 @@ def test_non_finite_fagod_term_fails_loudly(where, value):
 def test_agod_scan_rejects_a_non_finite_g():
     # with g_j = inf every term of node j reads diag_k - u_jk^2 / inf =
     # diag_k, which is finite: only the check on 1 + g_j catches it
-    taken = np.zeros(4, dtype=bool)
-    scan = _kernels.AgodScan(4, 2, taken)
-    scan.u[:], scan.g[:], scan.diag[:] = 1.0, 0.5, 2.0
+    taken, g = np.zeros(4, dtype=bool), np.full(4, 0.5)
+    scan = _kernels.AgodScan(np.ones((4, 2)), g, taken)
+    scan.diag[:] = 2.0
     assert scan() == (0, 2.0 - 1.0 / 1.5)
-    scan.g[2] = np.inf
+    g[2] = np.inf
     with pytest.raises(ValueError, match="not finite"):
         scan()
 
@@ -531,7 +531,9 @@ def test_agod_scan_rejects_a_non_finite_g():
 def test_scan_buffers_are_checked_when_bound():
     taken = np.zeros(5, dtype=bool)
     with pytest.raises(ValueError, match="C-contiguous bool"):
-        _kernels.AgodScan(5, 2, taken.astype(np.uint8))
+        _kernels.AgodScan(np.zeros((5, 2)), np.zeros(5), taken.astype(np.uint8))
+    with pytest.raises(ValueError, match=r"shape \(5,\)"):
+        _kernels.AgodScan(np.zeros((5, 2)), np.zeros(4), taken)
     b, d, a = np.zeros((4, 5)), np.zeros(4), np.zeros(5)
     with pytest.raises(ValueError, match="C-contiguous float64"):
         _kernels.FagodScan(np.zeros((4, 10))[:, ::2], d, a, taken, 1.0)

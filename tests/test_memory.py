@@ -7,12 +7,13 @@ factor of the approximate filter and a K x K loaded Gram, so their peak
 allocation stays far below one dense n x n array.  A dense filter brought
 back onto this path fails the bound.  The subset eigensolver holds one
 n x n working copy of the Laplacian and O(nK) more, where the full
-decomposition holds several n x n arrays.  The sensor generator builds
+decomposition holds its n x n eigenvectors.  The sensor generator builds
 no distance matrix, so its adjacency is its one n x n array.  The Jacobi
 sweep checks its input with reductions and row blocks, next to its one
 n x n working copy.  A fagod trial drops its Laplacian once the sweep
 has its working copy, so the sweep and the solver hold two n x n arrays
-between them.
+between them; a GS2 trial's full basis adds the eigenvectors, whose
+signs are fixed in place.
 """
 
 import tracemalloc
@@ -65,9 +66,12 @@ def test_truncated_eigendecomposition_allocates_one_dense_copy():
     dense_mb = n * n * 8 / MIB
     full = _peak_mb(lambda: eigendecompose(lap))
     part = _peak_mb(lambda: eigendecompose(lap, K))
-    assert full > 3 * dense_mb
+    # LAPACK's workspace is allocated outside tracemalloc's view, so the
+    # full solve shows its eigenvectors alone (a reordered or sign-fixed
+    # copy of them read 3.3 dense arrays) and the subset solve its working
+    # copy of the Laplacian
+    assert dense_mb < full < 1.5 * dense_mb, f"peak {full:.2f} MiB"
     assert part < dense_mb + 1.0, f"peak {part:.2f} MiB"
-    assert part < 0.4 * full
 
 
 def test_sensor_graph_holds_one_dense_array():
@@ -97,3 +101,17 @@ def test_fagod_trial_holds_two_dense_arrays(spare_cpu):
     bench._TrialContext(spec, 60, 0, spare_cpu)  # warm up
     peak = _peak_mb(lambda: bench._rmse_trial_rows(spec, 0, False, spare_cpu))
     assert peak < 2.5 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+
+
+@pytest.mark.parametrize("spare_cpu", [True, False])
+def test_full_basis_fagod_trial_copies_no_eigenvectors(spare_cpu):
+    # GS2 needs the full basis: the sweep's and the solver's copies and
+    # the eigenvectors read about 3.3 dense arrays; a reordered or
+    # sign-fixed copy of the eigenvectors read 5.3
+    n = 800
+    spec = bench.parse_spec_text(
+        f"study = rmse_vs_size\nn = {n}\nK = 40\nsignal = GS2\n"
+        "methods = fagod\nsweep = 80\ntrials = 1")
+    bench._TrialContext(spec, 60, 0, spare_cpu)  # warm up
+    peak = _peak_mb(lambda: bench._rmse_trial_rows(spec, 0, False, spare_cpu))
+    assert peak < 4.0 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"

@@ -347,6 +347,48 @@ def test_loaded_gram_state_on_degenerate_factors(factor, log_mu):
         state.add(int(np.argmin(agod)))
 
 
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_kept_projections_hold_to_scratch_every_step(model):
+    # U = V Z^-1 and g are kept by rank-one updates from the first step
+    # that reads U; at each step of an aopt pass past K they, and the aopt
+    # traces read off the kept U, stay within 1e-8 of V Z^-1 from scratch
+    # (the drift grows as 1 / mu and read about 2e-10 at mu = 1e-6)
+    n, K, M = 200, 10, 40
+    V = eigendecompose(_model_laplacian(model, n, 1), K + 1).low_frequency(K)
+    for mu in (MU, 1e-3, 1e-6):
+        state = LoadedGramState(V, mu)
+        for _ in range(M):
+            u, g = state.projections()
+            traces = state.candidate_traces()
+            rows = V[state.selected]
+            zinv = np.linalg.inv(rows.T @ rows + mu * np.eye(K))
+            U = V @ zinv
+            G = np.einsum("ij,ij->i", U, V)
+            free = ~np.isin(np.arange(n), state.selected)
+            T = np.trace(zinv) - np.einsum("ij,ij->i", U, U) / (1.0 + G)
+            assert np.abs(u - U).max() <= 1e-8 * np.abs(U).max()
+            assert (np.abs(g - G) <= 1e-8 * (1.0 + G)).all()
+            assert (np.abs(traces - T)[free] <= 1e-8 * np.abs(T[free])).all()
+            assert (traces[~free] == np.inf).all()
+            state.add(int(np.argmin(traces)))
+
+
+def test_agod_dopt_aopt_match_plain_greedy_oracle_on_many_draws():
+    # the small G1 instance of the benchmark's oracle check over 36 draws:
+    # the incremental picks against from-scratch objectives
+    n, K, M = 30, 4, 8
+    for seed in range(36):
+        basis = eigendecompose(build_laplacian(gen_sensor(n, 6, seed)))
+        for sel, objective in [
+                (greedy_select("agod", M, basis=basis, K=K, mu=MU),
+                 objective_agod),
+                (greedy_doptimal(basis, K, MU, M), objective_dopt),
+                (greedy_aoptimal(basis, K, MU, M), objective_aopt)]:
+            slow, _ = greedy_minimize(
+                lambda S: objective(S, basis, K, MU), n, M)
+            assert list(sel.indices) == slow, (seed, objective.__name__)
+
+
 def test_loaded_gram_state_validation():
     with pytest.raises(ValueError, match="n x K"):
         LoadedGramState(np.ones(3), MU)
