@@ -15,8 +15,10 @@ prints one SHA-256 over the fixed grid GRAPH_DRAWS of `bench.make_graph`
 draws, the graphs of `run` and `graph gen`, and last one over
 `greedy_jacobi` on the Laplacians of the grid JACOBI_GRAPHS at the
 default rotation budget, one over the picks of fagod on dense exact
-filters on the grid DENSE_FAGOD, and one over the agod, dopt and aopt
-picks on the grid SPECTRAL_PICKS.  Running the script against
+filters on the grid DENSE_FAGOD, one over the agod, dopt and aopt
+picks on the grid SPECTRAL_PICKS, and one over the picks of every
+greedy pass, fagod on the exact and the Givens factor, on the grid
+BENCH_PICKS.  Running the script against
 two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
 """
@@ -32,12 +34,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from gsample import bench  # noqa: E402
-from gsample.filters import (exact_lowpass, greedy_jacobi,  # noqa: E402
-                             rotation_budget)
+from gsample.filters import (approximate_lowpass,  # noqa: E402
+                             exact_lowpass, greedy_jacobi, rotation_budget)
 from gsample.graphs import ER_P, SENSOR_KNN, build_laplacian  # noqa: E402
 from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
-from gsample.selection import (greedy_aoptimal,  # noqa: E402
-                               greedy_doptimal, greedy_select)
+from gsample.selection import (DEFAULT_MU,  # noqa: E402
+                               greedy_aoptimal, greedy_doptimal,
+                               greedy_select)
 from gsample.spectral import eigendecompose  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -77,6 +80,16 @@ SPECTRAL_PICKS = tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n),
                        for model in bench.GRAPH_MODELS
                        for n in (100, 200) for seed in (0, 1)
                        for mu in (1 / 99, 1e-3, 1e-5))
+
+# (model, n, seed, knn, p, K, M): G1 at the size of the n = 800 benchmark
+# workloads on three seeds, and G1, G2 and G3 at two sizes and two seeds
+# with K = n / 20 and M = 4K; every pass runs at the default loading
+BENCH_PICKS = (tuple(("G1", 800, seed, SENSOR_KNN, ER_P, 40, 80)
+                     for seed in (0, 1, 2))
+               + tuple((model, n, seed, SENSOR_KNN, min(1.0, 8.0 / n),
+                        n // 20, n // 5)
+                       for model in bench.GRAPH_MODELS
+                       for n in (100, 200) for seed in (0, 1)))
 
 
 def data_digest(path: Path) -> str:
@@ -145,6 +158,23 @@ def spectral_picks_digest() -> str:
     return digest.hexdigest()
 
 
+def bench_picks_digest() -> str:
+    """SHA-256 over BENCH_PICKS: the indices of agod, dopt, aopt, fagod on
+    V_K and fagod on the Givens filter of each graph, at budget M."""
+    digest = hashlib.sha256()
+    for model, n, seed, knn, p, K, M in BENCH_PICKS:
+        lap = build_laplacian(bench.make_graph(model, n, seed, knn, p))
+        basis = eigendecompose(lap, K + 1)
+        filt = approximate_lowpass(lap, K)
+        for picks in (greedy_select("agod", M, basis=basis, K=K),
+                      greedy_doptimal(basis, K, DEFAULT_MU, M),
+                      greedy_aoptimal(basis, K, DEFAULT_MU, M),
+                      greedy_select("fagod", M, basis=basis, K=K),
+                      greedy_select("fagod", M, filt=filt)):
+            digest.update(repr(picks.indices).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -185,7 +215,9 @@ def main() -> int:
           flush=True)
     print(f"dense fagod {len(DENSE_FAGOD)} picks {dense_fagod_digest()}",
           flush=True)
-    print(f"spectral picks {len(SPECTRAL_PICKS)} {spectral_picks_digest()}")
+    print(f"spectral picks {len(SPECTRAL_PICKS)} {spectral_picks_digest()}",
+          flush=True)
+    print(f"bench picks {len(BENCH_PICKS)} {bench_picks_digest()}")
     return status
 
 

@@ -1,16 +1,19 @@
 /* Compiled loops of gsample: the greedy Jacobi sweep and the
  * accumulation of its rotations (gsample.filters), the k-nearest-neighbour
- * scan of the sensor graph (gsample.graphs), and the greedy argmin scans
- * of agod and fagod (gsample.selection).
+ * scan of the sensor graph (gsample.graphs), and the greedy selection
+ * passes of agod, fagod, dopt and aopt with their argmin scans
+ * (gsample.selection).
  *
  * The arithmetic follows the numpy code each kernel replaces term by
  * term, so the outputs are bit-identical to it: the numpy references in
  * gsample.oracle for the sweep, np.argsort of the distance matrix for the
  * neighbours, and the states' candidate_objectives for the argmins.  That
  * needs every product rounded on its own: build with -ffp-contract=off
- * and without -ffast-math.  Nothing here allocates or keeps state; the
- * caller owns every buffer, so concurrent calls on different buffers are
- * safe.
+ * and without -ffast-math.  The one exception is the greedy pass: its
+ * dot products, which numpy hands to BLAS, run in a fixed order of their
+ * own, so its traces match the numpy states only to their last bits.
+ * Nothing here allocates or keeps state; the caller owns every buffer,
+ * so concurrent calls on different buffers are safe.
  *
  * The sweep reads and writes only the diagonal and the strict upper
  * triangle (i < j) of its symmetric matrix and leaves the lower triangle
@@ -438,4 +441,167 @@ int64_t fagod_argmin(const double *b, const double *d, const double *a,
     }
     *value = best_val;
     return best;
+}
+
+/* x . y over K entries in a fixed order: four interleaved partial sums,
+ * added as (s0 + s1) + (s2 + s3), then the tail in order.  Not the order
+ * of a BLAS dot, so its last bits differ from numpy's; the partial sums
+ * let the loop vectorise without reassociating. */
+static double dot(const double *x, const double *y, int64_t K)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    int64_t k = 0;
+    for (; k + 4 <= K; k += 4) {
+        s0 += x[k] * y[k];
+        s1 += x[k + 1] * y[k + 1];
+        s2 += x[k + 2] * y[k + 2];
+        s3 += x[k + 3] * y[k + 3];
+    }
+    double s = (s0 + s1) + (s2 + s3);
+    for (; k < K; k++)
+        s += x[k] * y[k];
+    return s;
+}
+
+/* The dopt step: the first free node of largest g[j]; -1 when a free
+ * node's g[j] is not finite, or no node is free. */
+static int64_t largest_gain(const double *g, const uint8_t *taken,
+                            int64_t n)
+{
+    int64_t best = -1;
+    for (int64_t j = 0; j < n; j++) {
+        if (taken[j])
+            continue;
+        if (!isfinite(g[j]))
+            return -1;
+        if (best < 0 || g[j] > g[best])
+            best = j;
+    }
+    return best;
+}
+
+/* The aopt step: the first free node j of smallest
+ * Tr Z^-1 - nrm[j] / (1 + g[j]), nrm[j] = |u_j|^2, and that value in
+ * *value; -1 when a candidate's value is not finite, or no node is
+ * free. */
+static int64_t smallest_trace(const double *nrm, const double *g,
+                              const double *zinv, const uint8_t *taken,
+                              int64_t n, int64_t K, double *value)
+{
+    double tr = 0.0;
+    for (int64_t k = 0; k < K; k++)
+        tr += zinv[k * K + k];
+    int64_t best = -1;
+    double best_val = INFINITY;
+    for (int64_t j = 0; j < n; j++) {
+        if (taken[j])
+            continue;
+        double c = tr - nrm[j] / (1.0 + g[j]);
+        if (!isfinite(c))
+            return -1;
+        if (c < best_val) {
+            best = j;
+            best_val = c;
+        }
+    }
+    *value = best_val;
+    return best;
+}
+
+enum { PASS_AGOD, PASS_FAGOD, PASS_DOPT, PASS_AOPT };
+
+/* M greedy steps of one criterion on the n x K factor V, whose row i
+ * starts at v + i * stride.  zinv (K x K), g (n), for agod and aopt u
+ * (n x K, row-major) and for aopt nrm (n) hold Z^-1,
+ * g_j = v_j Z^-1 v_j^T, U = V Z^-1 and |u_j|^2 of the empty selection;
+ * the pass updates them in place.  fagod also grows B = V_S Z^-1 V^T in
+ * b (M x n) and d = diag (T_SS + mu I)^-1 in d (M).  Buffers a criterion
+ * does not use are NULL.  taken (n) starts all zero.  work holds
+ * 2K + n + M doubles and order max(K, M) int64s of scratch.  Step t
+ * writes its node to picks[t] and its objective to trace[t]; ties go to
+ * the smallest index.
+ *
+ * Each step picks, then updates with node j: w = Z^-1 v_j^T,
+ * s = 1 + v_j w, Z^-1 -= w w^T / s, h = V w / s, g -= s h^2; agod and
+ * aopt also U -= h w^T, aopt taking |u_i|^2 of each updated row; fagod
+ * adds b_ij^2 / (mu s) to d_i, appends 1 / (mu s) to d, updates
+ * B -= B_:j h and appends h as its row.  Every entry is rounded as in
+ * the numpy states of gsample.selection, and the dot products run in
+ * the fixed order of `dot`, so traces agree with those states to their
+ * last bits, not bitwise.  The last step's update is skipped.  Returns
+ * M, or the step at which a value read was not finite. */
+int64_t greedy_pass(int method, const double *v, int64_t stride, int64_t n,
+                    int64_t K, double mu, int64_t M, double *zinv,
+                    double *g, double *u, double *nrm, double *b, double *d,
+                    uint8_t *taken, double *work, int64_t *order,
+                    int64_t *picks, double *trace)
+{
+    double *w = work, *diag = work + K, *hbuf = work + 2 * K;
+    double *col = hbuf + n;
+    double logdet = (double)K * log(mu);
+    for (int64_t t = 0; t < M; t++) {
+        int64_t j;
+        double value = 0.0;
+        if (method == PASS_AGOD) {
+            for (int64_t k = 0; k < K; k++)
+                diag[k] = zinv[k * K + k];
+            j = agod_argmin(u, g, diag, taken, n, K, order, &value);
+        } else if (method == PASS_FAGOD) {
+            j = fagod_argmin(b, d, g, taken, n, t, mu, order, &value);
+        } else if (method == PASS_DOPT) {
+            j = largest_gain(g, taken, n);
+            if (j >= 0) {
+                /* (1/K) ln |Z^-1| after the determinant gain 1 + g_j */
+                logdet += log1p(g[j]);
+                value = -logdet / (double)K;
+            }
+        } else {
+            j = smallest_trace(nrm, g, zinv, taken, n, K, &value);
+        }
+        if (j < 0)
+            return t;
+        picks[t] = j;
+        trace[t] = value;
+        taken[j] = 1;
+        if (t + 1 == M)
+            break;
+
+        const double *vj = v + j * stride;
+        for (int64_t a = 0; a < K; a++)
+            w[a] = dot(zinv + a * K, vj, K);
+        double s = 1.0 + dot(vj, w, K);
+        for (int64_t a = 0; a < K; a++) {
+            double *za = zinv + a * K;
+            for (int64_t c = 0; c < K; c++)
+                za[c] -= w[a] * w[c] / s;
+        }
+        /* fagod writes h straight into the row of B it appends */
+        double *h = b ? b + t * n : hbuf;
+        for (int64_t i = 0; i < n; i++) {
+            double hi = dot(v + i * stride, w, K) / s;
+            h[i] = hi;
+            g[i] -= s * hi * hi;
+            if (u) {
+                double *ui = u + i * K;
+                for (int64_t k = 0; k < K; k++)
+                    ui[k] -= hi * w[k];
+                if (nrm)
+                    nrm[i] = dot(ui, ui, K);
+            }
+        }
+        if (b) {
+            double schur = mu * s;
+            for (int64_t i = 0; i < t; i++) {
+                col[i] = b[i * n + j];
+                d[i] += col[i] * col[i] / schur;
+            }
+            d[t] = 1.0 / schur;
+            for (int64_t i = 0; i < t; i++) {
+                double *bi = b + i * n, ci = col[i];
+                for (int64_t c = 0; c < n; c++)
+                    bi[c] -= ci * h[c];
+            }
+        }
+    }
+    return M;
 }

@@ -13,8 +13,9 @@ The kernels take raw addresses; the wrappers here check each array's
 type, shape and layout first.  (ndpointer argtypes would check on every
 call too, but each check goes through ctypes.cast, which leaves the
 argument array in a reference cycle until the garbage collector runs.)
-The greedy argmin scans run once per selection step, so `AgodScan` and
-`FagodScan` check their buffers once, when they are bound.
+`greedy_pass` runs a whole greedy selection in one call; `AgodScan` and
+`FagodScan` bind its argmin scans to the buffers of one numpy state, and
+check them once, when they are bound.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("_kernel_cache")
 # No -ffast-math, no -march=native, no FMA contraction: the kernels must
-# round every product on its own, as numpy does.
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# round every product on its own, as numpy does.  -O3 vectorises the
+# greedy passes' update loops, which -O2 leaves scalar.
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 # Rotations recorded per kernel call; bounds the output buffers for huge
 # budgets that stop early.
@@ -82,6 +84,10 @@ def _load():
     lib.agod_argmin.restype = i64
     lib.fagod_argmin.argtypes = [ptr, ptr, ptr, ptr, i64, i64, f64, ptr, ptr]
     lib.fagod_argmin.restype = i64
+    lib.greedy_pass.argtypes = [ctypes.c_int, ptr, i64, i64, i64, f64, i64,
+                                ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+                                ptr, ptr]
+    lib.greedy_pass.restype = i64
     return lib
 
 
@@ -243,3 +249,49 @@ class FagodScan:
             raise ValueError("fagod candidate objectives are not finite, "
                              "or no node is free")
         return j, float(self._value[0])
+
+
+_PASSES = {"agod": 0, "fagod": 1, "dopt": 2, "aopt": 3}
+
+
+def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int,
+                zinv: np.ndarray, g: np.ndarray, u: np.ndarray | None = None,
+                nrm: np.ndarray | None = None):
+    """M greedy steps of `method` (agod, fagod, dopt or aopt) on the n x K
+    factor V, in one kernel call.
+
+    zinv (K x K), g (n), u (n x K, agod and aopt only) and nrm (n, aopt
+    only) hold Z^-1, g_j = v_j Z^-1 v_j^T, U = V Z^-1 and |u_j|^2 of the
+    empty selection, and are updated in place.  factor is read where it
+    lies when its rows are evenly spaced float64 runs, as in a column
+    slice; any other layout is copied.  Returns (picks, trace), the M
+    nodes and their objectives.  Raises ValueError when a value a step
+    reads is not finite.
+    """
+    n, K = factor.shape
+    if (u is None) != (method in ("dopt", "fagod")) \
+            or (nrm is None) != (method != "aopt"):
+        raise ValueError(f"wrong buffers for a {method} pass")
+    if factor.dtype != np.float64 or (K > 1 and factor.strides[1] != 8) \
+            or factor.strides[0] < 0 or factor.strides[0] % 8:
+        factor = np.ascontiguousarray(factor, dtype=np.float64)
+    b = np.empty((M, n)) if method == "fagod" else None
+    d = np.empty(M) if method == "fagod" else None
+    taken = np.zeros(n, dtype=np.uint8)
+    work = np.empty(2 * K + n + M)
+    order = np.empty(max(K, M), dtype=np.int64)
+    picks, trace = np.empty(M, dtype=np.int64), np.empty(M)
+    done = _LIB.greedy_pass(
+        _PASSES[method], factor.ctypes.data, factor.strides[0] // 8, n, K,
+        float(mu), M, _address(zinv, np.float64, (K, K)),
+        _address(g, np.float64, (n,)),
+        None if u is None else _address(u, np.float64, (n, K)),
+        None if nrm is None else _address(nrm, np.float64, (n,)),
+        None if b is None else b.ctypes.data,
+        None if d is None else d.ctypes.data, taken.ctypes.data,
+        work.ctypes.data, order.ctypes.data, picks.ctypes.data,
+        trace.ctypes.data)
+    if done < M:
+        raise ValueError(f"{method} candidate objectives are not finite at "
+                         f"step {done + 1}")
+    return picks, trace

@@ -16,17 +16,20 @@ Every criterion but god and eopt is a score on one matrix, the K x K
 loaded Gram Z = V_S^T V_S + mu I of an n x K factor V: the K lowest
 eigenvectors for agod, aopt and dopt, the filter's factor for fagod
 (T = V V^T: V_K for the exact filter, V~_K for the Givens one; through
-Woodbury nothing n x n is formed).  `LoadedGramState` keeps Z^-1 with
-rank-one (Sherman-Morrison) updates, and with one matvec per step the
-per-node g_j = v_j Z^-1 v_j^T and U = V Z^-1 that the criteria read, so
-a step costs O(nK); one incremental greedy loop runs all four criteria.
-A dense filter matrix handed to `greedy_select` is factored once,
-T = F F^T, from its eigenpairs.  god and eopt have no incremental form
-and run the plain greedy loop of `oracle.greedy_minimize`.  The agod and
-fagod steps take their argmin in compiled early-exit scans
-(`smallest_candidate`); the numpy `candidate_objectives` stay as their
-references.  Random sampling, which minimizes nothing, rounds out the
-set of strategies benchmarked against each other.
+Woodbury nothing n x n is formed).  Each step keeps Z^-1 by a rank-one
+(Sherman-Morrison) update, and with one matvec the per-node
+g_j = v_j Z^-1 v_j^T and U = V Z^-1 that the criteria read, so a step
+costs O(nK).  A whole selection of any of the four criteria runs as one
+compiled pass, `_kernels.greedy_pass`: it starts from the numpy Z^-1, g
+and U of the empty set and repeats the numpy per-entry arithmetic, but
+sums its dot products in its own fixed order, not BLAS's, so its traces
+match the numpy states `LoadedGramState` and `FactoredFagodState` to
+their last bits and its picks are theirs.  Those states stay as the
+pass's reference.  A dense filter matrix handed to `greedy_select` is
+factored once, T = F F^T, from its eigenpairs.  god and eopt have no
+incremental form and run the plain greedy loop of
+`oracle.greedy_minimize`.  Random sampling, which minimizes nothing,
+rounds out the set of strategies benchmarked against each other.
 """
 
 from __future__ import annotations
@@ -172,11 +175,12 @@ class LoadedGramState:
     eigenvectors for agod, aopt and dopt, the filter's factor for fagod.
     `add` makes one rank-one (Sherman-Morrison) update of Z^-1 and one
     matvec, h = V u / s, which updates g_j = v_j Z^-1 v_j^T for every
-    node (g -= s h^2) and, once a step has read it, U = V Z^-1
-    (U -= h u^T, by BLAS dger in place), so a step costs O(nK).
-    dopt reads g only; aopt reads |u_j|^2 off the kept U, and the agod
-    objective is max diag Z^-1.  `smallest_candidate` is the agod step,
-    by the compiled scan; `candidate_objectives` is its numpy reference.
+    node (g -= s h^2) and U = V Z^-1 (U -= h u^T, by BLAS dger in
+    place), so a step costs O(nK).  dopt reads g only; aopt reads
+    |u_j|^2 off the kept U, and the agod objective is max diag Z^-1.
+    The selection functions run `_kernels.greedy_pass`; this state is
+    its numpy reference.  `smallest_candidate` binds the pass's compiled
+    agod scan to the state, and `candidate_objectives` is its reference.
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
@@ -190,7 +194,7 @@ class LoadedGramState:
         self.mu = mu
         self._zinv = np.eye(self.K) / mu
         self.g = np.einsum("ij,ij->i", factor, factor) / mu
-        self._u = None  # U = V Z^-1, formed when a step first reads it
+        self._u = factor @ self._zinv
         self.selected = []
         self._taken = np.zeros(self.n, dtype=bool)
         self._agod = None
@@ -202,8 +206,6 @@ class LoadedGramState:
     def projections(self):
         """U = V Z^-1 (row j is v_j Z^-1) and g, the state's own arrays,
         which `add` updates in place."""
-        if self._u is None:
-            self._u = self.factor @ self._zinv
         return self._u, self.g
 
     def objective(self) -> float:
@@ -247,9 +249,8 @@ class LoadedGramState:
         self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
         h = self.factor @ u / s
         self.g -= s * h * h
-        if self._u is not None:
-            # U.T is U's memory in Fortran order: U -= h u^T in place
-            _dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
+        # U.T is U's memory in Fortran order: U -= h u^T in place
+        _dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
         self.selected.append(j)
         self._taken[j] = True
         return u, s, h
@@ -261,8 +262,8 @@ class FactoredFagodState(LoadedGramState):
     By Woodbury, (T_SS + mu I)^-1 = mu^-1 (I - V_S Z^-1 V_S^T) with the
     K x K loaded Gram Z = V_S^T V_S + mu I, so nothing n x n is formed.
     On top of the shared Z^-1 and g_j = v_j Z^-1 v_j^T the state keeps
-    the m x n matrix B = V_S Z^-1 V^T and d = diag (T_SS + mu I)^-1; it
-    never forms U.  Adding node j turns entry i of d into
+    the m x n matrix B = V_S Z^-1 V^T and d = diag (T_SS + mu I)^-1.
+    Adding node j turns entry i of d into
     d_i + B_ij^2 / (mu (1 + g_j)) and appends 1 / (mu (1 + g_j)): the
     bordered inverse of T_SS + mu I grown by node j, whose Schur
     complement is mu (1 + g_j) and whose column (T_SS + mu I)^-1 T_Sj is
@@ -351,25 +352,34 @@ def _check_budget(M: int, n: int) -> None:
         raise ValueError(f"budget M={M} out of range [1, {n}]")
 
 
-def _greedy(state, M: int, step) -> SamplingSet:
-    """The incremental greedy loop: `step(state)` names the next node and
-    its trace value, then the node joins the state."""
-    _check_budget(M, state.n)
-    trace = []
-    for _ in range(M):
-        j, value = step(state)
-        trace.append(float(value))
-        state.add(j)
-    return SamplingSet(tuple(state.selected), tuple(trace))
+def _greedy_pass(method: str, factor, mu: float, M: int) -> SamplingSet:
+    """M greedy steps of agod, fagod, dopt or aopt on the n x K factor V,
+    as one compiled pass (`_kernels.greedy_pass`).
 
-
-def _smallest(scores: np.ndarray):
-    # np.argmin returns the first minimum, so scores equal to the last bit
-    # go to the smallest index (candidates that tie in exact arithmetic go
-    # whichever way rounding sends them); the winning score is the step's
-    # trace value
-    j = int(np.argmin(scores))
-    return j, scores[j]
+    Z^-1, g, U and |u_j|^2 start from the numpy states' own expressions,
+    so the first step scores their values bit for bit.  Later steps
+    repeat the states' per-entry arithmetic but sum the dot products in
+    the kernel's own fixed order, so the traces differ from theirs in
+    the last bits.  A non-finite factor entry raises.
+    """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    factor = np.asarray(factor, dtype=float)
+    if factor.ndim != 2:
+        raise ValueError("factor must be an n x K matrix")
+    _check_budget(M, len(factor))
+    if not np.isfinite(factor).all():
+        raise ValueError(f"{method} factor must be finite")
+    zinv = np.eye(factor.shape[1]) / mu
+    g = np.einsum("ij,ij->i", factor, factor) / mu
+    u = nrm = None
+    if method in ("agod", "aopt"):
+        u = factor @ zinv
+    if method == "aopt":
+        nrm = np.einsum("ij,ij->i", u, u)
+    picks, trace = _kernels.greedy_pass(method, factor, mu, M, zinv, g, u,
+                                        nrm)
+    return SamplingSet(picks.tolist(), trace.tolist())
 
 
 def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
@@ -381,30 +391,26 @@ def greedy_select(method: str, M: int, *, basis: SpectralBasis | None = None,
     on an `ApproxFilter` filt's factor, on V_K of the exact filter
     V_K V_K^T given basis and K, or on a dense symmetric positive
     semidefinite filter matrix filt, factored once from its eigenpairs.
-    Every fagod form runs `FactoredFagodState`.  At each step the node
-    with the smallest resulting objective joins the set; objectives
+    agod and every fagod form run one compiled pass.  At each step the
+    node with the smallest resulting objective joins the set; objectives
     equal to the last bit go to the smallest node index, while a tie in
     exact arithmetic goes whichever way rounding sends it.
     """
     if method not in ("agod", "fagod", "god"):
         raise ValueError(f"unknown greedy method {method!r}")
     if method == "fagod" and filt is not None:
-        state = FactoredFagodState(
-            filt.factor if isinstance(filt, ApproxFilter)
-            else _dense_factor(filt), mu)
-    elif basis is None or K is None:
+        return _greedy_pass("fagod", filt.factor if isinstance(
+            filt, ApproxFilter) else _dense_factor(filt), mu, M)
+    if basis is None or K is None:
         raise ValueError(f"{method} needs basis and K")
-    elif method == "god":
+    if method == "god":
         # pseudo-inverse objective below full rank: no incremental form,
         # evaluated from scratch (reference implementation, small n only)
         _check_budget(M, basis.n)
         selected, trace = greedy_minimize(
             lambda S: objective_agod(S, basis, K, 0.0), basis.n, M)
         return SamplingSet(tuple(selected), tuple(trace))
-    else:
-        state = (LoadedGramState if method == "agod"
-                 else FactoredFagodState)(basis.low_frequency(K), mu)
-    return _greedy(state, M, lambda s: s.smallest_candidate())
+    return _greedy_pass(method, basis.low_frequency(K), mu, M)
 
 
 def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
@@ -415,23 +421,13 @@ def greedy_doptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> Sampling
     (1/K) ln |Z^-1|, accumulated from log1p(g_j): ranking by the updated
     log-determinant instead would merge gains closer than its last digit.
     """
-    state = LoadedGramState(basis.low_frequency(K), mu)
-    logdet = K * np.log(mu)
-
-    def largest_gain(s):
-        nonlocal logdet
-        gain = np.where(s._taken, -np.inf, s.g)
-        j = int(np.argmax(gain))
-        logdet += np.log1p(gain[j])
-        return j, -logdet / K
-
-    return _greedy(state, M, largest_gain)
+    return _greedy_pass("dopt", basis.low_frequency(K), mu, M)
 
 
 def greedy_aoptimal(basis: SpectralBasis, K: int, mu: float, M: int) -> SamplingSet:
-    """Greedy trace minimization of the inverted loaded Gram matrix."""
-    state = LoadedGramState(basis.low_frequency(K), mu)
-    return _greedy(state, M, lambda s: _smallest(s.candidate_traces()))
+    """Greedy trace minimization of the inverted loaded Gram matrix: each
+    step takes the smallest Tr Z^-1 - |u_j|^2 / (1 + g_j)."""
+    return _greedy_pass("aopt", basis.low_frequency(K), mu, M)
 
 
 def greedy_eoptimal(basis: SpectralBasis, K: int, M: int) -> SamplingSet:

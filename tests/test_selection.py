@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (FactoredFagodState, LoadedGramState,
-                     SamplingSet, approximate_lowpass, build_laplacian,
+from gsample import (FactoredFagodState, LoadedGramState, SamplingSet,
+                     SpectralBasis, approximate_lowpass, build_laplacian,
                      eigendecompose, exact_lowpass, gen_community, gen_er, gen_sensor,
                      greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
                      greedy_select, leverage_scores, objective_agod,
                      objective_aopt, objective_dopt, objective_eopt,
                      objective_fagod, random_select, update_inverse_rank_one)
 from gsample.oracle import greedy_minimize
-from gsample.selection import save_sampling_csv
+from gsample.selection import _greedy_pass, save_sampling_csv
 
 MU = 1 / 99
 
@@ -349,8 +349,8 @@ def test_loaded_gram_state_on_degenerate_factors(factor, log_mu):
 
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
 def test_kept_projections_hold_to_scratch_every_step(model):
-    # U = V Z^-1 and g are kept by rank-one updates from the first step
-    # that reads U; at each step of an aopt pass past K they, and the aopt
+    # U = V Z^-1 and g are kept by rank-one updates from the first step;
+    # at each step of an aopt pass past K they, and the aopt
     # traces read off the kept U, stay within 1e-8 of V Z^-1 from scratch
     # (the drift grows as 1 / mu and read about 2e-10 at mu = 1e-6)
     n, K, M = 200, 10, 40
@@ -371,6 +371,154 @@ def test_kept_projections_hold_to_scratch_every_step(model):
             assert (np.abs(traces - T)[free] <= 1e-8 * np.abs(T[free])).all()
             assert (traces[~free] == np.inf).all()
             state.add(int(np.argmin(traces)))
+
+
+# ---------------------------------------------------------------------------
+# compiled greedy passes against the numpy states
+
+# The passes round each entry as the states do but sum their dot
+# products in the kernel's own order, so their traces differ from the
+# states' in the last bits.  Worst relative deviation seen: 1.4e-10 over
+# G1, G2 and G3 at n = 100 and 200, K = n / 20, M = 4K and mu down to
+# 1e-6, and 5.3e-10 along the picks of 10,000 degenerate factors; the
+# absolute floor covers a dopt trace near zero.
+PASS_RTOL = 1e-8
+PASS_METHODS = ("agod", "fagod", "dopt", "aopt")
+
+
+def _state_scores(method, state):
+    """Each node's score on the numpy state, smallest best (inf where
+    selected); dopt scores -(1 + g_j), its determinant gain."""
+    if method == "dopt":
+        return np.where(state._taken, np.inf, -1.0 - state.g)
+    if method == "aopt":
+        return state.candidate_traces()
+    return state.candidate_objectives()
+
+
+def _replay_on_state(method, factor, mu, picks):
+    """The numpy state driven through `picks`: at each step the scores
+    and the trace value of the pick."""
+    state = (FactoredFagodState if method == "fagod"
+             else LoadedGramState)(factor, mu)
+    logdet = state.K * np.log(mu)
+    for j in picks:
+        scores = _state_scores(method, state)
+        if method == "dopt":
+            logdet += np.log1p(state.g[j])
+            value = -logdet / state.K
+        else:
+            value = scores[j]
+        yield scores, float(value)
+        state.add(j)
+
+
+def assert_pass_matches_states(method, factor, mu, M, sel=None,
+                               ties=False):
+    """The compiled pass picks what the numpy state picks, step by step,
+    with the trace within PASS_RTOL; with `ties`, each pick need only
+    score the state's best to within PASS_RTOL."""
+    sel = sel or _greedy_pass(method, factor, mu, M)
+    for picked, (scores, value), got in zip(
+            sel.indices, _replay_on_state(method, factor, mu, sel.indices),
+            sel.objective_trace):
+        best = scores.min()
+        if ties:
+            assert scores[picked] <= best + PASS_RTOL * abs(best)
+        else:
+            assert picked == int(np.argmin(scores))
+        assert got == pytest.approx(value, rel=PASS_RTOL, abs=PASS_RTOL)
+    return sel
+
+
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+@pytest.mark.parametrize("mu", [MU, 1e-3, 1e-6])
+def test_passes_match_numpy_states(model, mu):
+    n, K, M = 200, 10, 40
+    lap = _model_laplacian(model, n, 4)
+    basis = eigendecompose(lap, K + 1)
+    V = basis.low_frequency(K)
+    filt = approximate_lowpass(lap, K)
+    for method, factor, sel in [
+            ("agod", V, greedy_select("agod", M, basis=basis, K=K, mu=mu)),
+            ("fagod", V, greedy_select("fagod", M, basis=basis, K=K, mu=mu)),
+            ("fagod", filt.factor, greedy_select("fagod", M, filt=filt,
+                                                 mu=mu)),
+            ("dopt", V, greedy_doptimal(basis, K, mu, M)),
+            ("aopt", V, greedy_aoptimal(basis, K, mu, M))]:
+        assert_pass_matches_states(method, factor, mu, M, sel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_degenerate_factor(), st.floats(-6.0, 0.0),
+       st.sampled_from(PASS_METHODS))
+def test_passes_tie_numpy_states_on_degenerate_factors(factor, log_mu,
+                                                       method):
+    # twin and mirror-image rows tie in exact arithmetic, and rounding
+    # breaks such a tie by the order of each sum: in 28 of 120,000 passes
+    # the pass took the other twin.  Along its own picks every pick
+    # scores the numpy state's best to within PASS_RTOL (1.4e-11 seen)
+    # and every trace value is the state's
+    n = len(factor)
+    sel = assert_pass_matches_states(method, factor, 10.0 ** log_mu, n,
+                                     ties=True)
+    assert sorted(sel.indices) == list(range(n))
+
+
+@pytest.mark.parametrize("method", PASS_METHODS)
+def test_passes_break_ties_by_index(method):
+    # a constant column: every free node scores the same, so the picks
+    # run 0, 1, 2, ...
+    flat = np.full((9, 1), 1 / 3)
+    assert _greedy_pass(method, flat, 0.5, 9).indices == tuple(range(9))
+    # each row three times: twins tie at every step, and a taken twin
+    # leaves the next one to win
+    rng = np.random.default_rng(2)
+    factor = np.repeat(rng.standard_normal((5, 3)), 3, axis=0)[::-1].copy()
+    assert_pass_matches_states(method, factor, 1e-3, 15)
+
+
+@pytest.mark.parametrize("method", PASS_METHODS)
+def test_pass_budgets_one_and_n(method):
+    n, K = 40, 4
+    V = eigendecompose(_model_laplacian("G1", n, 2), K + 1).low_frequency(K)
+    one = assert_pass_matches_states(method, V, MU, 1)
+    full = assert_pass_matches_states(method, V, MU, n)
+    assert full.indices[:1] == one.indices
+    assert sorted(full.indices) == list(range(n))
+
+
+@pytest.mark.parametrize("method", PASS_METHODS)
+def test_pass_reads_a_strided_factor(method):
+    # V_K is a column slice of the stored eigenvectors, read in place
+    n, K = 60, 3
+    V = eigendecompose(_model_laplacian("G2", n, 1), K + 4).low_frequency(K)
+    assert V.strides[0] > K * V.itemsize
+    want = _greedy_pass(method, V.copy(), MU, 20)
+    assert _greedy_pass(method, V, MU, 20) == want
+    # a layout the kernel cannot read in place is copied; numpy sums g
+    # and U = V / mu over it in another order, so only the picks are
+    # bitwise
+    fortran = _greedy_pass(method, np.asfortranarray(V), MU, 20)
+    assert fortran.indices == want.indices
+    assert fortran.objective_trace == pytest.approx(want.objective_trace,
+                                                    rel=PASS_RTOL)
+
+
+@pytest.mark.parametrize("method", PASS_METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_factor_fails_loudly(method, bad):
+    # dopt and aopt used to return picks with a NaN trace here
+    factor = np.random.default_rng(3).standard_normal((5, 2))
+    factor[4, 1] = bad
+    basis = SpectralBasis(np.zeros(2), factor)
+    select = {"agod": lambda M: greedy_select("agod", M, basis=basis, K=2),
+              "fagod": lambda M: greedy_select("fagod", M, basis=basis, K=2),
+              "dopt": lambda M: greedy_doptimal(basis, 2, MU, M),
+              "aopt": lambda M: greedy_aoptimal(basis, 2, MU, M)}[method]
+    for M in (1, 5):
+        with pytest.raises(ValueError, match="finite"):
+            select(M)
 
 
 def test_agod_dopt_aopt_match_plain_greedy_oracle_on_many_draws():
