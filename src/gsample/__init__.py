@@ -23,12 +23,10 @@ from .reconstruction import (Reconstruction, biased_reconstruct,
                              blue_reconstruct, filter_reconstruct, rmse,
                              snr_to_sigma2)
 from .rng import RNG_NAME, child_seed, rng_from
-from .selection import (DEFAULT_MU, FactoredFagodState,
-                        LoadedGramState, SamplingSet, greedy_aoptimal,
-                        greedy_doptimal, greedy_eoptimal,
-                        greedy_select, objective_agod, objective_aopt,
-                        objective_dopt, objective_eopt, objective_fagod,
-                        random_select, update_inverse_rank_one)
+from .selection import (DEFAULT_MU, SamplingSet, greedy_aoptimal,
+                        greedy_doptimal, greedy_eoptimal, greedy_select,
+                        objective_agod, objective_aopt, objective_dopt,
+                        objective_eopt, objective_fagod, random_select)
 from .spectral import (GraphSignal, Observation, SpectralBasis,
                        eigendecompose, gen_signal, gft, igft,
                        leverage_scores, observe)
@@ -37,9 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaReport", "ApproxFilter", "DEFAULT_MU",
-    "ExperimentResult", "ExperimentSpec", "FactoredFagodState",
-    "GivensSeq", "Graph", "GraphSignal", "Laplacian", "LoadedGramState",
-    "Observation",
+    "ExperimentResult", "ExperimentSpec", "GivensSeq", "Graph",
+    "GraphSignal", "Laplacian", "Observation",
     "RNG_NAME", "Reconstruction", "ResultRow", "SamplingSet", "SpecError",
     "SpectralBasis",
     "SuboptimalityReport", "approximate_lowpass", "biased_reconstruct",
@@ -55,5 +52,5 @@ __all__ = [
     "relative_suboptimality", "rmse", "rng_from", "rotation_budget",
     "run_experiment", "save_graph",
     "snr_to_sigma2", "theorem_bounds",
-    "update_inverse_rank_one", "write_result_csv",
+    "write_result_csv",
 ]

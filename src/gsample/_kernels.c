@@ -1,17 +1,18 @@
 /* Compiled loops of gsample: the greedy Jacobi sweep and the
  * accumulation of its rotations (gsample.filters), the k-nearest-neighbour
  * scan of the sensor graph (gsample.graphs), and the greedy selection
- * passes of agod, fagod, dopt and aopt with their argmin scans
- * (gsample.selection).
+ * passes of agod, fagod, dopt and aopt (gsample.selection).  The agod
+ * and fagod argmin scans are static: only greedy_pass runs them.
  *
  * The arithmetic follows the numpy code each kernel replaces term by
  * term, so the outputs are bit-identical to it: the numpy references in
- * gsample.oracle for the sweep, np.argsort of the distance matrix for the
- * neighbours, and the states' candidate_objectives for the argmins.  That
- * needs every product rounded on its own: build with -ffp-contract=off
- * and without -ffast-math.  The one exception is the greedy pass: its
- * dot products, which numpy hands to BLAS, run in a fixed order of their
- * own, so its traces match the numpy states only to their last bits.
+ * gsample.oracle for the sweep and np.argsort of the distance matrix for
+ * the neighbours.  That needs every product rounded on its own: build
+ * with -ffp-contract=off and without -ffast-math.  The one exception is
+ * the greedy pass, whose numpy reference is the loaded-Gram states of
+ * gsample.oracle: it rounds each entry as they do, but its dot products,
+ * which numpy hands to BLAS, run in a fixed order of their own, so its
+ * traces match the states only to their last bits.
  * Nothing here allocates or keeps state; the caller owns every buffer,
  * so concurrent calls on different buffers are safe.
  *
@@ -355,9 +356,10 @@ static void descending(const double *diag, int64_t K, int64_t *order)
  * full, goes to *value and its index is returned; ties go to the smallest
  * index.  Returns -1 when a diagonal entry, a free node's 1 + g[j] or a
  * term read is not finite, or no node is free. */
-int64_t agod_argmin(const double *u, const double *g, const double *diag,
-                    const uint8_t *taken, int64_t n, int64_t K,
-                    int64_t *order, double *value)
+static int64_t agod_argmin(const double *u, const double *g,
+                           const double *diag, const uint8_t *taken,
+                           int64_t n, int64_t K, int64_t *order,
+                           double *value)
 {
     for (int64_t k = 0; k < K; k++)
         if (!isfinite(diag[k]))
@@ -401,11 +403,13 @@ int64_t agod_argmin(const double *u, const double *g, const double *diag,
  * entries) is scratch.  Rows go in descending order of d, and a
  * candidate is dropped once its running maximum reaches the best so far.
  * Returns the winner, its objective in *value, as agod_argmin does; -1
- * when an entry of d, a free node's o_j or a term read is not finite, or
- * no node is free. */
-int64_t fagod_argmin(const double *b, const double *d, const double *a,
-                     const uint8_t *taken, int64_t n, int64_t m, double mu,
-                     int64_t *order, double *value)
+ * when an entry of d, a free node's a[j] or o_j or a term read is not
+ * finite, or no node is free.  An infinite a[j] gives a finite o_j = 0,
+ * so a[j] is checked on its own. */
+static int64_t fagod_argmin(const double *b, const double *d,
+                            const double *a, const uint8_t *taken,
+                            int64_t n, int64_t m, double mu,
+                            int64_t *order, double *value)
 {
     for (int64_t i = 0; i < m; i++)
         if (!isfinite(d[i]))
@@ -417,7 +421,7 @@ int64_t fagod_argmin(const double *b, const double *d, const double *a,
         if (taken[j])
             continue;
         double own = 1.0 / (mu * (1.0 + a[j]));
-        if (!isfinite(own))
+        if (!isfinite(a[j]) || !isfinite(own))
             return -1;
         if (own >= best_val)
             continue;
@@ -526,7 +530,7 @@ enum { PASS_AGOD, PASS_FAGOD, PASS_DOPT, PASS_AOPT };
  * aopt also U -= h w^T, aopt taking |u_i|^2 of each updated row; fagod
  * adds b_ij^2 / (mu s) to d_i, appends 1 / (mu s) to d, updates
  * B -= B_:j h and appends h as its row.  Every entry is rounded as in
- * the numpy states of gsample.selection, and the dot products run in
+ * the numpy states of gsample.oracle, and the dot products run in
  * the fixed order of `dot`, so traces agree with those states to their
  * last bits, not bitwise.  The last step's update is skipped.  Returns
  * M, or the step at which a value read was not finite. */

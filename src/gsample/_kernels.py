@@ -13,9 +13,9 @@ The kernels take raw addresses; the wrappers here check each array's
 type, shape and layout first.  (ndpointer argtypes would check on every
 call too, but each check goes through ctypes.cast, which leaves the
 argument array in a reference cycle until the garbage collector runs.)
-`greedy_pass` runs a whole greedy selection in one call; `AgodScan` and
-`FagodScan` bind its argmin scans to the buffers of one numpy state, and
-check them once, when they are bound.
+`greedy_pass` runs a whole greedy selection in one call; the agod and
+fagod argmin scans run only inside it, and its numpy reference, the
+loaded-Gram states, lives in `gsample.oracle`.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ def _load():
     lib.rotate_rows.restype = None
     lib.knn.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.knn.restype = None
-    lib.agod_argmin.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
-    lib.agod_argmin.restype = i64
-    lib.fagod_argmin.argtypes = [ptr, ptr, ptr, ptr, i64, i64, f64, ptr, ptr]
-    lib.fagod_argmin.restype = i64
     lib.greedy_pass.argtypes = [ctypes.c_int, ptr, i64, i64, i64, f64, i64,
                                 ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                 ptr, ptr]
@@ -184,94 +180,26 @@ def knn(pos: np.ndarray, k: int):
     return near, near_dist
 
 
-class AgodScan:
-    """The agod argmin kernel, bound to one state's buffers.
-
-    u (n x K) holds U = V Z^-1, g the n values g_j = u_j . v_j and `diag`,
-    the scan's own, diag Z^-1.  Fill `diag`, then call: the result is the
-    free node (taken[j] false) of smallest max_k (diag_k - u_jk^2 /
-    (1 + g_j)) and that value, bitwise as the numpy scan of
-    `LoadedGramState` finds them.  u, g and taken (n bools) must stay in
-    place.  Raises ValueError when a value the scan reads is not finite
-    or no node is free.
-    """
-
-    def __init__(self, u: np.ndarray, g: np.ndarray, taken: np.ndarray):
-        n, K = u.shape
-        self.diag = np.empty(K)
-        self._order, self._value = np.empty(K, dtype=np.int64), np.empty(1)
-        self._buffers = (u, g, taken)
-        self._args = (_address(u, np.float64, (n, K)),
-                      _address(g, np.float64, (n,)),
-                      self.diag.ctypes.data,
-                      _address(taken, np.bool_, (n,)), n, K,
-                      self._order.ctypes.data, self._value.ctypes.data)
-
-    def __call__(self):
-        j = _LIB.agod_argmin(*self._args)
-        if j < 0:
-            raise ValueError("agod candidate objectives are not finite, "
-                             "or no node is free")
-        return j, float(self._value[0])
-
-
-class FagodScan:
-    """The factored fagod argmin kernel, bound to one state's buffers.
-
-    b holds B = V_S Z^-1 V^T in its first m rows (n columns), d the m
-    entries of diag (T_SS + mu I)^-1, a the n values v_j Z^-1 v_j^T.
-    Calling with m gives the free node of smallest max(o_j,
-    max_i (B_ij^2 o_j + d_i)), o_j = 1 / (mu (1 + a_j)), and that value,
-    bitwise as the numpy scan of `FactoredFagodState` finds them.  The
-    arrays must stay in place; a state that replaces one binds a new
-    scan.  Raises ValueError when a value the scan reads is not finite
-    or no node is free.
-    """
-
-    def __init__(self, b: np.ndarray, d: np.ndarray, a: np.ndarray,
-                 taken: np.ndarray, mu: float):
-        rows, n = b.shape
-        self._order, self._value = np.empty(rows, dtype=np.int64), np.empty(1)
-        self._buffers = (b, d, a, taken)
-        self._head = (_address(b, np.float64, (rows, n)),
-                      _address(d, np.float64, (rows,)),
-                      _address(a, np.float64, (n,)),
-                      _address(taken, np.bool_, (n,)), n)
-        self._tail = (float(mu), self._order.ctypes.data,
-                      self._value.ctypes.data)
-        self._rows = rows
-
-    def __call__(self, m: int):
-        if not 0 <= m <= self._rows:
-            raise ValueError(f"{m} live rows out of range [0, {self._rows}]")
-        j = _LIB.fagod_argmin(*self._head, m, *self._tail)
-        if j < 0:
-            raise ValueError("fagod candidate objectives are not finite, "
-                             "or no node is free")
-        return j, float(self._value[0])
-
-
 _PASSES = {"agod": 0, "fagod": 1, "dopt": 2, "aopt": 3}
 
 
-def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int,
-                zinv: np.ndarray, g: np.ndarray, u: np.ndarray | None = None,
-                nrm: np.ndarray | None = None):
+def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int):
     """M greedy steps of `method` (agod, fagod, dopt or aopt) on the n x K
-    factor V, in one kernel call.
+    float64 factor V, in one kernel call.
 
-    zinv (K x K), g (n), u (n x K, agod and aopt only) and nrm (n, aopt
-    only) hold Z^-1, g_j = v_j Z^-1 v_j^T, U = V Z^-1 and |u_j|^2 of the
-    empty selection, and are updated in place.  factor is read where it
-    lies when its rows are evenly spaced float64 runs, as in a column
-    slice; any other layout is copied.  Returns (picks, trace), the M
-    nodes and their objectives.  Raises ValueError when a value a step
-    reads is not finite.
+    Z^-1, g_j = v_j Z^-1 v_j^T, U = V Z^-1 (agod and aopt) and |u_j|^2
+    (aopt) of the empty selection start from the numpy states' own
+    expressions, so the first step scores their values bit for bit.
+    factor is read where it lies when its rows are evenly spaced float64
+    runs, as in a column slice; any other layout is copied.  Returns
+    (picks, trace), the M nodes and their objectives.  Raises ValueError
+    when a value a step reads is not finite.
     """
     n, K = factor.shape
-    if (u is None) != (method in ("dopt", "fagod")) \
-            or (nrm is None) != (method != "aopt"):
-        raise ValueError(f"wrong buffers for a {method} pass")
+    zinv = np.eye(K) / mu
+    g = np.einsum("ij,ij->i", factor, factor) / mu
+    u = factor @ zinv if method in ("agod", "aopt") else None
+    nrm = np.einsum("ij,ij->i", u, u) if method == "aopt" else None
     if factor.dtype != np.float64 or (K > 1 and factor.strides[1] != 8) \
             or factor.strides[0] < 0 or factor.strides[0] % 8:
         factor = np.ascontiguousarray(factor, dtype=np.float64)
@@ -283,10 +211,9 @@ def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int,
     picks, trace = np.empty(M, dtype=np.int64), np.empty(M)
     done = _LIB.greedy_pass(
         _PASSES[method], factor.ctypes.data, factor.strides[0] // 8, n, K,
-        float(mu), M, _address(zinv, np.float64, (K, K)),
-        _address(g, np.float64, (n,)),
-        None if u is None else _address(u, np.float64, (n, K)),
-        None if nrm is None else _address(nrm, np.float64, (n,)),
+        float(mu), M, zinv.ctypes.data, g.ctypes.data,
+        None if u is None else u.ctypes.data,
+        None if nrm is None else nrm.ctypes.data,
         None if b is None else b.ctypes.data,
         None if d is None else d.ctypes.data, taken.ctypes.data,
         work.ctypes.data, order.ctypes.data, picks.ctypes.data,

@@ -5,9 +5,13 @@ the same machinery certifies any of the selection criteria: exhaustive
 optima over all fixed-size subsets, relative suboptimality of candidate
 sets, the empirical approximate-supermodularity constant alpha with its
 closed-form lower bounds, and the geometric decay guarantee for greedy
-minimization of monotone alpha-supermodular objectives.  It also keeps the
-plain numpy Jacobi rotations, greedy sweep and rotation product that the
-compiled kernels behind `gsample.filters` must reproduce bit for bit.
+minimization of monotone alpha-supermodular objectives.  It also keeps
+the numpy references of the compiled kernels: the Jacobi rotations,
+greedy sweep and rotation product that `gsample.filters` must reproduce
+bit for bit, and the loaded-Gram states `LoadedGramState` and
+`FactoredFagodState`, whose picks the compiled greedy passes of
+`gsample.selection` must make, with traces that differ only in their
+last bits.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger
 
 from .filters import OFFDIAG_TOL
 
@@ -207,6 +212,142 @@ def greedy_decay_check(objective, n: int, mu: float, M: int):
         rows.append({"l": l, "ratio": ratio, "bound": bound,
                      "exp_bound": exp_bound, "holds": holds})
     return ok, rows
+
+
+def _sherman_morrison(zinv: np.ndarray, v: np.ndarray):
+    """(Z + v^T v)^-1 given Zinv for a 1-d v, with u = Zinv v^T and the
+    divisor s = 1 + v u, at least 1 for positive definite Z."""
+    u = zinv @ v
+    s = 1.0 + float(v @ u)
+    return zinv - np.outer(u, u) / s, u, s
+
+
+def update_inverse_rank_one(zinv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sherman-Morrison: inverse of Z + v^T v given Zinv, for a row vector v."""
+    return _sherman_morrison(zinv, np.asarray(v, dtype=float).reshape(-1))[0]
+
+
+class LoadedGramState:
+    """Incremental state for the K x K loaded Gram Z = V_S^T V_S + mu I.
+
+    The numpy reference of the compiled greedy pass behind
+    `selection.greedy_select`, `greedy_doptimal` and `greedy_aoptimal`,
+    for an n x K factor V: the K lowest eigenvectors for agod, aopt and
+    dopt, the filter's factor for fagod.  `add` makes one rank-one
+    (Sherman-Morrison) update of Z^-1 and one matvec, h = V u / s, which
+    updates g_j = v_j Z^-1 v_j^T for every node (g -= s h^2) and
+    U = V Z^-1 (U -= h u^T, by BLAS dger in place), so a step costs
+    O(nK).  dopt reads g only; aopt reads |u_j|^2 off the kept U, and
+    the agod objective is max diag Z^-1.
+    """
+
+    def __init__(self, factor: np.ndarray, mu: float):
+        if mu <= 0:
+            raise ValueError("mu must be positive")
+        factor = np.asarray(factor, dtype=float)
+        if factor.ndim != 2:
+            raise ValueError("factor must be an n x K matrix")
+        self.factor = factor
+        self.n, self.K = factor.shape
+        self.mu = mu
+        self._zinv = np.eye(self.K) / mu
+        self.g = np.einsum("ij,ij->i", factor, factor) / mu
+        self._u = factor @ self._zinv
+        self.selected = []
+        self._taken = np.zeros(self.n, dtype=bool)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        return self._zinv.copy()
+
+    def projections(self):
+        """U = V Z^-1 (row j is v_j Z^-1) and g, the state's own arrays,
+        which `add` updates in place."""
+        return self._u, self.g
+
+    def objective(self) -> float:
+        return float(np.max(np.diagonal(self._zinv)))
+
+    def candidate_objectives(self) -> np.ndarray:
+        """Objective after adding each node j (inf where already selected)."""
+        u, g = self.projections()
+        cand = np.diagonal(self._zinv)[None, :] - u ** 2 / (1.0 + g)[:, None]
+        obj = cand.max(axis=1)
+        obj[self._taken] = np.inf
+        return obj
+
+    def candidate_traces(self) -> np.ndarray:
+        """Tr (Z + v_j^T v_j)^-1 = Tr Z^-1 - |u_j|^2 / (1 + g_j) for each j
+        (inf where already selected): the aopt criterion."""
+        u, g = self.projections()
+        # read off the kept U: |u_j|^2 updated by its own rank-one
+        # recursion drifted to 2e-2 of its largest value at mu = 1e-6
+        # on small degenerate factors, where these stayed within 2e-9
+        traces = np.einsum("ij,ij->i", u, u)
+        traces /= 1.0 + g
+        np.subtract(np.trace(self._zinv), traces, out=traces)
+        traces[self._taken] = np.inf
+        return traces
+
+    def add(self, j: int):
+        """Select node j; returns u = Z^-1 v_j^T, s = 1 + v_j u and
+        h = V u / s, the column V Z'^-1 v_j^T of the grown state."""
+        j = int(j)
+        if self._taken[j]:
+            raise ValueError(f"node {j} already selected")
+        self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
+        h = self.factor @ u / s
+        self.g -= s * h * h
+        # U.T is U's memory in Fortran order: U -= h u^T in place
+        _dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
+        self.selected.append(j)
+        self._taken[j] = True
+        return u, s, h
+
+
+class FactoredFagodState(LoadedGramState):
+    """fagod state for a filter given by its n x K factor V, T = V V^T.
+
+    By Woodbury, (T_SS + mu I)^-1 = mu^-1 (I - V_S Z^-1 V_S^T) with the
+    K x K loaded Gram Z = V_S^T V_S + mu I, so nothing n x n is formed.
+    On top of the shared Z^-1 and g_j = v_j Z^-1 v_j^T the state keeps
+    the m x n matrix B = V_S Z^-1 V^T and d = diag (T_SS + mu I)^-1.
+    Adding node j turns entry i of d into
+    d_i + B_ij^2 / (mu (1 + g_j)) and appends 1 / (mu (1 + g_j)): the
+    bordered inverse of T_SS + mu I grown by node j, whose Schur
+    complement is mu (1 + g_j) and whose column (T_SS + mu I)^-1 T_Sj is
+    B_:j.  A step costs O(mn + nK).
+    """
+
+    def __init__(self, factor: np.ndarray, mu: float):
+        super().__init__(factor, mu)
+        self._b = np.empty((0, self.n))
+        self._d = np.empty(0)
+
+    def objective(self) -> float:
+        if not self.selected:
+            return 1.0 / self.mu
+        return float(self._d.max())
+
+    def candidate_objectives(self) -> np.ndarray:
+        """Objective after adding each node j (inf where already selected)."""
+        # the new node's own diagonal, 1 / Schur complement
+        obj = 1.0 / (self.mu * (1.0 + self.g))
+        if self.selected:
+            grown = np.square(self._b)
+            grown *= obj
+            grown += self._d[:, None]
+            obj = np.maximum(obj, grown.max(axis=0))
+        obj[self._taken] = np.inf
+        return obj
+
+    def add(self, j: int) -> None:
+        # h, the new row of B: v_j Z'^-1 V^T = (V Z^-1 v_j^T)^T / s
+        _, s, h = super().add(j)
+        b_j = self._b[:, int(j)]
+        schur = self.mu * s
+        self._d = np.append(self._d + b_j ** 2 / schur, 1.0 / schur)
+        self._b = np.vstack([self._b - b_j[:, None] * h, h])
 
 
 def _rotate_columns(mat: np.ndarray, p: int, q: int, c: float, s: float) -> None:

@@ -22,12 +22,12 @@ g_j = v_j Z^-1 v_j^T and U = V Z^-1 that the criteria read, so a step
 costs O(nK).  A whole selection of any of the four criteria runs as one
 compiled pass, `_kernels.greedy_pass`: it starts from the numpy Z^-1, g
 and U of the empty set and repeats the numpy per-entry arithmetic, but
-sums its dot products in its own fixed order, not BLAS's, so its traces
-match the numpy states `LoadedGramState` and `FactoredFagodState` to
-their last bits and its picks are theirs.  Those states stay as the
-pass's reference.  A dense filter matrix handed to `greedy_select` is
-factored once, T = F F^T, from its eigenpairs.  god and eopt have no
-incremental form and run the plain greedy loop of
+sums its dot products in its own fixed order, not BLAS's.  Its numpy
+reference, the states `LoadedGramState` and `FactoredFagodState`, lives
+in `gsample.oracle`: the pass's picks are theirs, and its traces match
+theirs to the last bits.  A dense filter matrix handed to
+`greedy_select` is factored once, T = F F^T, from its eigenpairs.  god
+and eopt have no incremental form and run the plain greedy loop of
 `oracle.greedy_minimize`.  Random sampling, which minimizes nothing,
 rounds out the set of strategies benchmarked against each other.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger as _dger
 
 from . import _kernels
 from .filters import ApproxFilter
@@ -155,172 +154,6 @@ def objective_eopt(indices, basis: SpectralBasis, K: int) -> float:
     return float(sv[-1])
 
 
-def _sherman_morrison(zinv: np.ndarray, v: np.ndarray):
-    """(Z + v^T v)^-1 given Zinv for a 1-d v, with u = Zinv v^T and the
-    divisor s = 1 + v u, at least 1 for positive definite Z."""
-    u = zinv @ v
-    s = 1.0 + float(v @ u)
-    return zinv - np.outer(u, u) / s, u, s
-
-
-def update_inverse_rank_one(zinv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sherman-Morrison: inverse of Z + v^T v given Zinv, for a row vector v."""
-    return _sherman_morrison(zinv, np.asarray(v, dtype=float).reshape(-1))[0]
-
-
-class LoadedGramState:
-    """Incremental state for the K x K loaded Gram Z = V_S^T V_S + mu I.
-
-    The one holder of Z^-1 for an n x K factor V: the K lowest
-    eigenvectors for agod, aopt and dopt, the filter's factor for fagod.
-    `add` makes one rank-one (Sherman-Morrison) update of Z^-1 and one
-    matvec, h = V u / s, which updates g_j = v_j Z^-1 v_j^T for every
-    node (g -= s h^2) and U = V Z^-1 (U -= h u^T, by BLAS dger in
-    place), so a step costs O(nK).  dopt reads g only; aopt reads
-    |u_j|^2 off the kept U, and the agod objective is max diag Z^-1.
-    The selection functions run `_kernels.greedy_pass`; this state is
-    its numpy reference.  `smallest_candidate` binds the pass's compiled
-    agod scan to the state, and `candidate_objectives` is its reference.
-    """
-
-    def __init__(self, factor: np.ndarray, mu: float):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        factor = np.asarray(factor, dtype=float)
-        if factor.ndim != 2:
-            raise ValueError("factor must be an n x K matrix")
-        self.factor = factor
-        self.n, self.K = factor.shape
-        self.mu = mu
-        self._zinv = np.eye(self.K) / mu
-        self.g = np.einsum("ij,ij->i", factor, factor) / mu
-        self._u = factor @ self._zinv
-        self.selected = []
-        self._taken = np.zeros(self.n, dtype=bool)
-        self._agod = None
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._zinv.copy()
-
-    def projections(self):
-        """U = V Z^-1 (row j is v_j Z^-1) and g, the state's own arrays,
-        which `add` updates in place."""
-        return self._u, self.g
-
-    def objective(self) -> float:
-        return max_diag(self._zinv)
-
-    def candidate_objectives(self) -> np.ndarray:
-        """Objective after adding each node j (inf where already selected)."""
-        u, g = self.projections()
-        cand = np.diagonal(self._zinv)[None, :] - u ** 2 / (1.0 + g)[:, None]
-        obj = cand.max(axis=1)
-        obj[self._taken] = np.inf
-        return obj
-
-    def smallest_candidate(self):
-        """The first node of smallest `candidate_objectives` and that
-        objective, bit for bit, without the n x K temporaries."""
-        if self._agod is None:
-            self._agod = _kernels.AgodScan(*self.projections(), self._taken)
-        np.copyto(self._agod.diag, np.diagonal(self._zinv))
-        return self._agod()
-
-    def candidate_traces(self) -> np.ndarray:
-        """Tr (Z + v_j^T v_j)^-1 = Tr Z^-1 - |u_j|^2 / (1 + g_j) for each j
-        (inf where already selected): the aopt criterion."""
-        u, g = self.projections()
-        # read off the kept U: |u_j|^2 updated by its own rank-one
-        # recursion drifted to 2e-2 of its largest value at mu = 1e-6
-        # on small degenerate factors, where these stayed within 2e-9
-        traces = np.einsum("ij,ij->i", u, u)
-        traces /= 1.0 + g
-        np.subtract(np.trace(self._zinv), traces, out=traces)
-        traces[self._taken] = np.inf
-        return traces
-
-    def add(self, j: int):
-        """Select node j; returns u = Z^-1 v_j^T, s = 1 + v_j u and
-        h = V u / s, the column V Z'^-1 v_j^T of the grown state."""
-        j = int(j)
-        if self._taken[j]:
-            raise ValueError(f"node {j} already selected")
-        self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
-        h = self.factor @ u / s
-        self.g -= s * h * h
-        # U.T is U's memory in Fortran order: U -= h u^T in place
-        _dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
-        self.selected.append(j)
-        self._taken[j] = True
-        return u, s, h
-
-
-class FactoredFagodState(LoadedGramState):
-    """fagod state for a filter given by its n x K factor V, T = V V^T.
-
-    By Woodbury, (T_SS + mu I)^-1 = mu^-1 (I - V_S Z^-1 V_S^T) with the
-    K x K loaded Gram Z = V_S^T V_S + mu I, so nothing n x n is formed.
-    On top of the shared Z^-1 and g_j = v_j Z^-1 v_j^T the state keeps
-    the m x n matrix B = V_S Z^-1 V^T and d = diag (T_SS + mu I)^-1.
-    Adding node j turns entry i of d into
-    d_i + B_ij^2 / (mu (1 + g_j)) and appends 1 / (mu (1 + g_j)): the
-    bordered inverse of T_SS + mu I grown by node j, whose Schur
-    complement is mu (1 + g_j) and whose column (T_SS + mu I)^-1 T_Sj is
-    B_:j.  A step costs O(mn + nK).
-    """
-
-    def __init__(self, factor: np.ndarray, mu: float):
-        super().__init__(factor, mu)
-        # rows of B and entries of d, grown by doubling; the first
-        # len(selected) are live
-        self._b = np.empty((0, self.n))
-        self._d = np.empty(0)
-        self._scan = None
-
-    def objective(self) -> float:
-        if not self.selected:
-            return 1.0 / self.mu
-        return float(self._d[:len(self.selected)].max())
-
-    def candidate_objectives(self) -> np.ndarray:
-        """Objective after adding each node j (inf where already selected)."""
-        # the new node's own diagonal, 1 / Schur complement
-        obj = 1.0 / (self.mu * (1.0 + self.g))
-        m = len(self.selected)
-        if m:
-            grown = np.square(self._b[:m])
-            grown *= obj
-            grown += self._d[:m, None]
-            obj = np.maximum(obj, grown.max(axis=0))
-        obj[self._taken] = np.inf
-        return obj
-
-    def smallest_candidate(self):
-        """The first node of smallest `candidate_objectives` and that
-        objective, bit for bit, by the compiled scan of B's columns."""
-        if self._scan is None:
-            self._scan = _kernels.FagodScan(self._b, self._d, self.g,
-                                            self._taken, self.mu)
-        return self._scan(len(self.selected))
-
-    def add(self, j: int) -> None:
-        j, m = int(j), len(self.selected)
-        # h, the new row of B: v_j Z'^-1 V^T = (V Z^-1 v_j^T)^T / s
-        _, s, h = super().add(j)
-        if m == self._b.shape[0]:
-            rows = min(self.n, 2 * m + 8)
-            self._b = np.concatenate([self._b, np.empty((rows - m, self.n))])
-            self._d = np.concatenate([self._d, np.empty(rows - m)])
-            self._scan = None  # bound to the old buffers
-        b_j = self._b[:m, j].copy()
-        schur = self.mu * s
-        self._d[:m] += b_j ** 2 / schur
-        self._d[m] = 1.0 / schur
-        self._b[:m] -= b_j[:, None] * h
-        self._b[m] = h
-
-
 def _dense_factor(T) -> np.ndarray:
     """An n x r factor F with T = F F^T for a dense PSD filter matrix T.
 
@@ -356,11 +189,11 @@ def _greedy_pass(method: str, factor, mu: float, M: int) -> SamplingSet:
     """M greedy steps of agod, fagod, dopt or aopt on the n x K factor V,
     as one compiled pass (`_kernels.greedy_pass`).
 
-    Z^-1, g, U and |u_j|^2 start from the numpy states' own expressions,
-    so the first step scores their values bit for bit.  Later steps
-    repeat the states' per-entry arithmetic but sum the dot products in
-    the kernel's own fixed order, so the traces differ from theirs in
-    the last bits.  A non-finite factor entry raises.
+    The pass starts from the numpy states' Z^-1, g and U, so the first
+    step scores their values bit for bit.  Later steps repeat the states'
+    per-entry arithmetic but sum the dot products in the kernel's own
+    fixed order, so the traces differ from theirs in the last bits.  A
+    non-finite factor entry raises.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -370,15 +203,7 @@ def _greedy_pass(method: str, factor, mu: float, M: int) -> SamplingSet:
     _check_budget(M, len(factor))
     if not np.isfinite(factor).all():
         raise ValueError(f"{method} factor must be finite")
-    zinv = np.eye(factor.shape[1]) / mu
-    g = np.einsum("ij,ij->i", factor, factor) / mu
-    u = nrm = None
-    if method in ("agod", "aopt"):
-        u = factor @ zinv
-    if method == "aopt":
-        nrm = np.einsum("ij,ij->i", u, u)
-    picks, trace = _kernels.greedy_pass(method, factor, mu, M, zinv, g, u,
-                                        nrm)
+    picks, trace = _kernels.greedy_pass(method, factor, mu, M)
     return SamplingSet(picks.tolist(), trace.tolist())
 
 

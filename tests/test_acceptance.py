@@ -32,17 +32,17 @@ import time
 import numpy as np
 import pytest
 
-from gsample import (FactoredFagodState, Graph, build_laplacian,
-                     eigendecompose, empirical_alpha,
-                     exact_lowpass, gen_sensor, gen_signal, greedy_decay_check,
-                     greedy_jacobi, greedy_select, lowpass_from_givens,
-                     objective_agod, objective_fagod, observe,
-                     relative_suboptimality, rotation_budget, theorem_bounds,
-                     update_inverse_rank_one)
+from gsample import (Graph, build_laplacian, eigendecompose,
+                     empirical_alpha, exact_lowpass, gen_sensor, gen_signal,
+                     greedy_decay_check, greedy_jacobi, greedy_select,
+                     lowpass_from_givens, objective_agod, objective_fagod,
+                     observe, relative_suboptimality, rotation_budget,
+                     theorem_bounds)
 from gsample.bench import parse_spec_text, run_experiment
 from gsample.cli import main
-from gsample.oracle import (DEGENERATE_GAIN, apply_rotation, greedy_minimize,
-                            offdiag_sq_norm)
+from gsample.oracle import (DEGENERATE_GAIN, FactoredFagodState,
+                            apply_rotation, greedy_minimize, offdiag_sq_norm,
+                            update_inverse_rank_one)
 from gsample.reconstruction import (biased_reconstruct, blue_reconstruct,
                                     filter_reconstruct, rmse)
 

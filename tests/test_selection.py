@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (FactoredFagodState, LoadedGramState, SamplingSet,
-                     SpectralBasis, approximate_lowpass, build_laplacian,
-                     eigendecompose, exact_lowpass, gen_community, gen_er, gen_sensor,
-                     greedy_aoptimal, greedy_doptimal, greedy_eoptimal,
-                     greedy_select, leverage_scores, objective_agod,
-                     objective_aopt, objective_dopt, objective_eopt,
-                     objective_fagod, random_select, update_inverse_rank_one)
-from gsample.oracle import greedy_minimize
+from gsample import (SamplingSet, SpectralBasis, approximate_lowpass,
+                     build_laplacian, eigendecompose, exact_lowpass,
+                     gen_community, gen_er, gen_sensor, greedy_aoptimal,
+                     greedy_doptimal, greedy_eoptimal, greedy_select,
+                     leverage_scores, objective_agod, objective_aopt,
+                     objective_dopt, objective_eopt, objective_fagod,
+                     random_select)
+from gsample.oracle import (FactoredFagodState, LoadedGramState,
+                            greedy_minimize, update_inverse_rank_one)
 from gsample.selection import _greedy_pass, save_sampling_csv
 
 MU = 1 / 99
@@ -223,7 +224,7 @@ def _approx_filter(model, n, K, seed):
 def test_factored_fagod_matches_dense_filter_path(model, n, K, M):
     # the Givens factor V against the factor greedy_select takes from the
     # eigenpairs of the dense T = V V^T: two factors of one filter, both
-    # held past the state's buffer regrowth (m = 8, 24) to the direct inverse
+    # held at every step to the direct inverse
     for seed in range(2):
         filt = _approx_filter(model, n, K, seed)
         fast = greedy_select("fagod", M, filt=filt, mu=MU)
@@ -445,7 +446,8 @@ def test_passes_match_numpy_states(model, mu):
             ("fagod", filt.factor, greedy_select("fagod", M, filt=filt,
                                                  mu=mu)),
             ("dopt", V, greedy_doptimal(basis, K, mu, M)),
-            ("aopt", V, greedy_aoptimal(basis, K, mu, M))]:
+            ("aopt", V, greedy_aoptimal(basis, K, mu, M)),
+            ("agod", filt.factor, None)]:
         assert_pass_matches_states(method, factor, mu, M, sel)
 
 
@@ -506,9 +508,11 @@ def test_pass_reads_a_strided_factor(method):
 
 
 @pytest.mark.parametrize("method", PASS_METHODS)
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
 def test_non_finite_factor_fails_loudly(method, bad):
-    # dopt and aopt used to return picks with a NaN trace here
+    # dopt and aopt used to return picks with a NaN trace here.  A finite
+    # 1e160 overflows g_4 to inf: fagod's 1 / (mu (1 + g_4)) is then a
+    # finite 0, and it used to return node 4 with a trace of 0.0
     factor = np.random.default_rng(3).standard_normal((5, 2))
     factor[4, 1] = bad
     basis = SpectralBasis(np.zeros(2), factor)
