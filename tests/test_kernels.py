@@ -5,9 +5,10 @@
 repeat the references' arithmetic term by term, so every comparison here
 is exact: the same (p, q) sequence and bitwise-equal angles, eigenvalues
 and rotation products.  The greedy selection passes run in C too, with
-the agod and fagod argmin scans inside them; test_selection.py holds the
-passes to their numpy references, the loaded-Gram states of
-`gsample.oracle`.  The k-NN kernel of `gen_sensor` is checked in
+the agod and fagod argmin scans inside them: the scans are checked here,
+through `_kernels.greedy_pass`, against np.argmin of the loaded-Gram
+states of `gsample.oracle`, and test_selection.py holds all four passes
+to those states.  The k-NN kernel of `gen_sensor` is checked in
 test_graphs.py.
 """
 
@@ -23,12 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (Graph, GivensSeq, Laplacian, build_laplacian,
-                     gen_community, gen_er, gen_sensor, greedy_jacobi,
+from gsample import (Graph, GivensSeq, Laplacian, approximate_lowpass,
+                     build_laplacian, eigendecompose, gen_community, gen_er,
+                     gen_sensor, greedy_jacobi, greedy_select,
                      rotation_budget)
 from gsample import _kernels
 from gsample.filters import OFFDIAG_TOL
-from gsample.oracle import givens_matrix_reference, greedy_jacobi_reference
+from gsample.oracle import (FactoredFagodState, LoadedGramState,
+                            givens_matrix_reference, greedy_jacobi_reference)
 
 
 def _graph(model, n, seed):
@@ -398,3 +401,121 @@ def test_kernel_builds_without_warnings(tmp_path):
          "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE), "-lm"],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# greedy argmin scans, run by the kernel's greedy_pass
+
+
+_STATES = {"agod": LoadedGramState, "fagod": FactoredFagodState}
+
+
+def assert_scans_match_numpy(method, factor, mu, M, ties=False):
+    """The argmin scans of one `_kernels.greedy_pass` against np.argmin of
+    the numpy state's `candidate_objectives`, the state driven along the
+    pass's picks; returns the picks and their objectives.
+
+    The pass starts from the state's own arrays, so step 1's pick and
+    objective are bitwise the state's.  Later steps sum their dot
+    products in the kernel's order: each objective is the state's within
+    1e-8 (test_selection.PASS_RTOL), and with `ties` a pick need only
+    score the state's best within it."""
+    picks, trace = _kernels.greedy_pass(method, factor, mu, M)
+    state = _STATES[method](factor, mu)
+    for step, (j, value) in enumerate(zip(picks.tolist(), trace)):
+        scores = state.candidate_objectives()
+        best = int(np.argmin(scores))
+        assert not state._taken[j]
+        if step == 0:
+            assert j == best
+            assert value.tobytes() == scores[best].tobytes()
+        elif ties:
+            assert scores[j] <= scores[best] + 1e-8 * abs(scores[best])
+        else:
+            assert j == best
+        assert value == pytest.approx(scores[j], rel=1e-8, abs=1e-8)
+        state.add(j)
+    return picks.tolist(), trace.tolist()
+
+
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+@pytest.mark.parametrize("mu", [1 / 99, 1e-3, 1e-6])
+def test_argmin_scans_match_numpy_on_full_passes(model, mu):
+    n, K, M = 200, 10, 30
+    lap = build_laplacian(_graph(model, n, 5))
+    basis = eigendecompose(lap, K + 1)
+    filt = approximate_lowpass(lap, K)
+    exact = basis.low_frequency(K)
+    for method, factor, selected in [
+            ("agod", exact, greedy_select("agod", M, basis=basis, K=K, mu=mu)),
+            ("fagod", exact,
+             greedy_select("fagod", M, basis=basis, K=K, mu=mu)),
+            ("fagod", filt.factor, greedy_select("fagod", M, filt=filt, mu=mu)),
+            ("agod", filt.factor, None)]:
+        picks, values = assert_scans_match_numpy(method, factor, mu, M)
+        if selected is not None:
+            # the public selection runs this same pass
+            assert list(selected.indices) == picks
+            assert list(selected.objective_trace) == values
+
+
+@pytest.mark.parametrize("method", ["agod", "fagod"])
+def test_argmin_scans_break_ties_by_index(method):
+    # a constant column: every free node scores the same, so the picks
+    # run 0, 1, 2, ...
+    flat = np.full((9, 1), 1 / 3)
+    picks, _ = assert_scans_match_numpy(method, flat, 0.5, 9)
+    assert picks == list(range(9))
+    # each row three times: twins tie at every step, and a taken twin
+    # leaves the next one to win
+    rng = np.random.default_rng(2)
+    factor = np.repeat(rng.standard_normal((5, 3)), 3, axis=0)
+    assert_scans_match_numpy(method, factor[::-1].copy(), 1e-3, 15)
+
+
+@st.composite
+def _factor_with_ties(draw):
+    n = draw(st.integers(1, 9))
+    K = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1e-3, 2.0])
+    rows = draw(st.lists(st.lists(values, min_size=K, max_size=K),
+                         min_size=n, max_size=n))
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_with_ties(), st.sampled_from([1e-6, 1e-3, 1 / 99, 1.0]),
+       st.sampled_from(sorted(_STATES)))
+def test_argmin_scans_match_numpy_on_small_factors(factor, mu, method):
+    # mirror-image rows tie in exact arithmetic, and after step 1 the
+    # kernel's summation order may break such a tie the other way
+    picks, _ = assert_scans_match_numpy(method, factor, mu, len(factor),
+                                        ties=True)
+    assert sorted(picks) == list(range(len(factor)))
+
+
+@pytest.mark.parametrize("poke", ["factor", "own"])
+def test_non_finite_candidate_fails_loudly(poke):
+    # straight to the kernel, past selection's check of the factor: a NaN
+    # entry of agod's factor reaches U and g; in fagod a row whose g_j
+    # overflows gives o_j = 1 / (mu (1 + g_j)) = 0, which is finite, so
+    # only the check on g_j itself catches it
+    factor = np.random.default_rng(0).standard_normal((12, 3))
+    factor[7, 2] = np.nan if poke == "factor" else 1e160
+    method = "agod" if poke == "factor" else "fagod"
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="not finite at step 1"):
+        _kernels.greedy_pass(method, factor, 1e-3, 5)
+
+
+def test_agod_scan_rejects_a_non_finite_g():
+    # g_2 = 2e308 overflows to inf while u_2k^2 = 1e308 stays finite, so
+    # every term of node 2 reads diag_k - u_2k^2 / inf = diag_k, which is
+    # finite: only the check on 1 + g_j catches it
+    factor = np.full((4, 2), 0.5)
+    picks, trace = _kernels.greedy_pass("agod", factor, 1.0, 1)
+    assert (picks.tolist(), trace.tolist()) == ([0], [1.0 - 0.25 / 1.5])
+    factor[2] = 1e154
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        _kernels.greedy_pass("agod", factor, 1.0, 1)
