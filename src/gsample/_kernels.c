@@ -514,16 +514,15 @@ static int64_t smallest_trace(const double *nrm, const double *g,
 
 enum { PASS_AGOD, PASS_FAGOD, PASS_DOPT, PASS_AOPT };
 
-/* M greedy steps of one criterion on the n x K factor V, whose row i
- * starts at v + i * stride.  zinv (K x K), g (n), for agod and aopt u
- * (n x K, row-major) and for aopt nrm (n) hold Z^-1,
- * g_j = v_j Z^-1 v_j^T, U = V Z^-1 and |u_j|^2 of the empty selection;
- * the pass updates them in place.  fagod also grows B = V_S Z^-1 V^T in
- * b (M x n) and d = diag (T_SS + mu I)^-1 in d (M).  Buffers a criterion
- * does not use are NULL.  taken (n) starts all zero.  work holds
- * 2K + n + M doubles and order max(K, M) int64s of scratch.  Step t
- * writes its node to picks[t] and its objective to trace[t]; ties go to
- * the smallest index.
+/* M greedy steps of one criterion on the n x K factor V; v, like every
+ * matrix here, is row-major.  zinv (K x K), g (n), for agod and aopt u
+ * (n x K) and for aopt nrm (n) hold Z^-1, g_j = v_j Z^-1 v_j^T,
+ * U = V Z^-1 and |u_j|^2 of the empty selection; the pass updates them
+ * in place.  fagod also grows B = V_S Z^-1 V^T in b (M x n) and
+ * d = diag (T_SS + mu I)^-1 in d (M).  Buffers a criterion does not use
+ * are NULL.  taken (n) starts all zero.  work holds 2K + n + M doubles
+ * and order max(K, M) int64s of scratch.  Step t writes its node to
+ * picks[t] and its objective to trace[t]; ties go to the smallest index.
  *
  * Each step picks, then updates with node j: w = Z^-1 v_j^T,
  * s = 1 + v_j w, Z^-1 -= w w^T / s, h = V w / s, g -= s h^2; agod and
@@ -534,9 +533,9 @@ enum { PASS_AGOD, PASS_FAGOD, PASS_DOPT, PASS_AOPT };
  * the fixed order of `dot`, so traces agree with those states to their
  * last bits, not bitwise.  The last step's update is skipped.  Returns
  * M, or the step at which a value read was not finite. */
-int64_t greedy_pass(int method, const double *v, int64_t stride, int64_t n,
-                    int64_t K, double mu, int64_t M, double *zinv,
-                    double *g, double *u, double *nrm, double *b, double *d,
+int64_t greedy_pass(int method, const double *v, int64_t n, int64_t K,
+                    double mu, int64_t M, double *zinv, double *g,
+                    double *u, double *nrm, double *b, double *d,
                     uint8_t *taken, double *work, int64_t *order,
                     int64_t *picks, double *trace)
 {
@@ -570,7 +569,7 @@ int64_t greedy_pass(int method, const double *v, int64_t stride, int64_t n,
         if (t + 1 == M)
             break;
 
-        const double *vj = v + j * stride;
+        const double *vj = v + j * K;
         for (int64_t a = 0; a < K; a++)
             w[a] = dot(zinv + a * K, vj, K);
         double s = 1.0 + dot(vj, w, K);
@@ -582,7 +581,7 @@ int64_t greedy_pass(int method, const double *v, int64_t stride, int64_t n,
         /* fagod writes h straight into the row of B it appends */
         double *h = b ? b + t * n : hbuf;
         for (int64_t i = 0; i < n; i++) {
-            double hi = dot(v + i * stride, w, K) / s;
+            double hi = dot(v + i * K, w, K) / s;
             h[i] = hi;
             g[i] -= s * hi * hi;
             if (u) {

@@ -80,7 +80,7 @@ def _load():
     lib.rotate_rows.restype = None
     lib.knn.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.knn.restype = None
-    lib.greedy_pass.argtypes = [ctypes.c_int, ptr, i64, i64, i64, f64, i64,
+    lib.greedy_pass.argtypes = [ctypes.c_int, ptr, i64, i64, f64, i64,
                                 ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                 ptr, ptr]
     lib.greedy_pass.restype = i64
@@ -185,24 +185,22 @@ _PASSES = {"agod": 0, "fagod": 1, "dopt": 2, "aopt": 3}
 
 def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int):
     """M greedy steps of `method` (agod, fagod, dopt or aopt) on the n x K
-    float64 factor V, in one kernel call.
+    factor V, in one kernel call.
 
+    V is first copied to a C-ordered float64 array unless it is one, and
     Z^-1, g_j = v_j Z^-1 v_j^T, U = V Z^-1 (agod and aopt) and |u_j|^2
     (aopt) of the empty selection start from the numpy states' own
-    expressions, so the first step scores their values bit for bit.
-    factor is read where it lies when its rows are evenly spaced float64
-    runs, as in a column slice; any other layout is copied.  Returns
-    (picks, trace), the M nodes and their objectives.  Raises ValueError
-    when a value a step reads is not finite.
+    expressions on that array: the first step scores their values bit
+    for bit, and no output depends on V's layout.  Returns (picks,
+    trace), the M nodes and their objectives.  Raises ValueError when a
+    value a step reads is not finite.
     """
+    factor = np.ascontiguousarray(factor, dtype=np.float64)
     n, K = factor.shape
     zinv = np.eye(K) / mu
     g = np.einsum("ij,ij->i", factor, factor) / mu
     u = factor @ zinv if method in ("agod", "aopt") else None
     nrm = np.einsum("ij,ij->i", u, u) if method == "aopt" else None
-    if factor.dtype != np.float64 or (K > 1 and factor.strides[1] != 8) \
-            or factor.strides[0] < 0 or factor.strides[0] % 8:
-        factor = np.ascontiguousarray(factor, dtype=np.float64)
     b = np.empty((M, n)) if method == "fagod" else None
     d = np.empty(M) if method == "fagod" else None
     taken = np.zeros(n, dtype=np.uint8)
@@ -210,7 +208,7 @@ def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int):
     order = np.empty(max(K, M), dtype=np.int64)
     picks, trace = np.empty(M, dtype=np.int64), np.empty(M)
     done = _LIB.greedy_pass(
-        _PASSES[method], factor.ctypes.data, factor.strides[0] // 8, n, K,
+        _PASSES[method], factor.ctypes.data, n, K,
         float(mu), M, zinv.ctypes.data, g.ctypes.data,
         None if u is None else u.ctypes.data,
         None if nrm is None else nrm.ctypes.data,

@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliValidationError(message)
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:  # a usage error, exit 1
+        raise argparse.ArgumentTypeError(
+            f"thread count must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gsample", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -45,7 +52,7 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="execute an experiment spec")
     run.add_argument("spec", help="path to a key=value spec file")
     run.add_argument("--out", help="override the spec's output path")
-    run.add_argument("--threads", type=int, default=None,
+    run.add_argument("--threads", type=_thread_count, default=None,
                      help="most processes the trials run in, one per "
                      "usable CPU at most (default: the usable CPUs; 1 runs "
                      "them in process)")

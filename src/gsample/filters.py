@@ -128,11 +128,13 @@ def _greedy_jacobi(w: np.ndarray, J: int, beside=lambda: None,
     it checks and then rotates in place.
 
     `beside()` runs on the calling thread once the checks pass: with
-    `thread`, while a second thread makes the kernel call (ctypes
-    releases the interpreter lock for it), and otherwise just before
-    that call.  Either way a failure of `beside` is raised first, after
-    the second thread has been joined.  Returns greedy_jacobi's triple
-    and what `beside` returned.
+    `thread`, while a second thread makes the kernel call, which releases
+    the interpreter lock, and otherwise just before that call.  The
+    checks stay here since scipy's subset `eigh`, `bench`'s `beside`,
+    holds the lock for its whole solve, so the second thread must be in
+    the kernel call when it starts.  A failure of `beside` is raised
+    first, after the second thread is joined.  Returns greedy_jacobi's
+    triple and what `beside` returned.
     """
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")

@@ -244,7 +244,7 @@ class LoadedGramState:
     def __init__(self, factor: np.ndarray, mu: float):
         if mu <= 0:
             raise ValueError("mu must be positive")
-        factor = np.asarray(factor, dtype=float)
+        factor = np.ascontiguousarray(factor, dtype=float)
         if factor.ndim != 2:
             raise ValueError("factor must be an n x K matrix")
         self.factor = factor

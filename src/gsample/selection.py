@@ -187,14 +187,7 @@ def _check_budget(M: int, n: int) -> None:
 
 def _greedy_pass(method: str, factor, mu: float, M: int) -> SamplingSet:
     """M greedy steps of agod, fagod, dopt or aopt on the n x K factor V,
-    as one compiled pass (`_kernels.greedy_pass`).
-
-    The pass starts from the numpy states' Z^-1, g and U, so the first
-    step scores their values bit for bit.  Later steps repeat the states'
-    per-entry arithmetic but sum the dot products in the kernel's own
-    fixed order, so the traces differ from theirs in the last bits.  A
-    non-finite factor entry raises.
-    """
+    as one compiled pass; a non-finite factor entry raises."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     factor = np.asarray(factor, dtype=float)

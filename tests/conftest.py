@@ -26,3 +26,17 @@ def sensor10():
     g = gen_sensor(10, 6, seed=5)
     lap = build_laplacian(g)
     return g, lap, eigendecompose(lap)
+
+
+@pytest.fixture(params=["C", "F", "slice"])
+def layout_factors(request):
+    """Random 120 x K factors, K = 2..39, all in one memory layout: C
+    order, Fortran order, or a column slice of a wider array."""
+    rng = np.random.default_rng(11)
+    factors = []
+    for K in range(2, 40):
+        wide = rng.standard_normal((120, K + 3))
+        factors.append({"C": wide[:, :K].copy(),
+                        "F": np.asfortranarray(wide[:, :K]),
+                        "slice": wide[:, :K]}[request.param])
+    return factors

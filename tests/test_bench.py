@@ -545,3 +545,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         "sweep = 4\ntrials = 1\n", encoding="utf-8")
     assert main(["run", str(path), "--out", "/nonexistent/dir/out.csv"]) == 2
     capsys.readouterr()
+    # a thread count below 1 is bad usage, caught before the spec is read;
+    # a library caller gets run_experiment's own check
+    out = tmp_path / "out.csv"
+    for bad in ("0", "-2", "two"):
+        assert main(["run", str(path), "--threads", bad, "--out",
+                     str(out)]) == 1
+        assert "thread count must be an integer of at least 1" in \
+            capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="thread count must be at least 1"):
+        run_experiment(parse_spec_file(path), threads=0)

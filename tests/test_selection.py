@@ -492,19 +492,29 @@ def test_pass_budgets_one_and_n(method):
 
 @pytest.mark.parametrize("method", PASS_METHODS)
 def test_pass_reads_a_strided_factor(method):
-    # V_K is a column slice of the stored eigenvectors, read in place
+    # V_K is a column slice of the stored eigenvectors.  The pass copies
+    # it, and a Fortran-ordered V_K too, to C order before numpy sums g
+    # and U = V / mu, so each gives its C copy's picks and traces bitwise
     n, K = 60, 3
     V = eigendecompose(_model_laplacian("G2", n, 1), K + 4).low_frequency(K)
     assert V.strides[0] > K * V.itemsize
     want = _greedy_pass(method, V.copy(), MU, 20)
     assert _greedy_pass(method, V, MU, 20) == want
-    # a layout the kernel cannot read in place is copied; numpy sums g
-    # and U = V / mu over it in another order, so only the picks are
-    # bitwise
-    fortran = _greedy_pass(method, np.asfortranarray(V), MU, 20)
-    assert fortran.indices == want.indices
-    assert fortran.objective_trace == pytest.approx(want.objective_trace,
-                                                    rel=PASS_RTOL)
+    assert _greedy_pass(method, np.asfortranarray(V), MU, 20) == want
+
+
+@pytest.mark.parametrize("method", ["dopt", "aopt"])
+def test_pass_step_one_is_the_states_on_every_layout(method, layout_factors):
+    # test_kernels.py holds agod's and fagod's scans to the states on
+    # these factors; dopt and aopt have no scan of their own.  Were only
+    # the pass to copy a factor to C order, aopt's step 1 would move on 3
+    # of the Fortran-ordered ones
+    for factor in layout_factors:
+        sel = _greedy_pass(method, factor, 1e-3, 1)
+        scores, value = next(_replay_on_state(method, factor, 1e-3,
+                                              sel.indices))
+        assert sel.indices[0] == int(np.argmin(scores))
+        assert sel.objective_trace[0] == value
 
 
 @pytest.mark.parametrize("method", PASS_METHODS)
