@@ -12,14 +12,14 @@ prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
 `gsample oracle subopt` on the specs of those studies.  The CSVs are
 written as the CLI writes them, to a temporary directory.  Then it
 prints one SHA-256 over the fixed grid GRAPH_DRAWS of `bench.make_graph`
-draws, the graphs of `run` and `graph gen`, and last one over
-`greedy_jacobi` on the Laplacians of the grid JACOBI_GRAPHS at the
-default rotation budget, one over the picks of fagod on dense exact
-filters on the grid DENSE_FAGOD, one over the agod, dopt and aopt
-picks on the grid SPECTRAL_PICKS, and one over the picks of every
-greedy pass, fagod on the exact and the Givens factor, on the grid
-BENCH_PICKS.  Running the script against
-two checkouts (PYTHONPATH pointing at each `src/`) and comparing the
+draws, the graphs of `run` and `graph gen`, and one over their
+Laplacians; and last one over `greedy_jacobi` on the Laplacians of the
+grid JACOBI_GRAPHS at the default rotation budget, one over the picks of
+fagod on dense exact filters on the grid DENSE_FAGOD, one over the agod,
+dopt and aopt picks on the grid SPECTRAL_PICKS, and one over the picks
+of every greedy pass, fagod on the exact and the Givens factor, on the
+grid BENCH_PICKS.  Running the script against two checkouts (PYTHONPATH
+pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
 """
 
@@ -105,9 +105,9 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def generator_digest() -> str:
-    """SHA-256 over GRAPH_DRAWS: each draw's adjacency bytes and sorted
-    meta, or the exception type where the draw fails."""
+def draws_digest(graph_bytes) -> str:
+    """SHA-256 over GRAPH_DRAWS: graph_bytes(graph) of each draw, or the
+    exception type where the draw fails."""
     digest = hashlib.sha256()
     for draw in GRAPH_DRAWS:
         try:
@@ -115,9 +115,18 @@ def generator_digest() -> str:
         except (ValueError, RuntimeError) as exc:
             digest.update(type(exc).__name__.encode())
             continue
-        digest.update(graph.adjacency.tobytes())
-        digest.update(repr(sorted(graph.meta.items())).encode())
+        digest.update(graph_bytes(graph))
     return digest.hexdigest()
+
+
+def generator_bytes(graph) -> bytes:
+    """A draw's adjacency bytes and sorted meta."""
+    return (graph.adjacency.tobytes()
+            + repr(sorted(graph.meta.items())).encode())
+
+
+def laplacian_bytes(graph) -> bytes:
+    return build_laplacian(graph).matrix.tobytes()
 
 
 def jacobi_digest() -> str:
@@ -209,7 +218,9 @@ def main() -> int:
                 save_subopt_csv(bench.run_subopt_reports(spec), out)
                 print(f"oracle subopt {path.name} {file_digest(out)}",
                       flush=True)
-    print(f"generators {len(GRAPH_DRAWS)} draws {generator_digest()}",
+    print(f"generators {len(GRAPH_DRAWS)} draws {draws_digest(generator_bytes)}",
+          flush=True)
+    print(f"laplacians {len(GRAPH_DRAWS)} draws {draws_digest(laplacian_bytes)}",
           flush=True)
     print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}",
           flush=True)

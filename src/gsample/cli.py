@@ -8,7 +8,8 @@ Subcommands:
 * oracle subopt <spec-file>  exact relative-suboptimality reports
 * graph gen ...              generate a graph and save its edge list
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation error, 2 runtime error (running out
+of memory included).
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

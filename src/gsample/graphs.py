@@ -1,13 +1,16 @@
 """Undirected weighted graphs, their Laplacians, and random graph models.
 
-Graphs are stored densely; all experiments run at a few thousand nodes at
-most, where dense storage is simpler and faster than sparse bookkeeping.
+A graph is stored as its edge list, each edge once.  The generators and
+`load_graph` build that list without an n x n array, and `build_laplacian`
+writes L from it into its one n x n array.  The dense adjacency matrix is
+built only when it is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -25,7 +28,7 @@ MAX_CONNECT_ATTEMPTS = 50
 SENSOR_KNN = 6
 ER_P = 0.05
 
-# Rows per block of `exactly_symmetric`.
+# Rows per block of `exactly_symmetric` and of the G2 and G3 draws.
 SYMMETRY_BLOCK = 128
 
 
@@ -45,25 +48,37 @@ def exactly_symmetric(a: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected weighted graph on nodes 0..n-1.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    The adjacency matrix must be finite and exactly symmetric, with
-    nonnegative weights and a zero diagonal.  `meta` records generator
-    provenance (model tag, seed actually used).
+
+@dataclass(frozen=True, init=False, eq=False)
+class Graph:
+    """Undirected weighted graph on nodes 0..n-1, stored as its edge list.
+
+    Edge k joins rows[k] < cols[k] with weight weights[k], finite and
+    positive; each edge is listed once, in (i, j) order.  All three
+    arrays are read-only.  `Graph(n, adjacency)` takes a dense adjacency
+    matrix, which must be finite and exactly symmetric, with nonnegative
+    weights and a zero diagonal; `Graph.from_edges` takes the edge list.
+    `adjacency` is the dense matrix: the one given, or built from the
+    edges at its first read.  `meta` records generator provenance (model
+    tag, seed actually used).
     """
 
     n: int
-    adjacency: np.ndarray
-    meta: dict = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    meta: dict
 
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=float)
-        if self.n < 2:
+    def __init__(self, n: int, adjacency, meta: dict | None = None):
+        adj = np.asarray(adjacency, dtype=float)
+        if n < 2:
             raise ValueError("graph needs at least 2 nodes")
-        if adj.shape != (self.n, self.n):
-            raise ValueError(f"adjacency shape {adj.shape} != ({self.n}, {self.n})")
+        if adj.shape != (n, n):
+            raise ValueError(f"adjacency shape {adj.shape} != ({n}, {n})")
         # reductions, not an n x n boolean; a NaN comes out of both
         heaviest, lightest = float(adj.max()), float(adj.min())
         for weight in (heaviest, lightest):
@@ -75,12 +90,58 @@ class Graph:
             raise ValueError("edge weights must be nonnegative")
         if np.any(np.diag(adj) != 0):
             raise ValueError("self-loops are not allowed")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        rows, cols = np.nonzero(np.triu(adj, 1))
+        self._set(n, rows, cols, adj[rows, cols], meta)
+        self.__dict__["adjacency"] = _read_only(adj)
+
+    @classmethod
+    def from_edges(cls, n: int, rows, cols, weights,
+                   meta: dict | None = None) -> Graph:
+        """The graph on n nodes with edges (rows[k], cols[k]) of weight
+        weights[k], listed as the class stores them; the checks take
+        O(E) time."""
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        weights = np.array(weights, dtype=float)
+        if n < 2:
+            raise ValueError("graph needs at least 2 nodes")
+        if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
+            raise ValueError("rows, cols and weights must be 1-d arrays of "
+                             "one length")
+        if np.any(rows == cols):
+            raise ValueError("self-loops are not allowed")
+        key = rows * n + cols
+        if np.any(rows > cols) or np.any(key[1:] <= key[:-1]):
+            raise ValueError("edges must be listed once each, with i < j, "
+                             "in (i, j) order")
+        if len(rows) and (rows.min() < 0 or cols.max() >= n):
+            raise ValueError(f"edge index out of range for n={n}")
+        if not np.isfinite(weights).all():
+            raise ValueError("edge weights must be finite")
+        if np.any(weights <= 0):
+            raise ValueError("edge weights must be positive")
+        graph = cls.__new__(cls)
+        graph._set(n, rows, cols, weights, meta)
+        return graph
+
+    def _set(self, n, rows, cols, weights, meta) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", _read_only(rows))
+        object.__setattr__(self, "cols", _read_only(cols))
+        object.__setattr__(self, "weights", _read_only(weights))
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The dense n x n adjacency matrix, read-only."""
+        adj = np.zeros((self.n, self.n))
+        adj[self.rows, self.cols] = self.weights
+        adj[self.cols, self.rows] = self.weights
+        return _read_only(adj)
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(np.triu(self.adjacency)) )
+        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -100,14 +161,22 @@ class Laplacian:
 
 
 def build_laplacian(graph: Graph) -> Laplacian:
-    """Return L = D - A for a valid Graph.
+    """Return L = D - A for a valid Graph, written from its edge list.
 
-    Row sums of L are zero to rounding and L is positive semidefinite;
-    both follow from symmetry and nonnegative weights, which the Graph
-    constructor enforces.
+    Each off-diagonal entry is 0.0 - w, and each diagonal entry 0.0 minus
+    the sum of its row's off-diagonal part, summed as numpy sums a row:
+    bitwise np.diag(A.sum(axis=1)) - A, whose isolated nodes get +0.0
+    (negating the sum would give -0.0).  Row sums of L are zero to
+    rounding and L is positive semidefinite; both follow from symmetry
+    and positive weights, which the Graph constructors enforce.
     """
-    adj = graph.adjacency
-    return Laplacian(np.diag(adj.sum(axis=1)) - adj)
+    n = graph.n
+    lap = np.zeros((n, n))
+    off = 0.0 - graph.weights
+    lap[graph.rows, graph.cols] = off
+    lap[graph.cols, graph.rows] = off
+    lap.flat[::n + 1] = 0.0 - lap.sum(axis=1)
+    return Laplacian(lap)
 
 
 def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
@@ -121,22 +190,35 @@ def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
 
 def _resample(model: str, n: int, seed: int, draw) -> Graph:
     """The first connected graph `draw(rng)` returns over the seeds seed,
-    seed + 1, ... (MAX_CONNECT_ATTEMPTS of them): `draw` gives the adjacency,
-    None when disconnected, and the model's own `meta` fields."""
+    seed + 1, ... (MAX_CONNECT_ATTEMPTS of them): `draw` gives the edge
+    list (rows, cols, weights), None when disconnected, and the model's
+    own `meta` fields."""
     for used_seed in range(seed, seed + MAX_CONNECT_ATTEMPTS):
-        adj, meta = draw(rng_from(used_seed))
-        if adj is not None:
-            return Graph(n, adj, meta={"model": model, "seed": used_seed, **meta})
+        edges, meta = draw(rng_from(used_seed))
+        if edges is not None:
+            return Graph.from_edges(
+                n, *edges, meta={"model": model, "seed": used_seed, **meta})
     raise RuntimeError(f"no connected {model} graph in {MAX_CONNECT_ATTEMPTS} "
                        f"attempts (n={n})")
 
 
 def _bernoulli_edges(rng, n: int, prob):
-    """Unit-weight adjacency with each pair i < j linked with probability
-    prob (a scalar or an n x n array), or None when it is disconnected."""
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    if _is_connected(n, *np.nonzero(upper)):
-        return (upper | upper.T).astype(float)
+    """Unit-weight edges with each pair i < j linked with probability
+    prob(start, stop) for rows start..stop-1 (a scalar or one value per
+    pair of those rows), or None when the graph is disconnected.
+
+    The uniforms are drawn SYMMETRY_BLOCK rows at a time, the stream of
+    one n x n draw without its n x n array."""
+    rows, cols = [], []
+    for start in range(0, n, SYMMETRY_BLOCK):
+        stop = min(start + SYMMETRY_BLOCK, n)
+        linked = rng.random((stop - start, n)) < prob(start, stop)
+        i, j = np.nonzero(np.triu(linked, k=start + 1))
+        rows.append(i + start)
+        cols.append(j)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if _is_connected(n, rows, cols):
+        return rows, cols, np.ones(len(rows))
 
 
 def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
@@ -159,18 +241,17 @@ def gen_sensor(n: int, k_nn: int = SENSOR_KNN, seed: int = 0) -> Graph:
         near, near_dist = _kernels.knn(pos, k_nn)
         theta = near_dist[:, k_nn].mean()
         weights = np.exp(-(near_dist[:, 1:] ** 2) / (2.0 * theta ** 2))
-        rows, cols = np.arange(n)[:, None], near[:, 1:]
         linked = weights > 0  # an underflowed weight is no edge
-        if not _is_connected(n, np.nonzero(linked)[0], cols[linked]):
+        rows, cols = np.nonzero(linked)[0], near[:, 1:][linked]
+        if not _is_connected(n, rows, cols):
             return None, {}
         # (x_i - x_j)^2 equals (x_j - x_i)^2 exactly, so distances are
-        # bitwise symmetric and a mutual pair gets the same weight from either end:
-        # writing both directions is the union symmetrization max(A, A^T)
-        # without a second n x n array
-        adj = np.zeros((n, n))
-        adj[rows, cols] = weights
-        adj[cols, rows] = weights
-        return adj, {"k_nn": k_nn}
+        # bitwise symmetric and a mutual pair gets the same weight from
+        # either end: keeping each pair once is the union symmetrization
+        # max(A, A^T)
+        key, first = np.unique(np.minimum(rows, cols) * n
+                               + np.maximum(rows, cols), return_index=True)
+        return (key // n, key % n, weights[linked][first]), {"k_nn": k_nn}
 
     return _resample("sensor", n, seed, draw)
 
@@ -181,8 +262,8 @@ def gen_er(n: int, p: float, seed: int = 0) -> Graph:
         raise ValueError("edge probability must be in (0, 1]")
     if n < 2:
         raise ValueError("graph needs at least 2 nodes")
-    return _resample("er", n, seed,
-                     lambda rng: (_bernoulli_edges(rng, n, p), {"p": p}))
+    return _resample("er", n, seed, lambda rng: (
+        _bernoulli_edges(rng, n, lambda start, stop: p), {"p": p}))
 
 
 def gen_community(n: int, seed: int = 0) -> Graph:
@@ -199,7 +280,11 @@ def gen_community(n: int, seed: int = 0) -> Graph:
     def draw(rng):
         sizes = 2 + rng.multinomial(n - 2 * c, np.full(c, 1.0 / c))
         labels = np.repeat(np.arange(c), sizes)
-        prob = np.where(labels[:, None] == labels[None, :], 0.3, 2.0 / n)
+
+        def prob(start, stop):
+            return np.where(labels[start:stop, None] == labels[None, :],
+                            0.3, 2.0 / n)
+
         return _bernoulli_edges(rng, n, prob), {
             "communities": c, "sizes": tuple(int(s) for s in sizes)}
 
@@ -209,22 +294,23 @@ def gen_community(n: int, seed: int = 0) -> Graph:
 def save_graph(graph: Graph, path) -> None:
     """Write a graph as a weighted edge list, one `i j w` triple per line.
 
-    Indices are 0-based with i < j; weights use round-trip float repr so
-    load_graph reproduces the adjacency bit for bit.  Lines beginning
-    with `#` are comments.
+    Indices are 0-based with i < j, in (i, j) order; weights use
+    round-trip float repr so load_graph reproduces the graph bit for bit.
+    Lines beginning with `#` are comments.
     """
-    ii, jj = np.nonzero(np.triu(graph.adjacency, k=1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            fh.write(f"{i} {j} {float(graph.adjacency[i, j])!r}\n")
+        for i, j, w in zip(graph.rows.tolist(), graph.cols.tolist(),
+                           graph.weights.tolist()):
+            fh.write(f"{i} {j} {w!r}\n")
 
 
 def load_graph(path, n: int | None = None) -> Graph:
     """Read a weighted edge list written by save_graph.
 
-    If `n` is not given, the node count is inferred as max index + 1
-    (exact for graphs without isolated nodes, in particular everything
-    the generators produce).
+    Lines may come in any order; a zero weight is no edge.  If `n` is not
+    given, the node count is inferred as max index + 1 (exact for graphs
+    without isolated nodes, in particular everything the generators
+    produce).
     """
     edges = []
     seen = set()
@@ -255,13 +341,13 @@ def load_graph(path, n: int | None = None) -> Graph:
             if (i, j) in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
             seen.add((i, j))
-            edges.append((i, j, w))
+            if w != 0:
+                edges.append((i, j, w))
             max_idx = max(max_idx, j)
     size = n if n is not None else max_idx + 1
     if size < 2:
         raise ValueError(f"{path}: edge list defines fewer than 2 nodes")
-    adj = np.zeros((size, size))
-    for i, j, w in edges:
-        adj[i, j] = w
-        adj[j, i] = w
-    return Graph(size, adj, meta={"model": "file", "path": str(path)})
+    edges.sort()
+    rows, cols, weights = zip(*edges) if edges else ((), (), ())
+    return Graph.from_edges(size, rows, cols, weights,
+                            meta={"model": "file", "path": str(path)})

@@ -556,3 +556,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ValueError, match="thread count must be at least 1"):
         run_experiment(parse_spec_file(path), threads=0)
+
+
+def test_cli_reports_running_out_of_memory_as_a_runtime_error(
+        tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 122. MiB for an array with shape "
+               "(4000, 4000) and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(bench, "make_graph", out_of_memory)
+    monkeypatch.setattr(bench, "run_experiment", out_of_memory)
+    spec = tmp_path / "rmse.spec"
+    spec.write_text(SMALL_RMSE_SPEC, encoding="utf-8")
+    alpha = tmp_path / "alpha.spec"
+    alpha.write_text("study = alpha\nn = 6\nsweep = 0.1\ntrials = 1\n",
+                     encoding="utf-8")
+    out = tmp_path / "out.txt"
+    for argv in (["run", str(spec)],
+                 ["graph", "gen", "--model", "G1", "--n", "4000"],
+                 ["oracle", "alpha", str(alpha)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {message}\n"
+        assert captured.out == "" and not out.exists()
+    def bare_memory_error(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bench, "make_graph", bare_memory_error)
+    assert main(["graph", "gen", "--model", "G1", "--n", "10", "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: out of memory: allocation failed\n"

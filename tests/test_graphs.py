@@ -5,9 +5,9 @@ import pytest
 
 from gsample import (Graph, Laplacian, build_laplacian, gen_community,
                      gen_er, gen_sensor, greedy_jacobi, load_graph, save_graph)
-from gsample import _kernels, graphs
-from gsample.graphs import (MAX_CONNECT_ATTEMPTS, SYMMETRY_BLOCK, _is_connected,
-                            exactly_symmetric)
+from gsample import _kernels, bench, graphs
+from gsample.graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN,
+                            SYMMETRY_BLOCK, _is_connected, exactly_symmetric)
 from gsample.rng import rng_from
 
 
@@ -27,6 +27,125 @@ def test_laplacian_weighted_triangle():
     lap = build_laplacian(Graph(3, adj))
     expected = np.array([[5.0, -2.0, -3.0], [-2.0, 2.0, 0.0], [-3.0, 0.0, 3.0]])
     assert np.array_equal(lap.matrix, expected)
+
+
+def _assert_laplacian_is_the_dense_formula(graph):
+    adj = graph.adjacency
+    assert build_laplacian(graph).matrix.tobytes() == \
+        (np.diag(adj.sum(axis=1)) - adj).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [50, 200, 800])
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_laplacian_from_edges_is_bitwise_the_dense_formula(model, n, seed):
+    # G2 at the default p is never connected at n = 50
+    _assert_laplacian_is_the_dense_formula(
+        bench.make_graph(model, n, seed, SENSOR_KNN, max(ER_P, 8.0 / n)))
+
+
+def test_laplacian_of_a_dense_graph_is_bitwise_the_dense_formula():
+    # weights over many magnitudes, an isolated node, and -0.0 entries,
+    # which are no edges
+    n = 2 * SYMMETRY_BLOCK + 3
+    rng = np.random.default_rng(8)
+    adj = np.triu(10.0 ** rng.uniform(-8, 8, (n, n))
+                  * (rng.random((n, n)) < 0.1), 1)
+    adj[5], adj[:, 5] = 0.0, 0.0
+    adj += adj.T
+    adj[7, 9] = adj[9, 7] = adj[5, 6] = adj[6, 5] = -0.0
+    graph = Graph(n, adj)
+    _assert_laplacian_is_the_dense_formula(graph)
+    assert graph.adjacency is adj
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    assert np.array_equal(graph.rows, rows)
+    assert np.array_equal(graph.cols, cols)
+    assert graph.weights.tobytes() == adj[rows, cols].tobytes()
+
+
+def test_isolated_node_of_a_loaded_graph_gets_a_positive_zero_diagonal(
+        tmp_path):
+    path = tmp_path / "isolated.txt"
+    path.write_text("0 1 0.5\n1 3 2.0\n", encoding="utf-8")
+    graph = load_graph(path, n=4)
+    _assert_laplacian_is_the_dense_formula(graph)
+    # -s or np.negative(s) would give -0.0 for node 2's empty row sum
+    assert not np.signbit(build_laplacian(graph).matrix[2, 2])
+
+
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_edges_are_the_upper_triangle_of_the_adjacency(model):
+    graph = bench.make_graph(model, 300, 3, SENSOR_KNN, ER_P)
+    adj = graph.adjacency
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    assert graph.rows.dtype == graph.cols.dtype == np.int64
+    assert np.array_equal(graph.rows, rows)
+    assert np.array_equal(graph.cols, cols)
+    assert graph.weights.tobytes() == adj[rows, cols].tobytes()
+    assert graph.edge_count == len(rows) and graph.weights.min() > 0
+    # read-only, and built once
+    assert graph.adjacency is adj
+    for array in (graph.rows, graph.cols, graph.weights, adj):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("n,p", [(2, 1.0), (SYMMETRY_BLOCK, 0.3),
+                                 (SYMMETRY_BLOCK + 1, 0.3), (300, 0.05)])
+def test_er_edges_come_from_one_n_by_n_draw(n, p):
+    # the uniforms are drawn in row blocks; one n x n draw gives them too
+    graph = gen_er(n, p, seed=5)
+    dense = rng_from(graph.meta["seed"]).random((n, n))
+    rows, cols = np.nonzero(np.triu(dense < p, 1))
+    assert np.array_equal(graph.rows, rows)
+    assert np.array_equal(graph.cols, cols)
+
+
+def test_community_edges_come_from_one_n_by_n_draw():
+    n = 300
+    graph = gen_community(n, seed=2)
+    rng = rng_from(graph.meta["seed"])
+    c = graph.meta["communities"]
+    sizes = 2 + rng.multinomial(n - 2 * c, np.full(c, 1.0 / c))
+    labels = np.repeat(np.arange(c), sizes)
+    prob = np.where(labels[:, None] == labels[None, :], 0.3, 2.0 / n)
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < prob, 1))
+    assert np.array_equal(graph.rows, rows)
+    assert np.array_equal(graph.cols, cols)
+
+
+def test_graph_from_edges():
+    graph = Graph.from_edges(4, [0, 0, 2], [1, 3, 3], [0.5, 2.0, 1.0],
+                             meta={"model": "toy"})
+    assert graph.n == 4 and graph.edge_count == 3
+    assert graph.meta == {"model": "toy"}
+    assert np.array_equal(graph.adjacency, [[0.0, 0.5, 0.0, 2.0],
+                                            [0.5, 0.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0, 1.0],
+                                            [2.0, 0.0, 1.0, 0.0]])
+    edgeless = Graph.from_edges(3, [], [], [])
+    assert edgeless.edge_count == 0
+    assert build_laplacian(edgeless).matrix.tobytes() == \
+        np.zeros((3, 3)).tobytes()
+
+
+@pytest.mark.parametrize("n,rows,cols,weights,match", [
+    (1, [], [], [], "at least 2 nodes"),
+    (3, [0], [1, 2], [1.0], "one length"),
+    (3, [0, 1], [1, 1], [1.0, 1.0], "self-loops"),
+    (3, [1], [0], [1.0], "i < j"),
+    (3, [0, 0], [2, 1], [1.0, 1.0], r"\(i, j\) order"),
+    (3, [0, 0], [1, 1], [1.0, 2.0], "once each"),
+    (3, [0], [3], [1.0], "out of range"),
+    (3, [-1], [1], [1.0], "out of range"),
+    (3, [0], [1], [np.nan], "finite"),
+    (3, [0], [1], [np.inf], "finite"),
+    (3, [0], [1], [0.0], "positive"),
+    (3, [0], [1], [-1.0], "positive"),
+])
+def test_graph_from_edges_rejects_bad_edge_lists(n, rows, cols, weights,
+                                                 match):
+    with pytest.raises(ValueError, match=match):
+        Graph.from_edges(n, rows, cols, weights)
 
 
 def test_graph_rejects_bad_adjacency():
@@ -366,6 +485,17 @@ def test_edge_list_rejects_bad_lines(tmp_path, line, match):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=match):
         load_graph(path)
+
+
+def test_edge_list_lines_in_any_order_and_zero_weights(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("1 2 0.5\n0 3 0.0\n0 2 1.0\n0 1 2.0\n", encoding="utf-8")
+    graph = load_graph(path)
+    # a zero weight is no edge, but its node counts
+    assert graph.n == 4 and graph.edge_count == 3
+    assert graph.rows.tolist() == [0, 0, 1]
+    assert graph.cols.tolist() == [1, 2, 2]
+    assert graph.weights.tolist() == [2.0, 1.0, 0.5]
 
 
 def test_edge_list_rejects_duplicates_and_out_of_range(tmp_path):

@@ -1,14 +1,15 @@
-"""Memory of the sensor-graph generator, of the eigen-free path after the
-Jacobi sweep, of the truncated eigensolver, and of a fagod trial that
-solves for its truth basis beside the sweep.
+"""Memory of the graph generators and the Laplacian, of the eigen-free
+path after the Jacobi sweep, of the truncated eigensolver, and of a fagod
+trial that solves for its truth basis beside the sweep.
 
 Filter synthesis, fagod selection and reconstruction work on the n x K
 factor of the approximate filter and a K x K loaded Gram, so their peak
 allocation stays far below one dense n x n array.  A dense filter brought
 back onto this path fails the bound.  The subset eigensolver holds one
 n x n working copy of the Laplacian and O(nK) more, where the full
-decomposition holds its n x n eigenvectors.  The sensor generator builds
-no distance matrix, so its adjacency is its one n x n array.  The Jacobi
+decomposition holds its n x n eigenvectors.  A graph is its edge list:
+the sensor generator builds no distance matrix and no adjacency, and the
+Laplacian, written from the edges, is its one n x n array.  The Jacobi
 sweep checks its input with reductions and row blocks, next to its one
 n x n working copy.  A fagod trial drops its Laplacian once the sweep
 has its working copy, so the sweep and the solver hold two n x n arrays
@@ -16,7 +17,11 @@ between them; a GS2 trial's full basis adds the eigenvectors, whose
 signs are fixed in place.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,8 @@ import gsample.bench as bench
 from gsample import (DEFAULT_MU, build_laplacian, eigendecompose,
                      filter_reconstruct, gen_sensor, gen_signal, greedy_jacobi,
                      greedy_select, lowpass_from_givens, observe,
-                     rotation_budget)
+                     rotation_budget, save_graph)
+from gsample.graphs import ER_P, SENSOR_KNN
 
 MIB = 1024.0 * 1024.0
 
@@ -74,10 +80,64 @@ def test_truncated_eigendecomposition_allocates_one_dense_copy():
     assert part < dense_mb + 1.0, f"peak {part:.2f} MiB"
 
 
-def test_sensor_graph_holds_one_dense_array():
+def test_sensor_graph_holds_no_dense_array():
+    # a generator that built the dense adjacency read 1.05 dense arrays
     n = 800
     peak = _peak_mb(lambda: gen_sensor(n, 6, seed=0))
-    assert peak < 1.5 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+    assert peak < 0.2 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+
+
+def test_laplacian_of_a_sensor_graph_is_its_one_dense_array():
+    # a dense adjacency beside L read 2.0 dense arrays
+    n = 800
+    peak = _peak_mb(lambda: build_laplacian(gen_sensor(n, 6, seed=0)))
+    assert peak < 1.2 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_save_graph_writes_the_dense_upper_triangle(tmp_path, model, n):
+    # the file a dense adjacency gave: its upper triangle in
+    # np.nonzero order
+    graph = bench.make_graph(model, n, 1, SENSOR_KNN, max(ER_P, 8.0 / n))
+    adj = graph.adjacency
+    expected = "".join(f"{i} {j} {float(adj[i, j])!r}\n"
+                       for i, j in zip(*np.nonzero(np.triu(adj, 1))))
+    save_graph(graph, tmp_path / "g.txt")
+    assert (tmp_path / "g.txt").read_bytes() == expected.encode()
+
+
+_GRAPH_GEN = """
+import resource, sys, tracemalloc
+from gsample import cli
+
+def maxrss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+before = maxrss_mib()
+tracemalloc.start()
+code = cli.main(["graph", "gen", "--model", "G1", "--n", "4000",
+                 "--out", sys.argv[1]])
+peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+print(code, maxrss_mib() - before, peak)
+"""
+
+
+def test_graph_gen_at_4000_nodes_holds_no_dense_array(tmp_path):
+    # in a process of its own, whose resident peak also sees what the
+    # compiled kernels allocate
+    n = 4000
+    dense_mb = n * n * 8 / MIB  # 122 MiB
+    src = str(Path(bench.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _GRAPH_GEN, str(tmp_path / "g.txt")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, grown, peak = done.stdout.split()[-3:]
+    assert code == "0"
+    assert float(peak) < 0.05 * dense_mb, f"peak {peak} MiB"
+    assert float(grown) < 0.25 * dense_mb, f"resident grew {grown} MiB"
 
 
 def test_greedy_jacobi_checks_its_input_beside_one_working_copy():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gsample import (Graph, Laplacian, build_laplacian, eigendecompose,
                      gen_community, gen_er, gen_sensor, gen_signal, gft, igft,
                      leverage_scores, observe)
-from gsample.spectral import check_gap
+from gsample.spectral import _eigendecompose, _fix_signs, check_gap
 
 
 def test_two_node_path_closed_form(path2):
@@ -264,3 +265,35 @@ def test_tail_signal_needs_the_full_basis():
     with pytest.raises(ValueError, match="needs 30 eigenvectors"):
         gen_signal("GS2", eigendecompose(lap, 29), seed=0)
     assert gen_signal("GS2", eigendecompose(lap), seed=0).n == 30
+
+
+def _solved_on_the_libraries_copy(a, K):
+    """The basis as numpy's and scipy's own copies of a give it."""
+    if K is None:
+        w, v = np.linalg.eigh(a)
+        return w, _fix_signs(v)
+    w, v = scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
+                             check_finite=False)
+    return w[:K], _fix_signs(v[:, :K].copy())
+
+
+@pytest.mark.parametrize("n", [200, 800])
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_solver_copy_gives_the_basis_of_the_librarys_copy(model, n):
+    # the subset solver gets a C-ordered Laplacian as its straight copy
+    # read as F-ordered, and F-ordered and sliced ones through scipy's
+    # own copy; the full solve always works on numpy's copy
+    lap = build_laplacian(_model_graph(model, n, seed=n + 1))
+    a = lap.matrix
+    before = a.tobytes()
+    padded = np.zeros((n + 3, n + 5))
+    padded[1:n + 1, 2:n + 2] = a
+    for K, layouts in ((n // 20, (a, np.asfortranarray(a),
+                                  padded[1:n + 1, 2:n + 2])),
+                       (None, (a,))):
+        w, v = _solved_on_the_libraries_copy(a, K)
+        for layout in layouts:
+            basis = _eigendecompose(layout, K)
+            assert basis.eigenvalues.tobytes() == w.tobytes()
+            assert basis.eigenvectors.tobytes() == v.tobytes()
+    assert a.tobytes() == before and not a.flags.writeable
