@@ -10,22 +10,27 @@ For each size, TRIALS graphs (seeds 0, 1, ...) each run both paths once:
 
 K and the budget M follow the benchmark workloads: K = 10, M = 30 at
 n = 200 (the desk spec), K = 40, M = 80 at n = 800 and 1600.  Prints the
-median milliseconds of each stage and of each path.  One BLAS thread.
+median milliseconds of each stage and of each path, and the `tracemalloc`
+peak of each path on the seed-0 graph, taken in a separate pass after
+the timed trials so that tracing does not slow them.  `main()` returns
+the same figures.  One BLAS thread.
 """
 
 import os
 import statistics
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from gsample import (build_laplacian, eigendecompose, gen_sensor,  # noqa: E402
-                     greedy_jacobi, greedy_select, lowpass_from_givens,
-                     rotation_budget)
+from gsample import (approximate_lowpass, build_laplacian,  # noqa: E402
+                     eigendecompose, gen_sensor, greedy_jacobi, greedy_select,
+                     lowpass_from_givens, rotation_budget)
 
 SIZES = ((200, 10, 30), (800, 40, 80), (1600, 40, 80))
 TRIALS = 9
+MIB = 1024.0 * 1024.0
 
 
 def _timed(fn, *args, **kwargs):
@@ -47,13 +52,40 @@ def trial(n, K, M, seed):
             "agod": agod, "eigensolver": eigh + agod}
 
 
+def peaks(n, K, M, seed=0):
+    """`tracemalloc` peak in MiB of each path on one graph, from its
+    Laplacian on."""
+    lap = build_laplacian(gen_sensor(n, seed=seed))
+    out = {}
+    for name, path in (
+            ("eigen-free", lambda: greedy_select(
+                "fagod", M, filt=approximate_lowpass(lap, K))),
+            ("eigensolver", lambda: greedy_select(
+                "agod", M, basis=eigendecompose(lap, K), K=K))):
+        tracemalloc.start()
+        try:
+            path()
+            out[name] = tracemalloc.get_traced_memory()[1] / MIB
+        finally:
+            tracemalloc.stop()
+    return out
+
+
 def main():
+    """Print and return {n: {"K", "M", "median_ms": {stage: ms},
+    "peak_mib": {path: MiB}}}."""
+    results = {}
     for n, K, M in SIZES:
         runs = [trial(n, K, M, seed) for seed in range(TRIALS)]
-        cells = [f"{name} {statistics.median(r[name] for r in runs):.1f}"
-                 for name in runs[0]]
+        medians = {name: statistics.median(r[name] for r in runs)
+                   for name in runs[0]}
+        peak = peaks(n, K, M)
+        results[n] = {"K": K, "M": M, "median_ms": medians, "peak_mib": peak}
         print(f"n={n} K={K} M={M} (median ms of {TRIALS}): "
-              + ", ".join(cells))
+              + ", ".join(f"{name} {ms:.1f}" for name, ms in medians.items())
+              + "; peak MiB: "
+              + ", ".join(f"{name} {mib:.2f}" for name, mib in peak.items()))
+    return results
 
 
 if __name__ == "__main__":

@@ -358,28 +358,39 @@ PREFIX_METHODS = ("agod", "god", "fagod", "fagod-exact", "dopt", "aopt", "eopt",
                   "rand-leverage")
 
 
-def _truth_and_filter(w, width, K: int, J: int, spare_cpu: bool):
+def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
     """The basis of the `width` lowest eigenpairs (all of them for None)
     and the Givens filter of bandwidth K after J rotations, of the
-    Laplacian whose working copy w the sweep rotates in place.
+    Laplacian that it pops from the one-item list `laps`, so that its
+    edges are freed here.
 
-    Neither stage reads the other's result.  The eigensolver overwrites
-    its own F-ordered copy of w, the transpose of a copy, which holds the
-    Laplacian's values because w passes the sweep's exact symmetry check
-    first; with the Laplacian itself dropped, two dense n x n arrays are
-    held at once.  With `spare_cpu` the compiled sweep runs on a second
-    thread while this one solves (`run_experiment` has every OpenBLAS at
-    one thread); otherwise the solve runs first and the sweep after it.
-    A failure raises as it does without `spare_cpu`: the solver's before
+    Neither stage reads the other's result, and each works in an n x n
+    array of its own that the Laplacian writes (`Laplacian.dense`): the
+    eigensolver overwrites the transpose of one, the sweep rotates the
+    other.  With `spare_cpu` the compiled sweep runs on a second thread
+    while this one solves (`run_experiment` has every OpenBLAS at one
+    thread): both arrays are written, and the Laplacian dropped, before
+    the two start.  Otherwise the solve runs first and the sweep's array
+    is written after it, so one n x n array is held at a time.  A
+    failure raises as it does without `spare_cpu`: the solver's before
     the sweep's.
     """
-    copies = [w.copy().T]
+    lap = laps.pop()
+    if not spare_cpu:
+        basis = _eigendecompose(lap.dense().T, width)
+        w = lap.dense()
+        del lap
+        (givens, eigs, perm), _ = _greedy_jacobi(w, J)
+        return basis, lowpass_from_givens(givens, perm, K, eigs)
+    work = [lap.dense().T]
+    w = lap.dense()
+    del lap
 
     def solve():
-        # popped, so the solver's copy is freed when the solve returns
-        return _eigendecompose(copies.pop(), width, overwrite_a=True)
+        # popped, so the solver's array is freed when the solve returns
+        return _eigendecompose(work.pop(), width)
 
-    (givens, eigs, perm), basis = _greedy_jacobi(w, J, solve, spare_cpu)
+    (givens, eigs, perm), basis = _greedy_jacobi(w, J, solve)
     return basis, lowpass_from_givens(givens, perm, K, eigs)
 
 
@@ -411,10 +422,10 @@ class _TrialContext:
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
         if "fagod" in spec.methods:
-            w = lap.matrix.copy()  # the sweep's working copy
-            del lap  # so that L is gone before the solver's copy is made
+            laps = [lap]  # the joint stage frees L from its only reference
+            del lap
             self.basis, self.filter = _truth_and_filter(
-                w, width, self.K, resolve_j(spec, n), spare_cpu)
+                laps, width, self.K, resolve_j(spec, n), spare_cpu)
         else:
             self.basis, self.filter = eigendecompose(lap, width), None
         for bandwidth in (self.K, self._signal_k):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import Laplacian, exactly_symmetric
+from .graphs import Laplacian
 from .spectral import SpectralBasis
 
 # Off-diagonal magnitudes at or below this stop the Jacobi sweep early.
@@ -114,37 +114,30 @@ def greedy_jacobi(lap: Laplacian, J: int):
     Each step zeroes the largest off-diagonal entry of the working matrix
     (ties: smallest row, then smallest column), which lowers the squared
     off-diagonal norm by exactly 2 W_pq^2.  Stops early once all
-    off-diagonal magnitudes fall to OFFDIAG_TOL.
+    off-diagonal magnitudes fall to OFFDIAG_TOL.  The working matrix is
+    the Laplacian's own `dense()` array, which also checks L's entries
+    (see `Laplacian`).
 
     Returns (GivensSeq, approximate eigenvalues sorted ascending, perm)
     where perm maps rotated coordinates to the ascending order.
     """
-    return _greedy_jacobi(np.array(lap.matrix, dtype=float), J)[0]
+    return _greedy_jacobi(lap.dense(), J)[0]
 
 
-def _greedy_jacobi(w: np.ndarray, J: int, beside=lambda: None,
-                   thread: bool = False):
-    """`greedy_jacobi` on w, a float working copy of the Laplacian, which
-    it checks and then rotates in place.
+def _greedy_jacobi(w: np.ndarray, J: int, beside=None):
+    """`greedy_jacobi` on w, a working array that `Laplacian.dense` wrote
+    and so checked, which it rotates in place.
 
-    `beside()` runs on the calling thread once the checks pass: with
-    `thread`, while a second thread makes the kernel call, which releases
-    the interpreter lock, and otherwise just before that call.  The
-    checks stay here since scipy's subset `eigh`, `bench`'s `beside`,
-    holds the lock for its whole solve, so the second thread must be in
-    the kernel call when it starts.  A failure of `beside` is raised
-    first, after the second thread is joined.  Returns greedy_jacobi's
-    triple and what `beside` returned.
+    With `beside`, a second thread makes the kernel call, which releases
+    the interpreter lock, while `beside()` runs on the calling thread; a
+    failure of `beside` is raised first, after the second thread is
+    joined.  The second thread starts first because scipy's subset
+    `eigh`, `bench`'s `beside`, holds the lock for its whole solve.
+    Returns greedy_jacobi's triple and what `beside` returned (None
+    without it).
     """
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"Laplacian must be square, got shape {w.shape}")
-    # reductions, not an n x n boolean; a NaN comes out of both
-    if w.size and not (math.isfinite(w.max()) and math.isfinite(w.min())):
-        raise ValueError("Laplacian has non-finite entries")
-    if not exactly_symmetric(w):
-        raise ValueError("Laplacian must be exactly symmetric")
     n = w.shape[0]
     if n >= 2 and J > 0:
         sweep = functools.partial(_kernels.greedy_jacobi_sweep, w, J,
@@ -152,14 +145,14 @@ def _greedy_jacobi(w: np.ndarray, J: int, beside=lambda: None,
     else:
         def sweep():
             return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    if thread:
+    if beside is None:
+        aside = None
+        planes, thetas = sweep()
+    else:
         with ThreadPoolExecutor(1) as second:  # joined on exit
             rotated = second.submit(sweep)
             aside = beside()
         planes, thetas = rotated.result()
-    else:
-        aside = beside()
-        planes, thetas = sweep()
     seq = GivensSeq(n, planes, thetas)
     # the kernel leaves the lower triangle stale; only the diagonal is used
     diag = np.diag(w).copy()

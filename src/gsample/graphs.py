@@ -2,8 +2,9 @@
 
 A graph is stored as its edge list, each edge once.  The generators and
 `load_graph` build that list without an n x n array, and `build_laplacian`
-writes L from it into its one n x n array.  The dense adjacency matrix is
-built only when it is read.
+keeps it: each consumer of L writes its own n x n array from the edges
+(`Laplacian.dense`).  The dense adjacency matrix is built only when it is
+read.
 """
 
 from __future__ import annotations
@@ -144,39 +145,82 @@ class Graph:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Laplacian:
-    """Combinatorial Laplacian L = D - A."""
+    """Combinatorial Laplacian L = D - A on n nodes.
 
-    matrix: np.ndarray
+    One from `build_laplacian` shares the graph's read-only edge arrays
+    and holds no n x n array.  `dense()` writes L into a fresh, writable
+    n x n array, one per consumer: the eigensolver, the Jacobi sweep and
+    its reference, and a fagod trial's joint stage each work in their
+    own, so nothing copies L.  `matrix` is that array, written at the
+    first read and kept read-only, for readers off the trial path.  Such
+    an L is symmetric with finite off-diagonal entries by construction,
+    so `dense()` checks only that its diagonal of row sums is finite.
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    `Laplacian(matrix)` takes a dense array, as only tests do, and checks
+    it once, here: square, finite and exactly symmetric.  Its `matrix`
+    is that array, made read-only, and `dense()` copies it.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    n: int
+
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"Laplacian must be square, got shape {m.shape}")
+        # reductions, not an n x n boolean; a NaN comes out of both
+        if m.size and not (math.isfinite(m.max()) and math.isfinite(m.min())):
+            raise ValueError("Laplacian has non-finite entries")
+        if not exactly_symmetric(m):
+            raise ValueError("Laplacian must be exactly symmetric")
+        object.__setattr__(self, "n", m.shape[0])
+        object.__setattr__(self, "_edges", None)
+        self.__dict__["matrix"] = _read_only(m)
+
+    def dense(self) -> np.ndarray:
+        """L as a fresh, writable, C-ordered n x n array.
+
+        From the edges, each off-diagonal entry is 0.0 - w, and each
+        diagonal entry 0.0 minus the sum of its row's off-diagonal part,
+        summed as numpy sums a row: bitwise np.diag(A.sum(axis=1)) - A,
+        whose isolated nodes get +0.0 (negating the sum would give -0.0).
+        Finite weights can still overflow a row sum, so a non-finite
+        diagonal raises ValueError.
+        """
+        if self._edges is None:
+            return np.array(self.matrix, order="C")
+        rows, cols, weights = self._edges
+        n = self.n
+        lap = np.zeros((n, n))
+        off = 0.0 - weights
+        lap[rows, cols] = off
+        lap[cols, rows] = off
+        with np.errstate(over="ignore"):  # checked below
+            diag = 0.0 - lap.sum(axis=1)
+        if not np.isfinite(diag).all():
+            raise ValueError("Laplacian has non-finite entries")
+        lap.flat[::n + 1] = diag
+        return lap
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """L as a read-only n x n array, written at the first read."""
+        return _read_only(self.dense())
 
 
 def build_laplacian(graph: Graph) -> Laplacian:
-    """Return L = D - A for a valid Graph, written from its edge list.
+    """L = D - A for a valid Graph, backed by its edge arrays.
 
-    Each off-diagonal entry is 0.0 - w, and each diagonal entry 0.0 minus
-    the sum of its row's off-diagonal part, summed as numpy sums a row:
-    bitwise np.diag(A.sum(axis=1)) - A, whose isolated nodes get +0.0
-    (negating the sum would give -0.0).  Row sums of L are zero to
-    rounding and L is positive semidefinite; both follow from symmetry
-    and positive weights, which the Graph constructors enforce.
+    No n x n array is written here: each consumer writes its own with
+    `Laplacian.dense()`.  Row sums of L are zero to rounding and L is
+    positive semidefinite; both follow from symmetry and positive
+    weights, which the Graph constructors enforce.
     """
-    n = graph.n
-    lap = np.zeros((n, n))
-    off = 0.0 - graph.weights
-    lap[graph.rows, graph.cols] = off
-    lap[graph.cols, graph.rows] = off
-    lap.flat[::n + 1] = 0.0 - lap.sum(axis=1)
-    return Laplacian(lap)
+    lap = Laplacian.__new__(Laplacian)
+    object.__setattr__(lap, "n", graph.n)
+    object.__setattr__(lap, "_edges", (graph.rows, graph.cols, graph.weights))
+    return lap
 
 
 def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:

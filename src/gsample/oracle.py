@@ -394,7 +394,7 @@ def greedy_jacobi_reference(lap, J: int):
     strict upper triangle.  Returns (rotations as a tuple of
     (p, q, theta), approximate eigenvalues sorted ascending, perm).
     """
-    w = lap.matrix.astype(float).copy()
+    w = lap.dense()
     n = w.shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     # entries outside the strict upper triangle stay zero

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,29 +146,23 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     lambda_{K+1} > lambda_K, so the call raises ValueError when
     lambda_{K+1} - lambda_K <= tol * max(1, lambda_{K+1}), with
     tol = GAP_TOL = 1e-8 (`check_gap`).
+
+    The solver works in an array of its own, `lap.dense()`, which also
+    checks L's entries (see `Laplacian`); `lap.matrix` is not read.
     """
-    return _eigendecompose(lap.matrix, K)
+    return _eigendecompose(lap.dense().T, K)
 
 
-def _eigendecompose(a: np.ndarray, K: int | None = None,
-                    overwrite_a: bool = False) -> SpectralBasis:
-    """`eigendecompose` of the symmetric n x n array a.
+def _eigendecompose(a: np.ndarray, K: int | None = None) -> SpectralBasis:
+    """`eigendecompose` of the finite, exactly symmetric n x n array a,
+    which is the caller's workspace: the subset solver overwrites it.
 
-    With `overwrite_a` the subset solver may use a as its workspace, and
-    an F-contiguous a is not copied first; the full `eigh` always works
-    on a copy.  A Laplacian's matrix is never passed with `overwrite_a`:
-    scipy writes into a read-only array without complaint.  Without it,
-    a C-contiguous a reaches the subset solver as a straight copy read as
-    F-ordered: the copy's transpose, which holds a's values because a is
-    symmetric, where scipy's own copy would transpose element by element
-    (0.44 against 1.16 ms at n = 800).  LAPACK then reads a's upper
-    triangle in place of its lower one.
+    The callers hand over `Laplacian.dense().T`, F-ordered, which holds
+    L because L is symmetric, so LAPACK works in it without a copy; scipy
+    copies any other layout first.  The full `eigh` always works on a
+    copy.
     """
     n = a.shape[0]
-    # LAPACK returns NaNs for a non-finite matrix without complaint; two
-    # reductions, not an n x n boolean, and a NaN comes out of both
-    if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
-        raise ValueError("Laplacian has non-finite entries")
     if K is None or K >= n:
         # eigh returns the eigenvalues ascending and v C-ordered and its
         # own, so the signs are fixed in place
@@ -177,13 +170,9 @@ def _eigendecompose(a: np.ndarray, K: int | None = None,
         return SpectralBasis(w, _fix_signs(v))
     if K < 1:
         raise ValueError(f"bandwidth K={K} must be at least 1")
-    transposed = a.flags.c_contiguous and not overwrite_a
-    # LAPACK returns a subset's eigenvalues in ascending order; the copy,
-    # passed as an argument only, goes when the solve returns
-    w, v = scipy.linalg.eigh(a.copy().T if transposed else a,
-                             subset_by_index=[0, K], driver="evr",
-                             overwrite_a=overwrite_a or transposed,
-                             check_finite=False)
+    # LAPACK returns a subset's eigenvalues in ascending order
+    w, v = scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
+                             overwrite_a=True, check_finite=False)
     check_gap(w, K, n)
     return SpectralBasis(w[:K], _fix_signs(v[:, :K].copy()))
 

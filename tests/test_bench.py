@@ -292,14 +292,13 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
 @pytest.mark.parametrize("model,width", [("G1", 10), ("G2", None),
                                          ("G3", 40)])
 def test_joint_stage_matches_the_separate_calls(model, width, spare_cpu):
-    # the trial's basis and Givens filter, from one working copy of L,
-    # equal eigendecompose's and approximate_lowpass's bit for bit, and
-    # the Laplacian itself is never written
+    # the trial's basis and Givens filter, each from an array of L of its
+    # own, equal eigendecompose's and approximate_lowpass's bit for bit,
+    # and the Laplacian itself is never written
     n, K, J = 120, 8, 900
     lap = build_laplacian(bench.make_graph(model, n, 4, 6, 0.08))
     before = lap.matrix.tobytes()
-    basis, filt = bench._truth_and_filter(lap.matrix.copy(), width, K, J,
-                                          spare_cpu)
+    basis, filt = bench._truth_and_filter([lap], width, K, J, spare_cpu)
     exact, approx = eigendecompose(lap, width), approximate_lowpass(lap, K, J)
     assert lap.matrix.tobytes() == before
     assert basis.eigenvalues.tobytes() == exact.eigenvalues.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsample import (Graph, Laplacian, build_laplacian, gen_community,
-                     gen_er, gen_sensor, greedy_jacobi, load_graph, save_graph)
+                     gen_er, gen_sensor, load_graph, save_graph)
 from gsample import _kernels, bench, graphs
 from gsample.graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN,
                             SYMMETRY_BLOCK, _is_connected, exactly_symmetric)
@@ -71,6 +71,27 @@ def test_isolated_node_of_a_loaded_graph_gets_a_positive_zero_diagonal(
     _assert_laplacian_is_the_dense_formula(graph)
     # -s or np.negative(s) would give -0.0 for node 2's empty row sum
     assert not np.signbit(build_laplacian(graph).matrix[2, 2])
+
+
+def test_laplacian_shares_the_edges_and_writes_a_fresh_array_per_call():
+    graph = gen_sensor(60, 6, seed=1)
+    lap = build_laplacian(graph)
+    assert lap.n == 60 and "matrix" not in vars(lap)
+    assert all(mine is theirs for mine, theirs in zip(
+        lap._edges, (graph.rows, graph.cols, graph.weights)))
+    first, second = lap.dense(), lap.dense()
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.flags.writeable and first.flags.c_contiguous
+    first[:] = 7.0  # a consumer's working array is its own
+    assert lap.dense().tobytes() == second.tobytes() == lap.matrix.tobytes()
+    assert lap.matrix is lap.matrix and not lap.matrix.flags.writeable
+    # one given as an array keeps it, read-only, and copies it
+    given = Laplacian(np.asfortranarray(second))
+    assert not given.matrix.flags.writeable
+    copy = given.dense()
+    assert copy.flags.writeable and copy.flags.c_contiguous
+    assert copy.tobytes() == second.tobytes()
+    assert not np.shares_memory(copy, given.matrix)
 
 
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
@@ -187,9 +208,8 @@ def test_one_asymmetric_pair_is_rejected_wherever_it_sits(i, j):
     assert not exactly_symmetric(adj)
     with pytest.raises(ValueError, match="adjacency must be exactly symmetric"):
         Graph(n, adj)
-    lap = Laplacian(np.diag(adj.sum(axis=1)) - adj)
     with pytest.raises(ValueError, match="Laplacian must be exactly symmetric"):
-        greedy_jacobi(lap, 5)
+        Laplacian(np.diag(adj.sum(axis=1)) - adj)
 
 
 def test_symmetry_check_agrees_with_the_full_comparison():

@@ -1,22 +1,25 @@
 """Memory of the graph generators and the Laplacian, of the eigen-free
-path after the Jacobi sweep, of the truncated eigensolver, and of a fagod
-trial that solves for its truth basis beside the sweep.
+path after the Jacobi sweep, of the truncated eigensolver, and of the
+trials of both paths.
 
 Filter synthesis, fagod selection and reconstruction work on the n x K
 factor of the approximate filter and a K x K loaded Gram, so their peak
 allocation stays far below one dense n x n array.  A dense filter brought
-back onto this path fails the bound.  The subset eigensolver holds one
-n x n working copy of the Laplacian and O(nK) more, where the full
-decomposition holds its n x n eigenvectors.  A graph is its edge list:
-the sensor generator builds no distance matrix and no adjacency, and the
-Laplacian, written from the edges, is its one n x n array.  The Jacobi
-sweep checks its input with reductions and row blocks, next to its one
-n x n working copy.  A fagod trial drops its Laplacian once the sweep
-has its working copy, so the sweep and the solver hold two n x n arrays
-between them; a GS2 trial's full basis adds the eigenvectors, whose
-signs are fixed in place.
+back onto this path fails the bound.  A graph is its edge list, and so
+is its Laplacian: the sensor generator builds no distance matrix and no
+adjacency, and `build_laplacian` writes no n x n array.  Each consumer
+writes its own array of L from the edges: the subset eigensolver works
+in it, with O(nK) more, where the full decomposition reads it and holds
+its n x n eigenvectors, and the Jacobi sweep rotates it, checking only
+its diagonal; a Laplacian made from an array checks that array with
+reductions and row blocks.  An eigensolver trial therefore holds one
+n x n array.  A fagod trial solves first and writes the sweep's array
+after that, or, with a CPU to spare, writes both and drops the
+Laplacian before the two run side by side; a GS2 trial's full basis
+adds the eigenvectors, whose signs are fixed in place.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,11 +30,12 @@ import numpy as np
 import pytest
 
 import gsample.bench as bench
-from gsample import (DEFAULT_MU, build_laplacian, eigendecompose,
+from gsample import (DEFAULT_MU, Laplacian, build_laplacian, eigendecompose,
                      filter_reconstruct, gen_sensor, gen_signal, greedy_jacobi,
                      greedy_select, lowpass_from_givens, observe,
                      rotation_budget, save_graph)
 from gsample.graphs import ER_P, SENSOR_KNN
+from gsample.spectral import _eigendecompose
 
 MIB = 1024.0 * 1024.0
 
@@ -70,14 +74,18 @@ def test_truncated_eigendecomposition_allocates_one_dense_copy():
     n, K = 800, 40
     lap = build_laplacian(gen_sensor(n, 6, seed=0))
     dense_mb = n * n * 8 / MIB
-    full = _peak_mb(lambda: eigendecompose(lap))
+    work = lap.dense().T  # the array of L that the full solve reads
+    full = _peak_mb(lambda: _eigendecompose(work))
     part = _peak_mb(lambda: eigendecompose(lap, K))
     # LAPACK's workspace is allocated outside tracemalloc's view, so the
     # full solve shows its eigenvectors alone (a reordered or sign-fixed
-    # copy of them read 3.3 dense arrays) and the subset solve its working
-    # copy of the Laplacian
+    # copy of them read 3.3 dense arrays) and the subset solve the array
+    # of L that it writes and works in
     assert dense_mb < full < 1.5 * dense_mb, f"peak {full:.2f} MiB"
     assert part < dense_mb + 1.0, f"peak {part:.2f} MiB"
+    # the full call adds only the array it writes
+    whole = _peak_mb(lambda: eigendecompose(lap))
+    assert whole < full + 1.1 * dense_mb, f"peak {whole:.2f} MiB"
 
 
 def test_sensor_graph_holds_no_dense_array():
@@ -88,10 +96,18 @@ def test_sensor_graph_holds_no_dense_array():
 
 
 def test_laplacian_of_a_sensor_graph_is_its_one_dense_array():
-    # a dense adjacency beside L read 2.0 dense arrays
+    # its matrix, written from the edges; a dense adjacency beside L read
+    # 2.0 dense arrays
     n = 800
-    peak = _peak_mb(lambda: build_laplacian(gen_sensor(n, 6, seed=0)))
+    peak = _peak_mb(lambda: build_laplacian(gen_sensor(n, 6, seed=0)).matrix)
     assert peak < 1.2 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+
+
+def test_laplacian_at_4000_nodes_holds_no_dense_array():
+    # L written at build time read 1.0 dense arrays (122 MiB here)
+    n = 4000
+    peak = _peak_mb(lambda: build_laplacian(gen_sensor(n, 6, seed=0)))
+    assert peak < 0.05 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
 
 
 @pytest.mark.parametrize("n", [50, 200])
@@ -144,23 +160,45 @@ def test_greedy_jacobi_checks_its_input_beside_one_working_copy():
     n = 800
     lap = build_laplacian(gen_sensor(n, 6, seed=0))
     greedy_jacobi(lap, 0)  # warm up
-    # at J = 0 the sweep only copies and checks the Laplacian; an n x n
-    # boolean (0.61 MiB here) would show above the copy
+    # at J = 0 the sweep only writes its working array, whose diagonal
+    # the Laplacian checks; an n x n boolean (0.61 MiB here) would show
+    # above the array
     extra = _peak_mb(lambda: greedy_jacobi(lap, 0)) - n * n * 8 / MIB
     assert extra < 0.5 * n * n / MIB, f"{extra:.2f} MiB above the copy"
+    # an array's finiteness and symmetry checks moved to the Laplacian
+    # made from it, and hold no n x n temporary either
+    matrix = lap.dense()
+    checked = _peak_mb(lambda: Laplacian(matrix))
+    assert checked < 0.5 * n * n / MIB, f"{checked:.2f} MiB to check"
+
+
+def _trial_peak_in_dense_arrays(methods, sweep, spare_cpu=False):
+    """Peak of one rmse_vs_size trial (G1, GS3, n = 800, K = 40), in
+    dense n x n arrays."""
+    n = 800
+    spec = bench.parse_spec_text(
+        f"study = rmse_vs_size\nn = {n}\nK = 40\nsignal = GS3\n"
+        f"methods = {methods}\nsweep = {sweep}\ntrials = 1")
+    bench._TrialContext(spec, 60, 0, spare_cpu)  # warm up
+    peak = _peak_mb(lambda: bench._rmse_trial_rows(spec, 0, False, spare_cpu))
+    return peak / (n * n * 8 / MIB)
+
+
+def test_eigensolver_trial_holds_one_dense_array():
+    # the spectral-800 workload's trial; the Laplacian's matrix beside the
+    # solver's copy of it read 2.1 dense arrays
+    peak = _trial_peak_in_dense_arrays("agod, dopt, aopt", "40, 80")
+    assert peak < 1.3, f"peak {peak:.2f} dense arrays"
 
 
 @pytest.mark.parametrize("spare_cpu", [True, False])
 def test_fagod_trial_holds_two_dense_arrays(spare_cpu):
-    # the Laplacian held beside the sweep's and the solver's copies reads
-    # above 3 dense arrays
-    n = 800
-    spec = bench.parse_spec_text(
-        f"study = rmse_vs_size\nn = {n}\nK = 40\nsignal = GS3\n"
-        "methods = fagod\nsweep = 80\ntrials = 1")
-    bench._TrialContext(spec, 60, 0, spare_cpu)  # warm up
-    peak = _peak_mb(lambda: bench._rmse_trial_rows(spec, 0, False, spare_cpu))
-    assert peak < 2.5 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+    # side by side, the sweep's and the solver's arrays, where the
+    # Laplacian held beside them read above 3 dense arrays; one after the
+    # other, one array at a time, where the two copies read 2.1
+    peak = _trial_peak_in_dense_arrays("fagod", "80", spare_cpu)
+    bound = 2.5 if spare_cpu else 1.5
+    assert peak < bound, f"peak {peak:.2f} dense arrays"
 
 
 @pytest.mark.parametrize("spare_cpu", [True, False])
@@ -175,3 +213,37 @@ def test_full_basis_fagod_trial_copies_no_eigenvectors(spare_cpu):
     bench._TrialContext(spec, 60, 0, spare_cpu)  # warm up
     peak = _peak_mb(lambda: bench._rmse_trial_rows(spec, 0, False, spare_cpu))
     assert peak < 4.0 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
+
+
+_CROSSOVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import crossover
+crossover.SIZES, crossover.TRIALS = ((60, 5, 10), (200, 10, 30)), 2
+print(json.dumps(crossover.main()))
+"""
+
+
+def test_crossover_returns_its_medians_and_each_paths_peak():
+    # in a process of its own: the script sets the BLAS thread count
+    # before numpy loads
+    root = Path(bench.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", _CROSSOVER, str(root / "scripts")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    results = json.loads(printed[-1])
+    assert list(results) == ["60", "200"]
+    for line, (n, got) in zip(printed, results.items()):
+        assert (got["K"], got["M"]) == ((5, 10) if n == "60" else (10, 30))
+        assert set(got["median_ms"]) == {
+            "jacobi", "synth", "fagod", "eigen-free", "eigendecompose",
+            "agod", "eigensolver"}
+        assert line.startswith(f"n={n} K={got['K']} M={got['M']}")
+        # each path writes one n x n array of L and holds O(nK) more
+        dense = int(n) ** 2 * 8 / MIB
+        for path in ("eigen-free", "eigensolver"):
+            assert dense < got["peak_mib"][path] < 2 * dense + 0.1
+            assert f"{path} {got['peak_mib'][path]:.2f}" in line

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from gsample import (Graph, Laplacian, build_laplacian, eigendecompose,
                      gen_community, gen_er, gen_sensor, gen_signal, gft, igft,
-                     leverage_scores, observe)
+                     greedy_jacobi, leverage_scores, observe)
 from gsample.spectral import _eigendecompose, _fix_signs, check_gap
 
 
@@ -195,18 +195,32 @@ def test_bandwidth_at_or_past_n_takes_the_dense_path(K):
 
 @pytest.mark.parametrize("entry", [np.inf, np.nan])
 def test_full_basis_rejects_non_finite_laplacian(entry):
+    # an array is checked once, by the Laplacian made from it, for the
+    # eigensolver and the sweep alike
     matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     matrix[0, 0] = entry
     with pytest.raises(ValueError, match="non-finite"):
-        eigendecompose(Laplacian(matrix))
+        Laplacian(matrix)
 
 
-@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, "row sum"])
 def test_subset_solve_rejects_non_finite_laplacian(entry):
-    matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    matrix[1, 1] = entry
-    with pytest.raises(ValueError, match="non-finite"):
-        eigendecompose(Laplacian(matrix), 1)
+    if entry == "row sum":
+        # weights of 1e308 are finite, but node 1's row sum overflows to
+        # an infinite diagonal: the one way a graph gives a non-finite
+        # Laplacian, caught as each consumer writes its array
+        lap = build_laplacian(
+            Graph.from_edges(3, [0, 1], [1, 2], [1e308, 1e308]))
+        consumers = (lambda: eigendecompose(lap, 1),
+                     lambda: eigendecompose(lap), lambda: greedy_jacobi(lap, 5))
+    else:
+        matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                           [0.0, -1.0, 1.0]])
+        matrix[1, 1] = entry
+        consumers = (lambda: Laplacian(matrix),)
+    for consume in consumers:
+        with pytest.raises(ValueError, match="non-finite"):
+            consume()
 
 
 def test_degenerate_bandwidth_fails_loudly():
@@ -280,20 +294,20 @@ def _solved_on_the_libraries_copy(a, K):
 @pytest.mark.parametrize("n", [200, 800])
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
 def test_solver_copy_gives_the_basis_of_the_librarys_copy(model, n):
-    # the subset solver gets a C-ordered Laplacian as its straight copy
-    # read as F-ordered, and F-ordered and sliced ones through scipy's
-    # own copy; the full solve always works on numpy's copy
+    # the subset solver works in the Laplacian's own array read as
+    # F-ordered, and in scipy's copy of any other layout; the full solve
+    # always works on numpy's copy
     lap = build_laplacian(_model_graph(model, n, seed=n + 1))
     a = lap.matrix
     before = a.tobytes()
-    padded = np.zeros((n + 3, n + 5))
-    padded[1:n + 1, 2:n + 2] = a
-    for K, layouts in ((n // 20, (a, np.asfortranarray(a),
-                                  padded[1:n + 1, 2:n + 2])),
-                       (None, (a,))):
+    for K in (n // 20, None):
         w, v = _solved_on_the_libraries_copy(a, K)
-        for layout in layouts:
-            basis = _eigendecompose(layout, K)
+        padded = np.zeros((n + 3, n + 5))
+        padded[1:n + 1, 2:n + 2] = a
+        workspaces = (lap.dense().T, np.array(a), np.asfortranarray(a),
+                      padded[1:n + 1, 2:n + 2])
+        for basis in [eigendecompose(lap, K)] + [
+                _eigendecompose(work, K) for work in workspaces]:
             assert basis.eigenvalues.tobytes() == w.tobytes()
             assert basis.eigenvectors.tobytes() == v.tobytes()
     assert a.tobytes() == before and not a.flags.writeable
