@@ -9,7 +9,9 @@ For each size, TRIALS graphs (seeds 0, 1, ...) each run both paths once:
 * eigensolver: `eigendecompose(lap, K)` and agod.
 
 K and the budget M follow the benchmark workloads: K = 10, M = 30 at
-n = 200 (the desk spec), K = 40, M = 80 at n = 800 and 1600.  Prints the
+n = 200 (the desk spec), K = 40, M = 80 at n = 800, 1600 and 3200.  At
+n = 3200 one dense n x n array is 78 MiB, the eigensolver's working
+array, and the sweep's packed triangle is half of it.  Prints the
 median milliseconds of each stage and of each path, and the `tracemalloc`
 peak of each path on the seed-0 graph, taken in a separate pass after
 the timed trials so that tracing does not slow them.  `main()` returns
@@ -28,7 +30,7 @@ from gsample import (approximate_lowpass, build_laplacian,  # noqa: E402
                      eigendecompose, gen_sensor, greedy_jacobi, greedy_select,
                      lowpass_from_givens, rotation_budget)
 
-SIZES = ((200, 10, 30), (800, 40, 80), (1600, 40, 80))
+SIZES = ((200, 10, 30), (800, 40, 80), (1600, 40, 80), (3200, 40, 80))
 TRIALS = 9
 MIB = 1024.0 * 1024.0
 

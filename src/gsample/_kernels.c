@@ -16,11 +16,12 @@
  * Nothing here allocates or keeps state; the caller owns every buffer,
  * so concurrent calls on different buffers are safe.
  *
- * The sweep reads and writes only the diagonal and the strict upper
- * triangle (i < j) of its symmetric matrix and leaves the lower triangle
- * stale on return.  Each rotation then touches about p + q strided
- * entries, not 2n, and the lower half never enters the cache; those
- * strided entries are prefetched PREFETCH_ROWS rows ahead.
+ * The sweep keeps its symmetric matrix as two buffers: the strict upper
+ * triangle (i < j), packed row by row as LAPACK's packed routines store
+ * it, and the diagonal.  Each rotation touches about p + q strided
+ * entries, not 2n, and no lower triangle is stored at all; the strided
+ * entries of a triangle too large for the cache are prefetched
+ * PREFETCH_ROWS rows ahead.
  *
  * The pivot is the first largest of the cached per-row maxima, read off
  * the root of a tournament tree over them; each changed row maximum
@@ -38,46 +39,53 @@
 #include <math.h>
 #include <stdint.h>
 
-/* Rows ahead at which the strided column loops prefetch. */
+/* Rows ahead at which the strided column loops prefetch, once the
+ * packed triangle holds more than PREFETCH_MIN_ENTRIES (1 MiB).  On a
+ * box with 2 MiB of L2 per core, prefetching slowed the sweep by about
+ * 4% at n = 200 (160 KiB), broke even at n = 400 and saved 4% at n = 600
+ * (1.4 MiB) and 13% at n = 800. */
 #define PREFETCH_ROWS 16
+#define PREFETCH_MIN_ENTRIES (1 << 17)
 
-/* Fresh maximum of |w[i, i+1:]|; ties go to the smallest column.
+/* Fresh maximum of the n - i - 1 magnitudes |row[0]|, |row[1]|, ..., the
+ * strict upper part of row i, which starts in column i + 1; ties go to
+ * the smallest column.
  *
  * Two passes: four running maxima (plus the tail) find the maximum
  * without a data-dependent branch, then the first column whose magnitude
- * equals it is the answer.  Every lane starts at |w[i, i+1]|, so a NaN
+ * equals it is the answer.  Every lane starts at |row[0]|, so a NaN
  * there makes the maximum NaN and a NaN elsewhere is skipped, as in a
  * plain scan with a strict comparison.  A NaN maximum equals no entry:
  * the second pass stops at the end of the row and the first column
  * stands. */
-static void row_max(const double *w, int64_t n, int64_t i,
+static void row_max(const double *row, int64_t n, int64_t i,
                     int64_t *best_col, double *best_val)
 {
-    const double *row = w + i * n;
-    double m0 = fabs(row[i + 1]), m1 = m0, m2 = m0, m3 = m0;
-    int64_t j = i + 1;
-    for (; j + 4 <= n; j += 4) {
-        double a0 = fabs(row[j]), a1 = fabs(row[j + 1]);
-        double a2 = fabs(row[j + 2]), a3 = fabs(row[j + 3]);
+    int64_t len = n - i - 1;
+    double m0 = fabs(row[0]), m1 = m0, m2 = m0, m3 = m0;
+    int64_t k = 0;
+    for (; k + 4 <= len; k += 4) {
+        double a0 = fabs(row[k]), a1 = fabs(row[k + 1]);
+        double a2 = fabs(row[k + 2]), a3 = fabs(row[k + 3]);
         m0 = a0 > m0 ? a0 : m0;
         m1 = a1 > m1 ? a1 : m1;
         m2 = a2 > m2 ? a2 : m2;
         m3 = a3 > m3 ? a3 : m3;
     }
-    for (; j < n; j++) {
-        double a = fabs(row[j]);
+    for (; k < len; k++) {
+        double a = fabs(row[k]);
         m0 = a > m0 ? a : m0;
     }
     m0 = m1 > m0 ? m1 : m0;
     m2 = m3 > m2 ? m3 : m2;
     double val = m2 > m0 ? m2 : m0;
-    int64_t col = i + 1;
-    for (j = i + 1; j < n; j++)
-        if (fabs(row[j]) == val) {
-            col = j;
+    int64_t col = 0;
+    for (k = 0; k < len; k++)
+        if (fabs(row[k]) == val) {
+            col = k;
             break;
         }
-    best_col[i] = col;
+    best_col[i] = i + 1 + col;
     best_val[i] = val;
 }
 
@@ -106,14 +114,15 @@ static void tree_fix(int64_t *tree, int64_t m, const double *best_val,
     }
 }
 
-/* Settles the cached first maximum of row i of the upper triangle after
- * a rotation in (p, q) changed its entries in columns p and q, whose new
- * magnitudes are a and b (a = -1 when column p is left of the row).  The
- * other columns are untouched: they peak at the old best_val, first in
- * the old best_col if that column is untouched too, and otherwise only
- * right of it.  Rescans only when the rotated column fell and nothing
- * known beats the untouched columns for sure. */
-static void settle(const double *w, int64_t n, int64_t i, int64_t p,
+/* Settles the cached first maximum of row i of the upper triangle, whose
+ * packed entries start at row, after a rotation in (p, q) changed its
+ * entries in columns p and q, whose new magnitudes are a and b (a = -1
+ * when column p is left of the row).  The other columns are untouched:
+ * they peak at the old best_val, first in the old best_col if that
+ * column is untouched too, and otherwise only right of it.  Rescans only
+ * when the rotated column fell and nothing known beats the untouched
+ * columns for sure. */
+static void settle(const double *row, int64_t n, int64_t i, int64_t p,
                    int64_t q, double a, double b, int64_t *best_col,
                    double *best_val)
 {
@@ -133,7 +142,7 @@ static void settle(const double *w, int64_t n, int64_t i, int64_t p,
         } else {
             /* the row's peak may sit in an untouched column, or tie at q
              * right of an untouched entry between p and q */
-            row_max(w, n, i, best_col, best_val);
+            row_max(row, n, i, best_col, best_val);
             return;
         }
     } else {
@@ -150,85 +159,98 @@ static void settle(const double *w, int64_t n, int64_t i, int64_t p,
     best_val[i] = val;
 }
 
-/* Up to `budget` greedy rotations of the symmetric row-major n x n
- * matrix w, in place.  Only the diagonal and the strict upper triangle
- * (i < j) are read or written: w[q, p] is read as w[p, q], and the lower
- * triangle is left stale on return.  best_col / best_val (n - 1 entries)
- * cache the per-row maxima of the strict upper triangle; `init` fills
- * them, and a later call with init = 0 continues the same sweep.  tree
- * holds the pivot tree, 2m entries for the smallest power of two
- * m >= n - 1; it is rebuilt from best_val on every call.  Rotation k is
- * written to planes[2k], planes[2k + 1] and thetas[k].  Returns the
- * number of rotations made, which is short of `budget` only when every
- * off-diagonal magnitude is at most tol. */
-int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
-                            double *best_val, int64_t *tree, int64_t budget,
-                            double tol, int init, int64_t *planes,
-                            double *thetas)
+/* Up to `budget` greedy rotations, in place, of the symmetric n x n
+ * matrix W held as its strict upper triangle u and its diagonal d.  u
+ * holds W[i, i+1:] for i = 0 .. n - 2 one after the other, n (n - 1) / 2
+ * entries, so row i starts at offset i (2n - i - 1) / 2; W[q, p] is read
+ * as W[p, q].  off (n - 1 entries) is filled with off[i] = that offset
+ * minus i + 1, so that W[i, j] is u[off[i] + j] for j > i.
+ * best_col / best_val (n - 1 entries) cache the per-row maxima of the
+ * strict upper triangle; `init` fills them, and a later call with
+ * init = 0 continues the same sweep.  tree holds the pivot tree, 2m
+ * entries for the smallest power of two m >= n - 1; off and tree are
+ * rebuilt on every call.  Rotation k is written to planes[2k],
+ * planes[2k + 1] and thetas[k].  Returns the number of rotations made,
+ * which is short of `budget` only when every off-diagonal magnitude is
+ * at most tol. */
+int64_t greedy_jacobi_sweep(double *u, double *d, int64_t n, int64_t *off,
+                            int64_t *best_col, double *best_val,
+                            int64_t *tree, int64_t budget, double tol,
+                            int init, int64_t *planes, double *thetas)
 {
     int64_t rows = n - 1, m = 1;
     while (m < rows)
         m <<= 1;
+    for (int64_t i = 0; i < rows; i++)
+        off[i] = i * (2 * n - i - 1) / 2 - (i + 1);
     if (init)
         for (int64_t i = 0; i < rows; i++)
-            row_max(w, n, i, best_col, best_val);
+            row_max(u + (off[i] + i + 1), n, i, best_col, best_val);
     for (int64_t i = 0; i < m; i++)
         tree[m + i] = i < rows ? i : -1;
     for (int64_t node = m - 1; node >= 1; node--)
         tree[node] = winner(tree, best_val, node);
+    /* a triangle that stays in cache is left to the hardware's own
+     * prefetch: no row lies n rows ahead */
+    int64_t ahead = rows * n / 2 > PREFETCH_MIN_ENTRIES ? PREFETCH_ROWS : n;
     int64_t k = 0;
     for (; k < budget; k++) {
         int64_t p = tree[1];
         if (best_val[p] <= tol)
             break;
         int64_t q = best_col[p];
-        double *wp = w + p * n, *wq = w + q * n;
-        double theta = 0.5 * atan2(2.0 * wp[q], wq[q] - wp[p]);
+        /* rows p and q of the upper triangle, indexed by column; row q
+         * is empty when q = n - 1 */
+        int64_t op = off[p], oq = q < rows ? off[q] : 0;
+        double w_pq = u[op + q];
+        double theta = 0.5 * atan2(2.0 * w_pq, d[q] - d[p]);
         double c = cos(theta), s = sin(theta);
         /* the (p, q) block: columns first, then rows, as the reference */
-        double pp = c * wp[p] - s * wp[q], pq = s * wp[p] + c * wp[q];
-        double qp = c * wp[q] - s * wq[q], qq = s * wp[q] + c * wq[q];
-        /* the pair (w[p, j], w[q, j]) of every other column j, each entry
+        double pp = c * d[p] - s * w_pq, pq = s * d[p] + c * w_pq;
+        double qp = c * w_pq - s * d[q], qq = s * w_pq + c * d[q];
+        /* the pair (W[p, j], W[q, j]) of every other column j, each entry
          * taken from the upper triangle: both from column j below row p,
          * row p and column j between p and q, both rows right of q.  Row
          * j < q changes only in columns p and q, so its cached maximum
          * needs settling only when it sat in either column or an entry
          * there may have risen to it. */
         for (int64_t j = 0; j < p; j++) {
-            if (j + PREFETCH_ROWS < p) {
-                __builtin_prefetch(w + (j + PREFETCH_ROWS) * n + p, 1);
-                __builtin_prefetch(w + (j + PREFETCH_ROWS) * n + q, 1);
+            if (j + ahead < p) {
+                __builtin_prefetch(u + (off[j + ahead] + p), 1);
+                __builtin_prefetch(u + (off[j + ahead] + q), 1);
             }
-            double *a = w + j * n + p, *b = w + j * n + q;
+            double *a = u + (off[j] + p), *b = u + (off[j] + q);
             double x = *a, y = *b;
             *a = c * x - s * y;
             *b = s * x + c * y;
             double fa = fabs(*a), fb = fabs(*b), old = best_val[j];
             if (best_col[j] == p || best_col[j] == q || fa >= old
                     || fb >= old) {
-                settle(w, n, j, p, q, fa, fb, best_col, best_val);
+                settle(u + (off[j] + j + 1), n, j, p, q, fa, fb, best_col,
+                       best_val);
                 if (best_val[j] != old)
                     tree_fix(tree, m, best_val, j);
             }
         }
         /* rows p and q get their new maxima from the loops that write
-         * them: ties go to the first column, and w[p, q] becomes 0 */
+         * them: ties go to the first column, and W[p, q] becomes 0 */
         int64_t p_col = p + 1, q_col = q + 1;
         double p_val = -1.0, q_val = -1.0;
         for (int64_t j = p + 1; j < q; j++) {
-            if (j + PREFETCH_ROWS < q)
-                __builtin_prefetch(w + (j + PREFETCH_ROWS) * n + q, 1);
-            double *b = w + j * n + q;
-            double x = wp[j], y = *b;
-            wp[j] = c * x - s * y;
+            if (j + ahead < q)
+                __builtin_prefetch(u + (off[j + ahead] + q), 1);
+            double *a = u + (op + j), *b = u + (off[j] + q);
+            double x = *a, y = *b;
+            *a = c * x - s * y;
             *b = s * x + c * y;
-            double fp = fabs(wp[j]), fb = fabs(*b), old = best_val[j];
+            double fp = fabs(*a), fb = fabs(*b), old = best_val[j];
             if (fp > p_val) {
                 p_val = fp;
                 p_col = j;
             }
             if (best_col[j] == q || fb >= old) {
-                settle(w, n, j, p, q, -1.0, fb, best_col, best_val);
+                settle(u + (off[j] + j + 1), n, j, p, q, -1.0, fb, best_col,
+                       best_val);
                 if (best_val[j] != old)
                     tree_fix(tree, m, best_val, j);
             }
@@ -239,10 +261,11 @@ int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
             p_col = q;
         }
         for (int64_t j = q + 1; j < n; j++) {
-            double x = wp[j], y = wq[j];
-            wp[j] = c * x - s * y;
-            wq[j] = s * x + c * y;
-            double fp = fabs(wp[j]), fq = fabs(wq[j]);
+            double *a = u + (op + j), *b = u + (oq + j);
+            double x = *a, y = *b;
+            *a = c * x - s * y;
+            *b = s * x + c * y;
+            double fp = fabs(*a), fq = fabs(*b);
             if (fp > p_val) {
                 p_val = fp;
                 p_col = j;
@@ -252,9 +275,9 @@ int64_t greedy_jacobi_sweep(double *w, int64_t n, int64_t *best_col,
                 q_col = j;
             }
         }
-        wp[p] = c * pp - s * qp;
-        wq[q] = s * pq + c * qq;
-        wp[q] = 0.0;
+        d[p] = c * pp - s * qp;
+        d[q] = s * pq + c * qq;
+        u[op + q] = 0.0;
         planes[2 * k] = p;
         planes[2 * k + 1] = q;
         thetas[k] = theta;

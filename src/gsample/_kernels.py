@@ -73,8 +73,8 @@ def _build() -> Path:
 def _load():
     lib = ctypes.CDLL(str(_build()))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.greedy_jacobi_sweep.argtypes = [ptr, i64, ptr, ptr, ptr, i64, f64,
-                                        ctypes.c_int, ptr, ptr]
+    lib.greedy_jacobi_sweep.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr,
+                                        i64, f64, ctypes.c_int, ptr, ptr]
     lib.greedy_jacobi_sweep.restype = i64
     lib.rotate_rows.argtypes = [ptr, i64, i64, ptr, ptr]
     lib.rotate_rows.restype = None
@@ -101,23 +101,29 @@ def _address(array: np.ndarray, dtype, shape) -> int:
 _LIB = _load()
 
 
-def greedy_jacobi_sweep(w: np.ndarray, budget: int, tol: float):
-    """Greedy Jacobi rotations of w in place, at most `budget` of them.
+def greedy_jacobi_sweep(upper: np.ndarray, diag: np.ndarray, budget: int,
+                        tol: float):
+    """Greedy Jacobi rotations, in place, of the symmetric n x n matrix
+    held as its packed strict upper triangle and its diagonal; at most
+    `budget` of them.
 
-    w must be a C-contiguous float64 n x n matrix with n >= 2 whose
-    diagonal and strict upper triangle hold a finite symmetric matrix.
-    The kernel reads and writes only those entries: the lower triangle is
-    never read and is left stale on return, so only the diagonal and the
-    upper triangle of w are the rotated matrix.  Returns (planes, thetas):
-    an (m, 2) int64 array of the (p, q) pairs and the m angles, in order.
+    diag must be a C-contiguous float64 array of n >= 2 entries and upper
+    one of n (n - 1) / 2, the rows W[i, i+1:] one after the other (row i
+    starts at offset i (2n - i - 1) / 2), and together they must hold a
+    finite matrix.  The kernel reads and writes nothing else.  Returns
+    (planes, thetas): an (m, 2) int64 array of the (p, q) pairs and the m
+    angles, in order.
 
-    The sweep's O(n) bookkeeping, the per-row maxima and the pivot tree
-    over them, lives in buffers allocated here for each sweep.  The kernel
-    rebuilds the tree on every call, so a sweep split into `_CHUNK`-sized
-    calls continues where the last call stopped.
+    The sweep's O(n) bookkeeping, the row offsets, the per-row maxima and
+    the pivot tree over them, lives in buffers allocated here for each
+    sweep.  The kernel rebuilds the offsets and the tree on every call,
+    so a sweep split into `_CHUNK`-sized calls continues where the last
+    call stopped.
     """
-    n = w.shape[0]
-    w_at = _address(w, np.float64, (n, n))
+    n = diag.shape[0]
+    d_at = _address(diag, np.float64, (n,))
+    u_at = _address(upper, np.float64, (n * (n - 1) // 2,))
+    off = np.empty(n - 1, dtype=np.int64)
     best_col = np.empty(n - 1, dtype=np.int64)
     best_val = np.empty(n - 1)
     # the pivot tree: 2m entries for the smallest power of two m >= n - 1
@@ -128,9 +134,9 @@ def greedy_jacobi_sweep(w: np.ndarray, budget: int, tol: float):
         size = min(budget - done, _CHUNK)
         pl, th = np.empty((size, 2), dtype=np.int64), np.empty(size)
         got = _LIB.greedy_jacobi_sweep(
-            w_at, n, best_col.ctypes.data, best_val.ctypes.data,
-            tree.ctypes.data, size, tol, done == 0, pl.ctypes.data,
-            th.ctypes.data)
+            u_at, d_at, n, off.ctypes.data, best_col.ctypes.data,
+            best_val.ctypes.data, tree.ctypes.data, size, tol, done == 0,
+            pl.ctypes.data, th.ctypes.data)
         planes.append(pl[:got])
         thetas.append(th[:got])
         done += got
@@ -138,7 +144,7 @@ def greedy_jacobi_sweep(w: np.ndarray, budget: int, tol: float):
             break
     # freed before the outputs are joined, so that the bookkeeping adds
     # nothing to the sweep's peak allocation
-    del best_col, best_val, tree
+    del off, best_col, best_val, tree
     if not planes:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
     if len(planes) == 1 and got == size:  # one full call: its own buffers

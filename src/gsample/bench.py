@@ -364,33 +364,35 @@ def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
     Laplacian that it pops from the one-item list `laps`, so that its
     edges are freed here.
 
-    Neither stage reads the other's result, and each works in an n x n
-    array of its own that the Laplacian writes (`Laplacian.dense`): the
-    eigensolver overwrites the transpose of one, the sweep rotates the
-    other.  With `spare_cpu` the compiled sweep runs on a second thread
+    Neither stage reads the other's result, and each works in arrays of
+    its own that the Laplacian writes: the eigensolver overwrites the
+    transpose of an n x n array (`Laplacian.dense`), the sweep rotates
+    the packed strict upper triangle (`Laplacian.packed_upper`) and the
+    diagonal, which is read off the solver's array before the solve
+    starts.  With `spare_cpu` the compiled sweep runs on a second thread
     while this one solves (`run_experiment` has every OpenBLAS at one
-    thread): both arrays are written, and the Laplacian dropped, before
-    the two start.  Otherwise the solve runs first and the sweep's array
-    is written after it, so one n x n array is held at a time.  A
-    failure raises as it does without `spare_cpu`: the solver's before
-    the sweep's.
+    thread): the triangle is written, and the Laplacian dropped, before
+    the two start.  Otherwise the solve runs first, and the triangle is
+    written once the solver's array is freed.  A failure raises as it
+    does without `spare_cpu`: the solver's before the sweep's.
     """
     lap = laps.pop()
-    if not spare_cpu:
-        basis = _eigendecompose(lap.dense().T, width)
-        w = lap.dense()
-        del lap
-        (givens, eigs, perm), _ = _greedy_jacobi(w, J)
-        return basis, lowpass_from_givens(givens, perm, K, eigs)
     work = [lap.dense().T]
-    w = lap.dense()
-    del lap
+    diag = work[0].diagonal().copy()
 
     def solve():
         # popped, so the solver's array is freed when the solve returns
         return _eigendecompose(work.pop(), width)
 
-    (givens, eigs, perm), basis = _greedy_jacobi(w, J, solve)
+    if spare_cpu:
+        upper = lap.packed_upper()
+        del lap
+        (givens, eigs, perm), basis = _greedy_jacobi(upper, diag, J, solve)
+    else:
+        basis = solve()
+        upper = lap.packed_upper()
+        del lap
+        (givens, eigs, perm), _ = _greedy_jacobi(upper, diag, J)
     return basis, lowpass_from_givens(givens, perm, K, eigs)
 
 

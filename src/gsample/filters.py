@@ -115,18 +115,23 @@ def greedy_jacobi(lap: Laplacian, J: int):
     (ties: smallest row, then smallest column), which lowers the squared
     off-diagonal norm by exactly 2 W_pq^2.  Stops early once all
     off-diagonal magnitudes fall to OFFDIAG_TOL.  The working matrix is
-    the Laplacian's own `dense()` array, which also checks L's entries
-    (see `Laplacian`).
+    the Laplacian's packed strict upper triangle and its diagonal, half
+    the memory of an n x n array; `Laplacian.diagonal` also checks L's
+    row sums.
 
     Returns (GivensSeq, approximate eigenvalues sorted ascending, perm)
     where perm maps rotated coordinates to the ascending order.
     """
-    return _greedy_jacobi(lap.dense(), J)[0]
+    # the diagonal's row blocks are freed before the triangle is written
+    diag = lap.diagonal()
+    return _greedy_jacobi(lap.packed_upper(), diag, J)[0]
 
 
-def _greedy_jacobi(w: np.ndarray, J: int, beside=None):
-    """`greedy_jacobi` on w, a working array that `Laplacian.dense` wrote
-    and so checked, which it rotates in place.
+def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int,
+                   beside=None):
+    """`greedy_jacobi` on a Laplacian's packed strict upper triangle and
+    its checked diagonal (`Laplacian.packed_upper`, `Laplacian.diagonal`),
+    which it rotates in place.
 
     With `beside`, a second thread makes the kernel call, which releases
     the interpreter lock, while `beside()` runs on the calling thread; a
@@ -138,10 +143,10 @@ def _greedy_jacobi(w: np.ndarray, J: int, beside=None):
     """
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")
-    n = w.shape[0]
+    n = diag.shape[0]
     if n >= 2 and J > 0:
-        sweep = functools.partial(_kernels.greedy_jacobi_sweep, w, J,
-                                  OFFDIAG_TOL)
+        sweep = functools.partial(_kernels.greedy_jacobi_sweep, upper, diag,
+                                  J, OFFDIAG_TOL)
     else:
         def sweep():
             return np.empty((0, 2), dtype=np.int64), np.empty(0)
@@ -154,8 +159,6 @@ def _greedy_jacobi(w: np.ndarray, J: int, beside=None):
             aside = beside()
         planes, thetas = rotated.result()
     seq = GivensSeq(n, planes, thetas)
-    # the kernel leaves the lower triangle stale; only the diagonal is used
-    diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
     return (seq, diag[perm], perm), aside
 

@@ -2,9 +2,9 @@
 
 A graph is stored as its edge list, each edge once.  The generators and
 `load_graph` build that list without an n x n array, and `build_laplacian`
-keeps it: each consumer of L writes its own n x n array from the edges
-(`Laplacian.dense`).  The dense adjacency matrix is built only when it is
-read.
+keeps it: each consumer of L writes its own working arrays from the edges
+(`Laplacian.dense`, or the packed triangle and diagonal the Jacobi sweep
+rotates).  The dense adjacency matrix is built only when it is read.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ ER_P = 0.05
 # Rows per block of `exactly_symmetric` and of the G2 and G3 draws.
 SYMMETRY_BLOCK = 128
 
+# `Laplacian.diagonal` sums its rows in this many blocks, each at most
+# about a quarter of an n x n array.
+DIAGONAL_BLOCKS = 4
+
 
 def exactly_symmetric(a: np.ndarray) -> bool:
     """np.array_equal(a, a.T) for a square matrix a, without its n x n
@@ -47,6 +51,14 @@ def exactly_symmetric(a: np.ndarray) -> bool:
         if not np.array_equal(a[i:end, i:], a[i:, i:end].T):
             return False
     return True
+
+
+def _finite(diag: np.ndarray) -> np.ndarray:
+    """diag, once it is checked to be finite: finite weights can still
+    overflow a Laplacian's row sum."""
+    if not np.isfinite(diag).all():
+        raise ValueError("Laplacian has non-finite entries")
+    return diag
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -150,17 +162,19 @@ class Laplacian:
     """Combinatorial Laplacian L = D - A on n nodes.
 
     One from `build_laplacian` shares the graph's read-only edge arrays
-    and holds no n x n array.  `dense()` writes L into a fresh, writable
-    n x n array, one per consumer: the eigensolver, the Jacobi sweep and
-    its reference, and a fagod trial's joint stage each work in their
-    own, so nothing copies L.  `matrix` is that array, written at the
+    and holds no n x n array.  Each consumer writes L afresh into
+    working arrays of its own, so nothing copies L: `dense()` writes the
+    n x n array that the eigensolver and the Jacobi reference work in,
+    and `packed_upper()` and `diagonal()` the half-size pair that the
+    Jacobi sweep rotates.  `matrix` is the dense array, written at the
     first read and kept read-only, for readers off the trial path.  Such
     an L is symmetric with finite off-diagonal entries by construction,
-    so `dense()` checks only that its diagonal of row sums is finite.
+    so `dense()` and `diagonal()` check only that its diagonal of row
+    sums is finite.
 
     `Laplacian(matrix)` takes a dense array, as only tests do, and checks
     it once, here: square, finite and exactly symmetric.  Its `matrix`
-    is that array, made read-only, and `dense()` copies it.
+    is that array, made read-only, and the writers copy from it.
     """
 
     n: int
@@ -198,10 +212,56 @@ class Laplacian:
         lap[cols, rows] = off
         with np.errstate(over="ignore"):  # checked below
             diag = 0.0 - lap.sum(axis=1)
-        if not np.isfinite(diag).all():
-            raise ValueError("Laplacian has non-finite entries")
-        lap.flat[::n + 1] = diag
+        lap.flat[::n + 1] = _finite(diag)
         return lap
+
+    def packed_upper(self) -> np.ndarray:
+        """The strict upper triangle of L, packed row by row into a fresh,
+        writable array of n (n - 1) / 2 entries: L[i, i+1:] for
+        i = 0 .. n - 2 one after the other, so L[r, c], r < c, sits at
+        r (2n - r - 1) / 2 + c - r - 1.  Bitwise the entries of `dense()`;
+        from the edges, a zero fill and one scatter."""
+        n = self.n
+        if self._edges is None:
+            parts = [self.matrix[i, i + 1:] for i in range(n - 1)]
+            return np.concatenate(parts) if parts else np.empty(0)
+        rows, cols, weights = self._edges
+        upper = np.zeros(n * (n - 1) // 2)
+        upper[rows * (2 * n - rows - 1) // 2 + cols - rows - 1] = \
+            0.0 - weights
+        return upper
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of L as a fresh, writable n-vector, bitwise
+        `dense()`'s, with no n x n array.
+
+        From the edges, the off-diagonal part of n / DIAGONAL_BLOCKS rows
+        at a time is written into a block of full rows and summed as
+        `dense()` sums its rows; a non-finite row sum raises ValueError,
+        as there.
+        """
+        if self._edges is None:
+            return np.diag(self.matrix).copy()
+        rows, cols, weights = self._edges
+        n = self.n
+        # each edge from both of its ends, ordered by the row it lands in
+        ends = np.concatenate((rows, cols))
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        others = np.concatenate((cols, rows))[order]
+        off = np.concatenate((weights, weights))[order]
+        diag = np.empty(n)
+        step = -(-n // DIAGONAL_BLOCKS)
+        buffer = np.empty((step, n))  # one block of rows, refilled for each
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            lo, hi = np.searchsorted(ends, (start, stop))
+            block = buffer[:stop - start]
+            block.fill(0.0)
+            block[ends[lo:hi] - start, others[lo:hi]] = 0.0 - off[lo:hi]
+            with np.errstate(over="ignore"):  # checked below
+                diag[start:stop] = 0.0 - block.sum(axis=1)
+        return _finite(diag)
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gsample import (Graph, Laplacian, build_laplacian, gen_community,
-                     gen_er, gen_sensor, load_graph, save_graph)
+                     gen_er, gen_sensor, greedy_jacobi, load_graph,
+                     save_graph)
 from gsample import _kernels, bench, graphs
 from gsample.graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN,
                             SYMMETRY_BLOCK, _is_connected, exactly_symmetric)
@@ -71,6 +72,51 @@ def test_isolated_node_of_a_loaded_graph_gets_a_positive_zero_diagonal(
     _assert_laplacian_is_the_dense_formula(graph)
     # -s or np.negative(s) would give -0.0 for node 2's empty row sum
     assert not np.signbit(build_laplacian(graph).matrix[2, 2])
+
+
+def _assert_packed_pair_is_dense(lap):
+    # the sweep's pair: dense()'s strict upper triangle, row by row, and
+    # its diagonal, byte for byte, each a fresh writable array
+    dense = lap.dense()
+    upper, diag = lap.packed_upper(), lap.diagonal()
+    assert upper.tobytes() == dense[np.triu_indices(lap.n, 1)].tobytes()
+    assert diag.tobytes() == np.diag(dense).tobytes()
+    for array in (upper, diag):
+        assert array.flags.writeable and array.flags.c_contiguous
+        assert array.dtype == np.float64 and array.ndim == 1
+    return diag
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [50, 200, 800])
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_packed_triangle_and_diagonal_are_bitwise_dense(model, n, seed):
+    # n = 200 and 800 span several row blocks of the diagonal's sums
+    graph = bench.make_graph(model, n, seed, SENSOR_KNN, max(ER_P, 8.0 / n))
+    _assert_packed_pair_is_dense(build_laplacian(graph))
+
+
+def test_packed_pair_of_a_dense_laplacian_and_of_a_loaded_graph(tmp_path):
+    path = tmp_path / "isolated.txt"
+    path.write_text("0 1 0.5\n1 3 2.0\n3 4 1e-300\n", encoding="utf-8")
+    lap = build_laplacian(load_graph(path, n=5))
+    for laplacian in (lap, Laplacian(lap.matrix)):
+        diag = _assert_packed_pair_is_dense(laplacian)
+        # node 2 is isolated: +0.0, as in dense()
+        assert diag[2] == 0.0 and not np.signbit(diag[2])
+        assert not np.shares_memory(laplacian.packed_upper(),
+                                    laplacian.packed_upper())
+
+
+def test_packed_pair_of_an_overflowing_row_sum_is_non_finite():
+    # finite weights, but node 1's row sum overflows: the diagonal raises
+    # as dense() does, and so does the sweep that reads it
+    lap = build_laplacian(Graph.from_edges(3, [0, 1], [1, 2], [1e308, 1e308]))
+    assert lap.packed_upper().tolist() == [-1e308, 0.0, -1e308]
+    for consume in (lap.dense, lap.diagonal,
+                    lambda: greedy_jacobi(lap, 5)):
+        with pytest.raises(ValueError, match="non-finite"):
+            consume()
 
 
 def test_laplacian_shares_the_edges_and_writes_a_fresh_array_per_call():

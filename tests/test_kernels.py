@@ -53,6 +53,14 @@ def _product_bytes(seq):
     return q_t.T.tobytes()
 
 
+def _packed(matrix):
+    """Fresh copies of the strict upper triangle of a square matrix,
+    packed row by row, and of its diagonal: the pair the sweep rotates."""
+    matrix = np.asarray(matrix, dtype=float)
+    return (matrix[np.triu_indices(len(matrix), 1)].copy(),
+            np.diag(matrix).copy())
+
+
 def assert_matches_reference(lap, J):
     seq, eigs, perm = greedy_jacobi(lap, J)
     ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(lap, J)
@@ -86,22 +94,56 @@ def test_sweep_at_n400_matches_reference():
     assert_matches_reference(lap, rotation_budget(400))
 
 
-@pytest.mark.parametrize("model,n", [("G1", 60), ("G2", 60), ("G3", 60)])
-def test_sweep_reads_only_the_upper_triangle(model, n):
+def _canaried(values):
+    """values in the middle of a fresh buffer that holds a NaN on either
+    side; returns the buffer and the view of values in it."""
+    buffer = np.full(len(values) + 2, np.nan)
+    buffer[1:-1] = values
+    return buffer, buffer[1:-1]
+
+
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_sweep_stays_inside_its_packed_buffers(model, monkeypatch):
+    # a NaN canary just before and after the packed triangle and the
+    # diagonal must survive the sweep; a sweep split over several calls
+    # carries the diagonal and the triangle across them and ends bitwise
+    # where one call ends
+    n = 60
     lap = build_laplacian(_graph(model, n, seed=n))
     J = rotation_budget(n)
-    full = np.array(lap.matrix)
-    masked = np.array(lap.matrix)
-    lower = np.tril_indices(n, -1)
-    masked[lower] = np.nan
-    planes, thetas = _kernels.greedy_jacobi_sweep(full, J, OFFDIAG_TOL)
-    masked_planes, masked_thetas = _kernels.greedy_jacobi_sweep(masked, J,
-                                                                OFFDIAG_TOL)
-    assert np.array_equal(planes, masked_planes)
-    assert thetas.tobytes() == masked_thetas.tobytes()
-    assert np.diag(full).tobytes() == np.diag(masked).tobytes()
-    # the lower triangle is never written either
-    assert np.isnan(masked[lower]).all()
+    ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(lap, J)
+    assert len(ref_rotations) > 97
+    runs = []
+    for chunk in (_kernels._CHUNK, 97):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        upper_buffer, upper = _canaried(lap.packed_upper())
+        diag_buffer, diag = _canaried(lap.diagonal())
+        planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, J,
+                                                      OFFDIAG_TOL)
+        for buffer in (upper_buffer, diag_buffer):
+            assert np.isnan(buffer[[0, -1]]).all()
+        assert not np.isnan(upper).any() and not np.isnan(diag).any()
+        assert [tuple(pq) for pq in planes.tolist()] == \
+            [r[:2] for r in ref_rotations]
+        assert thetas.tobytes() == _thetas(ref_rotations).tobytes()
+        assert diag[ref_perm].tobytes() == ref_eigs.tobytes()
+        runs.append((planes.tobytes(), thetas.tobytes(), upper.tobytes(),
+                     diag.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def assert_packed_sweep_matches_reference(matrix, J):
+    """`greedy_jacobi` on Laplacian(matrix) against the reference, and the
+    kernel on `_packed(matrix)` bitwise against `greedy_jacobi`."""
+    seq = assert_matches_reference(Laplacian(matrix), J)
+    _, eigs, perm = greedy_jacobi(Laplacian(matrix), J)
+    upper, diag = _packed(matrix)
+    planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, J,
+                                                  OFFDIAG_TOL)
+    assert planes.tobytes() == seq.planes.tobytes()
+    assert thetas.tobytes() == seq.thetas.tobytes()
+    assert diag[perm].tobytes() == eigs.tobytes()
+    return seq
 
 
 def test_diagonal_matrix_stops_at_once():
@@ -225,7 +267,7 @@ def _middle_row_tied_from_left():
     "middle-untouched-tied-from-left-at-q",
 ])
 def test_settled_row_maxima_follow_reference(matrix):
-    assert_matches_reference(Laplacian(matrix), 40)
+    assert_packed_sweep_matches_reference(matrix, 40)
 
 
 # The pivot row comes from a tournament tree over the n - 1 row maxima,
@@ -233,12 +275,12 @@ def test_settled_row_maxima_follow_reference(matrix):
 # past a power of two, on a graph and on a matrix full of tied maxima.
 @pytest.mark.parametrize("n", [2, 3, 17, 18, 33, 34])
 def test_pivot_tree_sizes_match_reference(n):
-    assert_matches_reference(build_laplacian(_graph("G1", n, seed=n)),
-                             rotation_budget(n))
+    assert_packed_sweep_matches_reference(
+        build_laplacian(_graph("G1", n, seed=n)).matrix, rotation_budget(n))
     rng = np.random.default_rng(n)
     upper = np.triu(rng.choice([0.0, 1.0, -1.0, 0.5, -0.5], size=(n, n)), 1)
-    assert_matches_reference(Laplacian(upper + upper.T + 2.0 * np.eye(n)),
-                             4 * n)
+    assert_packed_sweep_matches_reference(
+        upper + upper.T + 2.0 * np.eye(n), 4 * n)
 
 
 # The row maximum is found in two passes: four running maxima over blocks
@@ -281,10 +323,14 @@ _NAN_ROWS = """
 import numpy as np
 from gsample import _kernels
 
+def packed(matrix):
+    return (matrix[np.triu_indices(len(matrix), 1)].copy(),
+            np.diag(matrix).copy())
+
 for first, expected in ((np.nan, 1), (0.5, 3)):
     w = 2.0 * np.eye(9)
     w[0, 1:] = [first, np.nan, 1.0, 0.25, -1.0, 0.5, 1.0, 0.25]
-    planes, _ = _kernels.greedy_jacobi_sweep(w, 1, 1e-12)
+    planes, _ = _kernels.greedy_jacobi_sweep(*packed(w), 1, 1e-12)
     print(planes.tolist() == [[0, expected]])
 """
 
@@ -292,8 +338,9 @@ for first, expected in ((np.nan, 1), (0.5, 3)):
 def test_row_max_with_nan_stays_in_its_row():
     # NaN never enters the maximum unless it sits in the row's first
     # column; then the maximum is NaN, equals no entry, and the first
-    # column stands.  Runs in a child process: a second pass that ran
-    # past the row would read out of bounds.
+    # column stands.  Runs in a child process, on the pair that
+    # `_packed` writes: a second pass that ran past the row would read
+    # the rows packed after it and then out of bounds.
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", _NAN_ROWS], env=env,

@@ -8,15 +8,17 @@ allocation stays far below one dense n x n array.  A dense filter brought
 back onto this path fails the bound.  A graph is its edge list, and so
 is its Laplacian: the sensor generator builds no distance matrix and no
 adjacency, and `build_laplacian` writes no n x n array.  Each consumer
-writes its own array of L from the edges: the subset eigensolver works
-in it, with O(nK) more, where the full decomposition reads it and holds
-its n x n eigenvectors, and the Jacobi sweep rotates it, checking only
-its diagonal; a Laplacian made from an array checks that array with
-reductions and row blocks.  An eigensolver trial therefore holds one
-n x n array.  A fagod trial solves first and writes the sweep's array
-after that, or, with a CPU to spare, writes both and drops the
-Laplacian before the two run side by side; a GS2 trial's full basis
-adds the eigenvectors, whose signs are fixed in place.
+writes its own arrays of L from the edges: the subset eigensolver works
+in an n x n array, with O(nK) more, where the full decomposition reads
+it and holds its n x n eigenvectors, and the Jacobi sweep rotates the
+packed strict upper triangle, half an n x n array, and the diagonal,
+whose row sums are checked in blocks of rows; a Laplacian made from an
+array checks that array with reductions and row blocks.  An eigensolver
+trial therefore holds one n x n array.  A fagod trial reads the sweep's
+diagonal off the solver's array; it solves first and writes the packed
+triangle after that, or, with a CPU to spare, writes the triangle and
+drops the Laplacian before the two run side by side; a GS2 trial's full
+basis adds the eigenvectors, whose signs are fixed in place.
 """
 
 import json
@@ -156,20 +158,36 @@ def test_graph_gen_at_4000_nodes_holds_no_dense_array(tmp_path):
     assert float(grown) < 0.25 * dense_mb, f"resident grew {grown} MiB"
 
 
+def _packed_mb(n):
+    """One packed strict upper triangle of an n x n array, in MiB."""
+    return n * (n - 1) // 2 * 8 / MIB
+
+
 def test_greedy_jacobi_checks_its_input_beside_one_working_copy():
     n = 800
     lap = build_laplacian(gen_sensor(n, 6, seed=0))
     greedy_jacobi(lap, 0)  # warm up
-    # at J = 0 the sweep only writes its working array, whose diagonal
-    # the Laplacian checks; an n x n boolean (0.61 MiB here) would show
-    # above the array
-    extra = _peak_mb(lambda: greedy_jacobi(lap, 0)) - n * n * 8 / MIB
+    # at J = 0 the sweep only writes its packed triangle and its
+    # diagonal, whose row sums the Laplacian checks; an n x n boolean
+    # (0.61 MiB here) would show above the triangle
+    extra = _peak_mb(lambda: greedy_jacobi(lap, 0)) - _packed_mb(n)
     assert extra < 0.5 * n * n / MIB, f"{extra:.2f} MiB above the copy"
     # an array's finiteness and symmetry checks moved to the Laplacian
     # made from it, and hold no n x n temporary either
     matrix = lap.dense()
     checked = _peak_mb(lambda: Laplacian(matrix))
     assert checked < 0.5 * n * n / MIB, f"{checked:.2f} MiB to check"
+
+
+def test_greedy_jacobi_at_2000_nodes_holds_no_dense_array():
+    # the packed triangle is half an n x n array; the dense working
+    # array it replaced read 1.0 (30.5 MiB here), and the diagonal's row
+    # blocks are freed before the triangle is written
+    n = 2000
+    lap = build_laplacian(gen_sensor(n, 6, seed=0))
+    greedy_jacobi(lap, 0)  # warm up
+    peak = _peak_mb(lambda: greedy_jacobi(lap, 0)) / (n * n * 8 / MIB)
+    assert peak < 0.6, f"peak {peak:.3f} dense arrays"
 
 
 def _trial_peak_in_dense_arrays(methods, sweep, spare_cpu=False):
@@ -192,12 +210,13 @@ def test_eigensolver_trial_holds_one_dense_array():
 
 
 @pytest.mark.parametrize("spare_cpu", [True, False])
-def test_fagod_trial_holds_two_dense_arrays(spare_cpu):
-    # side by side, the sweep's and the solver's arrays, where the
-    # Laplacian held beside them read above 3 dense arrays; one after the
-    # other, one array at a time, where the two copies read 2.1
+def test_fagod_trial_holds_a_solver_array_and_a_packed_triangle(spare_cpu):
+    # side by side, the solver's n x n array and the sweep's packed
+    # triangle: 1.70 dense arrays, where an n x n sweep array read 2.19
+    # and the Laplacian held beside both above 3; one after the other,
+    # the solver's array alone: 1.14, where two copies read 2.1
     peak = _trial_peak_in_dense_arrays("fagod", "80", spare_cpu)
-    bound = 2.5 if spare_cpu else 1.5
+    bound = 1.85 if spare_cpu else 1.3
     assert peak < bound, f"peak {peak:.2f} dense arrays"
 
 
@@ -242,8 +261,17 @@ def test_crossover_returns_its_medians_and_each_paths_peak():
             "jacobi", "synth", "fagod", "eigen-free", "eigendecompose",
             "agod", "eigensolver"}
         assert line.startswith(f"n={n} K={got['K']} M={got['M']}")
-        # each path writes one n x n array of L and holds O(nK) more
+        # the eigensolver path writes one n x n array of L and holds
+        # O(nK) more; the eigen-free path writes the packed triangle,
+        # half such an array, beside the sweep's record of 24 bytes a
+        # rotation (0.53 dense arrays at n = 60, 0.22 at n = 200)
         dense = int(n) ** 2 * 8 / MIB
+        record = rotation_budget(int(n)) * 24 / MIB
+        eigen_free, eigensolver = (got["peak_mib"]["eigen-free"],
+                                   got["peak_mib"]["eigensolver"])
+        assert 0.5 * dense < eigen_free < dense + record
+        if int(n) == 200:
+            assert eigen_free < dense
+        assert dense < eigensolver < 2 * dense + 0.1
         for path in ("eigen-free", "eigensolver"):
-            assert dense < got["peak_mib"][path] < 2 * dense + 0.1
             assert f"{path} {got['peak_mib'][path]:.2f}" in line
