@@ -37,7 +37,8 @@ from gsample import bench  # noqa: E402
 from gsample.filters import (approximate_lowpass,  # noqa: E402
                              exact_lowpass, greedy_jacobi, rotation_budget)
 from gsample.graphs import ER_P, SENSOR_KNN, build_laplacian  # noqa: E402
-from gsample.oracle import save_alpha_csv, save_subopt_csv  # noqa: E402
+from gsample.oracle import (dense_adjacency, save_alpha_csv,  # noqa: E402
+                            save_subopt_csv)
 from gsample.selection import (DEFAULT_MU,  # noqa: E402
                                greedy_aoptimal, greedy_doptimal,
                                greedy_select)
@@ -120,8 +121,8 @@ def draws_digest(graph_bytes) -> str:
 
 
 def generator_bytes(graph) -> bytes:
-    """A draw's adjacency bytes and sorted meta."""
-    return (graph.adjacency.tobytes()
+    """A draw's dense adjacency bytes and sorted meta."""
+    return (dense_adjacency(graph).tobytes()
             + repr(sorted(graph.meta.items())).encode())
 
 

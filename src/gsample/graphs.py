@@ -4,7 +4,7 @@ A graph is stored as its edge list, each edge once.  The generators and
 `load_graph` build that list without an n x n array, and `build_laplacian`
 keeps it: each consumer of L writes its own working arrays from the edges
 (`Laplacian.dense`, or the packed triangle and diagonal the Jacobi sweep
-rotates).  The dense adjacency matrix is built only when it is read.
+rotates).
 """
 
 from __future__ import annotations
@@ -29,28 +29,12 @@ MAX_CONNECT_ATTEMPTS = 50
 SENSOR_KNN = 6
 ER_P = 0.05
 
-# Rows per block of `exactly_symmetric` and of the G2 and G3 draws.
-SYMMETRY_BLOCK = 128
+# Rows per block of the G2 and G3 draws.
+DRAW_BLOCK = 128
 
 # `Laplacian.diagonal` sums its rows in this many blocks, each at most
 # about a quarter of an n x n array.
 DIAGONAL_BLOCKS = 4
-
-
-def exactly_symmetric(a: np.ndarray) -> bool:
-    """np.array_equal(a, a.T) for a square matrix a, without its n x n
-    boolean temporary.
-
-    Each block of SYMMETRY_BLOCK rows is compared, from its diagonal
-    block on, with the same columns read down: every pair of entries
-    once, and every diagonal entry with itself, so a NaN anywhere fails
-    as it does in the full comparison.  Stops at the first unequal block.
-    """
-    for i in range(0, a.shape[0], SYMMETRY_BLOCK):
-        end = i + SYMMETRY_BLOCK
-        if not np.array_equal(a[i:end, i:], a[i:, i:end].T):
-            return False
-    return True
 
 
 def _finite(diag: np.ndarray) -> np.ndarray:
@@ -71,13 +55,10 @@ class Graph:
     """Undirected weighted graph on nodes 0..n-1, stored as its edge list.
 
     Edge k joins rows[k] < cols[k] with weight weights[k], finite and
-    positive; each edge is listed once, in (i, j) order.  All three
-    arrays are read-only.  `Graph(n, adjacency)` takes a dense adjacency
-    matrix, which must be finite and exactly symmetric, with nonnegative
-    weights and a zero diagonal; `Graph.from_edges` takes the edge list.
-    `adjacency` is the dense matrix: the one given, or built from the
-    edges at its first read.  `meta` records generator provenance (model
-    tag, seed actually used).
+    positive; each edge is listed once, in (i, j) order.  The constructor
+    checks the list in O(E) time and keeps read-only copies of the three
+    arrays.  `meta` records generator provenance (model tag, seed
+    actually used).
     """
 
     n: int
@@ -86,33 +67,7 @@ class Graph:
     weights: np.ndarray
     meta: dict
 
-    def __init__(self, n: int, adjacency, meta: dict | None = None):
-        adj = np.asarray(adjacency, dtype=float)
-        if n < 2:
-            raise ValueError("graph needs at least 2 nodes")
-        if adj.shape != (n, n):
-            raise ValueError(f"adjacency shape {adj.shape} != ({n}, {n})")
-        # reductions, not an n x n boolean; a NaN comes out of both
-        heaviest, lightest = float(adj.max()), float(adj.min())
-        for weight in (heaviest, lightest):
-            if not math.isfinite(weight):
-                raise ValueError(f"adjacency has a non-finite weight {weight}")
-        if not exactly_symmetric(adj):
-            raise ValueError("adjacency must be exactly symmetric")
-        if lightest < 0:
-            raise ValueError("edge weights must be nonnegative")
-        if np.any(np.diag(adj) != 0):
-            raise ValueError("self-loops are not allowed")
-        rows, cols = np.nonzero(np.triu(adj, 1))
-        self._set(n, rows, cols, adj[rows, cols], meta)
-        self.__dict__["adjacency"] = _read_only(adj)
-
-    @classmethod
-    def from_edges(cls, n: int, rows, cols, weights,
-                   meta: dict | None = None) -> Graph:
-        """The graph on n nodes with edges (rows[k], cols[k]) of weight
-        weights[k], listed as the class stores them; the checks take
-        O(E) time."""
+    def __init__(self, n: int, rows, cols, weights, meta: dict | None = None):
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         weights = np.array(weights, dtype=float)
@@ -133,24 +88,11 @@ class Graph:
             raise ValueError("edge weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("edge weights must be positive")
-        graph = cls.__new__(cls)
-        graph._set(n, rows, cols, weights, meta)
-        return graph
-
-    def _set(self, n, rows, cols, weights, meta) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", _read_only(rows))
         object.__setattr__(self, "cols", _read_only(cols))
         object.__setattr__(self, "weights", _read_only(weights))
         object.__setattr__(self, "meta", {} if meta is None else meta)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """The dense n x n adjacency matrix, read-only."""
-        adj = np.zeros((self.n, self.n))
-        adj[self.rows, self.cols] = self.weights
-        adj[self.cols, self.rows] = self.weights
-        return _read_only(adj)
 
     @property
     def edge_count(self) -> int:
@@ -159,51 +101,36 @@ class Graph:
 
 @dataclass(frozen=True, init=False, eq=False)
 class Laplacian:
-    """Combinatorial Laplacian L = D - A on n nodes.
+    """Combinatorial Laplacian L = D - A of a Graph.
 
-    One from `build_laplacian` shares the graph's read-only edge arrays
-    and holds no n x n array.  Each consumer writes L afresh into
-    working arrays of its own, so nothing copies L: `dense()` writes the
-    n x n array that the eigensolver and the Jacobi reference work in,
-    and `packed_upper()` and `diagonal()` the half-size pair that the
-    Jacobi sweep rotates.  `matrix` is the dense array, written at the
-    first read and kept read-only, for readers off the trial path.  Such
-    an L is symmetric with finite off-diagonal entries by construction,
-    so `dense()` and `diagonal()` check only that its diagonal of row
-    sums is finite.
-
-    `Laplacian(matrix)` takes a dense array, as only tests do, and checks
-    it once, here: square, finite and exactly symmetric.  Its `matrix`
-    is that array, made read-only, and the writers copy from it.
+    It keeps n and the graph's read-only edge arrays, shared, and holds
+    no n x n array.  Each consumer writes L afresh into working arrays of
+    its own, so nothing copies L: `dense()` writes the n x n array that
+    the eigensolver works in, and `packed_upper()` and `diagonal()` the
+    half-size pair that the Jacobi sweep rotates.  `matrix` is the dense
+    array, written at the first read and kept read-only, for readers off
+    the trial path.  L is symmetric with finite off-diagonal entries by
+    construction, so `dense()` and `diagonal()` check only that its
+    diagonal of row sums is finite.
     """
 
     n: int
 
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Laplacian must be square, got shape {m.shape}")
-        # reductions, not an n x n boolean; a NaN comes out of both
-        if m.size and not (math.isfinite(m.max()) and math.isfinite(m.min())):
-            raise ValueError("Laplacian has non-finite entries")
-        if not exactly_symmetric(m):
-            raise ValueError("Laplacian must be exactly symmetric")
-        object.__setattr__(self, "n", m.shape[0])
-        object.__setattr__(self, "_edges", None)
-        self.__dict__["matrix"] = _read_only(m)
+    def __init__(self, graph: Graph):
+        object.__setattr__(self, "n", graph.n)
+        object.__setattr__(self, "_edges",
+                           (graph.rows, graph.cols, graph.weights))
 
     def dense(self) -> np.ndarray:
         """L as a fresh, writable, C-ordered n x n array.
 
-        From the edges, each off-diagonal entry is 0.0 - w, and each
-        diagonal entry 0.0 minus the sum of its row's off-diagonal part,
-        summed as numpy sums a row: bitwise np.diag(A.sum(axis=1)) - A,
-        whose isolated nodes get +0.0 (negating the sum would give -0.0).
-        Finite weights can still overflow a row sum, so a non-finite
-        diagonal raises ValueError.
+        Each off-diagonal entry is 0.0 - w, and each diagonal entry 0.0
+        minus the sum of its row's off-diagonal part, summed as numpy sums
+        a row: bitwise np.diag(A.sum(axis=1)) - A, whose isolated nodes
+        get +0.0 (negating the sum would give -0.0).  Finite weights can
+        still overflow a row sum, so a non-finite diagonal raises
+        ValueError.
         """
-        if self._edges is None:
-            return np.array(self.matrix, order="C")
         rows, cols, weights = self._edges
         n = self.n
         lap = np.zeros((n, n))
@@ -219,13 +146,10 @@ class Laplacian:
         """The strict upper triangle of L, packed row by row into a fresh,
         writable array of n (n - 1) / 2 entries: L[i, i+1:] for
         i = 0 .. n - 2 one after the other, so L[r, c], r < c, sits at
-        r (2n - r - 1) / 2 + c - r - 1.  Bitwise the entries of `dense()`;
-        from the edges, a zero fill and one scatter."""
-        n = self.n
-        if self._edges is None:
-            parts = [self.matrix[i, i + 1:] for i in range(n - 1)]
-            return np.concatenate(parts) if parts else np.empty(0)
+        r (2n - r - 1) / 2 + c - r - 1.  Bitwise the entries of `dense()`,
+        from a zero fill and one scatter."""
         rows, cols, weights = self._edges
+        n = self.n
         upper = np.zeros(n * (n - 1) // 2)
         upper[rows * (2 * n - rows - 1) // 2 + cols - rows - 1] = \
             0.0 - weights
@@ -235,13 +159,10 @@ class Laplacian:
         """The diagonal of L as a fresh, writable n-vector, bitwise
         `dense()`'s, with no n x n array.
 
-        From the edges, the off-diagonal part of n / DIAGONAL_BLOCKS rows
-        at a time is written into a block of full rows and summed as
-        `dense()` sums its rows; a non-finite row sum raises ValueError,
-        as there.
+        The off-diagonal part of n / DIAGONAL_BLOCKS rows at a time is
+        written into a block of full rows and summed as `dense()` sums
+        its rows; a non-finite row sum raises ValueError, as there.
         """
-        if self._edges is None:
-            return np.diag(self.matrix).copy()
         rows, cols, weights = self._edges
         n = self.n
         # each edge from both of its ends, ordered by the row it lands in
@@ -270,17 +191,11 @@ class Laplacian:
 
 
 def build_laplacian(graph: Graph) -> Laplacian:
-    """L = D - A for a valid Graph, backed by its edge arrays.
-
-    No n x n array is written here: each consumer writes its own with
-    `Laplacian.dense()`.  Row sums of L are zero to rounding and L is
-    positive semidefinite; both follow from symmetry and positive
-    weights, which the Graph constructors enforce.
-    """
-    lap = Laplacian.__new__(Laplacian)
-    object.__setattr__(lap, "n", graph.n)
-    object.__setattr__(lap, "_edges", (graph.rows, graph.cols, graph.weights))
-    return lap
+    """L = D - A of a Graph, backed by its edge arrays; no n x n array is
+    written here.  L is positive semidefinite with row sums zero to
+    rounding, since the Graph holds each edge once with a positive
+    weight."""
+    return Laplacian(graph)
 
 
 def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
@@ -300,7 +215,7 @@ def _resample(model: str, n: int, seed: int, draw) -> Graph:
     for used_seed in range(seed, seed + MAX_CONNECT_ATTEMPTS):
         edges, meta = draw(rng_from(used_seed))
         if edges is not None:
-            return Graph.from_edges(
+            return Graph(
                 n, *edges, meta={"model": model, "seed": used_seed, **meta})
     raise RuntimeError(f"no connected {model} graph in {MAX_CONNECT_ATTEMPTS} "
                        f"attempts (n={n})")
@@ -311,11 +226,11 @@ def _bernoulli_edges(rng, n: int, prob):
     prob(start, stop) for rows start..stop-1 (a scalar or one value per
     pair of those rows), or None when the graph is disconnected.
 
-    The uniforms are drawn SYMMETRY_BLOCK rows at a time, the stream of
+    The uniforms are drawn DRAW_BLOCK rows at a time, the stream of
     one n x n draw without its n x n array."""
     rows, cols = [], []
-    for start in range(0, n, SYMMETRY_BLOCK):
-        stop = min(start + SYMMETRY_BLOCK, n)
+    for start in range(0, n, DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, n)
         linked = rng.random((stop - start, n)) < prob(start, stop)
         i, j = np.nonzero(np.triu(linked, k=start + 1))
         rows.append(i + start)
@@ -453,5 +368,5 @@ def load_graph(path, n: int | None = None) -> Graph:
         raise ValueError(f"{path}: edge list defines fewer than 2 nodes")
     edges.sort()
     rows, cols, weights = zip(*edges) if edges else ((), (), ())
-    return Graph.from_edges(size, rows, cols, weights,
-                            meta={"model": "file", "path": str(path)})
+    return Graph(size, rows, cols, weights,
+                 meta={"model": "file", "path": str(path)})

@@ -11,7 +11,8 @@ greedy sweep and rotation product that `gsample.filters` must reproduce
 bit for bit, and the loaded-Gram states `LoadedGramState` and
 `FactoredFagodState`, whose picks the compiled greedy passes of
 `gsample.selection` must make, with traces that differ only in their
-last bits.
+last bits; and the dense adjacency matrix that a graph's edge list
+stands for.
 """
 
 from __future__ import annotations
@@ -385,8 +386,10 @@ def jacobi_angle(w_pp: float, w_qq: float, w_pq: float) -> float:
     return 0.5 * math.atan2(2.0 * w_pq, w_qq - w_pp)
 
 
-def greedy_jacobi_reference(lap, J: int):
-    """Numpy reference of `filters.greedy_jacobi`, by its definition.
+def greedy_jacobi_reference(matrix, J: int):
+    """Numpy reference of `filters.greedy_jacobi`, by its definition, on
+    a copy of the symmetric array `matrix` (a Laplacian's `dense()`, or
+    any symmetric matrix).
 
     Each of at most J rotations zeroes the first largest |w_pq|, p < q,
     of the current matrix in row-major order; the sweep stops once that
@@ -394,7 +397,7 @@ def greedy_jacobi_reference(lap, J: int):
     strict upper triangle.  Returns (rotations as a tuple of
     (p, q, theta), approximate eigenvalues sorted ascending, perm).
     """
-    w = lap.dense()
+    w = np.array(matrix, dtype=float, order="C")
     n = w.shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     # entries outside the strict upper triangle stay zero
@@ -411,6 +414,15 @@ def greedy_jacobi_reference(lap, J: int):
     diag = np.diag(w).copy()
     perm = np.argsort(diag, kind="stable")
     return tuple(rotations), diag[perm], perm
+
+
+def dense_adjacency(graph) -> np.ndarray:
+    """The n x n adjacency matrix of a Graph, written from its edge list:
+    w at (i, j) and (j, i) for each edge, +0.0 elsewhere."""
+    adj = np.zeros((graph.n, graph.n))
+    adj[graph.rows, graph.cols] = graph.weights
+    adj[graph.cols, graph.rows] = graph.weights
+    return adj
 
 
 def givens_matrix_reference(n: int, rotations) -> np.ndarray:

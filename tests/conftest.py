@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from gsample import build_laplacian, eigendecompose, gen_sensor
+from gsample import Graph, build_laplacian, eigendecompose, gen_sensor
+
+
+def graph_from_adjacency(adjacency):
+    """The Graph of a symmetric dense adjacency matrix: its nonzero
+    strict upper triangle in (i, j) order, so that zeros, -0.0 among
+    them, are no edges."""
+    adj = np.asarray(adjacency, dtype=float)
+    assert np.array_equal(adj, adj.T)
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    return Graph(len(adj), rows, cols, adj[rows, cols])
 
 
 @pytest.fixture(scope="session")
 def path2():
     """Two-node path graph objects: (graph, laplacian, basis)."""
-    from gsample import Graph
-    g = Graph(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = graph_from_adjacency([[0.0, 1.0], [1.0, 0.0]])
     lap = build_laplacian(g)
     return g, lap, eigendecompose(lap)
 

@@ -32,8 +32,9 @@ import time
 import numpy as np
 import pytest
 
-from gsample import (Graph, build_laplacian, eigendecompose,
-                     empirical_alpha, exact_lowpass, gen_sensor, gen_signal,
+from conftest import graph_from_adjacency
+from gsample import (build_laplacian, eigendecompose, empirical_alpha,
+                     exact_lowpass, gen_sensor, gen_signal,
                      greedy_decay_check, greedy_jacobi, greedy_select,
                      lowpass_from_givens, objective_agod, objective_fagod,
                      observe, relative_suboptimality, rotation_budget,
@@ -124,7 +125,7 @@ def test_criterion_02_alpha_certificate():
     # at the ends and (1/sqrt3, 0) in the middle, so gain(empty, 1) = 0
     # while gain({0}, 1) = g({0}) - g({0, 1}) in closed form is positive.
     adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    path = eigendecompose(build_laplacian(Graph(3, adjacency)))
+    path = eigendecompose(build_laplacian(graph_from_adjacency(adjacency)))
     witness = []
     for mu in (0.01, 0.1, 1.0):
         def g(S, mu=mu):

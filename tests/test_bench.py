@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gsample.bench as bench
+from conftest import graph_from_adjacency
 from gsample import (SpecError, approximate_lowpass, build_laplacian,
                      eigendecompose, exact_lowpass, greedy_aoptimal,
                      greedy_doptimal, greedy_eoptimal, greedy_select, observe,
@@ -13,10 +14,10 @@ from gsample import (SpecError, approximate_lowpass, build_laplacian,
 from gsample.bench import (resolve_k, run_alpha_certificate,
                            run_subopt_reports)
 from gsample.cli import main
-from gsample.oracle import theorem_bounds
+from gsample.oracle import dense_adjacency, theorem_bounds
 from gsample.reconstruction import biased_reconstruct
 from gsample.rng import child_seed
-from gsample import Graph, load_graph
+from gsample import load_graph
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 
@@ -361,7 +362,7 @@ def _graph(n, edges):
     adj = np.zeros((n, n))
     for i, j in edges:
         adj[i, j] = adj[j, i] = 1.0
-    return Graph(n, adj)
+    return graph_from_adjacency(adj)
 
 
 def _cycle(n):
@@ -494,8 +495,9 @@ def test_cli_graph_gen(tmp_path, capsys):
     # the neighbour count is clamped to n - 1, as in a spec's trial graph
     assert main(["graph", "gen", "--model", "G1", "--n", "5", "--seed", "4",
                  "--out", str(out)]) == 0
-    assert np.array_equal(load_graph(out).adjacency,
-                          bench.make_graph("G1", 5, 4, 6, 0.05).adjacency)
+    assert np.array_equal(
+        dense_adjacency(load_graph(out)),
+        dense_adjacency(bench.make_graph("G1", 5, 4, 6, 0.05)))
     # a bad value is a validation error, as in a spec
     assert main(["graph", "gen", "--model", "G1", "--n", "30", "--knn", "-3",
                  "--out", str(out)]) == 1

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gsample import (Laplacian, build_laplacian, eigendecompose,
-                     exact_lowpass, gen_sensor, greedy_jacobi,
-                     lowpass_from_givens, rotation_budget)
+from gsample import (build_laplacian, eigendecompose, exact_lowpass,
+                     gen_sensor, greedy_jacobi, lowpass_from_givens,
+                     rotation_budget)
+from gsample.filters import _greedy_jacobi
 from gsample.oracle import (apply_rotation, givens_matrix_reference,
                             offdiag_sq_norm)
 
@@ -20,8 +21,9 @@ def test_two_node_path_single_rotation(path2):
 
 
 def test_diagonal_matrix_stops_immediately():
-    lap = Laplacian(np.diag([3.0, 1.0, 2.0]))
-    seq, eigs, perm = greedy_jacobi(lap, 10)
+    # the packed pair of diag(3, 1, 2): no off-diagonal entry to rotate
+    (seq, eigs, perm), _ = _greedy_jacobi(np.zeros(3),
+                                          np.array([3.0, 1.0, 2.0]), 10)
     assert seq.count == 0
     assert np.array_equal(eigs, [1.0, 2.0, 3.0])
     assert np.array_equal(perm, [1, 2, 0])

@@ -24,12 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsample import (Graph, GivensSeq, Laplacian, approximate_lowpass,
-                     build_laplacian, eigendecompose, gen_community, gen_er,
-                     gen_sensor, greedy_jacobi, greedy_select,
-                     rotation_budget)
+from conftest import graph_from_adjacency
+from gsample import (GivensSeq, approximate_lowpass, build_laplacian,
+                     eigendecompose, gen_community, gen_er, gen_sensor,
+                     greedy_jacobi, greedy_select, rotation_budget)
 from gsample import _kernels
-from gsample.filters import OFFDIAG_TOL
+from gsample.filters import OFFDIAG_TOL, _greedy_jacobi
 from gsample.oracle import (FactoredFagodState, LoadedGramState,
                             givens_matrix_reference, greedy_jacobi_reference)
 
@@ -62,8 +62,21 @@ def _packed(matrix):
 
 
 def assert_matches_reference(lap, J):
-    seq, eigs, perm = greedy_jacobi(lap, J)
-    ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(lap, J)
+    """`greedy_jacobi` on a graph's Laplacian against the reference on
+    its dense array."""
+    return _assert_sweep_is_reference(greedy_jacobi(lap, J), lap.dense(), J)
+
+
+def assert_packed_sweep_matches_reference(matrix, J):
+    """The sweep on `_packed(matrix)`, for a symmetric matrix that need
+    not be a graph's Laplacian, against the reference on matrix."""
+    return _assert_sweep_is_reference(
+        _greedy_jacobi(*_packed(matrix), J)[0], matrix, J)
+
+
+def _assert_sweep_is_reference(sweep, matrix, J):
+    seq, eigs, perm = sweep
+    ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(matrix, J)
     assert [r[:2] for r in seq.rotations] == [r[:2] for r in ref_rotations]
     assert {tuple(map(type, r)) for r in seq.rotations} <= {(int, int, float)}
     assert _thetas(seq.rotations).tobytes() == _thetas(ref_rotations).tobytes()
@@ -111,7 +124,8 @@ def test_sweep_stays_inside_its_packed_buffers(model, monkeypatch):
     n = 60
     lap = build_laplacian(_graph(model, n, seed=n))
     J = rotation_budget(n)
-    ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(lap, J)
+    ref_rotations, ref_eigs, ref_perm = greedy_jacobi_reference(
+        lap.dense(), J)
     assert len(ref_rotations) > 97
     runs = []
     for chunk in (_kernels._CHUNK, 97):
@@ -132,23 +146,9 @@ def test_sweep_stays_inside_its_packed_buffers(model, monkeypatch):
     assert runs[0] == runs[1]
 
 
-def assert_packed_sweep_matches_reference(matrix, J):
-    """`greedy_jacobi` on Laplacian(matrix) against the reference, and the
-    kernel on `_packed(matrix)` bitwise against `greedy_jacobi`."""
-    seq = assert_matches_reference(Laplacian(matrix), J)
-    _, eigs, perm = greedy_jacobi(Laplacian(matrix), J)
-    upper, diag = _packed(matrix)
-    planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, J,
-                                                  OFFDIAG_TOL)
-    assert planes.tobytes() == seq.planes.tobytes()
-    assert thetas.tobytes() == seq.thetas.tobytes()
-    assert diag[perm].tobytes() == eigs.tobytes()
-    return seq
-
-
 def test_diagonal_matrix_stops_at_once():
-    lap = Laplacian(np.diag([3.0, 1.0, 2.0]))
-    assert assert_matches_reference(lap, 10).count == 0
+    matrix = np.diag([3.0, 1.0, 2.0])
+    assert assert_packed_sweep_matches_reference(matrix, 10).count == 0
 
 
 def test_unit_cycle_ties_follow_reference():
@@ -157,7 +157,7 @@ def test_unit_cycle_ties_follow_reference():
     adjacency = np.zeros((n, n))
     for i in range(n):
         adjacency[i, (i + 1) % n] = adjacency[(i + 1) % n, i] = 1.0
-    lap = build_laplacian(Graph(n, adjacency))
+    lap = build_laplacian(graph_from_adjacency(adjacency))
     seq = assert_matches_reference(lap, 10_000)
     assert seq.rotations[0][:2] == (0, 1)
 
@@ -178,7 +178,7 @@ def test_entry_raised_to_cached_row_max_follows_reference(upper):
     matrix = 2.0 * np.eye(n)
     for i, row in enumerate(upper):
         matrix[i, i + 1:] = matrix[i + 1:, i] = row
-    assert_matches_reference(Laplacian(matrix), 40)
+    assert_packed_sweep_matches_reference(matrix, 40)
 
 
 def _matrix(diag, upper):
@@ -275,8 +275,8 @@ def test_settled_row_maxima_follow_reference(matrix):
 # past a power of two, on a graph and on a matrix full of tied maxima.
 @pytest.mark.parametrize("n", [2, 3, 17, 18, 33, 34])
 def test_pivot_tree_sizes_match_reference(n):
-    assert_packed_sweep_matches_reference(
-        build_laplacian(_graph("G1", n, seed=n)).matrix, rotation_budget(n))
+    assert_matches_reference(build_laplacian(_graph("G1", n, seed=n)),
+                             rotation_budget(n))
     rng = np.random.default_rng(n)
     upper = np.triu(rng.choice([0.0, 1.0, -1.0, 0.5, -0.5], size=(n, n)), 1)
     assert_packed_sweep_matches_reference(
@@ -315,7 +315,7 @@ def test_row_max_ties_go_to_the_first_column(n, row, offsets):
     for k, offset in enumerate(offsets):
         matrix[row, row + 1 + offset] = (-1.0) ** k
     matrix = np.triu(matrix) + np.triu(matrix, 1).T
-    seq = assert_matches_reference(Laplacian(matrix), 5)
+    seq = assert_packed_sweep_matches_reference(matrix, 5)
     assert seq.rotations[0][:2] == (row, row + 1 + offsets[0])
 
 
@@ -367,7 +367,7 @@ def _symmetric_with_ties(draw):
 @settings(max_examples=150, deadline=None)
 @given(_symmetric_with_ties(), st.integers(0, 60))
 def test_small_symmetric_matrices_match_reference(matrix, J):
-    assert_matches_reference(Laplacian(matrix), J)
+    assert_packed_sweep_matches_reference(matrix, J)
 
 
 def _outputs(lap, J):
@@ -389,28 +389,6 @@ def test_concurrent_calls_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert results == serial * 3
-
-
-def _one_entry_off_the_mirror():
-    # solved before from one triangle, which one depending on the layout
-    m = np.array(build_laplacian(gen_sensor(60, 6, seed=0)).matrix)
-    m[3, 7] += 0.5
-    return m
-
-
-@pytest.mark.parametrize("matrix,message", [
-    (np.zeros((2, 3)), "square"),
-    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
-    (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), "non-finite"),
-    (np.array([[1.0, -1.0], [np.nextafter(-1.0, 0.0), 1.0]]), "symmetric"),
-    (_one_entry_off_the_mirror(), "exactly symmetric"),
-    (np.asfortranarray(_one_entry_off_the_mirror()), "exactly symmetric"),
-])
-def test_bad_input_fails_loudly(matrix, message):
-    # the Laplacian checks its array once, when it is built, for the
-    # sweep and the eigensolver alike
-    with pytest.raises(ValueError, match=message):
-        Laplacian(matrix)
 
 
 def test_givens_seq_names_first_bad_plane():

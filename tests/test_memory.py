@@ -12,8 +12,7 @@ writes its own arrays of L from the edges: the subset eigensolver works
 in an n x n array, with O(nK) more, where the full decomposition reads
 it and holds its n x n eigenvectors, and the Jacobi sweep rotates the
 packed strict upper triangle, half an n x n array, and the diagonal,
-whose row sums are checked in blocks of rows; a Laplacian made from an
-array checks that array with reductions and row blocks.  An eigensolver
+whose row sums are checked in blocks of rows.  An eigensolver
 trial therefore holds one n x n array.  A fagod trial reads the sweep's
 diagonal off the solver's array; it solves first and writes the packed
 triangle after that, or, with a CPU to spare, writes the triangle and
@@ -32,11 +31,12 @@ import numpy as np
 import pytest
 
 import gsample.bench as bench
-from gsample import (DEFAULT_MU, Laplacian, build_laplacian, eigendecompose,
+from gsample import (DEFAULT_MU, build_laplacian, eigendecompose,
                      filter_reconstruct, gen_sensor, gen_signal, greedy_jacobi,
                      greedy_select, lowpass_from_givens, observe,
                      rotation_budget, save_graph)
 from gsample.graphs import ER_P, SENSOR_KNN
+from gsample.oracle import dense_adjacency
 from gsample.spectral import _eigendecompose
 
 MIB = 1024.0 * 1024.0
@@ -118,7 +118,7 @@ def test_save_graph_writes_the_dense_upper_triangle(tmp_path, model, n):
     # the file a dense adjacency gave: its upper triangle in
     # np.nonzero order
     graph = bench.make_graph(model, n, 1, SENSOR_KNN, max(ER_P, 8.0 / n))
-    adj = graph.adjacency
+    adj = dense_adjacency(graph)
     expected = "".join(f"{i} {j} {float(adj[i, j])!r}\n"
                        for i, j in zip(*np.nonzero(np.triu(adj, 1))))
     save_graph(graph, tmp_path / "g.txt")
@@ -172,11 +172,6 @@ def test_greedy_jacobi_checks_its_input_beside_one_working_copy():
     # (0.61 MiB here) would show above the triangle
     extra = _peak_mb(lambda: greedy_jacobi(lap, 0)) - _packed_mb(n)
     assert extra < 0.5 * n * n / MIB, f"{extra:.2f} MiB above the copy"
-    # an array's finiteness and symmetry checks moved to the Laplacian
-    # made from it, and hold no n x n temporary either
-    matrix = lap.dense()
-    checked = _peak_mb(lambda: Laplacian(matrix))
-    assert checked < 0.5 * n * n / MIB, f"{checked:.2f} MiB to check"
 
 
 def test_greedy_jacobi_at_2000_nodes_holds_no_dense_array():

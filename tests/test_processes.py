@@ -24,7 +24,7 @@ import pytest
 
 import gsample._kernels as kernels
 import gsample.bench as bench
-from gsample import Graph
+from conftest import graph_from_adjacency
 from gsample.bench import ExperimentSpec, parse_spec_text, run_experiment
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -279,7 +279,7 @@ def _cycle(n):
     adj = np.zeros((n, n))
     for i in range(n):
         adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-    return Graph(n, adj)
+    return graph_from_adjacency(adj)
 
 
 @pytest.mark.parametrize("n,signal,K", [

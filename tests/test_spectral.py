@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gsample import (Graph, Laplacian, build_laplacian, eigendecompose,
-                     gen_community, gen_er, gen_sensor, gen_signal, gft, igft,
-                     greedy_jacobi, leverage_scores, observe)
+from conftest import graph_from_adjacency
+from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
+                     gen_er, gen_sensor, gen_signal, gft, igft, greedy_jacobi,
+                     leverage_scores, observe)
 from gsample.spectral import _eigendecompose, _fix_signs, check_gap
 
 
@@ -18,7 +19,7 @@ def test_two_node_path_closed_form(path2):
 
 
 def test_complete_graph_spectrum():
-    g = Graph(3, np.ones((3, 3)) - np.eye(3))
+    g = graph_from_adjacency(np.ones((3, 3)) - np.eye(3))
     basis = eigendecompose(build_laplacian(g))
     assert basis.eigenvalues == pytest.approx([0.0, 3.0, 3.0], abs=1e-10)
 
@@ -161,7 +162,7 @@ def _cycle(n):
     adj = np.zeros((n, n))
     for i in range(n):
         adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-    return Graph(n, adj)
+    return graph_from_adjacency(adj)
 
 
 # the community model needs n >= 8, so G3 starts at n = 16
@@ -193,32 +194,14 @@ def test_bandwidth_at_or_past_n_takes_the_dense_path(K):
     assert again.eigenvectors.tobytes() == full.eigenvectors.tobytes()
 
 
-@pytest.mark.parametrize("entry", [np.inf, np.nan])
-def test_full_basis_rejects_non_finite_laplacian(entry):
-    # an array is checked once, by the Laplacian made from it, for the
-    # eigensolver and the sweep alike
-    matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    matrix[0, 0] = entry
-    with pytest.raises(ValueError, match="non-finite"):
-        Laplacian(matrix)
-
-
-@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, "row sum"])
+@pytest.mark.parametrize("entry", ["row sum"])
 def test_subset_solve_rejects_non_finite_laplacian(entry):
-    if entry == "row sum":
-        # weights of 1e308 are finite, but node 1's row sum overflows to
-        # an infinite diagonal: the one way a graph gives a non-finite
-        # Laplacian, caught as each consumer writes its array
-        lap = build_laplacian(
-            Graph.from_edges(3, [0, 1], [1, 2], [1e308, 1e308]))
-        consumers = (lambda: eigendecompose(lap, 1),
-                     lambda: eigendecompose(lap), lambda: greedy_jacobi(lap, 5))
-    else:
-        matrix = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
-                           [0.0, -1.0, 1.0]])
-        matrix[1, 1] = entry
-        consumers = (lambda: Laplacian(matrix),)
-    for consume in consumers:
+    # weights of 1e308 are finite, but node 1's row sum overflows to an
+    # infinite diagonal: the one way a graph gives a non-finite
+    # Laplacian, caught as each consumer writes its array
+    lap = build_laplacian(Graph(3, [0, 1], [1, 2], [1e308, 1e308]))
+    for consume in (lambda: eigendecompose(lap, 1),
+                    lambda: eigendecompose(lap), lambda: greedy_jacobi(lap, 5)):
         with pytest.raises(ValueError, match="non-finite"):
             consume()
 
