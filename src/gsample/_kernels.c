@@ -13,8 +13,8 @@
  * gsample.oracle: it rounds each entry as they do, but its dot products,
  * which numpy hands to BLAS, run in a fixed order of their own, so its
  * traces match the states only to their last bits.
- * Nothing here allocates or keeps state; the caller owns every buffer,
- * so concurrent calls on different buffers are safe.
+ * Nothing here allocates or keeps state from call to call; the caller
+ * owns every buffer, so concurrent calls on different buffers are safe.
  *
  * The sweep keeps its symmetric matrix as two buffers: the strict upper
  * triangle (i < j), packed row by row as LAPACK's packed routines store
@@ -166,26 +166,25 @@ static void settle(const double *row, int64_t n, int64_t i, int64_t p,
  * as W[p, q].  off (n - 1 entries) is filled with off[i] = that offset
  * minus i + 1, so that W[i, j] is u[off[i] + j] for j > i.
  * best_col / best_val (n - 1 entries) cache the per-row maxima of the
- * strict upper triangle; `init` fills them, and a later call with
- * init = 0 continues the same sweep.  tree holds the pivot tree, 2m
- * entries for the smallest power of two m >= n - 1; off and tree are
- * rebuilt on every call.  Rotation k is written to planes[2k],
- * planes[2k + 1] and thetas[k].  Returns the number of rotations made,
- * which is short of `budget` only when every off-diagonal magnitude is
- * at most tol. */
+ * strict upper triangle, and tree, 2m entries for the smallest power
+ * of two m >= n - 1, the pivot tree over them.  All four are scratch
+ * that every call fills from u; the cached maxima are exact, so a sweep
+ * split into calls makes the rotations of one.  Rotation k is written
+ * to planes[2k], planes[2k + 1] and thetas[k].  Returns the number of
+ * rotations made, which is short of `budget` only when every
+ * off-diagonal magnitude is at most tol. */
 int64_t greedy_jacobi_sweep(double *u, double *d, int64_t n, int64_t *off,
                             int64_t *best_col, double *best_val,
                             int64_t *tree, int64_t budget, double tol,
-                            int init, int64_t *planes, double *thetas)
+                            int64_t *planes, double *thetas)
 {
     int64_t rows = n - 1, m = 1;
     while (m < rows)
         m <<= 1;
-    for (int64_t i = 0; i < rows; i++)
+    for (int64_t i = 0; i < rows; i++) {
         off[i] = i * (2 * n - i - 1) / 2 - (i + 1);
-    if (init)
-        for (int64_t i = 0; i < rows; i++)
-            row_max(u + (off[i] + i + 1), n, i, best_col, best_val);
+        row_max(u + (off[i] + i + 1), n, i, best_col, best_val);
+    }
     for (int64_t i = 0; i < m; i++)
         tree[m + i] = i < rows ? i : -1;
     for (int64_t node = m - 1; node >= 1; node--)

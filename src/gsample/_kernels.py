@@ -5,9 +5,9 @@ keyed by a hash of the source and the flags; later imports only load the
 cached library, and installing a new build deletes the builds of earlier
 sources.  A failed build raises ImportError with the compiler's message.
 ctypes releases the interpreter lock for the duration of each call, and
-the kernels keep no state, so threads may call them at once on different
-buffers; the worker processes `bench.run_experiment` forks use the
-library their parent loaded.
+no kernel keeps state from call to call, so threads may call them at
+once on different buffers; the worker processes `bench.run_experiment`
+forks use the library their parent loaded.
 
 The kernels take raw addresses; the wrappers here check each array's
 type, shape and layout first.  (ndpointer argtypes would check on every
@@ -74,7 +74,7 @@ def _load():
     lib = ctypes.CDLL(str(_build()))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.greedy_jacobi_sweep.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                                        i64, f64, ctypes.c_int, ptr, ptr]
+                                        i64, f64, ptr, ptr]
     lib.greedy_jacobi_sweep.restype = i64
     lib.rotate_rows.argtypes = [ptr, i64, i64, ptr, ptr]
     lib.rotate_rows.restype = None
@@ -112,15 +112,17 @@ def greedy_jacobi_sweep(upper: np.ndarray, diag: np.ndarray, budget: int,
     starts at offset i (2n - i - 1) / 2), and together they must hold a
     finite matrix.  The kernel reads and writes nothing else.  Returns
     (planes, thetas): an (m, 2) int64 array of the (p, q) pairs and the m
-    angles, in order.
+    angles, in order; m = 0 when budget is 0.
 
     The sweep's O(n) bookkeeping, the row offsets, the per-row maxima and
-    the pivot tree over them, lives in buffers allocated here for each
-    sweep.  The kernel rebuilds the offsets and the tree on every call,
-    so a sweep split into `_CHUNK`-sized calls continues where the last
-    call stopped.
+    the pivot tree over them, lives in scratch buffers allocated here for
+    each sweep.  Every kernel call fills them afresh from the triangle,
+    so a sweep split into `_CHUNK`-sized calls makes the rotations of one
+    call.
     """
     n = diag.shape[0]
+    if n < 2:
+        raise ValueError(f"the sweep needs n >= 2, got n={n}")
     d_at = _address(diag, np.float64, (n,))
     u_at = _address(upper, np.float64, (n * (n - 1) // 2,))
     off = np.empty(n - 1, dtype=np.int64)
@@ -130,23 +132,21 @@ def greedy_jacobi_sweep(upper: np.ndarray, diag: np.ndarray, budget: int,
     tree = np.empty(2 << (n - 2).bit_length(), dtype=np.int64)
     planes, thetas = [], []
     done = 0
-    while done < budget:
+    while True:
         size = min(budget - done, _CHUNK)
         pl, th = np.empty((size, 2), dtype=np.int64), np.empty(size)
         got = _LIB.greedy_jacobi_sweep(
             u_at, d_at, n, off.ctypes.data, best_col.ctypes.data,
-            best_val.ctypes.data, tree.ctypes.data, size, tol, done == 0,
+            best_val.ctypes.data, tree.ctypes.data, size, tol,
             pl.ctypes.data, th.ctypes.data)
         planes.append(pl[:got])
         thetas.append(th[:got])
         done += got
-        if got < size:
+        if got < size or done == budget:
             break
     # freed before the outputs are joined, so that the bookkeeping adds
     # nothing to the sweep's peak allocation
     del off, best_col, best_val, tree
-    if not planes:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
     if len(planes) == 1 and got == size:  # one full call: its own buffers
         return pl, th
     return np.concatenate(planes), np.concatenate(thetas)

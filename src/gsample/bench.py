@@ -24,6 +24,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import os
 import signal
 import sys
@@ -681,15 +682,12 @@ def _one_blas_thread():
 
 
 def _worker_init(parent: int) -> None:
-    """Kill the worker with its parent, leave Ctrl-C to the parent, and set
-    every loaded OpenBLAS to one thread, since a worker runs on one CPU."""
+    """Kill the worker with its parent and leave Ctrl-C to the parent."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if _LIBC.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
         raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
     if os.getppid() != parent:  # the parent died before prctl took effect
         os._exit(1)
-    for _, setter in _blas_threads():
-        setter(1)
 
 
 def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
@@ -723,7 +721,6 @@ def _worker_pool():
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            _blas_threads()  # looked up here, so every worker inherits it
             _pool = ProcessPoolExecutor(
                 max(1, len(os.sched_getaffinity(0)) - 1),
                 mp_context=multiprocessing.get_context("fork"),
@@ -779,6 +776,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     cpus = len(os.sched_getaffinity(0)) if _FORKS else 1
     if threads is None:
         threads = cpus
+    if not isinstance(threads, numbers.Integral):
+        raise ValueError(f"thread count must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError("thread count must be at least 1")
     width = min(spec.trials, threads, cpus)
@@ -788,12 +787,13 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     pool = _worker_pool() if width > 1 else None
     futures = []
     try:
-        if pool:
-            others = _other_cpus()
-            futures = [pool.submit(_worker_share, spec, share, use_blue,
-                                   others[w % len(others)])
-                       for w, share in enumerate(shares[1:])]
+        # workers forked at the first submit inherit the one BLAS thread
         with _one_blas_thread() if _FORKS else contextlib.nullcontext():
+            if pool:
+                others = _other_cpus()
+                futures = [pool.submit(_worker_share, spec, share, use_blue,
+                                       others[w % len(others)])
+                           for w, share in enumerate(shares[1:])]
             outcomes = [_share_rows(spec, shares[0], use_blue,
                                     width == 1 and min(threads, cpus) >= 2)]
         outcomes += [future.result() for future in futures]

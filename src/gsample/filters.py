@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -141,15 +142,12 @@ def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int,
     Returns greedy_jacobi's triple and what `beside` returned (None
     without it).
     """
+    if not isinstance(J, numbers.Integral):
+        raise ValueError(f"rotation budget must be an integer, got {J!r}")
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")
-    n = diag.shape[0]
-    if n >= 2 and J > 0:
-        sweep = functools.partial(_kernels.greedy_jacobi_sweep, upper, diag,
-                                  J, OFFDIAG_TOL)
-    else:
-        def sweep():
-            return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    sweep = functools.partial(_kernels.greedy_jacobi_sweep, upper, diag, J,
+                              OFFDIAG_TOL)
     if beside is None:
         aside = None
         planes, thetas = sweep()
@@ -158,7 +156,7 @@ def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int,
             rotated = second.submit(sweep)
             aside = beside()
         planes, thetas = rotated.result()
-    seq = GivensSeq(n, planes, thetas)
+    seq = GivensSeq(len(diag), planes, thetas)
     perm = np.argsort(diag, kind="stable")
     return (seq, diag[perm], perm), aside
 

@@ -68,6 +68,10 @@ class Graph:
     meta: dict
 
     def __init__(self, n: int, rows, cols, weights, meta: dict | None = None):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if any(index.size and index.dtype.kind not in "iu"
+               for index in (rows, cols)):
+            raise ValueError("edge indices must be integers")
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         weights = np.array(weights, dtype=float)
@@ -159,27 +163,26 @@ class Laplacian:
         """The diagonal of L as a fresh, writable n-vector, bitwise
         `dense()`'s, with no n x n array.
 
-        The off-diagonal part of n / DIAGONAL_BLOCKS rows at a time is
-        written into a block of full rows and summed as `dense()` sums
-        its rows; a non-finite row sum raises ValueError, as there.
+        The off-diagonal part of n / DIAGONAL_BLOCKS rows at a time, one
+        mask over the doubled edge list, is written into a block of full
+        rows and summed as `dense()` sums its rows; a non-finite row sum
+        raises ValueError, as there.
         """
         rows, cols, weights = self._edges
         n = self.n
-        # each edge from both of its ends, ordered by the row it lands in
+        # each edge from both of its ends
         ends = np.concatenate((rows, cols))
-        order = np.argsort(ends, kind="stable")
-        ends = ends[order]
-        others = np.concatenate((cols, rows))[order]
-        off = np.concatenate((weights, weights))[order]
+        others = np.concatenate((cols, rows))
+        off = 0.0 - np.concatenate((weights, weights))
         diag = np.empty(n)
         step = -(-n // DIAGONAL_BLOCKS)
         buffer = np.empty((step, n))  # one block of rows, refilled for each
         for start in range(0, n, step):
             stop = min(start + step, n)
-            lo, hi = np.searchsorted(ends, (start, stop))
+            mine = (ends >= start) & (ends < stop)
             block = buffer[:stop - start]
             block.fill(0.0)
-            block[ends[lo:hi] - start, others[lo:hi]] = 0.0 - off[lo:hi]
+            block[ends[mine] - start, others[mine]] = off[mine]
             with np.errstate(over="ignore"):  # checked below
                 diag[start:stop] = 0.0 - block.sum(axis=1)
         return _finite(diag)

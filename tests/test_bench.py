@@ -557,6 +557,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ValueError, match="thread count must be at least 1"):
         run_experiment(parse_spec_file(path), threads=0)
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_experiment(parse_spec_file(path), threads=bad)
 
 
 def test_cli_reports_running_out_of_memory_as_a_runtime_error(

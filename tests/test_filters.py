@@ -29,6 +29,17 @@ def test_diagonal_matrix_stops_immediately():
     assert np.array_equal(perm, [1, 2, 0])
 
 
+def test_budget_must_be_an_integer():
+    lap = build_laplacian(gen_sensor(16, 6, seed=0))
+    with pytest.raises(ValueError, match="must be an integer"):
+        greedy_jacobi(lap, 2.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        greedy_jacobi(lap, -1)
+    # numpy integers are integers
+    seq, _, _ = greedy_jacobi(lap, np.int64(5))
+    assert seq.rotations == greedy_jacobi(lap, 5)[0].rotations
+
+
 def test_rotation_budget_value():
     # ceil(6 * 16 * log10(16)) = ceil(115.59...)
     assert rotation_budget(16) == 116

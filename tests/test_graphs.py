@@ -232,6 +232,9 @@ def test_graph_from_edges():
     (3, [0], [1], [np.inf], "finite"),
     (3, [0], [1], [0.0], "positive"),
     (3, [0], [1], [-1.0], "positive"),
+    # a float index would be truncated to the edges (0, 1) and (1, 2)
+    (3, [0.5, 1.9], [1.7, 2.2], [1.0, 2.0], "integers"),
+    (3, [0], [1.0], [1.0], "integers"),
 ])
 def test_graph_from_edges_rejects_bad_edge_lists(n, rows, cols, weights,
                                                  match):

@@ -118,9 +118,9 @@ def _canaried(values):
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
 def test_sweep_stays_inside_its_packed_buffers(model, monkeypatch):
     # a NaN canary just before and after the packed triangle and the
-    # diagonal must survive the sweep; a sweep split over several calls
-    # carries the diagonal and the triangle across them and ends bitwise
-    # where one call ends
+    # diagonal must survive the sweep; a sweep split over several calls,
+    # down to one rotation per call, carries only the diagonal and the
+    # triangle across them and ends bitwise where one call ends
     n = 60
     lap = build_laplacian(_graph(model, n, seed=n))
     J = rotation_budget(n)
@@ -128,7 +128,7 @@ def test_sweep_stays_inside_its_packed_buffers(model, monkeypatch):
         lap.dense(), J)
     assert len(ref_rotations) > 97
     runs = []
-    for chunk in (_kernels._CHUNK, 97):
+    for chunk in (_kernels._CHUNK, 97, 7, 1):
         monkeypatch.setattr(_kernels, "_CHUNK", chunk)
         upper_buffer, upper = _canaried(lap.packed_upper())
         diag_buffer, diag = _canaried(lap.diagonal())
@@ -143,7 +143,24 @@ def test_sweep_stays_inside_its_packed_buffers(model, monkeypatch):
         assert diag[ref_perm].tobytes() == ref_eigs.tobytes()
         runs.append((planes.tobytes(), thetas.tobytes(), upper.tobytes(),
                      diag.tobytes()))
-    assert runs[0] == runs[1]
+    assert runs == [runs[0]] * len(runs)
+
+
+def test_sweep_rejects_a_one_node_pair():
+    # at n = 1 the pivot tree has no row for its root to name
+    with pytest.raises(ValueError, match="n >= 2"):
+        _kernels.greedy_jacobi_sweep(np.empty(0), np.ones(1), 5, OFFDIAG_TOL)
+
+
+def test_zero_budget_sweep_returns_empty_outputs_and_leaves_the_pair():
+    lap = build_laplacian(_graph("G1", 16, seed=16))
+    upper, diag = lap.packed_upper(), lap.diagonal()
+    planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, 0,
+                                                  OFFDIAG_TOL)
+    assert planes.shape == (0, 2) and planes.dtype == np.int64
+    assert thetas.shape == (0,) and thetas.dtype == np.float64
+    assert upper.tobytes() == lap.packed_upper().tobytes()
+    assert diag.tobytes() == lap.diagonal().tobytes()
 
 
 def test_diagonal_matrix_stops_at_once():

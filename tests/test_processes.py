@@ -239,6 +239,21 @@ def two_blas_threads():
         setter(count)
 
 
+def _blas_counts():
+    return [get() for get, _ in bench._blas_threads()]
+
+
+def test_workers_inherit_one_blas_thread(two_blas_threads):
+    # workers forked at a run's first submit inherit the caller's one
+    # OpenBLAS thread and keep it; the caller gets its two back
+    _needs_two_cpus()
+    bench._drop_pool(bench._pool, wait=True)  # fork afresh in the run
+    run_experiment(parse_spec_text(TWO_TRIALS), threads=2)
+    worker = bench._worker_pool().submit(_blas_counts).result(timeout=60)
+    assert worker == [1] * len(two_blas_threads)
+    assert _blas_counts() == two_blas_threads
+
+
 def _watch_the_solve(monkeypatch):
     """Record, at each truth eigensolve of the joint stage, the live
     thread count and the counts of every loaded OpenBLAS."""
