@@ -7,7 +7,10 @@ SHA-256 of its CSV's data columns, every column but `wall_ms`.  Each such
 spec runs twice, at the default process count and in process
 (threads=1), and the script exits 1 if the two disagree; so does its
 first trial alone (trials = 1), which at the default thread count runs
-a fagod trial's Jacobi sweep beside its eigensolve on a spare CPU.  Then
+a fagod trial's Jacobi sweep beside its eigensolve on a spare CPU.  Each
+spec of BLUE_SPECS runs once more with `--blue`, at the default process
+count and in process, and the script prints that run's digest and exits
+1 if the two disagree.  Then
 prints the SHA-256 of the whole CSVs of `gsample oracle alpha` and
 `gsample oracle subopt` on the specs of those studies.  The CSVs are
 written as the CLI writes them, to a temporary directory.  Then it
@@ -46,6 +49,10 @@ from gsample.spectral import eigendecompose  # noqa: E402
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 TIMING_COLUMN = "wall_ms"
+
+# specs run again with --blue: their BLUE rows (budgets of at least K)
+# run one by one beside the loaded rows each trial solves together
+BLUE_SPECS = ("rmse_vs_size_desk.spec",)
 
 # (model, n, seed, knn, p): 11 sizes x 4 seeds x (four G1 neighbour
 # counts, three G2 edge probabilities, G3) = 352 draws, failing ones
@@ -100,6 +107,16 @@ def data_digest(path: Path) -> str:
     kept = (",".join(f for i, f in enumerate(line.split(",")) if i != drop)
             for line in lines)
     return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def run_digest(spec, out: Path, use_blue: bool = False):
+    """The data digest of `spec`'s run at the default process count, and
+    whether its run at threads=1 has the same one."""
+    bench.write_result_csv(bench.run_experiment(spec, use_blue=use_blue), out)
+    digest = data_digest(out)
+    bench.write_result_csv(
+        bench.run_experiment(spec, threads=1, use_blue=use_blue), out)
+    return digest, data_digest(out) == digest
 
 
 def file_digest(path: Path) -> str:
@@ -192,12 +209,9 @@ def main() -> int:
         for path in sorted(SPECS.glob("*.spec")):
             spec = bench.parse_spec_file(path)
             if spec.study in bench.RUN_STUDIES:
-                bench.write_result_csv(bench.run_experiment(spec), out)
-                digest = data_digest(out)
+                digest, same = run_digest(spec, out)
                 print(f"run {path.name} {digest}", flush=True)
-                bench.write_result_csv(bench.run_experiment(spec, threads=1),
-                                       out)
-                if data_digest(out) != digest:
+                if not same:
                     print(f"{path.name}: data columns differ at threads=1",
                           file=sys.stderr)
                     status = 1
@@ -219,6 +233,14 @@ def main() -> int:
                 save_subopt_csv(bench.run_subopt_reports(spec), out)
                 print(f"oracle subopt {path.name} {file_digest(out)}",
                       flush=True)
+        for name in BLUE_SPECS:
+            digest, same = run_digest(bench.parse_spec_file(SPECS / name), out,
+                                      use_blue=True)
+            print(f"run --blue {name} {digest}", flush=True)
+            if not same:
+                print(f"{name}: --blue data columns differ at threads=1",
+                      file=sys.stderr)
+                status = 1
     print(f"generators {len(GRAPH_DRAWS)} draws {draws_digest(generator_bytes)}",
           flush=True)
     print(f"laplacians {len(GRAPH_DRAWS)} draws {draws_digest(laplacian_bytes)}",

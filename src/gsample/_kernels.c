@@ -1,6 +1,7 @@
 /* Compiled loops of gsample: the greedy Jacobi sweep and the
  * accumulation of its rotations (gsample.filters), the k-nearest-neighbour
- * scan of the sensor graph (gsample.graphs), and the greedy selection
+ * scan of the sensor graph and the connectivity check of every random
+ * graph (gsample.graphs), and the greedy selection
  * passes of agod, fagod, dopt and aopt (gsample.selection).  The agod
  * and fagod argmin scans are static: only greedy_pass runs them.
  *
@@ -354,6 +355,41 @@ void knn(const double *pos, int64_t n, int64_t k1, int64_t *near,
                 worst = sq[k1 - 1];
         }
     }
+}
+
+/* The root of node i's tree in the union-find forest parent, halving the
+ * path on the way: each visited node is linked to its grandparent. */
+static int64_t find_root(int64_t *parent, int64_t i)
+{
+    while (parent[i] != i) {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    return i;
+}
+
+/* The number of connected components of the undirected graph on n nodes
+ * with the m edges (rows[k], cols[k]), each listed in one or both
+ * directions: a union-find over the edge list, the larger root linked
+ * under the smaller.  parent (n entries) is scratch. */
+int64_t components(int64_t n, const int64_t *rows, const int64_t *cols,
+                   int64_t m, int64_t *parent)
+{
+    int64_t count = n;
+    for (int64_t i = 0; i < n; i++)
+        parent[i] = i;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t a = find_root(parent, rows[k]);
+        int64_t b = find_root(parent, cols[k]);
+        if (a == b)
+            continue;
+        if (a < b)
+            parent[b] = a;
+        else
+            parent[a] = b;
+        count--;
+    }
+    return count;
 }
 
 /* The K coordinates in descending order of diag, ties by index, as

@@ -80,6 +80,8 @@ def _load():
     lib.rotate_rows.restype = None
     lib.knn.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.knn.restype = None
+    lib.components.argtypes = [i64, ptr, ptr, i64, ptr]
+    lib.components.restype = i64
     lib.greedy_pass.argtypes = [ctypes.c_int, ptr, i64, i64, f64, i64,
                                 ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                 ptr, ptr]
@@ -184,6 +186,28 @@ def knn(pos: np.ndarray, k: int):
     _LIB.knn(_address(pos, np.float64, (n, 2)), n, k + 1, near.ctypes.data,
              near_dist.ctypes.data, scratch.ctypes.data)
     return near, near_dist
+
+
+def components(n: int, rows: np.ndarray, cols: np.ndarray) -> int:
+    """The number of connected components of the undirected graph on n
+    nodes with the edges (rows[k], cols[k]), each listed in one or both
+    directions: a union-find with path halving over the edge list.
+
+    rows and cols are copied to int64 arrays unless they are ones, and
+    every endpoint must lie in [0, n).
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    m = len(rows)
+    if rows.shape != (m,) or cols.shape != (m,):
+        raise ValueError(f"need two edge arrays of one length, got shapes "
+                         f"{rows.shape} and {cols.shape}")
+    if m and (min(rows.min(), cols.min()) < 0
+              or max(rows.max(), cols.max()) >= n):
+        raise ValueError(f"edge endpoint out of range [0, {n})")
+    parent = np.empty(n, dtype=np.int64)
+    return _LIB.components(n, rows.ctypes.data, cols.ctypes.data, m,
+                           parent.ctypes.data)
 
 
 _PASSES = {"agod": 0, "fagod": 1, "dopt": 2, "aopt": 3}

@@ -5,7 +5,10 @@ comma-separated) and produce CSV rows
 `study,graph,signal,method,sweep,trial,value,wall_ms,seed`.  Every data
 column is a pure function of the spec, so reruns are byte-identical
 whatever the number of processes the trials run in; wall_ms is the only
-non-reproducible column.
+non-reproducible column.  In the RMSE studies a trial solves the loaded
+reconstructions of its rows together (`_rmse_trial_rows`), so a loaded
+row's wall_ms is its own selection, noise and Gram time plus an equal
+share of that batch.
 
 Studies:
 
@@ -41,13 +44,14 @@ from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
 from .oracle import (ALPHA_MAX_NODES, COMB_GUARD, empirical_alpha,
                      relative_suboptimality)
-from .reconstruction import (biased_reconstruct, blue_reconstruct,
-                             filter_reconstruct, rmse, snr_to_sigma2)
+from .reconstruction import (_loaded_system, biased_reconstruct,
+                             blue_reconstruct, filter_reconstruct,
+                             loaded_rmses, rmse, snr_to_sigma2)
 from .rng import child_seed
 from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
                         greedy_eoptimal, greedy_select, objective_agod,
                         objective_dopt, objective_fagod, random_select)
-from .spectral import (SIGNAL_MODELS, _eigendecompose, check_gap,
+from .spectral import (SIGNAL_MODELS, _eigendecompose, _samples, check_gap,
                        eigendecompose, gen_signal, observe)
 
 RMSE_STUDIES = ("rmse_vs_size", "rmse_vs_snr", "rmse_vs_n")
@@ -486,14 +490,34 @@ class _TrialContext:
             return random_select(mode, self.basis, self.K, M, seed)
         raise ValueError(f"unknown method {method!r}")
 
+    def uses_blue(self, method: str, M: int, use_blue: bool) -> bool:
+        """Whether `reconstruct` takes the BLUE for `method` at budget M;
+        every other row is a loaded estimate."""
+        # fagod-exact's filter estimate on V_K is the loaded spectral one
+        return use_blue and method not in ("fagod", "fagod-exact") \
+            and M >= self.K
+
     def reconstruct(self, method: str, obs, use_blue: bool):
         if method == "fagod":
             return filter_reconstruct(obs, self.filter, self.mu)
-        # fagod-exact's filter estimate on V_K is the loaded spectral one
-        if use_blue and method != "fagod-exact" \
-                and len(obs.sample_indices) >= self.K:
+        if self.uses_blue(method, len(obs.sample_indices), use_blue):
             return blue_reconstruct(obs, self.basis, self.K)
         return biased_reconstruct(obs, self.basis, self.K, self.mu)
+
+    def loaded_system(self, method: str, indices, sigma2: float, seed: int):
+        """(V, Z, c) of a loaded row: the n x K factor V that `reconstruct`
+        solves on, the Givens filter's for fagod and V_K otherwise, and
+        the loaded Gram Z = V_S^T V_S + mu I and c = V_S^T y of the
+        samples y that `observe(self.signal, indices, sigma2, seed)`
+        draws.  Checks what `observe` and the loaded reconstructions
+        check, in their order."""
+        idx = list(indices)
+        y = _samples(self.signal.values, idx, sigma2, seed)
+        if self.mu <= 0:
+            raise ValueError("mu must be positive")
+        factor = self.filter.factor if method == "fagod" \
+            else self.basis.low_frequency(self.K)
+        return (factor, *_loaded_system(factor, idx, y, self.mu))
 
 
 def spec_label(spec: ExperimentSpec) -> str:
@@ -504,15 +528,90 @@ def _trial_seed(spec: ExperimentSpec, trial: int, sweep_value) -> int:
     return child_seed(spec.base_seed, spec.study, trial, sweep_value)
 
 
+@dataclass(slots=True)
+class _LoadedRow:
+    """A loaded row waiting for its trial's batch: what the per-row path
+    needs to replay it, its own time, and its factor and system."""
+
+    method: str
+    sweep: object
+    seed: int
+    noise_seed: int
+    sigma2: float
+    indices: tuple
+    wall_ms: float
+    factor: object
+    gram: object
+    rhs: object
+
+
+def _row_error(spec: ExperimentSpec, method: str, sweep_value, trial: int,
+               exc: Exception) -> RuntimeError:
+    return RuntimeError(f"{spec.study} failed (method={method}, "
+                        f"sweep={sweep_value}, trial={trial}): {exc}")
+
+
+def _row_value(ctx: _TrialContext, method: str, indices, sigma2: float,
+               seed: int, use_blue: bool) -> float:
+    """A row's RMSE by the per-row path: observe -> reconstruct -> rmse."""
+    obs = observe(ctx.signal, indices, sigma2, seed=seed)
+    return rmse(ctx.reconstruct(method, obs, use_blue).values,
+                ctx.signal.values)
+
+
+def _finish_batch(spec: ExperimentSpec, trial: int, ctx: _TrialContext,
+                  batch: list, use_blue: bool) -> list:
+    """The ResultRows of the loaded rows in `batch`, all of `ctx`, scored
+    by one `loaded_rmses` call.  A batch that fails is replayed through
+    the per-row path, which raises the first failing row's error; each
+    row's wall_ms gains an equal share of the batch's time."""
+    if not batch:
+        return []
+    t0 = time.perf_counter()
+    try:
+        values = loaded_rmses([row.factor for row in batch],
+                              [row.gram for row in batch],
+                              [row.rhs for row in batch],
+                              ctx.signal.values).tolist()
+    except ValueError:  # LinAlgError included
+        values = []
+        for row in batch:
+            try:
+                values.append(_row_value(ctx, row.method, row.indices,
+                                         row.sigma2, row.noise_seed,
+                                         use_blue))
+            except Exception as exc:
+                raise _row_error(spec, row.method, row.sweep, trial,
+                                 exc) from exc
+    share = (time.perf_counter() - t0) * 1e3 / len(batch)
+    return [ResultRow(spec.study, spec.graph, spec.signal, row.method,
+                      row.sweep, trial, value, row.wall_ms + share, row.seed)
+            for row, value in zip(batch, values)]
+
+
 def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
                      spare_cpu: bool):
     """One context per graph size, built when the size changes, so a
-    trial holds one graph at a time."""
+    trial holds one graph at a time.
+
+    A BLUE row runs observe -> reconstruct -> rmse on its own.  A loaded
+    row, every other one, only selects, draws its samples and forms its
+    loaded system (`_TrialContext.loaded_system`); `_finish_batch`
+    solves and scores the context's loaded rows together before the
+    next context is built, and at the end.  Each value is the per-row
+    path's bit for bit, and so is each failure: a failing row first
+    finishes the rows before it, so the first failure in (sweep, method)
+    order raises.  A loaded row's wall_ms is its own selection, sampling
+    and Gram time plus an equal share of its batch's.
+    """
     rows = []
+    batch = []
     ctx = None
     for sweep_value in spec.sweep:
         n = int(sweep_value) if spec.study == "rmse_vs_n" else spec.n
         if ctx is None or ctx.n != n:
+            rows += _finish_batch(spec, trial, ctx, batch, use_blue)
+            batch = []
             ctx = None  # drop the last size's context before the next is built
             ctx = _TrialContext(spec, n, trial, spare_cpu)
         budget = int(sweep_value) if spec.study == "rmse_vs_size" else ctx.K
@@ -523,17 +622,30 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
             t0 = time.perf_counter()
             try:
                 indices = ctx.select(method, budget)
-                obs = observe(ctx.signal, indices, sigma2,
-                              seed=child_seed(seed, "noise", method))
-                rec = ctx.reconstruct(method, obs, use_blue)
-                value = rmse(rec.values, ctx.signal.values)
+                noise_seed = child_seed(seed, "noise", method)
+                blue = ctx.uses_blue(method, len(indices), use_blue)
+                if blue:
+                    value = _row_value(ctx, method, indices, sigma2,
+                                       noise_seed, use_blue)
+                else:
+                    system = ctx.loaded_system(method, indices, sigma2,
+                                               noise_seed)
             except Exception as exc:
-                raise RuntimeError(
-                    f"{spec.study} failed (method={method}, sweep={sweep_value}, "
-                    f"trial={trial}): {exc}") from exc
+                # an earlier row's failure, found only by the batch,
+                # raises first
+                _finish_batch(spec, trial, ctx, batch, use_blue)
+                raise _row_error(spec, method, sweep_value, trial,
+                                 exc) from exc
             wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(ResultRow(spec.study, spec.graph, spec.signal, method,
-                                  sweep_value, trial, value, wall_ms, seed))
+            if blue:
+                rows.append(ResultRow(spec.study, spec.graph, spec.signal,
+                                      method, sweep_value, trial, value,
+                                      wall_ms, seed))
+            else:
+                batch.append(_LoadedRow(method, sweep_value, seed,
+                                        noise_seed, sigma2, indices, wall_ms,
+                                        *system))
+    rows += _finish_batch(spec, trial, ctx, batch, use_blue)
     return rows
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .rng import rng_from
@@ -205,9 +203,7 @@ def _is_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
     """Whether the undirected graph on n nodes with the edges
     (rows[k], cols[k]) is connected; each edge may be listed in one or
     both directions."""
-    edges = csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    ncomp, _ = connected_components(edges, directed=False)
-    return ncomp == 1
+    return _kernels.components(n, rows, cols) == 1
 
 
 def _resample(model: str, n: int, seed: int, draw) -> Graph:

@@ -4,7 +4,9 @@ Three estimators are provided: the unbiased pseudo-inverse solution
 (BLUE), a diagonally loaded biased variant defined for any sample count,
 and a filter-domain form of the biased estimate that works directly on a
 low-pass filter matrix, so it needs no eigendecomposition when that
-matrix is the Givens approximation.
+matrix is the Givens approximation.  `loaded_rmses` solves many loaded
+estimates at once and scores them, bit for bit as the per-row functions
+do.
 """
 
 from __future__ import annotations
@@ -49,11 +51,37 @@ def blue_reconstruct(obs: Observation, basis: SpectralBasis, K: int) -> Reconstr
     return Reconstruction(vk @ xhat)
 
 
+def _loaded_system(vk: np.ndarray, indices: list, y: np.ndarray, mu: float):
+    # V_S^T V_S + mu I and V_S^T y for an n x K factor V
+    vsk = vk[indices, :]
+    return vsk.T @ vsk + mu * np.eye(vk.shape[1]), vsk.T @ y
+
+
 def _loaded_solve(vk: np.ndarray, obs: Observation, mu: float) -> Reconstruction:
     # V (V_S^T V_S + mu I)^-1 V_S^T y for an n x K factor V
-    vsk = vk[list(obs.sample_indices), :]
-    z = vsk.T @ vsk + mu * np.eye(vk.shape[1])
-    return Reconstruction(vk @ np.linalg.solve(z, vsk.T @ obs.values))
+    z, c = _loaded_system(vk, list(obs.sample_indices), obs.values, mu)
+    return Reconstruction(vk @ np.linalg.solve(z, c))
+
+
+def loaded_rmses(factors, grams, rhs, x_star: np.ndarray) -> np.ndarray:
+    """RMSE against x_star of the loaded estimate x_r = V_r Z_r^-1 c_r of
+    each row r, from its n x K factor V_r, its loaded Gram Z_r = V_S^T V_S
+    + mu I and c_r = V_S^T y (one K for every row).
+
+    Row r's value is `rmse(_loaded_solve(...).values, x_star)` bit for
+    bit: the Grams are solved in one stacked call, which runs the same
+    LAPACK solve on each of them, but each x_r is its own matrix-vector
+    product, since one stacked product rounds differently from the
+    per-row one.  Raises ValueError when an x_r is not finite, as
+    `Reconstruction` does, and LinAlgError when a Gram is singular.
+    """
+    solutions = np.linalg.solve(np.stack(grams), np.stack(rhs)[..., None])
+    x = np.empty((len(factors), len(x_star)))
+    for r, factor in enumerate(factors):
+        np.matmul(factor, solutions[r, :, 0], out=x[r])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("reconstruction contains non-finite values")
+    return np.sqrt(np.mean((x - x_star) ** 2, axis=1))
 
 
 def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,

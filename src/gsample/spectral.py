@@ -232,14 +232,24 @@ def observe(signal: GraphSignal, sample_indices, sigma2: float,
             seed: int = 0) -> Observation:
     """Sample the signal on `sample_indices` with i.i.d. N(0, sigma2) noise."""
     idx = [int(i) for i in sample_indices]
-    if idx and not (0 <= min(idx) and max(idx) < signal.n):
+    return Observation(tuple(idx), _samples(signal.values, idx, sigma2, seed))
+
+
+def _samples(x: np.ndarray, idx: list, sigma2: float, seed: int) -> np.ndarray:
+    """`observe`'s sample values: x[idx] plus i.i.d. N(0, sigma2) noise
+    from `rng_from(seed)`, none drawn at sigma2 = 0.  Raises ValueError
+    for an index out of range, a negative sigma2 or a repeated index, in
+    that order."""
+    if idx and not (0 <= min(idx) and max(idx) < len(x)):
         raise ValueError("sample index out of range")
     if sigma2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    y = signal.values[idx].copy()
+    if len(set(idx)) != len(idx):
+        raise ValueError("sample indices must be distinct")
+    y = x[idx]
     if sigma2 > 0:
         y = y + rng_from(seed).normal(0.0, np.sqrt(sigma2), size=len(idx))
-    return Observation(tuple(idx), y)
+    return y
 
 
 def leverage_scores(basis: SpectralBasis, K: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from gsample import (SpecError, approximate_lowpass, build_laplacian,
                      eigendecompose, exact_lowpass, greedy_aoptimal,
                      greedy_doptimal, greedy_eoptimal, greedy_select, observe,
                      parse_spec_file, parse_spec_text, rmse, run_experiment,
-                     write_result_csv)
+                     snr_to_sigma2, write_result_csv)
 from gsample.bench import (resolve_k, run_alpha_certificate,
                            run_subopt_reports)
 from gsample.cli import main
@@ -287,6 +288,84 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
                 assert repr(row.value) == repr(value), (method, M, trial)
         # a budget past the largest in the spec runs the method again
         assert fresh.select("agod", 10) == direct(ctx, "agod", 10)
+
+
+# rmse_vs_snr's sweep starts at 0 dB, so its noise variance comes from the
+# SNR; rmse_vs_n builds one context per size, and draws no noise
+BATCH_SPECS = {
+    "rmse_vs_snr": """
+study = rmse_vs_snr
+n = 60
+K = 4
+methods = fagod, agod, fagod-exact, dopt, rand-uniform, rand-leverage
+sweep = 0, 10, 20
+trials = 2
+base_seed = 9
+""",
+    "rmse_vs_n": """
+study = rmse_vs_n
+K = auto
+sigma2 = 0
+methods = fagod, agod, fagod-exact, aopt, rand-uniform
+sweep = 60, 80
+trials = 2
+base_seed = 9
+"""}
+
+
+@pytest.mark.parametrize("spare_cpu", [True, False])
+@pytest.mark.parametrize("use_blue", [True, False])
+@pytest.mark.parametrize("study", sorted(BATCH_SPECS))
+def test_batched_rows_are_the_per_row_path(study, use_blue, spare_cpu):
+    # every value, batched or BLUE, is observe -> reconstruct -> rmse on a
+    # fresh context, bit for bit
+    spec = parse_spec_text(BATCH_SPECS[study])
+    for trial in range(spec.trials):
+        rows = bench._rmse_trial_rows(spec, trial, use_blue, spare_cpu)
+        keyed = {(row.sweep, row.method): row for row in rows}
+        assert len(keyed) == len(rows) == len(spec.sweep) * len(spec.methods)
+        contexts = {}
+        for (sweep_value, method), row in keyed.items():
+            n = sweep_value if study == "rmse_vs_n" else spec.n
+            if n not in contexts:
+                contexts[n] = bench._TrialContext(spec, n, trial)
+            ctx = contexts[n]
+            sigma2 = snr_to_sigma2(sweep_value) if study == "rmse_vs_snr" \
+                else spec.sigma2
+            assert row.seed == bench._trial_seed(spec, trial, sweep_value)
+            obs = observe(ctx.signal, ctx.select(method, ctx.K), sigma2,
+                          seed=child_seed(row.seed, "noise", method))
+            rec = ctx.reconstruct(method, obs, use_blue)
+            value = rmse(rec.values, ctx.signal.values)
+            assert repr(row.value) == repr(value), (sweep_value, method)
+
+
+def test_first_failing_row_raises_though_a_later_one_fails_first(monkeypatch):
+    # (5, fagod) has a non-finite estimate, which the batch finds only
+    # when it is solved; (10, agod)'s selection raises before that.  The
+    # run raises the earlier row's error, the one the per-row path raises.
+    spec = parse_spec_text("study = rmse_vs_size\nn = 24\nK = 4\n"
+                           "methods = agod, fagod\nsweep = 5, 10\ntrials = 1")
+    real = bench._TrialContext.select
+    raised = []
+
+    def select(self, method, M):
+        if (method, M) == ("agod", 10):
+            raised.append(M)
+            raise ValueError("no selection")
+        indices = real(self, method, M)
+        if method == "fagod":  # the picks stand; the estimate is NaN
+            self.filter = dataclasses.replace(
+                self.filter, factor=np.full(self.filter.factor.shape, np.nan))
+        return indices
+
+    monkeypatch.setattr(bench._TrialContext, "select", select)
+    with pytest.raises(RuntimeError) as failure:
+        run_experiment(spec, threads=1)
+    assert str(failure.value) == (
+        "rmse_vs_size failed (method=fagod, sweep=5, trial=0): "
+        "reconstruction contains non-finite values")
+    assert raised == [10]
 
 
 @pytest.mark.parametrize("spare_cpu", [True, False])

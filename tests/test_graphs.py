@@ -402,6 +402,30 @@ def test_is_connected_matches_bfs_on_edge_lists(seed):
     assert _is_connected(n, rows, cols) == _components_by_bfs(n, rows, cols)
 
 
+def test_components_counts_isolated_nodes_and_checks_endpoints():
+    assert _kernels.components(5, [], []) == 5
+    assert _kernels.components(5, [0, 3, 2], [1, 4, 3]) == 2
+    assert _kernels.components(4, [3, 2, 1], [2, 1, 0]) == 1
+    for rows, cols in (([0], [3]), ([-1], [2])):
+        with pytest.raises(ValueError, match="out of range"):
+            _kernels.components(3, rows, cols)
+    with pytest.raises(ValueError, match="one length"):
+        _kernels.components(3, [0, 1], [2])
+
+
+def test_import_loads_no_scipy_sparse():
+    # the connectivity check is compiled, so the package needs no sparse
+    # matrices; checked in a process of its own, which imports nothing else
+    root = Path(bench.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gsample; print(sorted(m for m in "
+         "sys.modules if m.startswith('scipy.sparse')))"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_sensor_determinism():
     a = gen_sensor(10, 6, seed=3)
     b = gen_sensor(10, 6, seed=3)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from gsample import (biased_reconstruct, blue_reconstruct, build_laplacian,
-                     eigendecompose, exact_lowpass, filter_reconstruct,
-                     gen_sensor, gen_signal, observe, rmse, snr_to_sigma2)
+from gsample import (approximate_lowpass, biased_reconstruct,
+                     blue_reconstruct, build_laplacian, eigendecompose,
+                     exact_lowpass, filter_reconstruct, gen_sensor,
+                     gen_signal, observe, rmse, snr_to_sigma2)
+from gsample.reconstruction import _loaded_system, loaded_rmses
 
 MU = 1 / 99
 
@@ -93,7 +95,6 @@ def test_push_through_identity_and_filter_equivalence():
 
 
 def test_factored_filter_reconstruct_matches_dense():
-    from gsample import approximate_lowpass
     for seed, (n, K) in enumerate(((12, 4), (60, 6), (200, 10))):
         lap = build_laplacian(gen_sensor(n, 5, seed=seed))
         signal = gen_signal("GS1", eigendecompose(lap), seed=seed + 1,
@@ -106,6 +107,46 @@ def test_factored_filter_reconstruct_matches_dense():
             fast = filter_reconstruct(obs, filt, MU)
             dense = filter_reconstruct(obs, filt.filter, MU)
             assert np.abs(fast.values - dense.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("K", [2, 4, 10, 20, 40])
+def test_loaded_rmses_are_the_per_row_estimates_bit_for_bit(K):
+    # rows on the Givens factor and on V_K, one to 3K samples each,
+    # against filter_reconstruct and biased_reconstruct row by row
+    n = 200
+    lap = build_laplacian(gen_sensor(n, 6, seed=K))
+    basis = eigendecompose(lap, K)
+    signal = gen_signal("GS1", basis, seed=K + 1, bandwidth=K)
+    filt = approximate_lowpass(lap, K)
+    rng = np.random.Generator(np.random.PCG64(K))
+    factors, grams, rhs, want = [], [], [], []
+    for r in range(30):
+        idx = rng.choice(n, size=int(rng.integers(1, 3 * K + 1)),
+                         replace=False).tolist()
+        obs = observe(signal, idx, 5e-3, seed=r)
+        if r % 2:
+            factor = filt.factor
+            rec = filter_reconstruct(obs, filt, MU)
+        else:
+            factor = basis.low_frequency(K)
+            rec = biased_reconstruct(obs, basis, K, MU)
+        gram, c = _loaded_system(factor, idx, obs.values, MU)
+        factors.append(factor)
+        grams.append(gram)
+        rhs.append(c)
+        want.append(rmse(rec.values, signal.values))
+    got = loaded_rmses(factors, grams, rhs, signal.values)
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+def test_loaded_rmses_reject_a_non_finite_estimate():
+    basis, signal = _instance()
+    vk = basis.low_frequency(4)
+    rows = [_loaded_system(vk, [0, 3], np.array([1.0, 2.0]), MU),
+            _loaded_system(vk, [1, 2], np.array([np.inf, 0.0]), MU)]
+    with pytest.raises(ValueError, match="non-finite"):
+        loaded_rmses([vk, vk], [z for z, _ in rows], [c for _, c in rows],
+                     signal.values)
 
 
 def test_filter_reconstruct_identity_filter():
