@@ -24,6 +24,10 @@ of every greedy pass, fagod on the exact and the Givens factor, on the
 grid BENCH_PICKS.  Running the script against two checkouts (PYTHONPATH
 pointing at each `src/`) and comparing the
 printed lines compares their results byte for byte.
+
+`spec_digest.txt` beside this script holds the lines it prints, after a
+`#` header naming the numpy, scipy and BLAS versions they were made
+with; a change that moves a line updates that file.
 """
 
 import dataclasses
@@ -202,6 +206,17 @@ def bench_picks_digest() -> str:
     return digest.hexdigest()
 
 
+def library_lines():
+    """The six lines printed after the spec runs, one per fixed grid of
+    library calls."""
+    yield f"generators {len(GRAPH_DRAWS)} draws {draws_digest(generator_bytes)}"
+    yield f"laplacians {len(GRAPH_DRAWS)} draws {draws_digest(laplacian_bytes)}"
+    yield f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}"
+    yield f"dense fagod {len(DENSE_FAGOD)} picks {dense_fagod_digest()}"
+    yield f"spectral picks {len(SPECTRAL_PICKS)} {spectral_picks_digest()}"
+    yield f"bench picks {len(BENCH_PICKS)} {bench_picks_digest()}"
+
+
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -241,17 +256,8 @@ def main() -> int:
                 print(f"{name}: --blue data columns differ at threads=1",
                       file=sys.stderr)
                 status = 1
-    print(f"generators {len(GRAPH_DRAWS)} draws {draws_digest(generator_bytes)}",
-          flush=True)
-    print(f"laplacians {len(GRAPH_DRAWS)} draws {draws_digest(laplacian_bytes)}",
-          flush=True)
-    print(f"greedy_jacobi {len(JACOBI_GRAPHS)} sweeps {jacobi_digest()}",
-          flush=True)
-    print(f"dense fagod {len(DENSE_FAGOD)} picks {dense_fagod_digest()}",
-          flush=True)
-    print(f"spectral picks {len(SPECTRAL_PICKS)} {spectral_picks_digest()}",
-          flush=True)
-    print(f"bench picks {len(BENCH_PICKS)} {bench_picks_digest()}")
+    for line in library_lines():
+        print(line, flush=True)
     return status
 
 

@@ -8,7 +8,10 @@ whatever the number of processes the trials run in; wall_ms is the only
 non-reproducible column.  In the RMSE studies a trial solves the loaded
 reconstructions of its rows together (`_rmse_trial_rows`), so a loaded
 row's wall_ms is its own selection, noise and Gram time plus an equal
-share of that batch.
+share of that batch; a batch that fails is solved again one row at a
+time, so that the first failing row raises.  A fagod trial with a CPU to
+spare runs its Jacobi sweep on a thread that this module starts beside
+the eigensolve (`_truth_and_filter`).
 
 Studies:
 
@@ -33,18 +36,18 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-# approximate_lowpass is not called here; perfbench's tracer wraps it
-# under this module's name
+# approximate_lowpass, biased_reconstruct and filter_reconstruct are not
+# called here; perfbench's tracer wraps them under this module's name
 from .filters import (_greedy_jacobi, approximate_lowpass,  # noqa: F401
                       exact_lowpass, lowpass_from_givens, rotation_budget)
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
 from .oracle import (ALPHA_MAX_NODES, COMB_GUARD, empirical_alpha,
                      relative_suboptimality)
-from .reconstruction import (_loaded_system, biased_reconstruct,
+from .reconstruction import (_loaded_system, biased_reconstruct,  # noqa: F401
                              blue_reconstruct, filter_reconstruct,
                              loaded_rmses, rmse, snr_to_sigma2)
 from .rng import child_seed
@@ -301,6 +304,13 @@ def _validate_consistency(spec: ExperimentSpec, where):
             if not 1 <= m <= spec.n:
                 raise SpecError(f"{where('sweep')}: budget {m} out of range "
                                 f"[1, {spec.n}]")
+    if spec.study == "rmse_vs_snr":
+        for snr in spec.sweep:
+            try:
+                snr_to_sigma2(snr)
+            except OverflowError:
+                raise SpecError(f"{where('sweep')}: SNR {snr} dB gives a "
+                                "noise variance past the float range") from None
     if spec.study == "suboptimality":
         worst = max(math.comb(spec.n, m) for m in spec.sweep)
         if worst > COMB_GUARD:
@@ -374,30 +384,33 @@ def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
     transpose of an n x n array (`Laplacian.dense`), the sweep rotates
     the packed strict upper triangle (`Laplacian.packed_upper`) and the
     diagonal, which is read off the solver's array before the solve
-    starts.  With `spare_cpu` the compiled sweep runs on a second thread
+    starts.  With `spare_cpu` the sweep runs on a thread started here
     while this one solves (`run_experiment` has every OpenBLAS at one
     thread): the triangle is written, and the Laplacian dropped, before
-    the two start.  Otherwise the solve runs first, and the triangle is
-    written once the solver's array is freed.  A failure raises as it
-    does without `spare_cpu`: the solver's before the sweep's.
+    the two start.  The sweep's thread starts first, since scipy's subset
+    `eigh` holds the interpreter lock for its whole solve, and the
+    compiled sweep releases it.  Otherwise the solve runs first, and the
+    triangle is written once the solver's array is freed.  A failure
+    raises as it does without `spare_cpu`: the solver's, once the sweep's
+    thread is joined, before the sweep's.
     """
     lap = laps.pop()
-    work = [lap.dense().T]
-    diag = work[0].diagonal().copy()
-
-    def solve():
-        # popped, so the solver's array is freed when the solve returns
-        return _eigendecompose(work.pop(), width)
-
+    dense = lap.dense().T
+    diag = dense.diagonal().copy()
     if spare_cpu:
         upper = lap.packed_upper()
         del lap
-        (givens, eigs, perm), basis = _greedy_jacobi(upper, diag, J, solve)
+        with ThreadPoolExecutor(1) as second:  # joined on exit
+            sweep = second.submit(_greedy_jacobi, upper, diag, J)
+            basis = _eigendecompose(dense, width)
+            del dense
+        givens, eigs, perm = sweep.result()
     else:
-        basis = solve()
+        basis = _eigendecompose(dense, width)
+        del dense
         upper = lap.packed_upper()
         del lap
-        (givens, eigs, perm), _ = _greedy_jacobi(upper, diag, J)
+        givens, eigs, perm = _greedy_jacobi(upper, diag, J)
     return basis, lowpass_from_givens(givens, perm, K, eigs)
 
 
@@ -491,26 +504,19 @@ class _TrialContext:
         raise ValueError(f"unknown method {method!r}")
 
     def uses_blue(self, method: str, M: int, use_blue: bool) -> bool:
-        """Whether `reconstruct` takes the BLUE for `method` at budget M;
-        every other row is a loaded estimate."""
+        """Whether a row of `method` at budget M takes the BLUE
+        (`blue_reconstruct`); every other row is a loaded estimate."""
         # fagod-exact's filter estimate on V_K is the loaded spectral one
         return use_blue and method not in ("fagod", "fagod-exact") \
             and M >= self.K
 
-    def reconstruct(self, method: str, obs, use_blue: bool):
-        if method == "fagod":
-            return filter_reconstruct(obs, self.filter, self.mu)
-        if self.uses_blue(method, len(obs.sample_indices), use_blue):
-            return blue_reconstruct(obs, self.basis, self.K)
-        return biased_reconstruct(obs, self.basis, self.K, self.mu)
-
     def loaded_system(self, method: str, indices, sigma2: float, seed: int):
-        """(V, Z, c) of a loaded row: the n x K factor V that `reconstruct`
-        solves on, the Givens filter's for fagod and V_K otherwise, and
-        the loaded Gram Z = V_S^T V_S + mu I and c = V_S^T y of the
-        samples y that `observe(self.signal, indices, sigma2, seed)`
-        draws.  Checks what `observe` and the loaded reconstructions
-        check, in their order."""
+        """(V, Z, c) of a loaded row: the n x K factor V that the per-row
+        path solves on, the Givens filter's for fagod (`filter_reconstruct`)
+        and V_K otherwise (`biased_reconstruct`), and the loaded Gram
+        Z = V_S^T V_S + mu I and c = V_S^T y of the samples y that
+        `observe(self.signal, indices, sigma2, seed)` draws.  Checks what
+        `observe` and the loaded reconstructions check, in their order."""
         idx = list(indices)
         y = _samples(self.signal.values, idx, sigma2, seed)
         if self.mu <= 0:
@@ -530,15 +536,12 @@ def _trial_seed(spec: ExperimentSpec, trial: int, sweep_value) -> int:
 
 @dataclass(slots=True)
 class _LoadedRow:
-    """A loaded row waiting for its trial's batch: what the per-row path
-    needs to replay it, its own time, and its factor and system."""
+    """A loaded row waiting for its trial's batch: its key, its own time,
+    and its factor and system."""
 
     method: str
     sweep: object
     seed: int
-    noise_seed: int
-    sigma2: float
-    indices: tuple
     wall_ms: float
     factor: object
     gram: object
@@ -551,20 +554,12 @@ def _row_error(spec: ExperimentSpec, method: str, sweep_value, trial: int,
                         f"sweep={sweep_value}, trial={trial}): {exc}")
 
 
-def _row_value(ctx: _TrialContext, method: str, indices, sigma2: float,
-               seed: int, use_blue: bool) -> float:
-    """A row's RMSE by the per-row path: observe -> reconstruct -> rmse."""
-    obs = observe(ctx.signal, indices, sigma2, seed=seed)
-    return rmse(ctx.reconstruct(method, obs, use_blue).values,
-                ctx.signal.values)
-
-
 def _finish_batch(spec: ExperimentSpec, trial: int, ctx: _TrialContext,
-                  batch: list, use_blue: bool) -> list:
+                  batch: list) -> list:
     """The ResultRows of the loaded rows in `batch`, all of `ctx`, scored
-    by one `loaded_rmses` call.  A batch that fails is replayed through
-    the per-row path, which raises the first failing row's error; each
-    row's wall_ms gains an equal share of the batch's time."""
+    by one `loaded_rmses` call.  A batch that fails is solved again one
+    row at a time, and the first failing row raises the per-row path's
+    error; each row's wall_ms gains an equal share of the batch's time."""
     if not batch:
         return []
     t0 = time.perf_counter()
@@ -574,15 +569,14 @@ def _finish_batch(spec: ExperimentSpec, trial: int, ctx: _TrialContext,
                               [row.rhs for row in batch],
                               ctx.signal.values).tolist()
     except ValueError:  # LinAlgError included
-        values = []
         for row in batch:
             try:
-                values.append(_row_value(ctx, row.method, row.indices,
-                                         row.sigma2, row.noise_seed,
-                                         use_blue))
-            except Exception as exc:
+                loaded_rmses([row.factor], [row.gram], [row.rhs],
+                             ctx.signal.values)
+            except ValueError as exc:
                 raise _row_error(spec, row.method, row.sweep, trial,
                                  exc) from exc
+        raise
     share = (time.perf_counter() - t0) * 1e3 / len(batch)
     return [ResultRow(spec.study, spec.graph, spec.signal, row.method,
                       row.sweep, trial, value, row.wall_ms + share, row.seed)
@@ -594,15 +588,18 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
     """One context per graph size, built when the size changes, so a
     trial holds one graph at a time.
 
-    A BLUE row runs observe -> reconstruct -> rmse on its own.  A loaded
-    row, every other one, only selects, draws its samples and forms its
-    loaded system (`_TrialContext.loaded_system`); `_finish_batch`
-    solves and scores the context's loaded rows together before the
-    next context is built, and at the end.  Each value is the per-row
+    A BLUE row runs observe -> blue_reconstruct -> rmse on its own.  A
+    loaded row, every other one, only selects, draws its samples and
+    forms its loaded system (`_TrialContext.loaded_system`);
+    `_finish_batch` solves and scores the context's loaded rows together
+    before the next context is built, and at the end, and solves a
+    failed batch again one row at a time.  Each value is the per-row
     path's bit for bit, and so is each failure: a failing row first
     finishes the rows before it, so the first failure in (sweep, method)
     order raises.  A loaded row's wall_ms is its own selection, sampling
-    and Gram time plus an equal share of its batch's.
+    and Gram time plus an equal share of its batch's.  With `spare_cpu`
+    a fagod trial's sweep runs on a thread that `_truth_and_filter`
+    starts.
     """
     rows = []
     batch = []
@@ -610,7 +607,7 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
     for sweep_value in spec.sweep:
         n = int(sweep_value) if spec.study == "rmse_vs_n" else spec.n
         if ctx is None or ctx.n != n:
-            rows += _finish_batch(spec, trial, ctx, batch, use_blue)
+            rows += _finish_batch(spec, trial, ctx, batch)
             batch = []
             ctx = None  # drop the last size's context before the next is built
             ctx = _TrialContext(spec, n, trial, spare_cpu)
@@ -625,15 +622,18 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
                 noise_seed = child_seed(seed, "noise", method)
                 blue = ctx.uses_blue(method, len(indices), use_blue)
                 if blue:
-                    value = _row_value(ctx, method, indices, sigma2,
-                                       noise_seed, use_blue)
+                    obs = observe(ctx.signal, indices, sigma2,
+                                  seed=noise_seed)
+                    value = rmse(blue_reconstruct(obs, ctx.basis,
+                                                  ctx.K).values,
+                                 ctx.signal.values)
                 else:
                     system = ctx.loaded_system(method, indices, sigma2,
                                                noise_seed)
             except Exception as exc:
                 # an earlier row's failure, found only by the batch,
                 # raises first
-                _finish_batch(spec, trial, ctx, batch, use_blue)
+                _finish_batch(spec, trial, ctx, batch)
                 raise _row_error(spec, method, sweep_value, trial,
                                  exc) from exc
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -642,10 +642,9 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
                                       method, sweep_value, trial, value,
                                       wall_ms, seed))
             else:
-                batch.append(_LoadedRow(method, sweep_value, seed,
-                                        noise_seed, sigma2, indices, wall_ms,
+                batch.append(_LoadedRow(method, sweep_value, seed, wall_ms,
                                         *system))
-    rows += _finish_batch(spec, trial, ctx, batch, use_blue)
+    rows += _finish_batch(spec, trial, ctx, batch)
     return rows
 
 

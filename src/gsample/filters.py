@@ -11,10 +11,8 @@ references live in `gsample.oracle`.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,40 +123,23 @@ def greedy_jacobi(lap: Laplacian, J: int):
     """
     # the diagonal's row blocks are freed before the triangle is written
     diag = lap.diagonal()
-    return _greedy_jacobi(lap.packed_upper(), diag, J)[0]
+    return _greedy_jacobi(lap.packed_upper(), diag, J)
 
 
-def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int,
-                   beside=None):
+def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int):
     """`greedy_jacobi` on a Laplacian's packed strict upper triangle and
     its checked diagonal (`Laplacian.packed_upper`, `Laplacian.diagonal`),
-    which it rotates in place.
-
-    With `beside`, a second thread makes the kernel call, which releases
-    the interpreter lock, while `beside()` runs on the calling thread; a
-    failure of `beside` is raised first, after the second thread is
-    joined.  The second thread starts first because scipy's subset
-    `eigh`, `bench`'s `beside`, holds the lock for its whole solve.
-    Returns greedy_jacobi's triple and what `beside` returned (None
-    without it).
+    which it rotates in place.  The kernel call releases the interpreter
+    lock.  Returns greedy_jacobi's triple.
     """
     if not isinstance(J, numbers.Integral):
         raise ValueError(f"rotation budget must be an integer, got {J!r}")
     if J < 0:
         raise ValueError("rotation budget must be nonnegative")
-    sweep = functools.partial(_kernels.greedy_jacobi_sweep, upper, diag, J,
-                              OFFDIAG_TOL)
-    if beside is None:
-        aside = None
-        planes, thetas = sweep()
-    else:
-        with ThreadPoolExecutor(1) as second:  # joined on exit
-            rotated = second.submit(sweep)
-            aside = beside()
-        planes, thetas = rotated.result()
+    planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, J, OFFDIAG_TOL)
     seq = GivensSeq(len(diag), planes, thetas)
     perm = np.argsort(diag, kind="stable")
-    return (seq, diag[perm], perm), aside
+    return seq, diag[perm], perm
 
 
 def lowpass_from_givens(givens: GivensSeq, perm, K: int,

@@ -16,7 +16,8 @@ from gsample.bench import (resolve_k, run_alpha_certificate,
                            run_subopt_reports)
 from gsample.cli import main
 from gsample.oracle import dense_adjacency, theorem_bounds
-from gsample.reconstruction import biased_reconstruct
+from gsample.reconstruction import (biased_reconstruct, blue_reconstruct,
+                                    filter_reconstruct)
 from gsample.rng import child_seed
 from gsample import load_graph
 
@@ -106,6 +107,9 @@ def test_parse_defaults():
     ("study = rmse_vs_snr\nsweep = nan, nan", ":2: sweep must be finite"),
     ("study = alpha\nsweep = nan", ":2: sweep must be finite"),
     ("study = alpha\nmu = 0.1", ":2: mu is swept in the alpha study"),
+    # 10 ** 400 overflows in snr_to_sigma2, which `run` would call
+    ("study = rmse_vs_snr\nn = 30\nK = 4\nmethods = agod\nsweep = -4000\n"
+     "trials = 1", ":5: SNR -4000.0 dB gives a noise variance past"),
 ])
 def test_parse_rejects_bad_specs(text, match):
     with pytest.raises(SpecError, match=match):
@@ -228,6 +232,19 @@ base_seed = 3
 """
 
 
+def _per_row_estimate(ctx, method, obs, use_blue):
+    """A row's estimate by the public per-row functions, the oracle of the
+    runner's batched rows: the Givens filter's for fagod, the BLUE under
+    --blue from K samples on (fagod-exact excepted), and otherwise the
+    loaded estimate on V_K."""
+    if method == "fagod":
+        return filter_reconstruct(obs, ctx.filter, ctx.mu)
+    if use_blue and method != "fagod-exact" \
+            and len(obs.sample_indices) >= ctx.K:
+        return blue_reconstruct(obs, ctx.basis, ctx.K)
+    return biased_reconstruct(obs, ctx.basis, ctx.K, ctx.mu)
+
+
 def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
     spec = parse_spec_text(PREFIX_SPEC)
     calls = Counter()
@@ -283,7 +300,7 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
                 row = rows[(method, M, trial)]
                 obs = observe(ctx.signal, indices, spec.sigma2,
                               seed=child_seed(row.seed, "noise", method))
-                rec = ctx.reconstruct(method, obs, use_blue=False)
+                rec = _per_row_estimate(ctx, method, obs, use_blue=False)
                 value = rmse(rec.values, ctx.signal.values)
                 assert repr(row.value) == repr(value), (method, M, trial)
         # a budget past the largest in the spec runs the method again
@@ -335,7 +352,7 @@ def test_batched_rows_are_the_per_row_path(study, use_blue, spare_cpu):
             assert row.seed == bench._trial_seed(spec, trial, sweep_value)
             obs = observe(ctx.signal, ctx.select(method, ctx.K), sigma2,
                           seed=child_seed(row.seed, "noise", method))
-            rec = ctx.reconstruct(method, obs, use_blue)
+            rec = _per_row_estimate(ctx, method, obs, use_blue)
             value = rmse(rec.values, ctx.signal.values)
             assert repr(row.value) == repr(value), (sweep_value, method)
 
@@ -366,6 +383,37 @@ def test_first_failing_row_raises_though_a_later_one_fails_first(monkeypatch):
         "rmse_vs_size failed (method=fagod, sweep=5, trial=0): "
         "reconstruction contains non-finite values")
     assert raised == [10]
+
+
+@pytest.mark.parametrize("earlier_nan", [False, True])
+def test_a_singular_gram_raises_its_rows_error(monkeypatch, earlier_nan):
+    # the Gram of (5, fagod), the later row, is exactly singular: a
+    # constant factor of 1e10 gives equal entries of 5e20, and mu = 1/99
+    # rounds away.  With earlier_nan, (5, agod) before it has a non-finite
+    # estimate, and its error wins.
+    spec = parse_spec_text("study = rmse_vs_size\nn = 24\nK = 4\n"
+                           "methods = agod, fagod\nsweep = 5\ntrials = 1")
+    real = bench._TrialContext.loaded_system
+
+    def loaded_system(self, method, indices, sigma2, seed):
+        self.signal  # drawn from the true basis before it is replaced
+        if method == "fagod":
+            self.filter = dataclasses.replace(
+                self.filter, factor=np.full(self.filter.factor.shape, 1e10))
+        elif earlier_nan:
+            self.basis = dataclasses.replace(
+                self.basis, eigenvectors=np.full(
+                    self.basis.eigenvectors.shape, np.nan))
+        return real(self, method, indices, sigma2, seed)
+
+    monkeypatch.setattr(bench._TrialContext, "loaded_system", loaded_system)
+    with pytest.raises(RuntimeError) as failure:
+        run_experiment(spec, threads=1)
+    assert str(failure.value) == (
+        "rmse_vs_size failed (method=agod, sweep=5, trial=0): "
+        "reconstruction contains non-finite values" if earlier_nan else
+        "rmse_vs_size failed (method=fagod, sweep=5, trial=0): "
+        "Singular matrix")
 
 
 @pytest.mark.parametrize("spare_cpu", [True, False])

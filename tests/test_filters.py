@@ -22,8 +22,8 @@ def test_two_node_path_single_rotation(path2):
 
 def test_diagonal_matrix_stops_immediately():
     # the packed pair of diag(3, 1, 2): no off-diagonal entry to rotate
-    (seq, eigs, perm), _ = _greedy_jacobi(np.zeros(3),
-                                          np.array([3.0, 1.0, 2.0]), 10)
+    seq, eigs, perm = _greedy_jacobi(np.zeros(3), np.array([3.0, 1.0, 2.0]),
+                                     10)
     assert seq.count == 0
     assert np.array_equal(eigs, [1.0, 2.0, 3.0])
     assert np.array_equal(perm, [1, 2, 0])

@@ -71,7 +71,7 @@ def assert_packed_sweep_matches_reference(matrix, J):
     """The sweep on `_packed(matrix)`, for a symmetric matrix that need
     not be a graph's Laplacian, against the reference on matrix."""
     return _assert_sweep_is_reference(
-        _greedy_jacobi(*_packed(matrix), J)[0], matrix, J)
+        _greedy_jacobi(*_packed(matrix), J), matrix, J)
 
 
 def _assert_sweep_is_reference(sweep, matrix, J):
