@@ -13,7 +13,7 @@ time, so that the first failing row raises.  A fagod trial with a CPU to
 spare runs its Jacobi sweep on a thread that this module starts beside
 the eigensolve (`_truth_and_filter`).
 
-Studies:
+Studies (each declared once, in `STUDIES`; the methods are in `METHODS`):
 
 * rmse_vs_size   - reconstruction RMSE as the sampling budget grows;
 * rmse_vs_snr    - RMSE under varying observation noise, budget = bandwidth;
@@ -57,14 +57,7 @@ from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
 from .spectral import (SIGNAL_MODELS, _eigendecompose, _samples, check_gap,
                        eigendecompose, gen_signal, observe)
 
-RMSE_STUDIES = ("rmse_vs_size", "rmse_vs_snr", "rmse_vs_n")
-RUN_STUDIES = RMSE_STUDIES + ("objective_gap", "suboptimality")
-ALL_STUDIES = RUN_STUDIES + ("alpha",)
-
 GRAPH_MODELS = ("G1", "G2", "G3")
-
-METHOD_NAMES = ("agod", "fagod", "fagod-exact", "god", "dopt", "aopt",
-                "eopt", "rand-uniform", "rand-leverage")
 
 GAP_CURVES = ("G-G", "G-D", "D-D")
 
@@ -77,11 +70,11 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    """A parsed spec.  The defaults below, and `_STUDY_DEFAULTS` for the
-    fields without one, are the only defaults of the spec keys."""
+    """A parsed spec.  The defaults below, and a study's `defaults` in
+    STUDIES for the other fields, are the only defaults of the spec keys."""
 
     study: str
-    # per-study defaults in _STUDY_DEFAULTS
+    # per-study defaults in STUDIES
     methods: tuple
     n: int
     K: object                 # int, "model", or "auto" (= n // 20)
@@ -127,29 +120,6 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # spec parsing and validation
 
-_STUDY_DEFAULTS = {
-    "rmse_vs_size": dict(n=400, K="model", trials=150,
-                         sweep=(5, 10, 15, 20, 25, 30),
-                         methods=("fagod", "rand-uniform")),
-    "rmse_vs_snr": dict(n=400, K="model", trials=150,
-                        sweep=(0.0, 5.0, 10.0, 15.0, 20.0),
-                        methods=("fagod", "rand-uniform")),
-    "rmse_vs_n": dict(n=400, K="auto", trials=150, sweep=(100, 200, 300, 400),
-                      methods=("fagod", "rand-uniform")),
-    "objective_gap": dict(n=120, K=10, trials=1, sweep=tuple(range(5, 41, 5)),
-                          methods=GAP_CURVES),
-    "suboptimality": dict(n=10, K=2, trials=50, sweep=(2, 3, 4, 5, 6),
-                          methods=("fagod-exact", "rand-uniform")),
-    "alpha": dict(n=6, K=2, trials=50, sweep=(0.01, 0.1, 1.0),
-                  methods=("agod",)),
-}
-
-_INT_SWEEP_STUDIES = ("rmse_vs_size", "rmse_vs_n", "objective_gap",
-                      "suboptimality")
-
-# studies whose sweep values are sampling budgets; the others select K nodes
-BUDGET_STUDIES = ("rmse_vs_size", "objective_gap", "suboptimality")
-
 # numeric keys and their types; K and J also take the words in _WORDS
 _NUMERIC_KEYS = {"n": int, "K": int, "mu": float, "J": int, "trials": int,
                  "base_seed": int, "sigma2": float, "knn": int, "p": float}
@@ -164,11 +134,6 @@ _RANGES = {
     "sigma2": (lambda v: v >= 0, "nonnegative"),
 }
 _MODEL_KEYS = {"graph": GRAPH_MODELS, "signal": SIGNAL_MODELS}
-# the key a study's sweep sets, and why a spec may not set it too
-_SWEPT_KEYS = {"rmse_vs_n": ("n", "n is swept in rmse_vs_n"),
-               "rmse_vs_snr": ("sigma2", "rmse_vs_snr derives sigma2 from "
-                               "the swept SNR"),
-               "alpha": ("mu", "mu is swept in the alpha study")}
 
 
 def _parse_scalar(key, value, lineno, source, kind):
@@ -186,7 +151,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
     """Parse and fully validate a flat key=value experiment spec.
 
     Only the keys present in the text are set; every other field keeps
-    its default from `ExperimentSpec` or `_STUDY_DEFAULTS`.
+    its default from `ExperimentSpec` or the study's entry in `STUDIES`.
     """
     data = {}
     linenos = {}
@@ -213,12 +178,13 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
     if "study" not in data:
         raise SpecError(f"{source}: missing required key 'study'")
     study = data.pop("study")
-    if study not in ALL_STUDIES:
+    if study not in STUDIES:
         raise SpecError(f"{anchor('study')}: unknown study {study!r} "
-                        f"(expected one of {', '.join(ALL_STUDIES)})")
-    if study in ("objective_gap", "alpha") and "methods" in data:
+                        f"(expected one of {', '.join(STUDIES)})")
+    entry = STUDIES[study]
+    if entry.fixed_methods and "methods" in data:
         raise SpecError(f"{anchor('methods')}: methods are fixed for study {study!r}")
-    swept, why = _SWEPT_KEYS.get(study, (None, None))
+    swept, why = entry.swept
     if swept in data:
         raise SpecError(f"{anchor(swept)}: {why}; remove the {swept} key")
 
@@ -235,23 +201,23 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
         elif key == "methods":
             value = tuple(m.strip() for m in value.split(","))
             for m in value:
-                if m not in METHOD_NAMES:
+                if m not in METHODS:
                     raise SpecError(f"{anchor(key)}: unknown method {m!r} "
-                                    f"(expected one of {', '.join(METHOD_NAMES)})")
+                                    f"(expected one of {', '.join(METHODS)})")
             if len(set(value)) != len(value):
                 raise SpecError(f"{anchor(key)}: duplicate method")
         elif key == "sweep":
             tokens = [t.strip() for t in value.split(",") if t.strip()]
             if not tokens:
                 raise SpecError(f"{anchor(key)}: sweep must not be empty")
-            kind = int if study in _INT_SWEEP_STUDIES else float
+            kind = int if entry.sweeps in ("budget", "size") else float
             value = tuple(_parse_scalar(key, t, linenos[key], source, kind)
                           for t in tokens)
             if len(set(value)) != len(value):
                 raise SpecError(f"{anchor(key)}: duplicate sweep value")
         values[key] = value
 
-    spec = ExperimentSpec(study=study, **{**_STUDY_DEFAULTS[study], **values})
+    spec = ExperimentSpec(study=study, **{**entry.defaults, **values})
     _validate_consistency(spec, anchor)
     return spec
 
@@ -285,9 +251,10 @@ def _signal_bandwidth(spec: ExperimentSpec, n: int) -> int:
 
 
 def _validate_consistency(spec: ExperimentSpec, where):
+    entry = STUDIES[spec.study]
     # every graph size the spec builds, and the key that sets them
-    size_key = "sweep" if spec.study == "rmse_vs_n" else "n"
-    sizes = spec.sweep if spec.study == "rmse_vs_n" else (spec.n,)
+    size_key, sizes = ("sweep", spec.sweep) if entry.sweeps == "size" \
+        else ("n", (spec.n,))
     for n in sizes:
         if problem := graph_problem(spec.graph, n, spec.knn, spec.p):
             key, message = problem
@@ -296,15 +263,15 @@ def _validate_consistency(spec: ExperimentSpec, where):
         if k_eff > n:
             raise SpecError(f"{where('K')}: bandwidth K={k_eff} exceeds n={n}")
         width = _signal_bandwidth(spec, n)
-        if spec.study in RMSE_STUDIES and width > n:
+        if entry.rows is _rmse_trial_rows and width > n:
             raise SpecError(f"{where(size_key)}: signal {spec.signal} has "
                             f"bandwidth {width} > n={n}")
-    if spec.study in BUDGET_STUDIES:
+    if entry.sweeps == "budget":
         for m in spec.sweep:
             if not 1 <= m <= spec.n:
                 raise SpecError(f"{where('sweep')}: budget {m} out of range "
                                 f"[1, {spec.n}]")
-    if spec.study == "rmse_vs_snr":
+    if entry.sweeps == "snr":
         for snr in spec.sweep:
             try:
                 snr_to_sigma2(snr)
@@ -364,15 +331,6 @@ def make_graph(model: str, n: int, seed: int, knn: int, p: float):
     return gen_community(n, seed)
 
 
-# Methods whose picks at budget M are the first M picks at any larger
-# budget, so one pass serves every budget of a trial: no greedy step reads
-# M, and the leverage draw t reads only the t-th uniform of its stream and
-# the picks before it.  The uniform draw is left out: numpy's choice
-# without replacement draws a different stream for each M.
-PREFIX_METHODS = ("agod", "god", "fagod", "fagod-exact", "dopt", "aopt", "eopt",
-                  "rand-leverage")
-
-
 def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
     """The basis of the `width` lowest eigenpairs (all of them for None)
     and the Givens filter of bandwidth K after J rotations, of the
@@ -417,9 +375,9 @@ def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
 class _TrialContext:
     """Per-trial objects shared by every method and sweep value.
 
-    The basis and, when a method selects on the Givens filter (fagod),
-    that filter are built with the context; `filter` is None otherwise.
-    The signal is drawn at its first use.  Only the eigenpairs some
+    The basis and, when a method selects on the Givens filter (`givens`
+    in METHODS), that filter are built with the context; `filter` is None
+    otherwise.  The signal is drawn at its first use.  Only the eigenpairs some
     consumer reads are computed: the K lowest for the selection and
     reconstruction bandwidth, or the signal model's bandwidth if larger.
     GS2's tail touches every coefficient, so it keeps the full basis.
@@ -441,7 +399,8 @@ class _TrialContext:
         self._signal_k = _signal_bandwidth(spec, n)
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
-        if "fagod" in spec.methods:
+        # objective_gap's methods are curve names, which select on the basis
+        if any(METHODS[m].givens for m in spec.methods if m in METHODS):
             laps = [lap]  # the joint stage frees L from its only reference
             del lap
             self.basis, self.filter = _truth_and_filter(
@@ -451,8 +410,8 @@ class _TrialContext:
         for bandwidth in (self.K, self._signal_k):
             check_gap(self.basis.eigenvalues, bandwidth, n)
         # the largest sampling budget any row of this trial selects
-        self._largest = max(spec.sweep) if spec.study in BUDGET_STUDIES \
-            else self.K
+        self._largest = max(spec.sweep) \
+            if STUDIES[spec.study].sweeps == "budget" else self.K
         self._prefix = {}
         self._signal = None
 
@@ -467,67 +426,34 @@ class _TrialContext:
         return self._signal
 
     def select(self, method: str, M: int) -> tuple:
-        """Indices of a sampling set of size M; the methods of
-        PREFIX_METHODS run once per trial.
+        """Indices of a sampling set of size M; a prefix method of
+        `METHODS` runs once per trial.
 
         Such a method runs at the largest budget the trial needs, and every
         smaller budget gets a prefix of that selection.
         """
-        if method not in PREFIX_METHODS:
-            return self._select(method, M).indices
-        full = self._prefix.get(method)
-        if full is None or len(full) < M:
-            full = self._prefix[method] = self._select(
-                method, max(M, self._largest)).indices
-        return full[:M]
-
-    def _select(self, method: str, M: int):
-        # fagod-exact is fagod on V_K, the exact filter's factor
-        if method in ("agod", "fagod-exact"):
-            return greedy_select(method.removesuffix("-exact"), M,
-                                 basis=self.basis, K=self.K, mu=self.mu)
-        if method == "god":
-            return greedy_select("god", M, basis=self.basis, K=self.K)
-        if method == "fagod":
-            return greedy_select("fagod", M, filt=self.filter, mu=self.mu)
-        if method == "dopt":
-            return greedy_doptimal(self.basis, self.K, self.mu, M)
-        if method == "aopt":
-            return greedy_aoptimal(self.basis, self.K, self.mu, M)
-        if method == "eopt":
-            return greedy_eoptimal(self.basis, self.K, M)
-        if method in ("rand-uniform", "rand-leverage"):
-            mode = method.split("-", 1)[1]
-            seed = child_seed(spec_label(self.spec), "select", method, self.n,
-                              self.trial)
-            return random_select(mode, self.basis, self.K, M, seed)
-        raise ValueError(f"unknown method {method!r}")
-
-    def uses_blue(self, method: str, M: int, use_blue: bool) -> bool:
-        """Whether a row of `method` at budget M takes the BLUE
-        (`blue_reconstruct`); every other row is a loaded estimate."""
-        # fagod-exact's filter estimate on V_K is the loaded spectral one
-        return use_blue and method not in ("fagod", "fagod-exact") \
-            and M >= self.K
+        entry = METHODS[method]
+        if not entry.prefix:
+            return entry.select(self, M).indices
+        if len(self._prefix.get(method, ())) < M:
+            self._prefix[method] = entry.select(
+                self, max(M, self._largest)).indices
+        return self._prefix[method][:M]
 
     def loaded_system(self, method: str, indices, sigma2: float, seed: int):
         """(V, Z, c) of a loaded row: the n x K factor V that the per-row
-        path solves on, the Givens filter's for fagod (`filter_reconstruct`)
-        and V_K otherwise (`biased_reconstruct`), and the loaded Gram
-        Z = V_S^T V_S + mu I and c = V_S^T y of the samples y that
-        `observe(self.signal, indices, sigma2, seed)` draws.  Checks what
+        path solves on, the Givens filter's for a `givens` method
+        (`filter_reconstruct`) and V_K otherwise (`biased_reconstruct`),
+        and the loaded Gram Z = V_S^T V_S + mu I and c = V_S^T y of the
+        samples y that `observe(self.signal, indices, sigma2, seed)` draws.  Checks what
         `observe` and the loaded reconstructions check, in their order."""
         idx = list(indices)
         y = _samples(self.signal.values, idx, sigma2, seed)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        factor = self.filter.factor if method == "fagod" \
+        factor = self.filter.factor if METHODS[method].givens \
             else self.basis.low_frequency(self.K)
         return (factor, *_loaded_system(factor, idx, y, self.mu))
-
-
-def spec_label(spec: ExperimentSpec) -> str:
-    return f"{spec.base_seed}|{spec.study}"
 
 
 def _trial_seed(spec: ExperimentSpec, trial: int, sweep_value) -> int:
@@ -601,18 +527,19 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
     a fagod trial's sweep runs on a thread that `_truth_and_filter`
     starts.
     """
+    sweeps = STUDIES[spec.study].sweeps
     rows = []
     batch = []
     ctx = None
     for sweep_value in spec.sweep:
-        n = int(sweep_value) if spec.study == "rmse_vs_n" else spec.n
+        n = int(sweep_value) if sweeps == "size" else spec.n
         if ctx is None or ctx.n != n:
             rows += _finish_batch(spec, trial, ctx, batch)
             batch = []
             ctx = None  # drop the last size's context before the next is built
             ctx = _TrialContext(spec, n, trial, spare_cpu)
-        budget = int(sweep_value) if spec.study == "rmse_vs_size" else ctx.K
-        sigma2 = snr_to_sigma2(sweep_value) if spec.study == "rmse_vs_snr" \
+        budget = int(sweep_value) if sweeps == "budget" else ctx.K
+        sigma2 = snr_to_sigma2(sweep_value) if sweeps == "snr" \
             else spec.sigma2
         seed = _trial_seed(spec, trial, sweep_value)
         for method in spec.methods:
@@ -620,13 +547,15 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
             try:
                 indices = ctx.select(method, budget)
                 noise_seed = child_seed(seed, "noise", method)
-                blue = ctx.uses_blue(method, len(indices), use_blue)
+                blue = use_blue and METHODS[method].blue and len(indices) >= ctx.K
                 if blue:
                     obs = observe(ctx.signal, indices, sigma2,
                                   seed=noise_seed)
                     value = rmse(blue_reconstruct(obs, ctx.basis,
                                                   ctx.K).values,
                                  ctx.signal.values)
+                    if not math.isfinite(value):
+                        raise ValueError("RMSE is not finite")
                 else:
                     system = ctx.loaded_system(method, indices, sigma2,
                                                noise_seed)
@@ -648,7 +577,7 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
     return rows
 
 
-def _gap_trial_rows(spec: ExperimentSpec, trial: int):
+def _gap_trial_rows(spec: ExperimentSpec, trial: int, _blue, _spare_cpu):
     """Objective values of the max-diag and log-det criteria along greedy paths."""
     ctx = _TrialContext(spec, spec.n, trial)
     m_max = max(spec.sweep)
@@ -708,20 +637,88 @@ def _subopt_trial(spec: ExperimentSpec, trial: int, methods,
             yield method, m, report, (time.perf_counter() - t0) * 1e3
 
 
-def _subopt_trial_rows(spec: ExperimentSpec, trial: int, spare_cpu: bool):
+def _subopt_trial_rows(spec: ExperimentSpec, trial: int, _blue, spare_cpu):
     return [ResultRow(spec.study, spec.graph, spec.signal, method, m, trial,
                       report.r, wall_ms, _trial_seed(spec, trial, m))
             for method, m, report, wall_ms in _subopt_trial(
                 spec, trial, spec.methods, spare_cpu)]
 
 
-def _trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
-                spare_cpu: bool):
-    if spec.study in RMSE_STUDIES:
-        return _rmse_trial_rows(spec, trial, use_blue, spare_cpu)
-    if spec.study == "objective_gap":  # selects on the basis only
-        return _gap_trial_rows(spec, trial)
-    return _subopt_trial_rows(spec, trial, spare_cpu)
+# ---------------------------------------------------------------------------
+# the spec's methods and studies, each declared once
+
+@dataclass(frozen=True)
+class _Method:
+    # (ctx, M) -> the Selection of M nodes in a trial; it calls its selector
+    # by this module's name, which perfbench's tracer and the tests wrap
+    select: object
+    prefix: bool = True   # its picks at M lead those at any larger M (one pass)
+    givens: bool = False  # selects, and reconstructs, on the Givens filter
+    blue: bool = True     # under --blue its rows from K samples on take the BLUE
+
+
+def _random_pick(mode: str, ctx, M: int):
+    seed = child_seed(f"{ctx.spec.base_seed}|{ctx.spec.study}", "select",
+                      f"rand-{mode}", ctx.n, ctx.trial)
+    return random_select(mode, ctx.basis, ctx.K, M, seed)
+
+
+METHODS = {
+    "agod": _Method(lambda c, M: greedy_select("agod", M, basis=c.basis,
+                                               K=c.K, mu=c.mu)),
+    "fagod": _Method(lambda c, M: greedy_select("fagod", M, filt=c.filter,
+                                                mu=c.mu),
+                     givens=True, blue=False),
+    # fagod on V_K, the exact filter's factor; its filter estimate is the
+    # loaded spectral one, never the BLUE
+    "fagod-exact": _Method(lambda c, M: greedy_select(
+        "fagod", M, basis=c.basis, K=c.K, mu=c.mu), blue=False),
+    "god": _Method(lambda c, M: greedy_select("god", M, basis=c.basis,
+                                              K=c.K)),
+    "dopt": _Method(lambda c, M: greedy_doptimal(c.basis, c.K, c.mu, M)),
+    "aopt": _Method(lambda c, M: greedy_aoptimal(c.basis, c.K, c.mu, M)),
+    "eopt": _Method(lambda c, M: greedy_eoptimal(c.basis, c.K, M)),
+    # numpy's choice without replacement draws a different stream for each M
+    "rand-uniform": _Method(functools.partial(_random_pick, "uniform"),
+                            prefix=False),
+    # draw t reads only the t-th uniform of its stream and the picks before it
+    "rand-leverage": _Method(functools.partial(_random_pick, "leverage")),
+}
+
+
+@dataclass(frozen=True)
+class _Study:
+    sweeps: str     # a sweep value is a "budget", "snr" (dB), "size" (n) or "mu"
+    defaults: dict  # of the spec keys without a default in ExperimentSpec
+    # (spec, trial, use_blue, spare_cpu) -> a trial's ResultRows; None for a
+    # study that `gsample run` does not run
+    rows: object = None
+    fixed_methods: bool = False
+    swept: tuple = (None, None)  # the key the sweep sets, and why a spec may not
+
+
+_RMSE_DEFAULTS = dict(n=400, trials=150, methods=("fagod", "rand-uniform"))
+STUDIES = {
+    "rmse_vs_size": _Study("budget", dict(
+        _RMSE_DEFAULTS, K="model", sweep=(5, 10, 15, 20, 25, 30)),
+        _rmse_trial_rows),
+    "rmse_vs_snr": _Study("snr", dict(
+        _RMSE_DEFAULTS, K="model", sweep=(0.0, 5.0, 10.0, 15.0, 20.0)),
+        _rmse_trial_rows,
+        swept=("sigma2", "rmse_vs_snr derives sigma2 from the swept SNR")),
+    "rmse_vs_n": _Study("size", dict(
+        _RMSE_DEFAULTS, K="auto", sweep=(100, 200, 300, 400)),
+        _rmse_trial_rows, swept=("n", "n is swept in rmse_vs_n")),
+    "objective_gap": _Study("budget", dict(
+        n=120, K=10, trials=1, sweep=tuple(range(5, 41, 5)),
+        methods=GAP_CURVES), _gap_trial_rows, fixed_methods=True),
+    "suboptimality": _Study("budget", dict(
+        n=10, K=2, trials=50, sweep=(2, 3, 4, 5, 6),
+        methods=("fagod-exact", "rand-uniform")), _subopt_trial_rows),
+    "alpha": _Study("mu", dict(
+        n=6, K=2, trials=50, sweep=(0.01, 0.1, 1.0), methods=("agod",)),
+        fixed_methods=True, swept=("mu", "mu is swept in the alpha study")),
+}
 
 
 def _share_rows(spec: ExperimentSpec, trials, use_blue: bool,
@@ -732,7 +729,7 @@ def _share_rows(spec: ExperimentSpec, trials, use_blue: bool,
     rows = []
     for trial in trials:
         try:
-            rows += _trial_rows(spec, trial, use_blue, spare_cpu)
+            rows += STUDIES[spec.study].rows(spec, trial, use_blue, spare_cpu)
         except Exception as exc:
             return rows, (trial, exc)
     return rows, None
@@ -881,7 +878,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     Rows are sorted by (method, sweep, trial) in spec order before
     returning, so scheduling never affects the output.
     """
-    if spec.study not in RUN_STUDIES:
+    study = STUDIES[spec.study]
+    if study.rows is None:
         raise SpecError(f"study {spec.study!r} runs through "
                         "`gsample oracle alpha`, not `gsample run`")
     cpus = len(os.sched_getaffinity(0)) if _FORKS else 1
@@ -921,7 +919,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     expected = len(method_order) * len(spec.sweep) * spec.trials
     if len(rows) != expected:
         raise RuntimeError(f"row count {len(rows)} != expected {expected}")
-    if spec.study in RMSE_STUDIES and any(r.value < 0 for r in rows):
+    if study.rows is _rmse_trial_rows and any(r.value < 0 for r in rows):
         raise RuntimeError("negative RMSE value")
     return ExperimentResult(tuple(rows))
 

@@ -73,7 +73,8 @@ def loaded_rmses(factors, grams, rhs, x_star: np.ndarray) -> np.ndarray:
     LAPACK solve on each of them, but each x_r is its own matrix-vector
     product, since one stacked product rounds differently from the
     per-row one.  Raises ValueError when an x_r is not finite, as
-    `Reconstruction` does, and LinAlgError when a Gram is singular.
+    `Reconstruction` does, or when an RMSE overflows, and LinAlgError
+    when a Gram is singular.
     """
     solutions = np.linalg.solve(np.stack(grams), np.stack(rhs)[..., None])
     x = np.empty((len(factors), len(x_star)))
@@ -81,7 +82,10 @@ def loaded_rmses(factors, grams, rhs, x_star: np.ndarray) -> np.ndarray:
         np.matmul(factor, solutions[r, :, 0], out=x[r])
     if not np.all(np.isfinite(x)):
         raise ValueError("reconstruction contains non-finite values")
-    return np.sqrt(np.mean((x - x_star) ** 2, axis=1))
+    values = np.sqrt(np.mean((x - x_star) ** 2, axis=1))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("RMSE is not finite")
+    return values
 
 
 def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,

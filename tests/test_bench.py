@@ -119,7 +119,7 @@ def test_parse_rejects_bad_specs(text, match):
 @pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.spec")),
                          ids=lambda path: path.name)
 def test_committed_spec_parses(path):
-    assert parse_spec_file(path).study in bench.ALL_STUDIES
+    assert parse_spec_file(path).study in bench.STUDIES
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ graph = G1
 signal = GS1
 n = 24
 K = 4
-methods = agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform
+methods = agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform, rand-leverage
 sweep = 5, 3, 6
 trials = 2
 base_seed = 3
@@ -255,20 +255,26 @@ def test_rmse_vs_size_runs_each_greedy_method_once_per_trial(monkeypatch):
             if label == "fagod" and "basis" in kwargs:
                 label += "-exact"
             budget = args[1] if name == "greedy_select" else args[-1]
+            if name == "random_select":  # (mode, basis, K, M, seed)
+                label, budget = f"rand-{args[0]}", args[3]
             calls[(label, budget)] += 1
             return real(*args, **kwargs)
         return wrapper
 
+    # the runner must look each selector up by its name when a row runs
     for name in ("greedy_select", "greedy_doptimal", "greedy_aoptimal",
-                 "greedy_eoptimal"):
+                 "greedy_eoptimal", "random_select"):
         monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
     # in process: workers forked before the patch would not count
     result = run_experiment(spec, threads=1)
     monkeypatch.undo()
-    # one pass per deterministic method and trial, at the largest budget
-    assert calls == Counter({(m, 6): spec.trials for m in (
-        "agod", "fagod", "fagod-exact", "god", "greedy_doptimal",
-        "greedy_aoptimal", "greedy_eoptimal")})
+    # one pass per prefix method and trial, at the largest budget, and one
+    # uniform draw per budget and trial
+    assert calls == Counter({
+        **{(m, 6): spec.trials for m in (
+            "agod", "fagod", "fagod-exact", "god", "greedy_doptimal",
+            "greedy_aoptimal", "greedy_eoptimal", "rand-leverage")},
+        **{("rand-uniform", M): spec.trials for M in spec.sweep}})
 
     def direct(ctx, method, M):
         if method in ("agod", "god"):
@@ -416,6 +422,36 @@ def test_a_singular_gram_raises_its_rows_error(monkeypatch, earlier_nan):
         "Singular matrix")
 
 
+# at -3082.5 dB the noise variance (8.9e307) is finite, and the squared
+# error of the estimate overflows
+OVERFLOW_SPEC = ("study = rmse_vs_snr\nn = 30\nK = 4\nmethods = agod\n"
+                 "trials = 1\nsweep = -3082.5\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("use_blue", [False, True])
+def test_an_overflowing_rmse_raises_its_rows_error(use_blue):
+    with pytest.raises(RuntimeError) as failure:
+        run_experiment(parse_spec_text(OVERFLOW_SPEC), threads=1,
+                       use_blue=use_blue)
+    assert str(failure.value) == (
+        "rmse_vs_snr failed (method=agod, sweep=-3082.5, trial=0): "
+        "RMSE is not finite")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("flags", [[], ["--blue"]])
+def test_cli_run_exits_2_on_an_overflowing_rmse(tmp_path, capsys, flags):
+    path = tmp_path / "overflow.spec"
+    out = tmp_path / "overflow.csv"
+    path.write_text(OVERFLOW_SPEC + f"out = {out}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), *flags]) == 2
+    assert "(method=agod, sweep=-3082.5, trial=0): RMSE is not finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spare_cpu", [True, False])
 @pytest.mark.parametrize("model,width", [("G1", 10), ("G2", None),
                                          ("G3", 40)])
@@ -444,8 +480,8 @@ def test_exact_filter_rows_build_no_dense_filter(monkeypatch):
 
     monkeypatch.setattr(bench, "exact_lowpass", dense)
     spec = parse_spec_text(PREFIX_SPEC.replace(
-        "agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform",
-        "fagod-exact"))
+        "agod, fagod, fagod-exact, god, dopt, aopt, eopt, rand-uniform, "
+        "rand-leverage", "fagod-exact"))
     # in process: workers forked before the patch would not call it
     result = run_experiment(spec, threads=1, use_blue=True)
     assert len(result.rows) == len(spec.sweep) * spec.trials

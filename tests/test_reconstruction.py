@@ -149,6 +149,16 @@ def test_loaded_rmses_reject_a_non_finite_estimate():
                      signal.values)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_loaded_rmses_reject_an_overflowing_rmse():
+    # the estimate is finite, about 1e200, but its squared error is not
+    basis, signal = _instance()
+    vk = basis.low_frequency(4)
+    z, c = _loaded_system(vk, [0, 3, 5, 9], np.full(4, 1e200), MU)
+    with pytest.raises(ValueError, match="RMSE is not finite"):
+        loaded_rmses([vk], [z], [c], signal.values)
+
+
 def test_filter_reconstruct_identity_filter():
     basis, signal = _instance(seed=8)
     idx = [2, 5, 7]
