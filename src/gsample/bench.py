@@ -32,6 +32,7 @@ import functools
 import math
 import numbers
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -539,8 +540,7 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
             ctx = None  # drop the last size's context before the next is built
             ctx = _TrialContext(spec, n, trial, spare_cpu)
         budget = int(sweep_value) if sweeps == "budget" else ctx.K
-        sigma2 = snr_to_sigma2(sweep_value) if sweeps == "snr" \
-            else spec.sigma2
+        sigma2 = snr_to_sigma2(sweep_value) if sweeps == "snr" else spec.sigma2
         seed = _trial_seed(spec, trial, sweep_value)
         for method in spec.methods:
             t0 = time.perf_counter()
@@ -799,7 +799,8 @@ def _worker_init(parent: int) -> None:
 
 
 def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
-    """`_share_rows` in a worker, pinned to `cpu` for the share.
+    """`_share_rows` in a worker, pinned to `cpu` for the share, pickled:
+    loaded after the caller's share, its rows stay out of that share's peak.
 
     The caller names a CPU other than its own: unpinned, or pinned once
     for good, a worker was left on the caller's CPU for whole ops on a
@@ -807,7 +808,7 @@ def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
     """
     with contextlib.suppress(OSError):  # the CPU left the worker's cpuset
         os.sched_setaffinity(0, {cpu})
-    return _share_rows(spec, trials, use_blue)
+    return pickle.dumps(_share_rows(spec, trials, use_blue))
 
 
 def _worker_pool():
@@ -905,7 +906,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
                            for w, share in enumerate(shares[1:])]
             outcomes = [_share_rows(spec, shares[0], use_blue,
                                     width == 1 and min(threads, cpus) >= 2)]
-        outcomes += [future.result() for future in futures]
+        outcomes += [pickle.loads(future.result()) for future in futures]
     except BrokenExecutor:  # a worker died: BrokenProcessPool
         _drop_pool(pool)
         raise

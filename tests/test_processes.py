@@ -9,6 +9,7 @@ start from a process without a pool run in a fresh interpreter.
 
 import multiprocessing
 import os
+import pickle
 import select
 import signal
 import subprocess
@@ -71,6 +72,21 @@ def test_failed_trial_in_a_worker_raises_as_in_process():
         messages.append((type(info.value), str(info.value)))
     assert messages == [(RuntimeError,
                          "no connected er graph in 50 attempts (n=30)")] * 3
+
+
+def test_a_workers_share_comes_back_as_one_pickle():
+    # the pool's result thread loads bytes only; the rows reach the
+    # caller's memory when run_experiment loads them, after its own share
+    spec = parse_spec_text(TWO_TRIALS)
+    blob = bench._worker_pool().submit(
+        bench._worker_share, spec, range(1, 2), False, 0).result(timeout=60)
+    assert isinstance(blob, bytes)
+    rows, failure = pickle.loads(blob)
+    assert failure is None
+    in_process = [row for row in _data(run_experiment(spec, threads=1))
+                  if row[2] == 1]
+    assert sorted(_data(bench.ExperimentResult(tuple(rows)))) == \
+        sorted(in_process)
 
 
 def test_in_process_runs_start_no_process():
