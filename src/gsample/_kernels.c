@@ -4,6 +4,9 @@
  * graph (gsample.graphs), and the greedy selection
  * passes of agod, fagod, dopt and aopt (gsample.selection).  The agod
  * and fagod argmin scans are static: only greedy_pass runs them.
+ * seed_state hashes a seed as numpy's SeedSequence does (gsample.rng),
+ * and leverage_draw makes the picks of the leverage-weighted random
+ * selection (gsample.selection).
  *
  * The arithmetic follows the numpy code each kernel replaces term by
  * term, so the outputs are bit-identical to it: the numpy references in
@@ -665,4 +668,146 @@ int64_t greedy_pass(int method, const double *v, int64_t n, int64_t K,
         }
     }
     return M;
+}
+
+/* numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
+ * pool of four 32-bit words, no spawn key, and as entropy the `count`
+ * 32-bit words of a nonnegative integer, least significant first, each
+ * stored little-endian in the bytes at seed: numpy's hashmix and mix fill
+ * the pool, and generate_state hashes the cycled pool into n_words words.
+ * The words go to out as uint32 when wide is 0; otherwise pairs of them
+ * go as the uint64 words (low word first) of n_words / 2 outputs, as
+ * numpy's state.astype('<u4').view('<u8') reads them on any byte order.
+ * All arithmetic is on uint32_t, modulo 2^32, as numpy's is. */
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+#define SS_XSHIFT 16
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    value ^= value >> SS_XSHIFT;
+    return value;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = SS_MIX_L * x - SS_MIX_R * y;
+    result ^= result >> SS_XSHIFT;
+    return result;
+}
+
+static uint32_t seed_word(const unsigned char *seed, int64_t i)
+{
+    const unsigned char *b = seed + 4 * i;
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+        | (uint32_t)b[3] << 24;
+}
+
+void seed_state(const unsigned char *seed, int64_t count, int64_t n_words,
+                int wide, void *out)
+{
+    uint32_t pool[SS_POOL];
+    uint32_t hash_const = SS_INIT_A;
+    for (int64_t i = 0; i < SS_POOL; i++)
+        pool[i] = hashmix(i < count ? seed_word(seed, i) : 0u, &hash_const);
+    for (int64_t src = 0; src < SS_POOL; src++)
+        for (int64_t dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t src = SS_POOL; src < count; src++)
+        for (int64_t dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(seed_word(seed, src),
+                                               &hash_const));
+
+    hash_const = SS_INIT_B;
+    uint32_t *out32 = out;
+    uint64_t *out64 = out;
+    for (int64_t i = 0; i < n_words; i++) {
+        uint32_t value = pool[i % SS_POOL] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        value *= hash_const;
+        value ^= value >> SS_XSHIFT;
+        if (!wide)
+            out32[i] = value;
+        else if (i % 2 == 0)
+            out64[i / 2] = value;
+        else
+            out64[i / 2] |= (uint64_t)value << 32;
+    }
+}
+
+/* numpy's float64 sum of n contiguous values (pairwise_sum in numpy's
+ * loops_utils.h.src, which np.add.reduce runs on a contiguous array):
+ * below 8 values a plain loop; up to 128, eight running sums, combined
+ * as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail;
+ * above that, the halves split at a multiple of 8.  numpy then adds the
+ * result to its identity +0.0, which changes only a -0.0 sum; every sum
+ * leverage_draw takes is positive. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+            + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* The M picks of a leverage draw over the n nodes with the weights w,
+ * each `rng.choice(remaining, p=w / w.sum())` over the nodes not yet
+ * picked, in numpy's arithmetic: p_i = w_i / pairwise_sum(w), the running
+ * sums cdf_i = cdf_(i-1) + p_i, and the first node whose cdf_i / cdf_last
+ * exceeds the pick's uniform u[t] (searchsorted(side="right") on the
+ * nondecreasing normalized sums).  The caller checks that the weights
+ * are finite and nonnegative and that at least M are nonzero, so every
+ * sum is positive and a zero weight is never picked.  w (n entries) is
+ * overwritten: each pick is removed from it and from remaining (n
+ * entries of scratch), the remaining nodes keeping their order; cdf is
+ * n entries of scratch. */
+void leverage_draw(double *w, int64_t n, int64_t M, const double *u,
+                   double *cdf, int64_t *remaining, int64_t *picks)
+{
+    for (int64_t i = 0; i < n; i++)
+        remaining[i] = i;
+    for (int64_t t = 0; t < M; t++) {
+        int64_t m = n - t;
+        double total = pairwise_sum(w, m);
+        cdf[0] = w[0] / total;
+        for (int64_t i = 1; i < m; i++)
+            cdf[i] = cdf[i - 1] + w[i] / total;
+        double last = cdf[m - 1];
+        int64_t j = 0;
+        while (j < m - 1 && !(u[t] < cdf[j] / last))
+            j++;
+        picks[t] = remaining[j];
+        for (int64_t i = j; i < m - 1; i++) {
+            w[i] = w[i + 1];
+            remaining[i] = remaining[i + 1];
+        }
+    }
 }

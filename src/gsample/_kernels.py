@@ -15,7 +15,9 @@ call too, but each check goes through ctypes.cast, which leaves the
 argument array in a reference cycle until the garbage collector runs.)
 `greedy_pass` runs a whole greedy selection in one call; the agod and
 fagod argmin scans run only inside it, and its numpy reference, the
-loaded-Gram states, lives in `gsample.oracle`.
+loaded-Gram states, lives in `gsample.oracle`.  `seed_state` and
+`leverage_draw` repeat numpy's own arithmetic bit for bit: the hash of
+`SeedSequence`, and the picks of `Generator.choice` with weights.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ def _load():
                                 ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                 ptr, ptr]
     lib.greedy_pass.restype = i64
+    lib.seed_state.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, ptr]
+    lib.seed_state.restype = None
+    lib.leverage_draw.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr]
+    lib.leverage_draw.restype = None
     return lib
 
 
@@ -250,3 +256,45 @@ def greedy_pass(method: str, factor: np.ndarray, mu: float, M: int):
         raise ValueError(f"{method} candidate objectives are not finite at "
                          f"step {done + 1}")
     return picks, trace
+
+
+def seed_state(seed: int, n_words: int, wide: bool) -> np.ndarray:
+    """`numpy.random.SeedSequence(seed).generate_state(n_words, dtype)`,
+    bit for bit, for a nonnegative int seed: uint64 words when `wide`,
+    uint32 ones otherwise.
+
+    The seed goes to the kernel as its 32-bit words, least significant
+    first, as many as numpy splits it into (one for 0).  The output is a
+    fresh numpy array over a ctypes buffer: reading a numpy array's
+    `ctypes.data` would cost more than the hash.
+    """
+    count = max(1, -(-seed.bit_length() // 32))
+    out = ((ctypes.c_uint64 if wide else ctypes.c_uint32) * n_words)()
+    _LIB.seed_state(seed.to_bytes(4 * count, "little"), count,
+                    2 * n_words if wide else n_words, wide, out)
+    return np.frombuffer(out, np.uint64 if wide else np.uint32)
+
+
+def leverage_draw(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The nodes of a leverage draw, one per uniform: pick t is the one of
+    `rng.choice(remaining, p=w / w.sum())` for the weights w of the
+    nodes not yet drawn, in node order, when `rng.random()` returns
+    uniforms[t], bit for bit.
+
+    weights must be a float64 array of n finite, nonnegative values with
+    a finite sum, at least len(uniforms) of them nonzero, and uniforms
+    must lie in [0, 1); the caller checks that.  weights is copied and
+    left as it is.
+    """
+    w = np.array(weights, dtype=np.float64)
+    n, M = len(w), len(uniforms)
+    if M > n:
+        raise ValueError(f"cannot draw {M} of {n} nodes")
+    u = np.ascontiguousarray(uniforms, dtype=np.float64)
+    cdf = np.empty(n)
+    remaining = np.empty(n, dtype=np.int64)
+    picks = np.empty(M, dtype=np.int64)
+    _LIB.leverage_draw(_address(w, np.float64, (n,)), n, M,
+                       _address(u, np.float64, (M,)), cdf.ctypes.data,
+                       remaining.ctypes.data, picks.ctypes.data)
+    return picks

@@ -11,8 +11,9 @@ greedy sweep and rotation product that `gsample.filters` must reproduce
 bit for bit, and the loaded-Gram states `LoadedGramState` and
 `FactoredFagodState`, whose picks the compiled greedy passes of
 `gsample.selection` must make, with traces that differ only in their
-last bits; and the dense adjacency matrix that a graph's edge list
-stands for.
+last bits; the dense adjacency matrix that a graph's edge list stands
+for; and the leverage draw as numpy's `Generator.choice` makes it, whose
+picks `gsample.selection.random_select` must make.
 """
 
 from __future__ import annotations
@@ -423,6 +424,23 @@ def dense_adjacency(graph) -> np.ndarray:
     adj[graph.rows, graph.cols] = graph.weights
     adj[graph.cols, graph.rows] = graph.weights
     return adj
+
+
+def leverage_draw_reference(weights, M: int, seed: int) -> tuple:
+    """The M nodes of a leverage draw with the weights `weights`: one
+    `rng.choice(remaining, p=weights / weights.sum())` per pick over the
+    nodes not yet drawn, from numpy's own Generator(PCG64(seed))."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = np.array(weights, dtype=float)
+    remaining = np.arange(len(weights))
+    chosen = []
+    for _ in range(M):
+        pick = rng.choice(remaining, p=weights / weights.sum())
+        chosen.append(int(pick))
+        keep = remaining != pick
+        remaining = remaining[keep]
+        weights = weights[keep]
+    return tuple(chosen)
 
 
 def givens_matrix_reference(n: int, rotations) -> np.ndarray:

@@ -51,15 +51,20 @@ def blue_reconstruct(obs: Observation, basis: SpectralBasis, K: int) -> Reconstr
     return Reconstruction(vk @ xhat)
 
 
-def _loaded_system(vk: np.ndarray, indices: list, y: np.ndarray, mu: float):
-    # V_S^T V_S + mu I and V_S^T y for an n x K factor V
-    vsk = vk[indices, :]
-    return vsk.T @ vsk + mu * np.eye(vk.shape[1]), vsk.T @ y
+def _loaded_system(vk: np.ndarray, rows, y: np.ndarray, loading: np.ndarray):
+    """V_S^T V_S + mu I and V_S^T y for an n x K factor V, the sample rows
+    S (an int array or a list) and the K x K loading mu I, which a caller
+    with many rows builds once.  The loading is added as a matrix, not
+    to the diagonal in place, so the Gram's bytes are those of
+    `vsk.T @ vsk + mu * np.eye(K)`: an off-diagonal -0.0 becomes +0.0."""
+    vsk = vk.take(rows, axis=0)
+    return vsk.T @ vsk + loading, vsk.T @ y
 
 
 def _loaded_solve(vk: np.ndarray, obs: Observation, mu: float) -> Reconstruction:
     # V (V_S^T V_S + mu I)^-1 V_S^T y for an n x K factor V
-    z, c = _loaded_system(vk, list(obs.sample_indices), obs.values, mu)
+    z, c = _loaded_system(vk, list(obs.sample_indices), obs.values,
+                          mu * np.eye(vk.shape[1]))
     return Reconstruction(vk @ np.linalg.solve(z, c))
 
 

@@ -67,8 +67,8 @@ class SamplingSet:
     objective_trace: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        trace = tuple(float(v) for v in self.objective_trace)
+        idx = tuple(map(int, self.indices))
+        trace = tuple(map(float, self.objective_trace))
         if len(set(idx)) != len(idx):
             raise ValueError("selected indices must be distinct")
         if trace and len(trace) != len(idx):
@@ -267,25 +267,34 @@ def random_select(mode: str, basis: SpectralBasis, K: int, M: int,
 
     Leverage mode draws sequentially with renormalization over the
     remaining nodes, one uniform per pick, so its first picks are the
-    same at every budget M.  A random set minimizes no objective, so its
-    trace is empty; `objective_agod` scores any prefix on the greedy
-    methods' axis.
+    same at every budget M.  Each pick is the one of
+    `rng.choice(remaining, p=weights / weights.sum())`, made in one
+    compiled call with numpy's own arithmetic (`_kernels.leverage_draw`):
+    the cumulative sum of p over its last entry, searched for one
+    `rng.random()`.  `oracle.leverage_draw_reference` is that loop of
+    `rng.choice` calls.  Raises ValueError when a leverage score is not
+    finite or negative, or their sum is not finite, where numpy's checks
+    of p would, and when fewer than M nodes have nonzero leverage, since
+    a node without it is never drawn.  A random set minimizes no
+    objective, so its trace is empty; `objective_agod` scores any prefix
+    on the greedy methods' axis.
     """
     _check_budget(M, basis.n)
     rng = rng_from(seed)
     if mode == "uniform":
         chosen = rng.choice(basis.n, size=M, replace=False).tolist()
     elif mode == "leverage":
-        probs = leverage_scores(basis, K)
-        remaining = np.arange(basis.n)
-        weights = probs.copy()
-        chosen = []
-        for _ in range(M):
-            pick = rng.choice(remaining, p=weights / weights.sum())
-            chosen.append(int(pick))
-            keep = remaining != pick
-            remaining = remaining[keep]
-            weights = weights[keep]
+        weights = leverage_scores(basis, K)
+        if not np.isfinite(weights.sum()) or weights.min() < 0:
+            raise ValueError("leverage scores must be finite and "
+                             "nonnegative, with a finite sum")
+        nonzero = np.count_nonzero(weights)
+        if nonzero < M:
+            raise ValueError(f"leverage sampling of M={M} nodes needs M "
+                             f"nodes with nonzero leverage; {nonzero} "
+                             f"have it")
+        # the M uniforms of M rng.random() calls
+        chosen = _kernels.leverage_draw(weights, rng.random(M)).tolist()
     else:
         raise ValueError(f"unknown random mode {mode!r}")
     return SamplingSet(tuple(chosen), ())

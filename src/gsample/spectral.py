@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,11 +233,13 @@ def observe(signal: GraphSignal, sample_indices, sigma2: float,
             seed: int = 0) -> Observation:
     """Sample the signal on `sample_indices` with i.i.d. N(0, sigma2) noise."""
     idx = [int(i) for i in sample_indices]
-    return Observation(tuple(idx), _samples(signal.values, idx, sigma2, seed))
+    return Observation(tuple(idx), _samples(signal.values, idx, sigma2,
+                                            seed)[1])
 
 
-def _samples(x: np.ndarray, idx: list, sigma2: float, seed: int) -> np.ndarray:
-    """`observe`'s sample values: x[idx] plus i.i.d. N(0, sigma2) noise
+def _samples(x: np.ndarray, idx, sigma2: float, seed: int):
+    """(rows, y): the list or tuple of ints idx as an intp array, and
+    `observe`'s sample values y = x[idx] plus i.i.d. N(0, sigma2) noise
     from `rng_from(seed)`, none drawn at sigma2 = 0.  Raises ValueError
     for an index out of range, a negative sigma2 or a repeated index, in
     that order."""
@@ -246,10 +249,11 @@ def _samples(x: np.ndarray, idx: list, sigma2: float, seed: int) -> np.ndarray:
         raise ValueError("noise variance must be nonnegative")
     if len(set(idx)) != len(idx):
         raise ValueError("sample indices must be distinct")
-    y = x[idx]
+    rows = np.array(idx, dtype=np.intp)
+    y = x.take(rows)
     if sigma2 > 0:
-        y = y + rng_from(seed).normal(0.0, np.sqrt(sigma2), size=len(idx))
-    return y
+        y += rng_from(seed).normal(0.0, math.sqrt(sigma2), size=len(idx))
+    return rows, y
 
 
 def leverage_scores(basis: SpectralBasis, K: int) -> np.ndarray:

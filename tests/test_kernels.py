@@ -9,7 +9,9 @@ the agod and fagod argmin scans inside them: the scans are checked here,
 through `_kernels.greedy_pass`, against np.argmin of the loaded-Gram
 states of `gsample.oracle`, and test_selection.py holds all four passes
 to those states.  The k-NN kernel of `gen_sensor` is checked in
-test_graphs.py.
+test_graphs.py, and the seed hash of `rng_from` in test_rng.py.  The
+leverage draw is checked here at the edges of numpy's cumulative sums,
+where a sum one ulp off would pick another node.
 """
 
 import math
@@ -582,3 +584,43 @@ def test_agod_scan_rejects_a_non_finite_g():
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="not finite"):
         _kernels.greedy_pass("agod", factor, 1.0, 1)
+
+
+def _draw_at_the_edges(weights, M, rs):
+    """M picks of numpy's `choice` arithmetic over the weights, each with
+    a uniform on or just below an entry of that pick's normalized
+    cumulative sums, and those uniforms."""
+    w = np.array(weights)
+    remaining = list(range(len(w)))
+    picks, uniforms = [], []
+    for _ in range(M):
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        u = cdf[int(rs.integers(len(w)))]
+        if rs.random() < 0.5:
+            u = np.nextafter(u, -np.inf)
+        u = min(max(u, 0.0), np.nextafter(1.0, 0.0))  # in [0, 1)
+        i = int(cdf.searchsorted(u, side="right"))
+        picks.append(remaining.pop(i))
+        uniforms.append(u)
+        w = np.delete(w, i)
+    return picks, uniforms
+
+
+def test_leverage_draw_is_numpys_arithmetic_at_the_cdf_edges():
+    rs = np.random.default_rng(17)
+    for n in [1, 2, 5, 7, 8, 9, 16, 31, 64, 127, 128, 129, 200, 257, 700]:
+        for _ in range(6):
+            weights = rs.random(n) ** 4
+            weights[rs.random(n) < 0.2] = 0.0
+            nonzero = np.count_nonzero(weights)
+            if not nonzero:
+                continue
+            M = int(rs.integers(1, nonzero + 1))
+            picks, uniforms = _draw_at_the_edges(weights, M, rs)
+            kept = weights.copy()
+            got = _kernels.leverage_draw(weights, np.array(uniforms))
+            assert got.tolist() == picks, (n, M)
+            assert np.array_equal(weights, kept)  # the caller's copy stays
+    with pytest.raises(ValueError, match="cannot draw 3 of 2"):
+        _kernels.leverage_draw(np.ones(2), np.zeros(3))

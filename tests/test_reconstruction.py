@@ -130,7 +130,7 @@ def test_loaded_rmses_are_the_per_row_estimates_bit_for_bit(K):
         else:
             factor = basis.low_frequency(K)
             rec = biased_reconstruct(obs, basis, K, MU)
-        gram, c = _loaded_system(factor, idx, obs.values, MU)
+        gram, c = _loaded_system(factor, idx, obs.values, MU * np.eye(K))
         factors.append(factor)
         grams.append(gram)
         rhs.append(c)
@@ -139,11 +139,45 @@ def test_loaded_rmses_are_the_per_row_estimates_bit_for_bit(K):
     assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
 
 
+def _gram_formula(factor, idx, y, mu):
+    vsk = factor[list(idx), :]
+    return vsk.T @ vsk + mu * np.eye(factor.shape[1]), vsk.T @ y
+
+
+def test_loaded_system_is_the_gram_formula_byte_for_byte():
+    rng = np.random.default_rng(7)
+    cases = []
+    for seed in range(4):
+        basis, signal = _instance(n=30, K=6, seed=seed)
+        for size in (1, 5, 6, 17, 30):
+            idx = rng.choice(30, size=size, replace=False).tolist()
+            cases.append((basis.low_frequency(6), idx, rng.normal(size=size)))
+    # in some off-diagonal sums every product is -0.0 or underflows below
+    # zero: a BLAS that keeps the sign of such a sum gives -0.0 there,
+    # which only the + mu I of the formula turns into +0.0 (an in-place
+    # add to the diagonal would keep it); OpenBLAS starts each sum from
+    # +0.0 and gives +0.0 either way
+    signed = np.array([[1.0, -0.0, 1e-200], [2.0, -0.0, 1e-200],
+                       [0.5, -1e-200, 1e-200], [0.0, 1.0, 1e-160]])
+    cases.append((signed, [0, 1], np.array([-0.0, 1.0])))
+    cases.append((signed, [2, 0, 1], np.array([1e-200, -0.0, 2.0])))
+    cases.append((signed, [3, 2], np.array([1.0, -1.0])))
+    for factor, idx, y in cases:
+        K = factor.shape[1]
+        want_z, want_c = _gram_formula(factor, idx, y, MU)
+        for rows in (idx, np.array(idx, dtype=np.intp)):
+            z, c = _loaded_system(factor, rows, y, MU * np.eye(K))
+            assert z.dtype == want_z.dtype and z.shape == want_z.shape
+            assert z.tobytes() == want_z.tobytes()
+            assert c.tobytes() == want_c.tobytes()
+
+
 def test_loaded_rmses_reject_a_non_finite_estimate():
     basis, signal = _instance()
     vk = basis.low_frequency(4)
-    rows = [_loaded_system(vk, [0, 3], np.array([1.0, 2.0]), MU),
-            _loaded_system(vk, [1, 2], np.array([np.inf, 0.0]), MU)]
+    rows = [_loaded_system(vk, [0, 3], np.array([1.0, 2.0]), MU * np.eye(4)),
+            _loaded_system(vk, [1, 2], np.array([np.inf, 0.0]),
+                           MU * np.eye(4))]
     with pytest.raises(ValueError, match="non-finite"):
         loaded_rmses([vk, vk], [z for z, _ in rows], [c for _, c in rows],
                      signal.values)
@@ -154,7 +188,8 @@ def test_loaded_rmses_reject_an_overflowing_rmse():
     # the estimate is finite, about 1e200, but its squared error is not
     basis, signal = _instance()
     vk = basis.low_frequency(4)
-    z, c = _loaded_system(vk, [0, 3, 5, 9], np.full(4, 1e200), MU)
+    z, c = _loaded_system(vk, [0, 3, 5, 9], np.full(4, 1e200),
+                          MU * np.eye(4))
     with pytest.raises(ValueError, match="RMSE is not finite"):
         loaded_rmses([vk], [z], [c], signal.values)
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,8 @@ from gsample import (SamplingSet, SpectralBasis, approximate_lowpass,
                      objective_dopt, objective_eopt, objective_fagod,
                      random_select)
 from gsample.oracle import (FactoredFagodState, LoadedGramState,
-                            greedy_minimize, update_inverse_rank_one)
+                            greedy_minimize, leverage_draw_reference,
+                            update_inverse_rank_one)
 from gsample.selection import _greedy_pass, save_sampling_csv
 
 MU = 1 / 99
@@ -739,6 +743,60 @@ def test_leverage_two_node_symmetry(path2):
                       for s in range(400)])
     ones = picks.sum()
     assert abs(ones - 200) <= 4 * np.sqrt(400 * 0.25)
+
+
+def _leverage_basis(kind, n, K, rs):
+    """(V, nodes with nonzero leverage): a random orthonormal basis, one
+    whose K lowest columns are K unit vectors (K nodes tied at 1/K, the
+    rest at zero), or one whose rows all have one leverage (scaled
+    Hadamard columns, n a power of two)."""
+    if kind == 1:
+        return np.eye(n)[:, rs.permutation(n)], K
+    if kind == 2:
+        return scipy.linalg.hadamard(n) / np.sqrt(n), n
+    return np.linalg.qr(rs.normal(size=(n, n)))[0], n
+
+
+def test_leverage_draw_is_the_choice_loop():
+    rs = np.random.default_rng(33)
+    ties = 0
+    for seed in range(510):
+        kind = seed % 3
+        # past 128 weights numpy's sum splits into halves
+        n = int(rs.choice([2, 4, 16, 32, 128, 256] if kind == 2
+                          else [2, 7, 16, 45, 130, 200]))
+        K = int(rs.integers(1, n + 1))
+        vectors, nonzero = _leverage_basis(kind, n, K, rs)
+        basis = SpectralBasis(np.arange(n, dtype=float), vectors)
+        M = int(rs.integers(1, nonzero + 1))
+        picks = random_select("leverage", basis, K, M, seed).indices
+        weights = leverage_scores(basis, K)
+        assert picks == leverage_draw_reference(weights, M, seed), \
+            (seed, n, K, M)
+        ties += len(set(weights[list(picks)].tolist())) < M
+    assert ties >= 150  # draws among equal leverage scores
+
+
+def test_leverage_draw_past_the_nonzero_leverage_names_the_budget():
+    # K = 2 unit vectors: nodes 0 and 1 hold all the leverage
+    basis = SpectralBasis(np.arange(6.0), np.eye(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero sum
+        with pytest.raises(ValueError, match=r"M=3 nodes .* 2 have it"):
+            random_select("leverage", basis, 2, 3, 1)
+        assert sorted(random_select("leverage", basis, 2, 2, 1).indices) \
+            == [0, 1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_leverage_draw_rejects_non_finite_leverage(bad):
+    # 1e200 squares past the float range
+    vectors = np.eye(4)
+    vectors[2, 0] = bad
+    basis = SpectralBasis(np.arange(4.0), vectors)
+    with pytest.raises(ValueError, match="finite"):
+        random_select("leverage", basis, 2, 2, 0)
 
 
 def test_sampling_set_validation():
