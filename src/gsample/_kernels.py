@@ -26,8 +26,6 @@ import contextlib
 import ctypes
 import hashlib
 import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +48,10 @@ def _build() -> Path:
     lib = _CACHE / f"_kernels-{key}.so"
     if lib.exists():
         return lib
+    # only a build needs these, and most imports find the cached library
+    import subprocess
+    import tempfile
+
     _CACHE.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
     os.close(fd)

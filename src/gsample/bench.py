@@ -348,9 +348,10 @@ def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
     starts.  With `spare_cpu` the sweep runs on a thread started here
     while this one solves (`run_experiment` has every OpenBLAS at one
     thread): the triangle is written, and the Laplacian dropped, before
-    the two start.  The sweep's thread starts first, since scipy's subset
-    `eigh` holds the interpreter lock for its whole solve, and the
-    compiled sweep releases it.  Otherwise the solve runs first, and the
+    the two start.  The sweep's thread starts first, since scipy's f2py
+    wrapper of LAPACK's subset `dsyevr` (`spectral._eigendecompose`)
+    holds the interpreter lock for its whole solve, and the compiled
+    sweep releases it.  Otherwise the solve runs first, and the
     triangle is written once the solver's array is freed.  A failure
     raises as it does without `spare_cpu`: the solver's, once the sweep's
     thread is joined, before the sweep's.
@@ -822,11 +823,11 @@ def _worker_pool():
     submits, before the pool's manager thread starts, and keep the module
     state of that moment.  `PR_SET_PDEATHSIG` kills them when the thread
     that forked them exits, so `run_experiment` makes and uses the pool
-    from the main thread only.  A spawned worker would import
-    numpy and scipy afresh, about 0.2 s that every new `gsample run`
-    would pay, and a pool made per call costs about 10 ms to fork and
-    shut down.  The pool's modules load with it, so an in-process run
-    does not import them.
+    from the main thread only.  A spawned worker would import numpy,
+    scipy's LAPACK extension and gsample afresh, about 0.2 s that every
+    new `gsample run` would pay, and a pool made per call costs about
+    10 ms to fork and shut down.  The pool's modules load with it, so an
+    in-process run does not import them.
     """
     global _pool
     with _pool_lock:

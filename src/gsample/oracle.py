@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg.blas import dger as _dger
 
 from .filters import OFFDIAG_TOL
 
@@ -300,8 +299,12 @@ class LoadedGramState:
         self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
         h = self.factor @ u / s
         self.g -= s * h * h
-        # U.T is U's memory in Fortran order: U -= h u^T in place
-        _dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
+        # U.T is U's memory in Fortran order: U -= h u^T in place.  Only
+        # the tests run this reference, so the runner never imports
+        # scipy.linalg.
+        from scipy.linalg.blas import dger
+
+        dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
         self.selected.append(j)
         self._taken[j] = True
         return u, s, h

@@ -1,15 +1,49 @@
-"""Laplacian eigenbasis, graph Fourier transform, and signal/noise models."""
+"""Laplacian eigenbasis, graph Fourier transform, and signal/noise models.
+
+The truncated eigensolve is LAPACK's subset `dsyevr`, called through
+scipy's f2py wrapper of it in the extension `scipy.linalg._flapack`,
+which this module loads straight from its file at import.  Importing
+`scipy.linalg` costs a fresh process a few tenths of a second, since it
+pulls in much of scipy and `numpy.f2py`, more than a small run's solves
+take; the extension alone loads in milliseconds and loads no other scipy
+module.  It is registered in `sys.modules` under its own name, so a
+later `import scipy.linalg` uses this same module.
+"""
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import Laplacian
 from .rng import rng_from
+
+
+def _load_flapack():
+    """scipy's `scipy.linalg._flapack`, loaded on its own and registered
+    in `sys.modules` (the loaded one, if scipy.linalg is imported)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "linalg")
+               for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
 
 # Entries smaller than this are ignored when fixing eigenvector signs.
 SIGN_TOL = 1e-12
@@ -159,9 +193,15 @@ def _eigendecompose(a: np.ndarray, K: int | None = None) -> SpectralBasis:
     which is the caller's workspace: the subset solver overwrites it.
 
     The callers hand over `Laplacian.dense().T`, F-ordered, which holds
-    L because L is symmetric, so LAPACK works in it without a copy; scipy
-    copies any other layout first.  The full `eigh` always works on a
-    copy.
+    L because L is symmetric, so LAPACK works in it without a copy; the
+    f2py wrapper copies any other layout first.  The full `eigh` always
+    works on a copy.
+
+    The subset solve is the call `scipy.linalg.eigh(a, subset_by_index=
+    [0, K], driver="evr", overwrite_a=True, check_finite=False)` makes,
+    made on `_flapack` directly: the workspace query `dsyevr_lwork`, then
+    `dsyevr` for the K + 1 lowest pairs, keeping the first m it found.
+    The wrapper holds the interpreter lock for the whole solve.
     """
     n = a.shape[0]
     if K is None or K >= n:
@@ -171,10 +211,19 @@ def _eigendecompose(a: np.ndarray, K: int | None = None) -> SpectralBasis:
         return SpectralBasis(w, _fix_signs(v))
     if K < 1:
         raise ValueError(f"bandwidth K={K} must be at least 1")
+    work, iwork, info = _flapack.dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: "
+                         f"{info}")
     # LAPACK returns a subset's eigenvalues in ascending order
-    w, v = scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
-                             overwrite_a=True, check_finite=False)
-    check_gap(w, K, n)
+    w, v, m, _, info = _flapack.dsyevr(
+        a, compute_v=1, range="I", lower=1, il=1, iu=K + 1,
+        lwork=int(work), liwork=int(iwork), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Illegal value in argument {-info} of internal dsyevr"
+            if info < -1 else "Internal Error.")
+    check_gap(w[:m], K, n)
     return SpectralBasis(w[:K], _fix_signs(v[:, :K].copy()))
 
 

@@ -413,17 +413,34 @@ def test_components_counts_isolated_nodes_and_checks_endpoints():
         _kernels.components(3, [0, 1], [2])
 
 
+_SCIPY_MODULES_OF_A_RUN = """
+import sys
+import gsample
+from gsample.bench import parse_spec_text, run_experiment
+spec = parse_spec_text(
+    "study = rmse_vs_size\\ngraph = G1\\nsignal = GS1\\nn = 24\\nK = 4\\n"
+    "methods = fagod, agod\\nsweep = 4, 8\\ntrials = 2\\nbase_seed = 7\\n")
+run_experiment(spec, threads=1)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+print(scipy.linalg.lapack.dsyevr is flapack.dsyevr)
+"""
+
+
 def test_import_loads_no_scipy_sparse():
     # the connectivity check is compiled, so the package needs no sparse
-    # matrices; checked in a process of its own, which imports nothing else
+    # matrices, and the subset eigensolve calls scipy's LAPACK extension
+    # alone, so a run loads no other scipy module; a later import of
+    # scipy.linalg uses that same extension.  Checked in a process of its
+    # own, which imports nothing else
     root = Path(bench.__file__).resolve().parents[2]
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, gsample; print(sorted(m for m in "
-         "sys.modules if m.startswith('scipy.sparse')))"],
+        [sys.executable, "-c", _SCIPY_MODULES_OF_A_RUN],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["['scipy.linalg._flapack']", "True"]
 
 
 def test_sensor_determinism():

@@ -278,12 +278,13 @@ def _solved_on_the_libraries_copy(a, K):
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
 def test_solver_copy_gives_the_basis_of_the_librarys_copy(model, n):
     # the subset solver works in the Laplacian's own array read as
-    # F-ordered, and in scipy's copy of any other layout; the full solve
-    # always works on numpy's copy
+    # F-ordered, and in the f2py wrapper's copy of any other layout; the
+    # full solve always works on numpy's copy.  K = n - 1 asks dsyevr for
+    # all n pairs (il = 1, iu = n), its branch that also writes ISUPPZ
     lap = build_laplacian(_model_graph(model, n, seed=n + 1))
     a = lap.matrix
     before = a.tobytes()
-    for K in (n // 20, None):
+    for K in (n // 20, n - 1, None):
         w, v = _solved_on_the_libraries_copy(a, K)
         padded = np.zeros((n + 3, n + 5))
         padded[1:n + 1, 2:n + 2] = a
