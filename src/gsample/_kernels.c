@@ -14,9 +14,11 @@
  * the neighbours.  That needs every product rounded on its own: build
  * with -ffp-contract=off and without -ffast-math.  The one exception is
  * the greedy pass, whose numpy reference is the loaded-Gram states of
- * gsample.oracle: it rounds each entry as they do, but its dot products,
- * which numpy hands to BLAS, run in a fixed order of their own, so its
- * traces match the states only to their last bits.
+ * gsample.oracle: it rounds each entry as they do (U -= h w^T included,
+ * a product and a difference each rounded on its own, where BLAS's dger
+ * may fuse them), but its dot products, which numpy hands to BLAS, run
+ * in a fixed order of their own, so its traces match the states only to
+ * their last bits.
  * Nothing here allocates or keeps state from call to call; the caller
  * owns every buffer, so concurrent calls on different buffers are safe.
  *

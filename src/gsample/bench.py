@@ -9,9 +9,10 @@ non-reproducible column.  In the RMSE studies a trial solves the loaded
 reconstructions of its rows together (`_rmse_trial_rows`), so a loaded
 row's wall_ms is its own selection, noise and Gram time plus an equal
 share of that batch; a batch that fails is solved again one row at a
-time, so that the first failing row raises.  A fagod trial with a CPU to
-spare runs its Jacobi sweep on a thread that this module starts beside
-the eigensolve (`_truth_and_filter`).
+time, so that the first failing row raises.  A trial's basis and Givens
+filter are `eigendecompose`'s and `approximate_lowpass`'s; a fagod trial
+with a CPU to spare runs that Jacobi sweep on a thread that this module
+starts beside the eigensolve (`_truth_and_filter`).
 
 Studies (each declared once, in `STUDIES`; the methods are in `METHODS`):
 
@@ -42,9 +43,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-# approximate_lowpass, biased_reconstruct and filter_reconstruct are not
-# called here; perfbench's tracer wraps them under this module's name
-from .filters import (_greedy_jacobi, approximate_lowpass,  # noqa: F401
+# biased_reconstruct and filter_reconstruct are not called here;
+# perfbench's tracer wraps them under this module's name
+from .filters import (_greedy_jacobi, approximate_lowpass,
                       exact_lowpass, lowpass_from_givens, rotation_budget)
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
@@ -334,60 +335,46 @@ def make_graph(model: str, n: int, seed: int, knn: int, p: float):
     return gen_community(n, seed)
 
 
-def _truth_and_filter(laps: list, width, K: int, J: int, spare_cpu: bool):
-    """The basis of the `width` lowest eigenpairs (all of them for None)
-    and the Givens filter of bandwidth K after J rotations, of the
-    Laplacian that it pops from the one-item list `laps`, so that its
-    edges are freed here.
+def _truth_and_filter(laps: list, width, K: int, J: int):
+    """`eigendecompose(lap, width)` and `approximate_lowpass(lap, K, J)`
+    of the Laplacian that it pops from the one-item list `laps`, bit for
+    bit, with the Jacobi sweep on a thread started here beside the solve
+    (`run_experiment` has every OpenBLAS at one thread).
 
-    Neither stage reads the other's result, and each works in arrays of
-    its own that the Laplacian writes: the eigensolver overwrites the
-    transpose of an n x n array (`Laplacian.dense`), the sweep rotates
-    the packed strict upper triangle (`Laplacian.packed_upper`) and the
-    diagonal, which is read off the solver's array before the solve
-    starts.  With `spare_cpu` the sweep runs on a thread started here
-    while this one solves (`run_experiment` has every OpenBLAS at one
-    thread): the triangle is written, and the Laplacian dropped, before
-    the two start.  The sweep's thread starts first, since scipy's f2py
-    wrapper of LAPACK's subset `dsyevr` (`spectral._eigendecompose`)
-    holds the interpreter lock for its whole solve, and the compiled
-    sweep releases it.  Otherwise the solve runs first, and the
-    triangle is written once the solver's array is freed.  A failure
-    raises as it does without `spare_cpu`: the solver's, once the sweep's
-    thread is joined, before the sweep's.
+    The solver's n x n array (`Laplacian.dense`) and the sweep's packed
+    triangle and diagonal are all written, and the Laplacian dropped,
+    before the two start.  The sweep's thread starts first, since scipy's
+    f2py wrapper of LAPACK's subset `dsyevr` holds the interpreter lock
+    for its whole solve, and the compiled sweep releases it.  A failure
+    raises as in the serial calls: the solver's, once the sweep's thread
+    is joined, before the sweep's.
     """
     lap = laps.pop()
     dense = lap.dense().T
-    diag = dense.diagonal().copy()
-    if spare_cpu:
-        upper = lap.packed_upper()
-        del lap
-        with ThreadPoolExecutor(1) as second:  # joined on exit
-            sweep = second.submit(_greedy_jacobi, upper, diag, J)
-            basis = _eigendecompose(dense, width)
-            del dense
-        givens, eigs, perm = sweep.result()
-    else:
+    diag = lap.diagonal()
+    upper = lap.packed_upper()
+    del lap
+    with ThreadPoolExecutor(1) as second:  # joined on exit
+        sweep = second.submit(_greedy_jacobi, upper, diag, J)
         basis = _eigendecompose(dense, width)
         del dense
-        upper = lap.packed_upper()
-        del lap
-        givens, eigs, perm = _greedy_jacobi(upper, diag, J)
+    givens, eigs, perm = sweep.result()
     return basis, lowpass_from_givens(givens, perm, K, eigs)
 
 
 class _TrialContext:
     """Per-trial objects shared by every method and sweep value.
 
-    The basis and, when a method selects on the Givens filter (`givens`
-    in METHODS), that filter are built with the context; `filter` is None
-    otherwise.  The signal is drawn at its first use.  Only the eigenpairs some
-    consumer reads are computed: the K lowest for the selection and
-    reconstruction bandwidth, or the signal model's bandwidth if larger.
+    The basis (`eigendecompose`) and, when a method selects on the Givens
+    filter (`givens` in METHODS), that filter (`approximate_lowpass`) are
+    built with the context; `filter` is None otherwise.  The signal is
+    drawn at its first use.  Only the eigenpairs some consumer reads are
+    computed: the K lowest for the selection and reconstruction
+    bandwidth, or the signal model's bandwidth if larger.
     GS2's tail touches every coefficient, so it keeps the full basis.
     Both bandwidths must leave a spectral gap wherever the basis holds
-    the next eigenvalue.  `spare_cpu` lets `_truth_and_filter` run the
-    Jacobi sweep beside the eigensolver.
+    the next eigenvalue.  With `spare_cpu` a fagod trial gets the two
+    from `_truth_and_filter`, which runs the sweep beside the solve.
     """
 
     def __init__(self, spec: ExperimentSpec, n: int, trial: int,
@@ -398,19 +385,22 @@ class _TrialContext:
         self.K = resolve_k(spec, n)
         self.mu = spec.mu
         seed = child_seed(spec.base_seed, "graph", spec.graph, n, trial)
-        lap = build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
-                                         spec.p))
+        # a one-item list: the joint stage frees L from its only reference
+        laps = [build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
+                                           spec.p))]
         self._signal_k = _signal_bandwidth(spec, n)
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
         # objective_gap's methods are curve names, which select on the basis
-        if any(METHODS[m].givens for m in spec.methods if m in METHODS):
-            laps = [lap]  # the joint stage frees L from its only reference
-            del lap
-            self.basis, self.filter = _truth_and_filter(
-                laps, width, self.K, resolve_j(spec, n), spare_cpu)
-        else:
-            self.basis, self.filter = eigendecompose(lap, width), None
+        givens = any(METHODS[m].givens for m in spec.methods if m in METHODS)
+        J = resolve_j(spec, n)
+        if givens and spare_cpu:
+            self.basis, self.filter = _truth_and_filter(laps, width, self.K, J)
+        else:  # the sweep's diagonal copies the solve's dense() row sums
+            lap = laps.pop()
+            self.basis = eigendecompose(lap, width)
+            self.filter = approximate_lowpass(lap, self.K, J) if givens \
+                else None
         for bandwidth in (self.K, self._signal_k):
             check_gap(self.basis.eigenvalues, bandwidth, n)
         # the largest sampling budget any row of this trial selects

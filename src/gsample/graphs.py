@@ -4,7 +4,7 @@ A graph is stored as its edge list, each edge once.  The generators and
 `load_graph` build that list without an n x n array, and `build_laplacian`
 keeps it: each consumer of L writes its own working arrays from the edges
 (`Laplacian.dense`, or the packed triangle and diagonal the Jacobi sweep
-rotates).
+rotates); besides the edges, a Laplacian keeps only dense()'s row sums.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ class Laplacian:
         object.__setattr__(self, "n", graph.n)
         object.__setattr__(self, "_edges",
                            (graph.rows, graph.cols, graph.weights))
+        object.__setattr__(self, "_diag", None)  # dense()'s row sums
 
     def dense(self) -> np.ndarray:
         """L as a fresh, writable, C-ordered n x n array.
@@ -131,7 +132,7 @@ class Laplacian:
         a row: bitwise np.diag(A.sum(axis=1)) - A, whose isolated nodes
         get +0.0 (negating the sum would give -0.0).  Finite weights can
         still overflow a row sum, so a non-finite diagonal raises
-        ValueError.
+        ValueError.  The n-vector of row sums is kept for `diagonal()`.
         """
         rows, cols, weights = self._edges
         n = self.n
@@ -142,6 +143,7 @@ class Laplacian:
         with np.errstate(over="ignore"):  # checked below
             diag = 0.0 - lap.sum(axis=1)
         lap.flat[::n + 1] = _finite(diag)
+        object.__setattr__(self, "_diag", diag)
         return lap
 
     def packed_upper(self) -> np.ndarray:
@@ -161,11 +163,14 @@ class Laplacian:
         """The diagonal of L as a fresh, writable n-vector, bitwise
         `dense()`'s, with no n x n array.
 
-        The off-diagonal part of n / DIAGONAL_BLOCKS rows at a time, one
+        A copy of the row sums that `dense()` kept, once it has run.  Else
+        the off-diagonal part of n / DIAGONAL_BLOCKS rows at a time, one
         mask over the doubled edge list, is written into a block of full
         rows and summed as `dense()` sums its rows; a non-finite row sum
         raises ValueError, as there.
         """
+        if self._diag is not None:
+            return self._diag.copy()
         rows, cols, weights = self._edges
         n = self.n
         # each edge from both of its ends

@@ -237,8 +237,9 @@ class LoadedGramState:
     dopt, the filter's factor for fagod.  `add` makes one rank-one
     (Sherman-Morrison) update of Z^-1 and one matvec, h = V u / s, which
     updates g_j = v_j Z^-1 v_j^T for every node (g -= s h^2) and
-    U = V Z^-1 (U -= h u^T, by BLAS dger in place), so a step costs
-    O(nK).  dopt reads g only; aopt reads |u_j|^2 off the kept U, and
+    U = V Z^-1 (U -= h u^T in place, each entry rounded after its product
+    and after its difference, as the compiled pass rounds), so a step
+    costs O(nK).  dopt reads g only; aopt reads |u_j|^2 off the kept U, and
     the agod objective is max diag Z^-1.
     """
 
@@ -299,12 +300,7 @@ class LoadedGramState:
         self._zinv, u, s = _sherman_morrison(self._zinv, self.factor[j])
         h = self.factor @ u / s
         self.g -= s * h * h
-        # U.T is U's memory in Fortran order: U -= h u^T in place.  Only
-        # the tests run this reference, so the runner never imports
-        # scipy.linalg.
-        from scipy.linalg.blas import dger
-
-        dger(-1.0, u, h, a=self._u.T, overwrite_a=True)
+        self._u -= np.multiply.outer(h, u)
         self.selected.append(j)
         self._taken[j] = True
         return u, s, h

@@ -2,12 +2,10 @@
 
 The truncated eigensolve is LAPACK's subset `dsyevr`, called through
 scipy's f2py wrapper of it in the extension `scipy.linalg._flapack`,
-which this module loads straight from its file at import.  Importing
-`scipy.linalg` costs a fresh process a few tenths of a second, since it
-pulls in much of scipy and `numpy.f2py`, more than a small run's solves
-take; the extension alone loads in milliseconds and loads no other scipy
-module.  It is registered in `sys.modules` under its own name, so a
-later `import scipy.linalg` uses this same module.
+which this module loads on its own at import (`_load_flapack`).
+Importing `scipy.linalg` costs a fresh process a few tenths of a second,
+since it pulls in much of scipy and `numpy.f2py`, more than a small
+run's solves take; the extension alone loads in milliseconds.
 """
 
 from __future__ import annotations
@@ -26,8 +24,12 @@ from .rng import rng_from
 
 
 def _load_flapack():
-    """scipy's `scipy.linalg._flapack`, loaded on its own and registered
-    in `sys.modules` (the loaded one, if scipy.linalg is imported)."""
+    """scipy's `scipy.linalg._flapack`: the loaded one, else one loaded
+    from its file and kept out of `sys.modules`.  The interpreter lists a
+    single-phase extension there as it creates it, which would stop a
+    later `import scipy.linalg` from setting the package's `_flapack`;
+    that import instead builds the module again from the interpreter's
+    copy of this one, with the very same routines."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -39,7 +41,7 @@ def _load_flapack():
         raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules.pop(name, None)
     return module
 
 

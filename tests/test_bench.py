@@ -455,22 +455,49 @@ def test_cli_run_exits_2_on_an_overflowing_rmse(tmp_path, capsys, flags):
 @pytest.mark.parametrize("spare_cpu", [True, False])
 @pytest.mark.parametrize("model,width", [("G1", 10), ("G2", None),
                                          ("G3", 40)])
-def test_joint_stage_matches_the_separate_calls(model, width, spare_cpu):
-    # the trial's basis and Givens filter, each from an array of L of its
-    # own, equal eigendecompose's and approximate_lowpass's bit for bit,
-    # and the Laplacian itself is never written
+def test_joint_stage_matches_the_separate_calls(monkeypatch, model, width,
+                                                spare_cpu):
+    # a fagod trial's basis and Givens filter, with the sweep beside the
+    # solve or after it, equal eigendecompose's and approximate_lowpass's
+    # on the trial's own graph bit for bit, and the Laplacian itself is
+    # never written.  Without a spare CPU the trial calls those two by
+    # this module's names, which perfbench's tracer wraps
     n, K, J = 120, 8, 900
-    lap = build_laplacian(bench.make_graph(model, n, 4, 6, 0.08))
-    before = lap.matrix.tobytes()
-    basis, filt = bench._truth_and_filter([lap], width, K, J, spare_cpu)
+    # the signal whose bandwidth sets the basis's width (None: full)
+    signal = {10: "GS1", None: "GS2", 40: "GS3"}[width]
+    built, calls = [], []
+
+    def recording(graph):
+        built.append((graph, build_laplacian(graph)))
+        return built[-1][1]
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(bench, "build_laplacian", recording)
+    for name in ("eigendecompose", "approximate_lowpass"):
+        monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
+    spec = parse_spec_text(
+        f"study = rmse_vs_size\ngraph = {model}\nsignal = {signal}\n"
+        f"n = {n}\nK = {K}\nJ = {J}\np = 0.08\nmethods = fagod\n"
+        "sweep = 8\ntrials = 1\nbase_seed = 4\n")
+    ctx = bench._TrialContext(spec, n, 0, spare_cpu)
+    assert calls == ([] if spare_cpu else
+                     ["eigendecompose", "approximate_lowpass"])
+    (graph, used), = built
+    lap = build_laplacian(graph)
     exact, approx = eigendecompose(lap, width), approximate_lowpass(lap, K, J)
-    assert lap.matrix.tobytes() == before
-    assert basis.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
-    assert basis.eigenvectors.tobytes() == exact.eigenvectors.tobytes()
-    for got, want in [(filt.factor, approx.factor),
-                      (filt.approx_eigs, approx.approx_eigs),
-                      (filt.givens.planes, approx.givens.planes),
-                      (filt.givens.thetas, approx.givens.thetas)]:
+    assert used.matrix.tobytes() == lap.matrix.tobytes()
+    assert ctx.basis.width == (width or n)
+    assert ctx.basis.eigenvalues.tobytes() == exact.eigenvalues.tobytes()
+    assert ctx.basis.eigenvectors.tobytes() == exact.eigenvectors.tobytes()
+    for got, want in [(ctx.filter.factor, approx.factor),
+                      (ctx.filter.approx_eigs, approx.approx_eigs),
+                      (ctx.filter.givens.planes, approx.givens.planes),
+                      (ctx.filter.givens.thetas, approx.givens.thetas)]:
         assert got.tobytes() == want.tobytes()
 
 

@@ -109,17 +109,24 @@ def test_spec_digest_hashes_the_dense_adjacency_and_laplacian():
     assert done.stdout.split() == ["True", "True"]
 
 
-def _assert_packed_pair_is_dense(lap):
+def _assert_packed_pair_is_dense(graph):
     # the sweep's pair: dense()'s strict upper triangle, row by row, and
-    # its diagonal, byte for byte, each a fresh writable array
+    # its diagonal, byte for byte, each a fresh writable array.  The
+    # diagonal is read twice: summed in row blocks by a Laplacian that has
+    # written no dense array, and copied from the row sums dense() keeps
+    fresh, lap = build_laplacian(graph), build_laplacian(graph)
+    blocks = fresh.diagonal()
     dense = lap.dense()
-    upper, diag = lap.packed_upper(), lap.diagonal()
+    upper, kept = lap.packed_upper(), lap.diagonal()
     assert upper.tobytes() == dense[np.triu_indices(lap.n, 1)].tobytes()
-    assert diag.tobytes() == np.diag(dense).tobytes()
-    for array in (upper, diag):
+    for array in (upper, blocks, kept):
         assert array.flags.writeable and array.flags.c_contiguous
         assert array.dtype == np.float64 and array.ndim == 1
-    return diag
+    for diagonal, diag in ((fresh.diagonal, blocks), (lap.diagonal, kept)):
+        assert diag.tobytes() == np.diag(dense).tobytes()
+        diag[:] = 7.0  # a consumer's working array is its own
+        assert diagonal().tobytes() == np.diag(dense).tobytes()
+    return lap.diagonal()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -128,14 +135,15 @@ def _assert_packed_pair_is_dense(lap):
 def test_packed_triangle_and_diagonal_are_bitwise_dense(model, n, seed):
     # n = 200 and 800 span several row blocks of the diagonal's sums
     graph = bench.make_graph(model, n, seed, SENSOR_KNN, max(ER_P, 8.0 / n))
-    _assert_packed_pair_is_dense(build_laplacian(graph))
+    _assert_packed_pair_is_dense(graph)
 
 
 def test_packed_pair_of_a_dense_laplacian_and_of_a_loaded_graph(tmp_path):
     path = tmp_path / "isolated.txt"
     path.write_text("0 1 0.5\n1 3 2.0\n3 4 1e-300\n", encoding="utf-8")
-    lap = build_laplacian(load_graph(path, n=5))
-    diag = _assert_packed_pair_is_dense(lap)
+    graph = load_graph(path, n=5)
+    lap = build_laplacian(graph)
+    diag = _assert_packed_pair_is_dense(graph)
     # node 2 is isolated: +0.0, as in dense()
     assert diag[2] == 0.0 and not np.signbit(diag[2])
     assert not np.shares_memory(lap.packed_upper(), lap.packed_upper())
@@ -421,26 +429,30 @@ spec = parse_spec_text(
     "study = rmse_vs_size\\ngraph = G1\\nsignal = GS1\\nn = 24\\nK = 4\\n"
     "methods = fagod, agod\\nsweep = 4, 8\\ntrials = 2\\nbase_seed = 7\\n")
 run_experiment(spec, threads=1)
+from gsample.oracle import LoadedGramState
+LoadedGramState(gsample.rng_from(3).random((6, 2)), 0.5).add(0)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
-flapack = sys.modules["scipy.linalg._flapack"]
 import scipy.linalg
-print(scipy.linalg.lapack.dsyevr is flapack.dsyevr)
+dsyevr = gsample.spectral._flapack.dsyevr
+print(scipy.linalg._flapack.dsyevr is dsyevr,
+      scipy.linalg.lapack.dsyevr is dsyevr)
 """
 
 
 def test_import_loads_no_scipy_sparse():
     # the connectivity check is compiled, so the package needs no sparse
-    # matrices, and the subset eigensolve calls scipy's LAPACK extension
-    # alone, so a run loads no other scipy module; a later import of
-    # scipy.linalg uses that same extension.  Checked in a process of its
-    # own, which imports nothing else
+    # matrices, the subset eigensolve calls scipy's LAPACK extension
+    # alone, and the reference states update U with numpy, so neither a
+    # run nor a state step leaves a scipy module loaded; a later import
+    # of scipy.linalg sets its _flapack, which holds the same routines.
+    # Checked in a process of its own, which imports nothing else
     root = Path(bench.__file__).resolve().parents[2]
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_MODULES_OF_A_RUN],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["['scipy.linalg._flapack']", "True"]
+    assert done.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_sensor_determinism():

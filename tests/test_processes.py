@@ -271,17 +271,21 @@ def test_workers_inherit_one_blas_thread(two_blas_threads):
 
 
 def _watch_the_solve(monkeypatch):
-    """Record, at each truth eigensolve of the joint stage, the live
-    thread count and the counts of every loaded OpenBLAS."""
+    """Record, at each truth eigensolve of a fagod trial, beside the sweep
+    (the joint stage's `_eigendecompose`) or before it
+    (`eigendecompose`), the live thread count and the counts of every
+    loaded OpenBLAS."""
     seen = []
-    solve = bench._eigendecompose
 
-    def watched(*args, **kwargs):
-        seen.append((threading.active_count(),
-                     [get() for get, _ in bench._blas_threads()]))
-        return solve(*args, **kwargs)
+    def watched(solve):
+        def call(*args, **kwargs):
+            seen.append((threading.active_count(),
+                         [get() for get, _ in bench._blas_threads()]))
+            return solve(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(bench, "_eigendecompose", watched)
+    for name in ("_eigendecompose", "eigendecompose"):
+        monkeypatch.setattr(bench, name, watched(getattr(bench, name)))
     return seen
 
 

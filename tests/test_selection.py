@@ -124,6 +124,21 @@ def test_incremental_state_matches_direct_inverse_every_step():
                                                    rel=1e-10)
 
 
+def test_state_rounds_each_entry_of_its_u_update_twice():
+    # U -= h u^T rounds each product and then each difference, as the
+    # compiled pass does; a fused multiply-subtract, which BLAS's dger
+    # may use, leaves other last bits
+    rng = np.random.Generator(np.random.PCG64(21))
+    for _ in range(5):
+        n, K = 40, 6
+        state = LoadedGramState(rng.normal(size=(n, K)), 0.3)
+        before = state.projections()[0].copy()
+        u, _, h = state.add(int(rng.integers(n)))
+        loop = [[float(before[i, k]) - float(h[i]) * float(u[k])
+                 for k in range(K)] for i in range(n)]
+        assert state.projections()[0].tobytes() == np.array(loop).tobytes()
+
+
 def test_greedy_runs_keep_incremental_state_faithful(sensor10):
     # replay the exact greedy selection orders through fresh state objects
     _, _, basis = sensor10
