@@ -1,9 +1,10 @@
 /* Compiled loops of gsample: the greedy Jacobi sweep and the
  * accumulation of its rotations (gsample.filters), the k-nearest-neighbour
  * scan of the sensor graph and the connectivity check of every random
- * graph (gsample.graphs), and the greedy selection
- * passes of agod, fagod, dopt and aopt (gsample.selection).  The agod
- * and fagod argmin scans are static: only greedy_pass runs them.
+ * graph and the diagonal of its Laplacian (gsample.graphs), and the
+ * greedy selection passes of agod, fagod, dopt and aopt
+ * (gsample.selection).  The agod and fagod argmin scans are static:
+ * only greedy_pass runs them.
  * seed_state hashes a seed as numpy's SeedSequence does (gsample.rng),
  * and leverage_draw makes the picks of the leverage-weighted random
  * selection (gsample.selection).
@@ -752,7 +753,7 @@ void seed_state(const unsigned char *seed, int64_t count, int64_t n_words,
  * as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail;
  * above that, the halves split at a multiple of 8.  numpy then adds the
  * result to its identity +0.0, which changes only a -0.0 sum; every sum
- * leverage_draw takes is positive. */
+ * leverage_draw takes is positive, and laplacian_diagonal adds it. */
 static double pairwise_sum(const double *a, int64_t n)
 {
     if (n < 8) {
@@ -811,5 +812,33 @@ void leverage_draw(double *w, int64_t n, int64_t M, const double *u,
             w[i] = w[i + 1];
             remaining[i] = remaining[i + 1];
         }
+    }
+}
+
+/* The diagonal of the Laplacian of the graph on n nodes with the m edges
+ * (rows[k], cols[k]) of weights[k], each listed once with rows[k] <
+ * cols[k], in (i, j) order, bitwise the numpy row sums of gsample's
+ * Laplacian.dense(): row i's off-diagonal entries 0.0 - w are written
+ * into row, n zeros, which are summed as np.add.reduce sums them and
+ * cleared again, and diag[i] is 0.0 minus that sum.  by_col lists the
+ * edges in ascending order of cols[k]: row i's entries left of the
+ * diagonal are the edges by_col[t] with cols == i, and those right of
+ * it the edges k with rows[k] == i. */
+void laplacian_diagonal(int64_t n, const int64_t *rows, const int64_t *cols,
+                        const double *weights, const int64_t *by_col,
+                        int64_t m, double *row, double *diag)
+{
+    int64_t k = 0, t = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k0 = k, t0 = t;
+        for (; t < m && cols[by_col[t]] == i; t++)
+            row[rows[by_col[t]]] = 0.0 - weights[by_col[t]];
+        for (; k < m && rows[k] == i; k++)
+            row[cols[k]] = 0.0 - weights[k];
+        diag[i] = 0.0 - (0.0 + pairwise_sum(row, n));
+        for (; t0 < t; t0++)
+            row[rows[by_col[t0]]] = 0.0;
+        for (; k0 < k; k0++)
+            row[cols[k0]] = 0.0;
     }
 }

@@ -15,7 +15,8 @@ call too, but each check goes through ctypes.cast, which leaves the
 argument array in a reference cycle until the garbage collector runs.)
 `greedy_pass` runs a whole greedy selection in one call; the agod and
 fagod argmin scans run only inside it, and its numpy reference, the
-loaded-Gram states, lives in `gsample.oracle`.  `seed_state` and
+loaded-Gram states, lives in `gsample.oracle`.  `laplacian_diagonal`
+sums a Laplacian's rows as numpy sums them, and `seed_state` and
 `leverage_draw` repeat numpy's own arithmetic bit for bit: the hash of
 `SeedSequence`, and the picks of `Generator.choice` with weights.
 """
@@ -94,6 +95,8 @@ def _load():
     lib.seed_state.restype = None
     lib.leverage_draw.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr]
     lib.leverage_draw.restype = None
+    lib.laplacian_diagonal.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.laplacian_diagonal.restype = None
     return lib
 
 
@@ -300,3 +303,26 @@ def leverage_draw(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
                        _address(u, np.float64, (M,)), cdf.ctypes.data,
                        remaining.ctypes.data, picks.ctypes.data)
     return picks
+
+
+def laplacian_diagonal(n: int, rows: np.ndarray, cols: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """The diagonal of the Laplacian of a `Graph`'s edge list, bitwise
+    the row sums of its dense array (`Laplacian.dense`), as a fresh
+    n-vector, in O(n + E) memory and O(n^2) time.
+
+    rows, cols and weights must be C-contiguous int64, int64 and float64
+    arrays of one length, listing each edge once with rows[k] < cols[k],
+    in (i, j) order; every endpoint must lie in [0, n).
+    """
+    m = len(weights)
+    if m and (rows.min() < 0 or cols.max() >= n):
+        raise ValueError(f"edge endpoint out of range [0, {n})")
+    by_col = np.argsort(cols)
+    row, diag = np.zeros(n), np.empty(n)
+    _LIB.laplacian_diagonal(n, _address(rows, np.int64, (m,)),
+                            _address(cols, np.int64, (m,)),
+                            _address(weights, np.float64, (m,)),
+                            by_col.ctypes.data, m, row.ctypes.data,
+                            diag.ctypes.data)
+    return diag

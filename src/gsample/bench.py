@@ -12,7 +12,7 @@ share of that batch; a batch that fails is solved again one row at a
 time, so that the first failing row raises.  A trial's basis and Givens
 filter are `eigendecompose`'s and `approximate_lowpass`'s; a fagod trial
 with a CPU to spare runs that Jacobi sweep on a thread that this module
-starts beside the eigensolve (`_truth_and_filter`).
+starts before it calls `eigendecompose` (`_truth_and_filter`).
 
 Studies (each declared once, in `STUDIES`; the methods are in `METHODS`):
 
@@ -58,8 +58,8 @@ from .rng import child_seed
 from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
                         greedy_eoptimal, greedy_select, objective_agod,
                         objective_dopt, objective_fagod, random_select)
-from .spectral import (SIGNAL_MODELS, _eigendecompose, _samples, check_gap,
-                       eigendecompose, gen_signal, observe)
+from .spectral import (SIGNAL_MODELS, _samples, check_gap, eigendecompose,
+                       gen_signal, observe)
 
 GRAPH_MODELS = ("G1", "G2", "G3")
 
@@ -335,29 +335,22 @@ def make_graph(model: str, n: int, seed: int, knn: int, p: float):
     return gen_community(n, seed)
 
 
-def _truth_and_filter(laps: list, width, K: int, J: int):
-    """`eigendecompose(lap, width)` and `approximate_lowpass(lap, K, J)`
-    of the Laplacian that it pops from the one-item list `laps`, bit for
-    bit, with the Jacobi sweep on a thread started here beside the solve
-    (`run_experiment` has every OpenBLAS at one thread).
+def _truth_and_filter(lap, width, K: int, J: int):
+    """`eigendecompose(lap, width)` and `approximate_lowpass(lap, K, J)`,
+    bit for bit, with the Jacobi sweep on a thread started here beside the
+    solve (`run_experiment` has every OpenBLAS at one thread).
 
-    The solver's n x n array (`Laplacian.dense`) and the sweep's packed
-    triangle and diagonal are all written, and the Laplacian dropped,
-    before the two start.  The sweep's thread starts first, since scipy's
-    f2py wrapper of LAPACK's subset `dsyevr` holds the interpreter lock
-    for its whole solve, and the compiled sweep releases it.  A failure
-    raises as in the serial calls: the solver's, once the sweep's thread
-    is joined, before the sweep's.
+    The sweep's packed triangle and diagonal are written first, and its
+    thread starts before `eigendecompose` is called, since scipy's f2py
+    wrapper of LAPACK's subset `dsyevr` holds the interpreter lock for its
+    whole solve, and the compiled sweep releases it.  A failure raises as
+    in the serial calls: the solver's, once the sweep's thread is joined,
+    before the sweep's.
     """
-    lap = laps.pop()
-    dense = lap.dense().T
-    diag = lap.diagonal()
-    upper = lap.packed_upper()
-    del lap
     with ThreadPoolExecutor(1) as second:  # joined on exit
-        sweep = second.submit(_greedy_jacobi, upper, diag, J)
-        basis = _eigendecompose(dense, width)
-        del dense
+        sweep = second.submit(_greedy_jacobi, lap.packed_upper(),
+                              lap.diagonal(), J)
+        basis = eigendecompose(lap, width)
     givens, eigs, perm = sweep.result()
     return basis, lowpass_from_givens(givens, perm, K, eigs)
 
@@ -374,7 +367,9 @@ class _TrialContext:
     GS2's tail touches every coefficient, so it keeps the full basis.
     Both bandwidths must leave a spectral gap wherever the basis holds
     the next eigenvalue.  With `spare_cpu` a fagod trial gets the two
-    from `_truth_and_filter`, which runs the sweep beside the solve.
+    from `_truth_and_filter`, which runs the sweep beside
+    `eigendecompose`.  The Laplacian holds only the graph's edges, so
+    it lives as long as the context is being built.
     """
 
     def __init__(self, spec: ExperimentSpec, n: int, trial: int,
@@ -385,9 +380,8 @@ class _TrialContext:
         self.K = resolve_k(spec, n)
         self.mu = spec.mu
         seed = child_seed(spec.base_seed, "graph", spec.graph, n, trial)
-        # a one-item list: the joint stage frees L from its only reference
-        laps = [build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
-                                           spec.p))]
+        lap = build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
+                                         spec.p))
         self._signal_k = _signal_bandwidth(spec, n)
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
@@ -395,9 +389,8 @@ class _TrialContext:
         givens = any(METHODS[m].givens for m in spec.methods if m in METHODS)
         J = resolve_j(spec, n)
         if givens and spare_cpu:
-            self.basis, self.filter = _truth_and_filter(laps, width, self.K, J)
-        else:  # the sweep's diagonal copies the solve's dense() row sums
-            lap = laps.pop()
+            self.basis, self.filter = _truth_and_filter(lap, width, self.K, J)
+        else:
             self.basis = eigendecompose(lap, width)
             self.filter = approximate_lowpass(lap, self.K, J) if givens \
                 else None
@@ -521,7 +514,7 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
     order raises.  A loaded row's wall_ms is its own selection, sampling
     and Gram time plus an equal share of its batch's.  With `spare_cpu`
     a fagod trial's sweep runs on a thread that `_truth_and_filter`
-    starts.
+    starts beside the trial's `eigendecompose`.
     """
     sweeps = STUDIES[spec.study].sweeps
     rows = []
@@ -867,8 +860,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     so rows would otherwise depend on where the trial ran.
     A run at W = 1 whose min(threads, usable CPUs) is 2 or more has a
     CPU to spare: a trial that selects with fagod runs its Jacobi sweep
-    on a second thread beside the eigensolve of the basis its signal is
-    drawn from (`_truth_and_filter`).  A failed trial raises what it
+    on a second thread beside the `eigendecompose` of the basis its
+    signal is drawn from (`_truth_and_filter`).  A failed trial raises what it
     raises at threads = 1, and a broken pool raises BrokenProcessPool
     and is replaced at the next call.
     Rows are sorted by (method, sweep, trial) in spec order before

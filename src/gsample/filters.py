@@ -121,9 +121,7 @@ def greedy_jacobi(lap: Laplacian, J: int):
     Returns (GivensSeq, approximate eigenvalues sorted ascending, perm)
     where perm maps rotated coordinates to the ascending order.
     """
-    # the diagonal's row blocks are freed before the triangle is written
-    diag = lap.diagonal()
-    return _greedy_jacobi(lap.packed_upper(), diag, J)
+    return _greedy_jacobi(lap.packed_upper(), lap.diagonal(), J)
 
 
 def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int):

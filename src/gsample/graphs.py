@@ -4,7 +4,7 @@ A graph is stored as its edge list, each edge once.  The generators and
 `load_graph` build that list without an n x n array, and `build_laplacian`
 keeps it: each consumer of L writes its own working arrays from the edges
 (`Laplacian.dense`, or the packed triangle and diagonal the Jacobi sweep
-rotates); besides the edges, a Laplacian keeps only dense()'s row sums.
+rotates), and a Laplacian keeps nothing else.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ ER_P = 0.05
 
 # Rows per block of the G2 and G3 draws.
 DRAW_BLOCK = 128
-
-# `Laplacian.diagonal` sums its rows in this many blocks, each at most
-# about a quarter of an n x n array.
-DIAGONAL_BLOCKS = 4
 
 
 def _finite(diag: np.ndarray) -> np.ndarray:
@@ -105,7 +101,7 @@ class Graph:
 class Laplacian:
     """Combinatorial Laplacian L = D - A of a Graph.
 
-    It keeps n and the graph's read-only edge arrays, shared, and holds
+    It holds only n and the graph's read-only edge arrays, shared, and
     no n x n array.  Each consumer writes L afresh into working arrays of
     its own, so nothing copies L: `dense()` writes the n x n array that
     the eigensolver works in, and `packed_upper()` and `diagonal()` the
@@ -122,7 +118,6 @@ class Laplacian:
         object.__setattr__(self, "n", graph.n)
         object.__setattr__(self, "_edges",
                            (graph.rows, graph.cols, graph.weights))
-        object.__setattr__(self, "_diag", None)  # dense()'s row sums
 
     def dense(self) -> np.ndarray:
         """L as a fresh, writable, C-ordered n x n array.
@@ -132,7 +127,8 @@ class Laplacian:
         a row: bitwise np.diag(A.sum(axis=1)) - A, whose isolated nodes
         get +0.0 (negating the sum would give -0.0).  Finite weights can
         still overflow a row sum, so a non-finite diagonal raises
-        ValueError.  The n-vector of row sums is kept for `diagonal()`.
+        ValueError.  These row sums define L's diagonal, which
+        `diagonal()` writes without the n x n array; nothing is kept.
         """
         rows, cols, weights = self._edges
         n = self.n
@@ -143,7 +139,6 @@ class Laplacian:
         with np.errstate(over="ignore"):  # checked below
             diag = 0.0 - lap.sum(axis=1)
         lap.flat[::n + 1] = _finite(diag)
-        object.__setattr__(self, "_diag", diag)
         return lap
 
     def packed_upper(self) -> np.ndarray:
@@ -161,34 +156,12 @@ class Laplacian:
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of L as a fresh, writable n-vector, bitwise
-        `dense()`'s, with no n x n array.
-
-        A copy of the row sums that `dense()` kept, once it has run.  Else
-        the off-diagonal part of n / DIAGONAL_BLOCKS rows at a time, one
-        mask over the doubled edge list, is written into a block of full
-        rows and summed as `dense()` sums its rows; a non-finite row sum
-        raises ValueError, as there.
+        `dense()`'s, with no n x n array: each row's off-diagonal part is
+        written into one n-vector of zeros and summed there as `dense()`
+        sums its rows (`_kernels.laplacian_diagonal`).  A non-finite row
+        sum raises ValueError, as there.
         """
-        if self._diag is not None:
-            return self._diag.copy()
-        rows, cols, weights = self._edges
-        n = self.n
-        # each edge from both of its ends
-        ends = np.concatenate((rows, cols))
-        others = np.concatenate((cols, rows))
-        off = 0.0 - np.concatenate((weights, weights))
-        diag = np.empty(n)
-        step = -(-n // DIAGONAL_BLOCKS)
-        buffer = np.empty((step, n))  # one block of rows, refilled for each
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            mine = (ends >= start) & (ends < stop)
-            block = buffer[:stop - start]
-            block.fill(0.0)
-            block[ends[mine] - start, others[mine]] = off[mine]
-            with np.errstate(over="ignore"):  # checked below
-                diag[start:stop] = 0.0 - block.sum(axis=1)
-        return _finite(diag)
+        return _finite(_kernels.laplacian_diagonal(self.n, *self._edges))
 
     @cached_property
     def matrix(self) -> np.ndarray:

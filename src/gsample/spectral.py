@@ -185,27 +185,18 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     tol = GAP_TOL = 1e-8 (`check_gap`).
 
     The solver works in an array of its own, `lap.dense()`, which also
-    checks L's entries (see `Laplacian`); `lap.matrix` is not read.
+    checks L's entries (see `Laplacian`); `lap.matrix` is not read.  That
+    array is read transposed, F-ordered, which holds L because L is
+    symmetric, so LAPACK's subset solve overwrites it without a copy; the
+    full `eigh` works on a copy of it.  The subset solve is the call
+    `scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
+    overwrite_a=True, check_finite=False)` makes, made on `_flapack`
+    directly: the workspace query `dsyevr_lwork`, then `dsyevr` for the
+    K + 1 lowest pairs, keeping the first m it found.  The wrapper holds
+    the interpreter lock for the whole solve.
     """
-    return _eigendecompose(lap.dense().T, K)
-
-
-def _eigendecompose(a: np.ndarray, K: int | None = None) -> SpectralBasis:
-    """`eigendecompose` of the finite, exactly symmetric n x n array a,
-    which is the caller's workspace: the subset solver overwrites it.
-
-    The callers hand over `Laplacian.dense().T`, F-ordered, which holds
-    L because L is symmetric, so LAPACK works in it without a copy; the
-    f2py wrapper copies any other layout first.  The full `eigh` always
-    works on a copy.
-
-    The subset solve is the call `scipy.linalg.eigh(a, subset_by_index=
-    [0, K], driver="evr", overwrite_a=True, check_finite=False)` makes,
-    made on `_flapack` directly: the workspace query `dsyevr_lwork`, then
-    `dsyevr` for the K + 1 lowest pairs, keeping the first m it found.
-    The wrapper holds the interpreter lock for the whole solve.
-    """
-    n = a.shape[0]
+    a = lap.dense().T
+    n = lap.n
     if K is None or K >= n:
         # eigh returns the eigenvalues ascending and v C-ordered and its
         # own, so the signs are fixed in place

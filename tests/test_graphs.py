@@ -112,17 +112,18 @@ def test_spec_digest_hashes_the_dense_adjacency_and_laplacian():
 def _assert_packed_pair_is_dense(graph):
     # the sweep's pair: dense()'s strict upper triangle, row by row, and
     # its diagonal, byte for byte, each a fresh writable array.  The
-    # diagonal is read twice: summed in row blocks by a Laplacian that has
-    # written no dense array, and copied from the row sums dense() keeps
+    # diagonal is read twice, by a Laplacian that has written no dense
+    # array and by one that has: dense() leaves nothing behind that
+    # diagonal() could read
     fresh, lap = build_laplacian(graph), build_laplacian(graph)
-    blocks = fresh.diagonal()
+    first = fresh.diagonal()
     dense = lap.dense()
-    upper, kept = lap.packed_upper(), lap.diagonal()
+    upper, after = lap.packed_upper(), lap.diagonal()
     assert upper.tobytes() == dense[np.triu_indices(lap.n, 1)].tobytes()
-    for array in (upper, blocks, kept):
+    for array in (upper, first, after):
         assert array.flags.writeable and array.flags.c_contiguous
         assert array.dtype == np.float64 and array.ndim == 1
-    for diagonal, diag in ((fresh.diagonal, blocks), (lap.diagonal, kept)):
+    for diagonal, diag in ((fresh.diagonal, first), (lap.diagonal, after)):
         assert diag.tobytes() == np.diag(dense).tobytes()
         diag[:] = 7.0  # a consumer's working array is its own
         assert diagonal().tobytes() == np.diag(dense).tobytes()
@@ -133,20 +134,40 @@ def _assert_packed_pair_is_dense(graph):
 @pytest.mark.parametrize("n", [50, 200, 800])
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
 def test_packed_triangle_and_diagonal_are_bitwise_dense(model, n, seed):
-    # n = 200 and 800 span several row blocks of the diagonal's sums
     graph = bench.make_graph(model, n, seed, SENSOR_KNN, max(ER_P, 8.0 / n))
+    _assert_packed_pair_is_dense(graph)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 127, 128, 129, 256,
+                               257, 1000])
+@pytest.mark.parametrize("shape", ["star", "path"])
+def test_packed_pair_of_a_star_and_a_path_is_bitwise_dense(shape, n):
+    # numpy sums a row of fewer than 8 entries in one loop, of up to 128
+    # in eight running sums, and a longer one in halves: a star's centre,
+    # n // 2, has a full row, with entries on both sides of the diagonal,
+    # and the weights span 16 orders of magnitude, so a sum in another
+    # order changes the last bits
+    weights = 10.0 ** rng_from(n).uniform(-8, 8, n - 1)
+    if shape == "path":
+        graph = Graph(n, np.arange(n - 1), np.arange(1, n), weights)
+    else:
+        leaves = np.delete(np.arange(n), n // 2)
+        graph = Graph(n, np.minimum(leaves, n // 2),
+                      np.maximum(leaves, n // 2), weights)
     _assert_packed_pair_is_dense(graph)
 
 
 def test_packed_pair_of_a_dense_laplacian_and_of_a_loaded_graph(tmp_path):
     path = tmp_path / "isolated.txt"
     path.write_text("0 1 0.5\n1 3 2.0\n3 4 1e-300\n", encoding="utf-8")
-    graph = load_graph(path, n=5)
-    lap = build_laplacian(graph)
-    diag = _assert_packed_pair_is_dense(graph)
-    # node 2 is isolated: +0.0, as in dense()
-    assert diag[2] == 0.0 and not np.signbit(diag[2])
-    assert not np.shares_memory(lap.packed_upper(), lap.packed_upper())
+    for n in (5, 9, 200):
+        graph = load_graph(path, n=n)
+        lap = build_laplacian(graph)
+        diag = _assert_packed_pair_is_dense(graph)
+        # node 2 and the nodes past 4 are isolated: +0.0, as in dense()
+        isolated = diag[[2, *range(5, n)]]
+        assert not isolated.any() and not np.signbit(isolated).any()
+        assert not np.shares_memory(lap.packed_upper(), lap.packed_upper())
 
 
 def test_packed_pair_of_an_overflowing_row_sum_is_non_finite():

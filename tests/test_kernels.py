@@ -11,11 +11,14 @@ states of `gsample.oracle`, and test_selection.py holds all four passes
 to those states.  The k-NN kernel of `gen_sensor` is checked in
 test_graphs.py, and the seed hash of `rng_from` in test_rng.py.  The
 leverage draw is checked here at the edges of numpy's cumulative sums,
-where a sum one ulp off would pick another node.
+where a sum one ulp off would pick another node.  Every exported kernel
+is checked against its ctypes declaration.
 """
 
+import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -624,3 +627,29 @@ def test_leverage_draw_is_numpys_arithmetic_at_the_cdf_edges():
             assert np.array_equal(weights, kept)  # the caller's copy stays
     with pytest.raises(ValueError, match="cannot draw 3 of 2"):
         _kernels.leverage_draw(np.ones(2), np.zeros(3))
+
+
+# ctypes types of the C types a kernel takes or returns by value
+_BY_VALUE = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+             "double": ctypes.c_double}
+
+
+def test_every_exported_kernel_is_declared_to_ctypes():
+    # a kernel bound without argtypes would get 64-bit addresses as C ints
+    source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
+    kernels = re.findall(r"^(\w+) (\w+)\(([^)]*)\)\s*\{", source,
+                         re.MULTILINE)
+    assert {"greedy_jacobi_sweep", "laplacian_diagonal"} <= \
+        {name for _, name, _ in kernels}
+    for returns, name, params in kernels:
+        fn = getattr(_kernels._LIB, name)
+        assert fn.restype is _BY_VALUE[returns], name
+        params = [param.strip() for param in params.split(",")]
+        assert fn.argtypes is not None and len(fn.argtypes) == len(params), \
+            name
+        for param, declared in zip(params, fn.argtypes):
+            if "*" in param:
+                assert declared in (ctypes.c_void_p, ctypes.c_char_p), \
+                    (name, param)
+            else:
+                assert declared is _BY_VALUE[param.split()[0]], (name, param)

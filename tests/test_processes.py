@@ -272,9 +272,8 @@ def test_workers_inherit_one_blas_thread(two_blas_threads):
 
 def _watch_the_solve(monkeypatch):
     """Record, at each truth eigensolve of a fagod trial, beside the sweep
-    (the joint stage's `_eigendecompose`) or before it
-    (`eigendecompose`), the live thread count and the counts of every
-    loaded OpenBLAS."""
+    or before it (`eigendecompose` either way), the live thread count and
+    the counts of every loaded OpenBLAS."""
     seen = []
 
     def watched(solve):
@@ -284,8 +283,8 @@ def _watch_the_solve(monkeypatch):
             return solve(*args, **kwargs)
         return call
 
-    for name in ("_eigendecompose", "eigendecompose"):
-        monkeypatch.setattr(bench, name, watched(getattr(bench, name)))
+    monkeypatch.setattr(bench, "eigendecompose",
+                        watched(bench.eigendecompose))
     return seen
 
 

@@ -8,7 +8,7 @@ from conftest import graph_from_adjacency
 from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
                      gen_er, gen_sensor, gen_signal, gft, igft, greedy_jacobi,
                      leverage_scores, observe)
-from gsample.spectral import _eigendecompose, _fix_signs, check_gap
+from gsample.spectral import _fix_signs, check_gap
 
 
 def test_two_node_path_closed_form(path2):
@@ -278,20 +278,15 @@ def _solved_on_the_libraries_copy(a, K):
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])
 def test_solver_copy_gives_the_basis_of_the_librarys_copy(model, n):
     # the subset solver works in the Laplacian's own array read as
-    # F-ordered, and in the f2py wrapper's copy of any other layout; the
-    # full solve always works on numpy's copy.  K = n - 1 asks dsyevr for
-    # all n pairs (il = 1, iu = n), its branch that also writes ISUPPZ
+    # F-ordered; the full solve works on numpy's copy.  K = n - 1 asks
+    # dsyevr for all n pairs (il = 1, iu = n), its branch that also
+    # writes ISUPPZ
     lap = build_laplacian(_model_graph(model, n, seed=n + 1))
     a = lap.matrix
     before = a.tobytes()
     for K in (n // 20, n - 1, None):
         w, v = _solved_on_the_libraries_copy(a, K)
-        padded = np.zeros((n + 3, n + 5))
-        padded[1:n + 1, 2:n + 2] = a
-        workspaces = (lap.dense().T, np.array(a), np.asfortranarray(a),
-                      padded[1:n + 1, 2:n + 2])
-        for basis in [eigendecompose(lap, K)] + [
-                _eigendecompose(work, K) for work in workspaces]:
-            assert basis.eigenvalues.tobytes() == w.tobytes()
-            assert basis.eigenvectors.tobytes() == v.tobytes()
+        basis = eigendecompose(lap, K)
+        assert basis.eigenvalues.tobytes() == w.tobytes()
+        assert basis.eigenvectors.tobytes() == v.tobytes()
     assert a.tobytes() == before and not a.flags.writeable
