@@ -817,10 +817,10 @@ void leverage_draw(double *w, int64_t n, int64_t M, const double *u,
 
 /* The diagonal of the Laplacian of the graph on n nodes with the m edges
  * (rows[k], cols[k]) of weights[k], each listed once with rows[k] <
- * cols[k], in (i, j) order, bitwise the numpy row sums of gsample's
- * Laplacian.dense(): row i's off-diagonal entries 0.0 - w are written
- * into row, n zeros, which are summed as np.add.reduce sums them and
- * cleared again, and diag[i] is 0.0 minus that sum.  by_col lists the
+ * cols[k], in (i, j) order, the one definition of L's diagonal in
+ * gsample: row i's off-diagonal entries 0.0 - w are written into row, n
+ * zeros, which are summed as np.add.reduce sums them and cleared again,
+ * and diag[i] is 0.0 minus that sum.  by_col lists the
  * edges in ascending order of cols[k]: row i's entries left of the
  * diagonal are the edges by_col[t] with cols == i, and those right of
  * it the edges k with rows[k] == i. */

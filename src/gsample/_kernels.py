@@ -16,7 +16,7 @@ argument array in a reference cycle until the garbage collector runs.)
 `greedy_pass` runs a whole greedy selection in one call; the agod and
 fagod argmin scans run only inside it, and its numpy reference, the
 loaded-Gram states, lives in `gsample.oracle`.  `laplacian_diagonal`
-sums a Laplacian's rows as numpy sums them, and `seed_state` and
+is the one definition of a Laplacian's diagonal, and `seed_state` and
 `leverage_draw` repeat numpy's own arithmetic bit for bit: the hash of
 `SeedSequence`, and the picks of `Generator.choice` with weights.
 """
@@ -307,9 +307,9 @@ def leverage_draw(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def laplacian_diagonal(n: int, rows: np.ndarray, cols: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
-    """The diagonal of the Laplacian of a `Graph`'s edge list, bitwise
-    the row sums of its dense array (`Laplacian.dense`), as a fresh
-    n-vector, in O(n + E) memory and O(n^2) time.
+    """The diagonal of the Laplacian of a `Graph`'s edge list as a fresh
+    n-vector: 0.0 minus each row's off-diagonal part summed as numpy sums
+    a row, in O(n + E) memory and O(n^2) time.
 
     rows, cols and weights must be C-contiguous int64, int64 and float64
     arrays of one length, listing each edge once with rows[k] < cols[k],

@@ -10,9 +10,9 @@ reconstructions of its rows together (`_rmse_trial_rows`), so a loaded
 row's wall_ms is its own selection, noise and Gram time plus an equal
 share of that batch; a batch that fails is solved again one row at a
 time, so that the first failing row raises.  A trial's basis and Givens
-filter are `eigendecompose`'s and `approximate_lowpass`'s; a fagod trial
-with a CPU to spare runs that Jacobi sweep on a thread that this module
-starts before it calls `eigendecompose` (`_truth_and_filter`).
+filter are `eigendecompose`'s and `approximate_lowpass`'s;
+`run_experiment` says when the Jacobi sweep runs beside the eigensolve,
+and `_truth_and_filter` how.
 
 Studies (each declared once, in `STUDIES`; the methods are in `METHODS`):
 
@@ -367,9 +367,8 @@ class _TrialContext:
     GS2's tail touches every coefficient, so it keeps the full basis.
     Both bandwidths must leave a spectral gap wherever the basis holds
     the next eigenvalue.  With `spare_cpu` a fagod trial gets the two
-    from `_truth_and_filter`, which runs the sweep beside
-    `eigendecompose`.  The Laplacian holds only the graph's edges, so
-    it lives as long as the context is being built.
+    from `_truth_and_filter`.  The Laplacian holds only the graph's
+    edges, so it lives as long as the context is being built.
     """
 
     def __init__(self, spec: ExperimentSpec, n: int, trial: int,
@@ -512,9 +511,8 @@ def _rmse_trial_rows(spec: ExperimentSpec, trial: int, use_blue: bool,
     path's bit for bit, and so is each failure: a failing row first
     finishes the rows before it, so the first failure in (sweep, method)
     order raises.  A loaded row's wall_ms is its own selection, sampling
-    and Gram time plus an equal share of its batch's.  With `spare_cpu`
-    a fagod trial's sweep runs on a thread that `_truth_and_filter`
-    starts beside the trial's `eigendecompose`.
+    and Gram time plus an equal share of its batch's.  `spare_cpu` goes
+    to each `_TrialContext` (see `run_experiment`).
     """
     sweeps = STUDIES[spec.study].sweeps
     rows = []
@@ -874,7 +872,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     cpus = len(os.sched_getaffinity(0)) if _FORKS else 1
     if threads is None:
         threads = cpus
-    if not isinstance(threads, numbers.Integral):
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
         raise ValueError(f"thread count must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError("thread count must be at least 1")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import Laplacian
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _check_bandwidth
 
 # Off-diagonal magnitudes at or below this stop the Jacobi sweep early.
 OFFDIAG_TOL = 1e-12
@@ -116,24 +116,30 @@ def greedy_jacobi(lap: Laplacian, J: int):
     off-diagonal magnitudes fall to OFFDIAG_TOL.  The working matrix is
     the Laplacian's packed strict upper triangle and its diagonal, half
     the memory of an n x n array; `Laplacian.diagonal` also checks L's
-    row sums.
+    row sums.  J is checked before the pair is written.
 
     Returns (GivensSeq, approximate eigenvalues sorted ascending, perm)
     where perm maps rotated coordinates to the ascending order.
     """
+    _check_budget(J)
     return _greedy_jacobi(lap.packed_upper(), lap.diagonal(), J)
+
+
+def _check_budget(J) -> None:
+    if not isinstance(J, numbers.Integral):
+        raise ValueError(f"rotation budget must be an integer, got {J!r}")
+    if J < 0:
+        raise ValueError("rotation budget must be nonnegative")
 
 
 def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int):
     """`greedy_jacobi` on a Laplacian's packed strict upper triangle and
     its checked diagonal (`Laplacian.packed_upper`, `Laplacian.diagonal`),
-    which it rotates in place.  The kernel call releases the interpreter
-    lock.  Returns greedy_jacobi's triple.
+    which it rotates in place, checking J again for the thread `bench`
+    runs it on.  The kernel call releases the interpreter lock.  Returns
+    greedy_jacobi's triple.
     """
-    if not isinstance(J, numbers.Integral):
-        raise ValueError(f"rotation budget must be an integer, got {J!r}")
-    if J < 0:
-        raise ValueError("rotation budget must be nonnegative")
+    _check_budget(J)
     planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, J, OFFDIAG_TOL)
     seq = GivensSeq(len(diag), planes, thetas)
     perm = np.argsort(diag, kind="stable")
@@ -150,8 +156,7 @@ def lowpass_from_givens(givens: GivensSeq, perm, K: int,
     only those columns are built.
     """
     n = givens.n
-    if not 1 <= K <= n:
-        raise ValueError(f"bandwidth K={K} out of range [1, {n}]")
+    _check_bandwidth(K, n)
     perm = np.asarray(perm, dtype=np.intp)
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
@@ -161,6 +166,7 @@ def lowpass_from_givens(givens: GivensSeq, perm, K: int,
 
 def approximate_lowpass(lap: Laplacian, K: int, J: int | None = None) -> ApproxFilter:
     """Eigendecomposition-free low-pass filter; J defaults to ceil(6 n log10 n)."""
+    _check_bandwidth(K, lap.n)
     if J is None:
         J = rotation_budget(lap.n)
     seq, eigs, perm = greedy_jacobi(lap, J)

@@ -31,14 +31,6 @@ ER_P = 0.05
 DRAW_BLOCK = 128
 
 
-def _finite(diag: np.ndarray) -> np.ndarray:
-    """diag, once it is checked to be finite: finite weights can still
-    overflow a Laplacian's row sum."""
-    if not np.isfinite(diag).all():
-        raise ValueError("Laplacian has non-finite entries")
-    return diag
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -107,9 +99,10 @@ class Laplacian:
     the eigensolver works in, and `packed_upper()` and `diagonal()` the
     half-size pair that the Jacobi sweep rotates.  `matrix` is the dense
     array, written at the first read and kept read-only, for readers off
-    the trial path.  L is symmetric with finite off-diagonal entries by
-    construction, so `dense()` and `diagonal()` check only that its
-    diagonal of row sums is finite.
+    the trial path.  Each off-diagonal entry is 0.0 - w, and the diagonal
+    is `diagonal()`'s, the one place it is computed; L is symmetric with
+    finite off-diagonal entries by construction, so only that diagonal
+    is checked to be finite.
     """
 
     n: int
@@ -120,25 +113,16 @@ class Laplacian:
                            (graph.rows, graph.cols, graph.weights))
 
     def dense(self) -> np.ndarray:
-        """L as a fresh, writable, C-ordered n x n array.
-
-        Each off-diagonal entry is 0.0 - w, and each diagonal entry 0.0
-        minus the sum of its row's off-diagonal part, summed as numpy sums
-        a row: bitwise np.diag(A.sum(axis=1)) - A, whose isolated nodes
-        get +0.0 (negating the sum would give -0.0).  Finite weights can
-        still overflow a row sum, so a non-finite diagonal raises
-        ValueError.  These row sums define L's diagonal, which
-        `diagonal()` writes without the n x n array; nothing is kept.
-        """
+        """L as a fresh, writable, C-ordered n x n array: the edges
+        scattered as 0.0 - w, and `diagonal()` on the diagonal.  Nothing
+        is kept."""
         rows, cols, weights = self._edges
         n = self.n
         lap = np.zeros((n, n))
         off = 0.0 - weights
         lap[rows, cols] = off
         lap[cols, rows] = off
-        with np.errstate(over="ignore"):  # checked below
-            diag = 0.0 - lap.sum(axis=1)
-        lap.flat[::n + 1] = _finite(diag)
+        lap.flat[::n + 1] = self.diagonal()
         return lap
 
     def packed_upper(self) -> np.ndarray:
@@ -155,13 +139,14 @@ class Laplacian:
         return upper
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of L as a fresh, writable n-vector, bitwise
-        `dense()`'s, with no n x n array: each row's off-diagonal part is
-        written into one n-vector of zeros and summed there as `dense()`
-        sums its rows (`_kernels.laplacian_diagonal`).  A non-finite row
-        sum raises ValueError, as there.
-        """
-        return _finite(_kernels.laplacian_diagonal(self.n, *self._edges))
+        """The diagonal of L as a fresh, writable n-vector, with no n x n
+        array: `_kernels.laplacian_diagonal`, +0.0 on an isolated node.
+        Finite weights can still overflow a row sum, so a non-finite entry
+        raises ValueError."""
+        diag = _kernels.laplacian_diagonal(self.n, *self._edges)
+        if not np.isfinite(diag).all():
+            raise ValueError("Laplacian has non-finite entries")
+        return diag
 
     @cached_property
     def matrix(self) -> np.ndarray:

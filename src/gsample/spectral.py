@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -93,8 +94,7 @@ class SpectralBasis:
 
     def low_frequency(self, K: int) -> np.ndarray:
         """First K eigenvector columns (the K lowest graph frequencies)."""
-        if not 1 <= K <= self.n:
-            raise ValueError(f"bandwidth K={K} out of range [1, {self.n}]")
+        _check_bandwidth(K, self.n)
         if K > self.width:
             raise ValueError(f"bandwidth K={K} exceeds the {self.width} "
                              f"eigenvectors stored for n={self.n}")
@@ -147,13 +147,23 @@ class Observation:
         object.__setattr__(self, "values", y)
 
 
+def _check_bandwidth(K, n: int | None = None) -> None:
+    """Raise ValueError unless the bandwidth K is an integer in [1, n]."""
+    if not isinstance(K, numbers.Integral):
+        raise ValueError(f"bandwidth must be an integer, got {K!r}")
+    if K < 1 or n is not None and K > n:
+        raise ValueError(f"bandwidth K={K} must be at least 1" if n is None
+                         else f"bandwidth K={K} out of range [1, {n}]")
+
+
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip the columns of v in place so that each one's first entry
-    above SIGN_TOL in magnitude is positive; returns v."""
-    # |v| > SIGN_TOL, without an n x K float temporary
-    significant = (v > SIGN_TOL) | (v < -SIGN_TOL)
-    first = significant.argmax(axis=0)  # index of first non-negligible entry
-    lead = v[first, np.arange(v.shape[1])]
+    above SIGN_TOL in magnitude is positive; returns v.  A column with no
+    such entry keeps its sign unless its first entry is negative."""
+    lead = v[0].copy()
+    for j in np.flatnonzero(~((lead > SIGN_TOL) | (lead < -SIGN_TOL))):
+        column = v[:, j]
+        lead[j] = column[((column > SIGN_TOL) | (column < -SIGN_TOL)).argmax()]
     v *= np.where(lead < 0, -1.0, 1.0)
     return v
 
@@ -193,8 +203,10 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     overwrite_a=True, check_finite=False)` makes, made on `_flapack`
     directly: the workspace query `dsyevr_lwork`, then `dsyevr` for the
     K + 1 lowest pairs, keeping the first m it found.  The wrapper holds
-    the interpreter lock for the whole solve.
+    the interpreter lock for the whole solve.  K is checked first.
     """
+    if K is not None:
+        _check_bandwidth(K)
     a = lap.dense().T
     n = lap.n
     if K is None or K >= n:
@@ -202,8 +214,6 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
         # own, so the signs are fixed in place
         w, v = np.linalg.eigh(a)
         return SpectralBasis(w, _fix_signs(v))
-    if K < 1:
-        raise ValueError(f"bandwidth K={K} must be at least 1")
     work, iwork, info = _flapack.dsyevr_lwork(n, lower=1)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: "
@@ -257,8 +267,7 @@ def gen_signal(model: str, basis: SpectralBasis, seed: int,
     default_k, tail_var = SIGNAL_MODELS[model]
     K = default_k if bandwidth is None else int(bandwidth)
     n = basis.n
-    if not 1 <= K <= n:
-        raise ValueError(f"bandwidth {K} out of range for n={n}")
+    _check_bandwidth(K, n)
     needed = n if tail_var is not None else K
     if basis.width < needed:
         raise ValueError(f"signal model {model} needs {needed} eigenvectors; "

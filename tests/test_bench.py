@@ -748,7 +748,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ValueError, match="thread count must be at least 1"):
         run_experiment(parse_spec_file(path), threads=0)
-    for bad in (1.5, "2"):
+    # a bool is an Integral: True would otherwise run as threads = 1
+    for bad in (1.5, "2", True, False):
         with pytest.raises(ValueError, match="must be an integer"):
             run_experiment(parse_spec_file(path), threads=bad)
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gsample import (build_laplacian, eigendecompose, exact_lowpass,
-                     gen_sensor, greedy_jacobi, lowpass_from_givens,
-                     rotation_budget)
+from gsample import (_kernels, approximate_lowpass, build_laplacian,
+                     eigendecompose, exact_lowpass, gen_sensor, greedy_jacobi,
+                     lowpass_from_givens, rotation_budget)
 from gsample.filters import _greedy_jacobi
+from gsample.graphs import Laplacian
 from gsample.oracle import (apply_rotation, givens_matrix_reference,
                             offdiag_sq_norm)
 
@@ -38,6 +39,30 @@ def test_budget_must_be_an_integer():
     # numpy integers are integers
     seq, _, _ = greedy_jacobi(lap, np.int64(5))
     assert seq.rotations == greedy_jacobi(lap, 5)[0].rotations
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("K,J,match", [
+    (0, None, "out of range"), (-2, 5, "out of range"),
+    (17, None, "out of range"), (2.5, None, "must be an integer"),
+    (4, -1, "nonnegative"), (4, 2.5, "must be an integer"),
+    (4, "3", "must be an integer")])
+def test_bad_bandwidth_or_budget_raises_before_the_sweep(monkeypatch, K, J,
+                                                          match):
+    # neither working array of the sweep is written and its kernel never
+    # runs
+    lap = build_laplacian(gen_sensor(16, 6, seed=0))
+    for name in ("packed_upper", "diagonal", "dense"):
+        monkeypatch.setattr(Laplacian, name, _never)
+    monkeypatch.setattr(_kernels, "greedy_jacobi_sweep", _never)
+    with pytest.raises(ValueError, match=match):
+        approximate_lowpass(lap, K, J)
+    if J is not None and K == 4:
+        with pytest.raises(ValueError, match=match):
+            greedy_jacobi(lap, J)
 
 
 def test_rotation_budget_value():

@@ -110,23 +110,26 @@ def test_spec_digest_hashes_the_dense_adjacency_and_laplacian():
 
 
 def _assert_packed_pair_is_dense(graph):
-    # the sweep's pair: dense()'s strict upper triangle, row by row, and
-    # its diagonal, byte for byte, each a fresh writable array.  The
-    # diagonal is read twice, by a Laplacian that has written no dense
-    # array and by one that has: dense() leaves nothing behind that
-    # diagonal() could read
+    # the sweep's pair and dense() against the dense formula
+    # np.diag(A.sum(axis=1)) - A of the adjacency, written without the
+    # Laplacian: its strict upper triangle, row by row, and its diagonal,
+    # byte for byte, each a fresh writable array.  The diagonal is read
+    # twice, by a Laplacian that has written no dense array and by one
+    # that has: dense() leaves nothing behind that diagonal() could read
+    adj = dense_adjacency(graph)
+    expected = np.diag(adj.sum(axis=1)) - adj
     fresh, lap = build_laplacian(graph), build_laplacian(graph)
     first = fresh.diagonal()
-    dense = lap.dense()
+    assert lap.dense().tobytes() == expected.tobytes()
     upper, after = lap.packed_upper(), lap.diagonal()
-    assert upper.tobytes() == dense[np.triu_indices(lap.n, 1)].tobytes()
+    assert upper.tobytes() == expected[np.triu_indices(lap.n, 1)].tobytes()
     for array in (upper, first, after):
         assert array.flags.writeable and array.flags.c_contiguous
         assert array.dtype == np.float64 and array.ndim == 1
     for diagonal, diag in ((fresh.diagonal, first), (lap.diagonal, after)):
-        assert diag.tobytes() == np.diag(dense).tobytes()
+        assert diag.tobytes() == np.diag(expected).tobytes()
         diag[:] = 7.0  # a consumer's working array is its own
-        assert diagonal().tobytes() == np.diag(dense).tobytes()
+        assert diagonal().tobytes() == np.diag(expected).tobytes()
     return lap.diagonal()
 
 
@@ -142,11 +145,11 @@ def test_packed_triangle_and_diagonal_are_bitwise_dense(model, n, seed):
                                257, 1000])
 @pytest.mark.parametrize("shape", ["star", "path"])
 def test_packed_pair_of_a_star_and_a_path_is_bitwise_dense(shape, n):
-    # numpy sums a row of fewer than 8 entries in one loop, of up to 128
-    # in eight running sums, and a longer one in halves: a star's centre,
-    # n // 2, has a full row, with entries on both sides of the diagonal,
-    # and the weights span 16 orders of magnitude, so a sum in another
-    # order changes the last bits
+    # the kernel sums a row as numpy sums the adjacency's: fewer than 8
+    # entries in one loop, up to 128 in eight running sums, and a longer
+    # row in halves.  A star's centre, n // 2, has a full row, with
+    # entries on both sides of the diagonal, and the weights span 16
+    # orders of magnitude, so a sum in another order changes the last bits
     weights = 10.0 ** rng_from(n).uniform(-8, 8, n - 1)
     if shape == "path":
         graph = Graph(n, np.arange(n - 1), np.arange(1, n), weights)
@@ -164,16 +167,21 @@ def test_packed_pair_of_a_dense_laplacian_and_of_a_loaded_graph(tmp_path):
         graph = load_graph(path, n=n)
         lap = build_laplacian(graph)
         diag = _assert_packed_pair_is_dense(graph)
-        # node 2 and the nodes past 4 are isolated: +0.0, as in dense()
+        # node 2 and the nodes past 4 are isolated: +0.0, the sum of
+        # their empty adjacency rows
         isolated = diag[[2, *range(5, n)]]
         assert not isolated.any() and not np.signbit(isolated).any()
         assert not np.shares_memory(lap.packed_upper(), lap.packed_upper())
 
 
 def test_packed_pair_of_an_overflowing_row_sum_is_non_finite():
-    # finite weights, but node 1's row sum overflows: the diagonal raises
-    # as dense() does, and so does the sweep that reads it
-    lap = build_laplacian(Graph(3, [0, 1], [1, 2], [1e308, 1e308]))
+    # finite weights, but node 1's row sum overflows: the diagonal raises,
+    # and so do dense() and the sweep that read it
+    graph = Graph(3, [0, 1], [1, 2], [1e308, 1e308])
+    with np.errstate(over="ignore"):
+        degrees = dense_adjacency(graph).sum(axis=1)
+    assert degrees[1] == np.inf and np.isfinite(degrees[[0, 2]]).all()
+    lap = build_laplacian(graph)
     assert lap.packed_upper().tolist() == [-1e308, 0.0, -1e308]
     for consume in (lap.dense, lap.diagonal,
                     lambda: greedy_jacobi(lap, 5)):

@@ -78,11 +78,11 @@ def test_truncated_eigendecomposition_allocates_one_dense_copy():
     full = _peak_mb(lambda: eigendecompose(lap))
     # LAPACK's workspace is allocated outside tracemalloc's view, so the
     # subset solve shows the array of L that it writes and works in, and
-    # the full solve that array and its eigenvectors (2.25 dense arrays
-    # with the sign fix's masks; a reordered or sign-fixed copy of the
-    # eigenvectors would add a third)
+    # the full solve that array and its eigenvectors (2.02 dense arrays;
+    # n x K masks in the sign fix read 2.25, and a reordered or
+    # sign-fixed copy of the eigenvectors would add a third)
     assert dense_mb < part < dense_mb + 1.0, f"peak {part:.2f} MiB"
-    assert 2 * dense_mb < full < 2.5 * dense_mb, f"peak {full:.2f} MiB"
+    assert 2 * dense_mb < full < 2.05 * dense_mb, f"peak {full:.2f} MiB"
 
 
 def test_sensor_graph_holds_no_dense_array():

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from conftest import graph_from_adjacency
 from gsample import (Graph, build_laplacian, eigendecompose, gen_community,
                      gen_er, gen_sensor, gen_signal, gft, igft, greedy_jacobi,
                      leverage_scores, observe)
-from gsample.spectral import _fix_signs, check_gap
+from gsample import spectral
+from gsample.graphs import Laplacian
+from gsample.spectral import SIGN_TOL, _fix_signs, check_gap
 
 
 def test_two_node_path_closed_form(path2):
@@ -290,3 +293,64 @@ def test_solver_copy_gives_the_basis_of_the_librarys_copy(model, n):
         assert basis.eigenvalues.tobytes() == w.tobytes()
         assert basis.eigenvectors.tobytes() == v.tobytes()
     assert a.tobytes() == before and not a.flags.writeable
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("K", [0, -3, 2.5, 3.0, 8.5])
+def test_bad_bandwidth_raises_before_the_solve(monkeypatch, K):
+    # no dense array of L is written and neither solver runs
+    lap = build_laplacian(gen_sensor(8, 5, seed=11))
+    monkeypatch.setattr(Laplacian, "dense", _never)
+    monkeypatch.setattr(np.linalg, "eigh", _never)
+    monkeypatch.setattr(spectral, "_flapack", types.SimpleNamespace(
+        dsyevr_lwork=_never, dsyevr=_never))
+    with pytest.raises(ValueError, match="bandwidth"):
+        eigendecompose(lap, K)
+
+
+def _fix_signs_reference(v):
+    """v with each column negated whose first entry above SIGN_TOL in
+    magnitude, or first entry when it has none, is negative."""
+    out = v.copy()
+    for j in range(v.shape[1]):
+        big = np.flatnonzero(np.abs(v[:, j]) > SIGN_TOL)
+        if v[big[0] if len(big) else 0, j] < 0:
+            out[:, j] *= -1.0
+    return out
+
+
+def test_sign_fix_of_edge_columns():
+    # leading entries at or below SIGN_TOL, an all-tiny column, -0.0 and
+    # NaN in the first row, beside columns whose first entry decides
+    tol = SIGN_TOL
+    columns = [
+        [tol / 10, -tol / 2, 0.0, -0.3, 0.2],  # flipped by -0.3
+        [-tol / 10, 0.0, 0.4, -0.1, 0.0],      # kept by 0.4
+        [-tol / 10, tol / 2, 0.0, -tol, 0.0],  # all tiny: its first entry
+        [tol / 10, -tol / 2, 0.0, tol, -0.0],  # all tiny, first positive
+        [-0.0, -0.5, 0.1, 0.2, 0.3],           # flipped by -0.5
+        [-0.0, 0.0, -0.0, 0.0, -0.0],          # nothing to flip by
+        [np.nan, -0.5, 0.1, 0.2, 0.3],         # NaN is not significant
+        [np.nan, 0.5, -0.1, 0.2, 0.3],
+        [tol, -tol, -0.25, 0.5, 0.0],          # SIGN_TOL itself is tiny
+        [-0.7, 0.1, 0.2, 0.3, 0.4],
+        [0.7, -0.1, -0.2, -0.3, -0.4],
+    ]
+    v = np.array(columns).T.copy()
+    expected = _fix_signs_reference(v)
+    assert _fix_signs(v) is v
+    assert v.tobytes() == expected.tobytes()
+    flipped = [j for j in range(v.shape[1]) if np.signbit(v[1, j])
+               != np.signbit(np.array(columns[j][1]))]
+    assert flipped == [0, 2, 4, 6, 8, 9]
+
+
+@pytest.mark.parametrize("model", ["G1", "G2", "G3"])
+def test_sign_fix_of_a_full_basis_is_the_reference(model):
+    lap = build_laplacian(_model_graph(model, 200, seed=3))
+    _, v = np.linalg.eigh(lap.dense())
+    expected = _fix_signs_reference(v)
+    assert _fix_signs(v).tobytes() == expected.tobytes()
