@@ -23,7 +23,7 @@ graphs = {
 }
 for name, g in graphs.items():
     lap = build_laplacian(g)
-    eigs = np.linalg.eigvalsh(lap.matrix)
+    eigs = np.linalg.eigvalsh(lap.dense())
     print(f"{name:28s} n={g.n}  edges={g.edge_count:4d}  "
           f"lambda_1={eigs[1]:.4f}  lambda_max={eigs[-1]:.2f}")
 

@@ -22,7 +22,7 @@ print(f"n={n}, K={K}; default rotation budget ceil(6 n log10 n) = {J_default}\n"
 
 print("off-diagonal energy decay along the greedy sweep:")
 seq, eigs, perm = greedy_jacobi(lap, J_default)
-w = lap.matrix.copy()
+w = lap.dense()
 initial = offdiag_sq_norm(w)
 for step, (p, q, theta) in enumerate(seq.rotations, start=1):
     apply_rotation(w, p, q, theta)

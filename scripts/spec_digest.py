@@ -148,7 +148,7 @@ def generator_bytes(graph) -> bytes:
 
 
 def laplacian_bytes(graph) -> bytes:
-    return build_laplacian(graph).matrix.tobytes()
+    return build_laplacian(graph).dense().tobytes()
 
 
 def jacobi_digest() -> str:

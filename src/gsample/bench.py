@@ -4,7 +4,8 @@ Experiments are described by flat `key = value` spec files (lists are
 comma-separated) and produce CSV rows
 `study,graph,signal,method,sweep,trial,value,wall_ms,seed`.  Every data
 column is a pure function of the spec, so reruns are byte-identical
-whatever the number of processes the trials run in; wall_ms is the only
+whatever the number of processes the trials run in (`run_experiment`
+says when they all run in process); wall_ms is the only
 non-reproducible column.  In the RMSE studies a trial solves the loaded
 reconstructions of its rows together (`_rmse_trial_rows`), so a loaded
 row's wall_ms is its own selection, noise and Gram time plus an equal
@@ -45,7 +46,7 @@ import numpy as np
 
 # biased_reconstruct and filter_reconstruct are not called here;
 # perfbench's tracer wraps them under this module's name
-from .filters import (_greedy_jacobi, approximate_lowpass,
+from .filters import (_check_budget, _greedy_jacobi, approximate_lowpass,
                       exact_lowpass, lowpass_from_givens, rotation_budget)
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
@@ -58,8 +59,8 @@ from .rng import child_seed
 from .selection import (DEFAULT_MU, greedy_aoptimal, greedy_doptimal,
                         greedy_eoptimal, greedy_select, objective_agod,
                         objective_dopt, objective_fagod, random_select)
-from .spectral import (SIGNAL_MODELS, _samples, check_gap, eigendecompose,
-                       gen_signal, observe)
+from .spectral import (SIGNAL_MODELS, _check_bandwidth, _samples, check_gap,
+                       eigendecompose, gen_signal, observe)
 
 GRAPH_MODELS = ("G1", "G2", "G3")
 
@@ -151,6 +152,15 @@ def _parse_scalar(key, value, lineno, source, kind):
     return number
 
 
+def _comma_list(key, value, where) -> tuple:
+    """The stripped items of a comma-separated value: empty items are
+    dropped, and an empty list is rejected."""
+    items = tuple(t for t in (t.strip() for t in value.split(",")) if t)
+    if not items:
+        raise SpecError(f"{where}: {key} must not be empty")
+    return items
+
+
 def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
     """Parse and fully validate a flat key=value experiment spec.
 
@@ -203,7 +213,7 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
             if ok and not ok(value):
                 raise SpecError(f"{anchor(key)}: {key} must be {rule}")
         elif key == "methods":
-            value = tuple(m.strip() for m in value.split(","))
+            value = _comma_list(key, value, anchor(key))
             for m in value:
                 if m not in METHODS:
                     raise SpecError(f"{anchor(key)}: unknown method {m!r} "
@@ -211,12 +221,9 @@ def parse_spec_text(text: str, source: str = "<spec>") -> ExperimentSpec:
             if len(set(value)) != len(value):
                 raise SpecError(f"{anchor(key)}: duplicate method")
         elif key == "sweep":
-            tokens = [t.strip() for t in value.split(",") if t.strip()]
-            if not tokens:
-                raise SpecError(f"{anchor(key)}: sweep must not be empty")
             kind = int if entry.sweeps in ("budget", "size") else float
             value = tuple(_parse_scalar(key, t, linenos[key], source, kind)
-                          for t in tokens)
+                          for t in _comma_list(key, value, anchor(key)))
             if len(set(value)) != len(value):
                 raise SpecError(f"{anchor(key)}: duplicate sweep value")
         values[key] = value
@@ -236,15 +243,19 @@ def parse_spec_file(path) -> ExperimentSpec:
 
 
 def resolve_k(spec: ExperimentSpec, n: int) -> int:
+    """The bandwidth K of a graph of n nodes; a number is returned as it
+    is, for its user to check."""
     if spec.K == "model":
         return SIGNAL_MODELS[spec.signal][0]
     if spec.K == "auto":
         return max(1, n // 20)
-    return int(spec.K)
+    return spec.K
 
 
 def resolve_j(spec: ExperimentSpec, n: int) -> int:
-    return rotation_budget(n) if spec.J == "auto" else int(spec.J)
+    """The rotation budget J of a graph of n nodes; a number is returned
+    as it is, for its user to check."""
+    return rotation_budget(n) if spec.J == "auto" else spec.J
 
 
 def _signal_bandwidth(spec: ExperimentSpec, n: int) -> int:
@@ -366,8 +377,9 @@ class _TrialContext:
     bandwidth, or the signal model's bandwidth if larger.
     GS2's tail touches every coefficient, so it keeps the full basis.
     Both bandwidths must leave a spectral gap wherever the basis holds
-    the next eigenvalue.  With `spare_cpu` a fagod trial gets the two
-    from `_truth_and_filter`.  The Laplacian holds only the graph's
+    the next eigenvalue.  K, and J for the Givens filter, are checked
+    before the graph is drawn.  With `spare_cpu` a fagod trial gets the
+    two from `_truth_and_filter`.  The Laplacian holds only the graph's
     edges, so it lives as long as the context is being built.
     """
 
@@ -377,6 +389,12 @@ class _TrialContext:
         self.n = n
         self.trial = trial
         self.K = resolve_k(spec, n)
+        _check_bandwidth(self.K, n)
+        # objective_gap's methods are curve names, which select on the basis
+        givens = any(METHODS[m].givens for m in spec.methods if m in METHODS)
+        J = resolve_j(spec, n)
+        if givens:
+            _check_budget(J)
         self.mu = spec.mu
         seed = child_seed(spec.base_seed, "graph", spec.graph, n, trial)
         lap = build_laplacian(make_graph(spec.graph, n, seed, spec.knn,
@@ -384,9 +402,6 @@ class _TrialContext:
         self._signal_k = _signal_bandwidth(spec, n)
         width = None if SIGNAL_MODELS[spec.signal][1] is not None else \
             max(self.K, self._signal_k)
-        # objective_gap's methods are curve names, which select on the basis
-        givens = any(METHODS[m].givens for m in spec.methods if m in METHODS)
-        J = resolve_j(spec, n)
         if givens and spare_cpu:
             self.basis, self.filter = _truth_and_filter(lap, width, self.K, J)
         else:
@@ -739,6 +754,9 @@ _BLAS_THREAD_FUNCTIONS = (
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
 _pool = None
 _pool_lock = threading.Lock()
+# the process that imported this module; one forked from it inherits the
+# module state, the pool included
+_HOME_PID = os.getpid()
 
 
 @functools.cache
@@ -797,6 +815,17 @@ def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
     return pickle.dumps(_share_rows(spec, trials, use_blue))
 
 
+def _owns_workers() -> bool:
+    """Whether this thread may make and use the pool, by the rule
+    `run_experiment` states.  `multiprocessing` is looked up, not
+    imported: a process that has not loaded it has no such parent."""
+    if threading.current_thread() is not threading.main_thread() \
+            or os.getpid() != _HOME_PID:
+        return False
+    mp = sys.modules.get("multiprocessing")
+    return mp is None or mp.parent_process() is None
+
+
 def _worker_pool():
     """The persistent pool of usable CPUs - 1 forked workers (at least one).
 
@@ -804,9 +833,9 @@ def _worker_pool():
     submits, before the pool's manager thread starts, and keep the module
     state of that moment.  `PR_SET_PDEATHSIG` kills them when the thread
     that forked them exits, so `run_experiment` makes and uses the pool
-    from the main thread only.  A spawned worker would import numpy,
-    scipy's LAPACK extension and gsample afresh, about 0.2 s that every
-    new `gsample run` would pay, and a pool made per call costs about
+    only where `_owns_workers` allows.  A spawned worker would import
+    numpy, scipy's LAPACK extension and gsample afresh, about 0.2 s that
+    every new `gsample run` would pay, and a pool made per call costs about
     10 ms to fork and shut down.  The pool's modules load with it, so an
     in-process run does not import them.
     """
@@ -838,8 +867,12 @@ def _other_cpus() -> list:
     return [c for c in sorted(os.sched_getaffinity(0)) if c != here] or [here]
 
 
-# close the pool while the modules it runs on are still loaded
-atexit.register(lambda: _drop_pool(_pool, wait=True))
+@atexit.register
+def _close_pool() -> None:
+    """Close the pool while the modules it runs on are still loaded; a
+    forked process leaves the pool it inherited to its parent."""
+    if os.getpid() == _HOME_PID:
+        _drop_pool(_pool, wait=True)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int | None = None,
@@ -850,9 +883,15 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     usable CPU at most and by default.  With W = min(trials, threads,
     usable CPUs), the calling process runs the trials t = 0 (mod W)
     itself, and the share t = w (mod W) of each w > 0 goes to a
-    persistent pool of forked workers as one task.  At W = 1, off Linux,
-    and off the main thread, every trial runs in process and no process
-    starts.  On Linux every trial runs at one OpenBLAS thread, in a
+    persistent pool of forked workers as one task.  Every trial runs in
+    process, and no process starts, at W = 1, off Linux, off the main
+    thread, in a process forked from the one that imported this module,
+    and in a process with a `multiprocessing` parent.  The pool's workers
+    die with the thread that forked them; a forked process neither uses
+    nor shuts down the pool it inherited, whose queues and workers are
+    its parent's; and a `multiprocessing` child joins its children at
+    exit, where a pool's workers would wait for tasks for good.
+    On Linux every trial runs at one OpenBLAS thread, in a
     worker or in the caller, which restores its own count afterwards:
     from n = 150 or so the eigensolver's last bits depend on that count,
     so rows would otherwise depend on where the trial ran.
@@ -876,9 +915,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
         raise ValueError(f"thread count must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError("thread count must be at least 1")
-    width = min(spec.trials, threads, cpus)
-    if threading.current_thread() is not threading.main_thread():
-        width = 1
+    width = min(spec.trials, threads, cpus) if _owns_workers() else 1
     shares = [range(w, spec.trials, width) for w in range(width)]
     pool = _worker_pool() if width > 1 else None
     futures = []

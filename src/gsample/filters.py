@@ -135,11 +135,9 @@ def _check_budget(J) -> None:
 def _greedy_jacobi(upper: np.ndarray, diag: np.ndarray, J: int):
     """`greedy_jacobi` on a Laplacian's packed strict upper triangle and
     its checked diagonal (`Laplacian.packed_upper`, `Laplacian.diagonal`),
-    which it rotates in place, checking J again for the thread `bench`
-    runs it on.  The kernel call releases the interpreter lock.  Returns
-    greedy_jacobi's triple.
+    which it rotates in place; J is its caller's to check.  The kernel
+    call releases the interpreter lock.  Returns greedy_jacobi's triple.
     """
-    _check_budget(J)
     planes, thetas = _kernels.greedy_jacobi_sweep(upper, diag, J, OFFDIAG_TOL)
     seq = GivensSeq(len(diag), planes, thetas)
     perm = np.argsort(diag, kind="stable")

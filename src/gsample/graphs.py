@@ -4,14 +4,13 @@ A graph is stored as its edge list, each edge once.  The generators and
 `load_graph` build that list without an n x n array, and `build_laplacian`
 keeps it: each consumer of L writes its own working arrays from the edges
 (`Laplacian.dense`, or the packed triangle and diagonal the Jacobi sweep
-rotates), and a Laplacian keeps nothing else.
+rotates), and a Laplacian keeps nothing else, whatever has been read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,12 +93,11 @@ class Laplacian:
     """Combinatorial Laplacian L = D - A of a Graph.
 
     It holds only n and the graph's read-only edge arrays, shared, and
-    no n x n array.  Each consumer writes L afresh into working arrays of
-    its own, so nothing copies L: `dense()` writes the n x n array that
-    the eigensolver works in, and `packed_upper()` and `diagonal()` the
-    half-size pair that the Jacobi sweep rotates.  `matrix` is the dense
-    array, written at the first read and kept read-only, for readers off
-    the trial path.  Each off-diagonal entry is 0.0 - w, and the diagonal
+    no n x n array, whatever has been read.  Each consumer writes L
+    afresh into working arrays of its own, so nothing copies L: `dense()`
+    writes the n x n array that the eigensolver works in, and
+    `packed_upper()` and `diagonal()` the half-size pair that the Jacobi
+    sweep rotates.  Each off-diagonal entry is 0.0 - w, and the diagonal
     is `diagonal()`'s, the one place it is computed; L is symmetric with
     finite off-diagonal entries by construction, so only that diagonal
     is checked to be finite.
@@ -148,9 +146,10 @@ class Laplacian:
             raise ValueError("Laplacian has non-finite entries")
         return diag
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """L as a read-only n x n array, written at the first read."""
+        """`dense()`, read-only and written afresh at each read: the name
+        perfbench's quality figures read L by."""
         return _read_only(self.dense())
 
 

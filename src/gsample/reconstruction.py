@@ -17,7 +17,7 @@ import numpy as np
 
 from .filters import ApproxFilter
 from .selection import RANK_TOL
-from .spectral import Observation, SpectralBasis
+from .spectral import SIGNAL_VARIANCE, Observation, SpectralBasis
 
 
 @dataclass(frozen=True)
@@ -134,5 +134,6 @@ def rmse(x_star: np.ndarray, x: np.ndarray) -> float:
 
 
 def snr_to_sigma2(snr_db: float) -> float:
-    """Noise variance for a target SNR in dB against signal power 0.5."""
-    return 0.5 * 10.0 ** (-snr_db / 10.0)
+    """Noise variance for a target SNR in dB against the signal models'
+    coefficient variance, `SIGNAL_VARIANCE`."""
+    return SIGNAL_VARIANCE * 10.0 ** (-snr_db / 10.0)

@@ -54,6 +54,9 @@ SIGN_TOL = 1e-12
 # Relative spectral gap at the bandwidth below which V_K is not unique.
 GAP_TOL = 1e-8
 
+# Variance of a signal's in-band coefficients, in every model.
+SIGNAL_VARIANCE = 0.5
+
 # (default bandwidth, variance of the out-of-band coefficients or None)
 SIGNAL_MODELS = {
     "GS1": (10, None),
@@ -195,10 +198,10 @@ def eigendecompose(lap: Laplacian, K: int | None = None) -> SpectralBasis:
     tol = GAP_TOL = 1e-8 (`check_gap`).
 
     The solver works in an array of its own, `lap.dense()`, which also
-    checks L's entries (see `Laplacian`); `lap.matrix` is not read.  That
-    array is read transposed, F-ordered, which holds L because L is
-    symmetric, so LAPACK's subset solve overwrites it without a copy; the
-    full `eigh` works on a copy of it.  The subset solve is the call
+    checks L's entries (see `Laplacian`).  That array is read transposed,
+    F-ordered, which holds L because L is symmetric, so LAPACK's subset
+    solve overwrites it without a copy; the full `eigh` works on a copy
+    of it.  The subset solve is the call
     `scipy.linalg.eigh(a, subset_by_index=[0, K], driver="evr",
     overwrite_a=True, check_finite=False)` makes, made on `_flapack`
     directly: the workspace query `dsyevr_lwork`, then `dsyevr` for the
@@ -256,7 +259,8 @@ def gen_signal(model: str, basis: SpectralBasis, seed: int,
     GS2: as GS1 plus N(0, 5e-3) energy in all remaining coefficients.
     GS3: exactly bandlimited with 40 coefficients ~ N(0, 0.5).
 
-    The second Normal parameter is a variance.  `bandwidth` overrides the
+    The second Normal parameter is a variance; 0.5 is `SIGNAL_VARIANCE`,
+    which `snr_to_sigma2` reads too.  `bandwidth` overrides the
     model default (used when experiments scale the bandwidth with n).
     The signal is synthesised from the columns the basis holds, so an
     exactly bandlimited model needs only the K lowest eigenvectors; GS2
@@ -274,7 +278,7 @@ def gen_signal(model: str, basis: SpectralBasis, seed: int,
                          f"the basis holds {basis.width} of {n}")
     rng = rng_from(seed)
     xhat = np.zeros(n)
-    xhat[:K] = rng.normal(0.0, np.sqrt(0.5), size=K)
+    xhat[:K] = rng.normal(0.0, np.sqrt(SIGNAL_VARIANCE), size=K)
     if tail_var is not None and K < n:
         xhat[K:] = rng.normal(0.0, np.sqrt(tail_var), size=n - K)
     return GraphSignal(basis.eigenvectors @ xhat[:basis.width], xhat, K)

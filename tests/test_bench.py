@@ -110,10 +110,33 @@ def test_parse_defaults():
     # 10 ** 400 overflows in snr_to_sigma2, which `run` would call
     ("study = rmse_vs_snr\nn = 30\nK = 4\nmethods = agod\nsweep = -4000\n"
      "trials = 1", ":5: SNR -4000.0 dB gives a noise variance past"),
+    ("study = rmse_vs_size\nn =", ":2: empty value for 'n'"),
+    ("study = rmse_vs_size\ngraph = G4", ":2: unknown graph model 'G4'"),
+    ("study = rmse_vs_size\nsignal = GS0", ":2: unknown signal model 'GS0'"),
+    ("study = rmse_vs_size\nmethods = agod, fagod, agod",
+     ":2: duplicate method"),
+    ("study = suboptimality\nn = 30\nsweep = 15",
+     ":2: exhaustive search needs C\\(n, M\\) <= 1000000"),
+    ("study = alpha\nsweep = 0.1, 0",
+     ":2: alpha study sweeps mu values > 0"),
+    # a comma list drops empty items, and may not be empty
+    ("study = rmse_vs_size\nsweep = ,", ":2: sweep must not be empty"),
+    ("study = rmse_vs_size\nmethods = , ,", ":2: methods must not be empty"),
 ])
 def test_parse_rejects_bad_specs(text, match):
     with pytest.raises(SpecError, match=match):
         parse_spec_text(text)
+
+
+@pytest.mark.parametrize("text,key,value", [
+    ("methods = fagod,", "methods", ("fagod",)),
+    ("methods = , agod,, fagod", "methods", ("agod", "fagod")),
+    ("sweep = 5,", "sweep", (5,)),
+    ("sweep = , 5,, 10", "sweep", (5, 10)),
+])
+def test_comma_lists_drop_empty_items(text, key, value):
+    assert getattr(parse_spec_text(f"study = rmse_vs_size\n{text}"),
+                   key) == value
 
 
 @pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.spec")),

@@ -200,7 +200,12 @@ def test_laplacian_shares_the_edges_and_writes_a_fresh_array_per_call():
     assert first.flags.writeable and first.flags.c_contiguous
     first[:] = 7.0  # a consumer's working array is its own
     assert lap.dense().tobytes() == second.tobytes() == lap.matrix.tobytes()
-    assert lap.matrix is lap.matrix and not lap.matrix.flags.writeable
+    # matrix keeps nothing either: each read is a read-only array of its own
+    read, again = lap.matrix, lap.matrix
+    assert read is not again and not np.shares_memory(read, again)
+    assert not read.flags.writeable and not again.flags.writeable
+    assert read.tobytes() == again.tobytes() == second.tobytes()
+    assert vars(lap).keys() == {"n", "_edges"}
 
 
 @pytest.mark.parametrize("model", ["G1", "G2", "G3"])

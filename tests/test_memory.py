@@ -100,6 +100,25 @@ def test_laplacian_of_a_sensor_graph_is_its_one_dense_array():
     assert peak < 1.2 * n * n * 8 / MIB, f"peak {peak:.2f} MiB"
 
 
+def test_a_read_of_matrix_is_freed_with_its_array():
+    # matrix written at the first read and kept held 1.0 dense arrays
+    # (30.5 MiB here) for the Laplacian's whole life
+    n = 2000
+    lap = build_laplacian(gen_sensor(n, 6, seed=0))
+    build_laplacian(gen_sensor(60, 6, seed=0)).matrix  # warm up
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        read = lap.matrix
+        assert read.shape == (n, n)
+        del read
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 0.001 * n * n * 8, f"{after - before} bytes kept"
+    assert vars(lap).keys() == {"n", "_edges"}
+
+
 def test_laplacian_at_4000_nodes_holds_no_dense_array():
     # L written at build time read 1.0 dense arrays (122 MiB here), and a
     # fresh diagonal summed a quarter of L's rows at a time 0.25

@@ -1,12 +1,14 @@
 """Trials in forked worker processes: failures, lifetimes, a broken pool,
-the process cap and the forking thread; and the Jacobi sweep on a second
-thread beside the eigensolve of a run with a CPU to spare.
+the process cap, the forking thread and child processes; and the Jacobi
+sweep on a second thread beside the eigensolve of a run with a CPU to
+spare.
 
 Rows do not depend on the process count (`test_bench.py`); these tests
 check what the processes and threads themselves do.  Scripts that must
 start from a process without a pool run in a fresh interpreter.
 """
 
+import contextlib
 import multiprocessing
 import os
 import pickle
@@ -27,6 +29,7 @@ import gsample._kernels as kernels
 import gsample.bench as bench
 from conftest import graph_from_adjacency
 from gsample.bench import ExperimentSpec, parse_spec_text, run_experiment
+from gsample.graphs import Laplacian
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="trials fork worker processes on "
@@ -194,6 +197,78 @@ print(int(data(main) == data(results[0])))
     assert proc.returncode == 0
     in_thread, in_main, same = map(int, out.split())
     assert in_thread == 0 and in_main >= 1 and same == 1
+
+
+# A parent that has run with workers starts a child that runs the same
+# spec at the default thread count; the parent prints whether the child's
+# rows are its own, the child's exit code, and whether its own pool still
+# gives its rows afterwards.  The child runs its trials in process: a plain
+# fork's inherited pool would never answer it, and a multiprocessing child
+# joins its children at exit, where a pool's workers wait for tasks.
+CHILD = f"""
+import multiprocessing, os, pickle, sys
+from gsample.bench import parse_spec_text, run_experiment
+
+SPEC = parse_spec_text({TWO_TRIALS!r})
+
+
+def data():
+    return [(r.method, r.sweep, r.trial, r.value, r.seed)
+            for r in run_experiment(SPEC).rows]
+
+
+def child(queue):
+    queue.put(data())
+
+
+if __name__ == "__main__":
+    mode = sys.argv[1]
+    rows = data()
+    if mode == "os.fork":
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                pickle.dump(data(), out)
+            sys.exit(0)  # through the exit hooks, which leave the pool be
+        os.close(write)
+        with os.fdopen(read, "rb") as source:
+            got = pickle.load(source)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    else:
+        context = multiprocessing.get_context(mode)
+        queue = context.SimpleQueue()
+        process = context.Process(target=child, args=(queue,))
+        process.start()
+        got = queue.get()
+        process.join()
+        code = process.exitcode
+    print(int(got == rows), code, int(data() == rows), flush=True)
+"""
+
+
+@pytest.mark.parametrize("mode", ["os.fork", "fork", "spawn"])
+def test_a_child_process_runs_its_trials_in_process_and_exits(tmp_path,
+                                                              mode):
+    _needs_two_cpus()
+    script = tmp_path / "child.py"
+    script.write_text(CHILD, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, str(script), mode], stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        # the script leads a process group of its own: a hung child, a
+        # worker or multiprocessing's resource tracker goes with it
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert proc.returncode == 0
+    assert out.split() == ["1", "0", "1"]
 
 
 def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):
@@ -364,6 +439,39 @@ def test_failed_sweep_thread_raises_as_at_one_thread(monkeypatch,
         assert threading.active_count() == before
     assert messages[0] == messages[1]
     assert messages[0][0] is (ValueError if solve_fails else RuntimeError)
+
+
+@pytest.mark.parametrize("threads", [None, 1], ids=["beside", "serial"])
+@pytest.mark.parametrize("key,value,match", [
+    ("K", 0, "bandwidth K=0 out of range"),
+    ("K", 61, "bandwidth K=61 out of range"),
+    ("K", 2.5, "bandwidth must be an integer, got 2.5"),
+    ("J", -1, "rotation budget must be nonnegative"),
+    ("J", 2.5, "rotation budget must be an integer, got 2.5")])
+def test_bad_k_or_j_raises_before_an_array_of_l_is_written(
+        monkeypatch, threads, key, value, match):
+    # values the parser rejects; the trial used to run the whole sweep
+    # beside the solve before it raised, and to cut 2.5 down to 2
+    if threads is None:
+        _needs_two_cpus()
+    written = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            written.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("dense", "packed_upper"):
+        monkeypatch.setattr(Laplacian, name,
+                            recorded(name, getattr(Laplacian, name)))
+    monkeypatch.setattr(kernels, "greedy_jacobi_sweep",
+                        recorded("sweep", kernels.greedy_jacobi_sweep))
+    spec = replace(parse_spec_text(ONE_FAGOD.format(
+        n=60, K=4, graph="G1", signal="GS1")), **{key: value})
+    with pytest.raises(ValueError, match=match):
+        run_experiment(spec, threads=threads)
+    assert written == []
 
 
 def test_sweep_beside_the_solve_runs_at_one_blas_thread(monkeypatch,
