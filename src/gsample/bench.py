@@ -50,7 +50,7 @@ from .filters import (_check_budget, _greedy_jacobi, approximate_lowpass,
                       exact_lowpass, lowpass_from_givens, rotation_budget)
 from .graphs import (ER_P, MAX_CONNECT_ATTEMPTS, SENSOR_KNN, build_laplacian,
                      gen_community, gen_er, gen_sensor)
-from .oracle import (ALPHA_MAX_NODES, COMB_GUARD, empirical_alpha,
+from .oracle import (ALPHA_MAX_NODES, COMB_GUARD, _check_mu, empirical_alpha,
                      relative_suboptimality)
 from .reconstruction import (_loaded_system, biased_reconstruct,  # noqa: F401
                              blue_reconstruct, filter_reconstruct,
@@ -451,8 +451,7 @@ class _TrialContext:
         `observe` and the loaded reconstructions check, in their order."""
         rows, y = _samples(self.signal.values, indices, sigma2, seed)
         if self._loading is None:
-            if self.mu <= 0:
-                raise ValueError("mu must be positive")
+            _check_mu(self.mu)
             self._loading = self.mu * np.eye(self.K)
         factor = self.filter.factor if METHODS[method].givens \
             else self.basis.low_frequency(self.K)
@@ -737,14 +736,12 @@ def _share_rows(spec: ExperimentSpec, trials, use_blue: bool,
 
 
 # Trials run in forked worker processes on Linux only: the workers are tied
-# to their parent's life with prctl, and placed with sched_getcpu.  The
-# OpenBLAS thread counts are set there too: the libraries are found in
-# /proc/self/maps.
+# to their parent's life with prctl.  The OpenBLAS thread counts are set
+# there too: the libraries are found in /proc/self/maps.
 _FORKS = sys.platform.startswith("linux")
 _LIBC = ctypes.CDLL(None, use_errno=True) if _FORKS else None
 if _LIBC:
     _LIBC.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    _LIBC.sched_getcpu.argtypes = ()
 _PR_SET_PDEATHSIG = 1
 # get and set of the thread count in the OpenBLAS builds: plain, numpy's
 # and scipy's wheels
@@ -802,16 +799,9 @@ def _worker_init(parent: int) -> None:
         os._exit(1)
 
 
-def _worker_share(spec: ExperimentSpec, trials, use_blue: bool, cpu: int):
-    """`_share_rows` in a worker, pinned to `cpu` for the share, pickled:
-    loaded after the caller's share, its rows stay out of that share's peak.
-
-    The caller names a CPU other than its own: unpinned, or pinned once
-    for good, a worker was left on the caller's CPU for whole ops on a
-    2-vCPU Linux 6.18 guest, and the two ran no faster than one process.
-    """
-    with contextlib.suppress(OSError):  # the CPU left the worker's cpuset
-        os.sched_setaffinity(0, {cpu})
+def _worker_share(spec: ExperimentSpec, trials, use_blue: bool):
+    """`_share_rows` in a worker, pickled: loaded after the caller's share,
+    its rows stay out of that share's peak.  The scheduler places it."""
     return pickle.dumps(_share_rows(spec, trials, use_blue))
 
 
@@ -861,18 +851,30 @@ def _drop_pool(pool, wait: bool = False) -> None:
         pool.shutdown(wait=wait, cancel_futures=True)
 
 
-def _other_cpus() -> list:
-    """The usable CPUs but the one the caller runs on, or that one alone."""
-    here = _LIBC.sched_getcpu()
-    return [c for c in sorted(os.sched_getaffinity(0)) if c != here] or [here]
-
-
 @atexit.register
 def _close_pool() -> None:
     """Close the pool while the modules it runs on are still loaded; a
     forked process leaves the pool it inherited to its parent."""
     if os.getpid() == _HOME_PID:
         _drop_pool(_pool, wait=True)
+
+
+def _forget_pool() -> None:
+    """In a forked child, drop the parent's pool and take its workers out
+    of `multiprocessing`'s record of this process's children, where the
+    exit hook of `multiprocessing` would try to join them and stop.  That
+    record (`multiprocessing.process._children`) is private to CPython,
+    so it is looked up, and left be where it is missing."""
+    global _pool
+    pool, _pool = _pool, None
+    children = getattr(sys.modules.get("multiprocessing.process"),
+                       "_children", None)
+    if pool is not None and children is not None:
+        children.difference_update(pool._processes.values())
+
+
+if _FORKS:
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int | None = None,
@@ -908,6 +910,12 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     if study.rows is None:
         raise SpecError(f"study {spec.study!r} runs through "
                         "`gsample oracle alpha`, not `gsample run`")
+    # a spec built directly has passed no parser
+    if spec.trials < 1:
+        raise SpecError("trials must be at least 1")
+    for key in ("methods", "sweep"):
+        if not getattr(spec, key):
+            raise SpecError(f"{key} must not be empty")
     cpus = len(os.sched_getaffinity(0)) if _FORKS else 1
     if threads is None:
         threads = cpus
@@ -923,10 +931,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
         # workers forked at the first submit inherit the one BLAS thread
         with _one_blas_thread() if _FORKS else contextlib.nullcontext():
             if pool:
-                others = _other_cpus()
-                futures = [pool.submit(_worker_share, spec, share, use_blue,
-                                       others[w % len(others)])
-                           for w, share in enumerate(shares[1:])]
+                futures = [pool.submit(_worker_share, spec, share, use_blue)
+                           for share in shares[1:]]
             outcomes = [_share_rows(spec, shares[0], use_blue,
                                     width == 1 and min(threads, cpus) >= 2)]
         outcomes += [pickle.loads(future.result()) for future in futures]

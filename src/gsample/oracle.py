@@ -38,6 +38,12 @@ DEGENERATE_GAIN = 1e-14
 ALPHA_MAX_NODES = 8
 
 
+def _check_mu(mu: float) -> None:
+    """Reject a loading mu that is not positive, NaN included."""
+    if not mu > 0:
+        raise ValueError("mu must be positive")
+
+
 @dataclass(frozen=True)
 class SuboptimalityReport:
     """Objective value of a candidate set against the exhaustive optimum."""
@@ -159,8 +165,7 @@ def theorem_bounds(mu: float):
     end node, so alpha = 0 for every mu.  At K = 1 the objective is
     1 / (sum_S v_j^2 + mu), alpha = 1, and the bound holds.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     bound_g = mu * (2.0 + mu) / (1.0 + mu) ** 2
     bound_tr = mu ** 3 * (2.0 + mu) / (mu + 1.0) ** 4
     return bound_g, bound_tr
@@ -244,8 +249,7 @@ class LoadedGramState:
     """
 
     def __init__(self, factor: np.ndarray, mu: float):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        _check_mu(mu)
         factor = np.ascontiguousarray(factor, dtype=float)
         if factor.ndim != 2:
             raise ValueError("factor must be an n x K matrix")

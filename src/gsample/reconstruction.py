@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import ApproxFilter
+from .oracle import _check_mu
 from .selection import RANK_TOL
 from .spectral import SIGNAL_VARIANCE, Observation, SpectralBasis
 
@@ -100,8 +101,7 @@ def biased_reconstruct(obs: Observation, basis: SpectralBasis, K: int,
     Defined for any nonempty sample set; converges to the unbiased
     estimate as mu -> 0 on full-rank instances.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     return _loaded_solve(basis.low_frequency(K), obs, mu)
 
 
@@ -114,8 +114,7 @@ def filter_reconstruct(obs: Observation, filt, mu: float) -> Reconstruction:
     `biased_reconstruct`, which the runner uses for fagod-exact.  A dense
     filter matrix `filt` is solved as written, as a reference.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     if isinstance(filt, ApproxFilter):
         return _loaded_solve(filt.factor, obs, mu)
     T = np.asarray(filt, dtype=float)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .filters import ApproxFilter
-from .oracle import greedy_minimize
+from .oracle import _check_mu, greedy_minimize
 from .rng import rng_from
 from .spectral import SpectralBasis, leverage_scores
 
@@ -102,7 +102,7 @@ def objective_agod(indices, basis: SpectralBasis, K: int, mu: float) -> float:
     mu = 0 recovers the unloaded (god) objective, computed through a
     pseudo-inverse when the Gram matrix is rank deficient.
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be nonnegative")
     indices = list(indices)
     if mu == 0.0:
@@ -115,8 +115,7 @@ def objective_agod(indices, basis: SpectralBasis, K: int, mu: float) -> float:
 
 def objective_fagod(indices, T: np.ndarray, mu: float) -> float:
     """max diag (T_SS + mu I)^-1 for a filter matrix T; 1/mu on the empty set."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     indices = list(indices)
     if not indices:
         return 1.0 / mu
@@ -126,8 +125,7 @@ def objective_fagod(indices, T: np.ndarray, mu: float) -> float:
 
 def objective_dopt(indices, basis: SpectralBasis, K: int, mu: float) -> float:
     """Normalized log-determinant criterion (1/K) ln |(V_SK^T V_SK + mu I)^-1|."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     vsk = _rows(basis, indices, K)
     sign, logdet = np.linalg.slogdet(vsk.T @ vsk + mu * np.eye(K))
     if sign <= 0:
@@ -137,8 +135,7 @@ def objective_dopt(indices, basis: SpectralBasis, K: int, mu: float) -> float:
 
 def objective_aopt(indices, basis: SpectralBasis, K: int, mu: float) -> float:
     """Trace criterion Tr (V_SK^T V_SK + mu I)^-1 (K/mu on the empty set)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     indices = list(indices)
     if not indices:
         return K / mu
@@ -188,8 +185,7 @@ def _check_budget(M: int, n: int) -> None:
 def _greedy_pass(method: str, factor, mu: float, M: int) -> SamplingSet:
     """M greedy steps of agod, fagod, dopt or aopt on the n x K factor V,
     as one compiled pass; a non-finite factor entry raises."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     factor = np.asarray(factor, dtype=float)
     if factor.ndim != 2:
         raise ValueError("factor must be an n x K matrix")

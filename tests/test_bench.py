@@ -148,6 +148,21 @@ def test_committed_spec_parses(path):
 # ---------------------------------------------------------------------------
 # runner
 
+def test_direct_spec_without_trials_methods_or_sweep_raises(monkeypatch):
+    # values the parser rejects, built directly: the runner checks them
+    # before it draws a graph
+    drawn = []
+    monkeypatch.setattr(bench, "make_graph", lambda *args: drawn.append(args))
+    spec = parse_spec_text(SMALL_RMSE_SPEC)
+    for change, match in [(dict(trials=0), "trials must be at least 1"),
+                          (dict(trials=-1), "trials must be at least 1"),
+                          (dict(methods=()), "methods must not be empty"),
+                          (dict(sweep=()), "sweep must not be empty")]:
+        with pytest.raises(SpecError, match=match):
+            run_experiment(dataclasses.replace(spec, **change))
+    assert drawn == []
+
+
 def test_single_row_run():
     spec = parse_spec_text(
         "study = rmse_vs_size\nn = 16\nK = 3\nmethods = agod\n"

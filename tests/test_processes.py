@@ -1,7 +1,7 @@
 """Trials in forked worker processes: failures, lifetimes, a broken pool,
-the process cap, the forking thread and child processes; and the Jacobi
-sweep on a second thread beside the eigensolve of a run with a CPU to
-spare.
+the process cap, the workers' CPUs, the forking thread and child
+processes; and the Jacobi sweep on a second thread beside the eigensolve
+of a run with a CPU to spare.
 
 Rows do not depend on the process count (`test_bench.py`); these tests
 check what the processes and threads themselves do.  Scripts that must
@@ -44,7 +44,8 @@ TWO_TRIALS = ("study = rmse_vs_size\nn = 24\nK = 4\nmethods = agod, fagod\n"
 def _python(script, **kwargs):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.Popen([sys.executable, "-c", script], env=env,
-                            stdout=subprocess.PIPE, text=True, **kwargs)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
 
 
 def _alive(pid):
@@ -82,7 +83,7 @@ def test_a_workers_share_comes_back_as_one_pickle():
     # caller's memory when run_experiment loads them, after its own share
     spec = parse_spec_text(TWO_TRIALS)
     blob = bench._worker_pool().submit(
-        bench._worker_share, spec, range(1, 2), False, 0).result(timeout=60)
+        bench._worker_share, spec, range(1, 2), False).result(timeout=60)
     assert isinstance(blob, bytes)
     rows, failure = pickle.loads(blob)
     assert failure is None
@@ -90,6 +91,15 @@ def test_a_workers_share_comes_back_as_one_pickle():
                   if row[2] == 1]
     assert sorted(_data(bench.ExperimentResult(tuple(rows)))) == \
         sorted(in_process)
+
+
+def test_workers_run_on_every_usable_cpu():
+    # the scheduler places the workers: none keeps a CPU set of its own
+    # after its share
+    _needs_two_cpus()
+    run_experiment(parse_spec_text(TWO_TRIALS))
+    cpus = [os.sched_getaffinity(pid) for pid in bench._pool._processes]
+    assert cpus and cpus == [os.sched_getaffinity(0)] * len(cpus)
 
 
 def test_in_process_runs_start_no_process():
@@ -106,8 +116,8 @@ run_experiment(two, threads=2)
 print(len(multiprocessing.active_children()))
 """
     proc = _python(script)
-    out, _ = proc.communicate(timeout=120)
-    assert proc.returncode == 0
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == ""
     in_process, forked = map(int, out.split())
     assert in_process == 0 and forked >= 1
 
@@ -129,6 +139,7 @@ time.sleep(120)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
         proc.stdout.close()
+        proc.stderr.close()
     assert workers
     deadline = time.monotonic() + 2.0
     while any(map(_alive, workers)) and time.monotonic() < deadline:
@@ -193,8 +204,8 @@ print(len(multiprocessing.active_children()))
 print(int(data(main) == data(results[0])))
 """
     proc = _python(script)
-    out, _ = proc.communicate(timeout=120)
-    assert proc.returncode == 0
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == ""
     in_thread, in_main, same = map(int, out.split())
     assert in_thread == 0 and in_main >= 1 and same == 1
 
@@ -256,10 +267,10 @@ def test_a_child_process_runs_its_trials_in_process_and_exits(tmp_path,
     script.write_text(CHILD, encoding="utf-8")
     proc = subprocess.Popen(
         [sys.executable, str(script), mode], stdout=subprocess.PIPE,
-        text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
-        start_new_session=True)
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=60)
+        out, err = proc.communicate(timeout=60)
     finally:
         # the script leads a process group of its own: a hung child, a
         # worker or multiprocessing's resource tracker goes with it
@@ -267,8 +278,12 @@ def test_a_child_process_runs_its_trials_in_process_and_exits(tmp_path,
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=10)
         proc.stdout.close()
+        proc.stderr.close()
     assert proc.returncode == 0
     assert out.split() == ["1", "0", "1"]
+    # a plain fork's child must not try, at exit, to join its parent's
+    # workers, which multiprocessing would report on stderr
+    assert err == ""
 
 
 def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):

@@ -14,9 +14,10 @@ from gsample import (SamplingSet, SpectralBasis, approximate_lowpass,
                      leverage_scores, objective_agod, objective_aopt,
                      objective_dopt, objective_eopt, objective_fagod,
                      random_select)
+from gsample.graphs import SENSOR_KNN
 from gsample.oracle import (FactoredFagodState, LoadedGramState,
                             greedy_minimize, leverage_draw_reference,
-                            update_inverse_rank_one)
+                            theorem_bounds, update_inverse_rank_one)
 from gsample.selection import _greedy_pass, save_sampling_csv
 
 MU = 1 / 99
@@ -169,6 +170,21 @@ def test_greedy_fagod_accepts_filter_object(sensor10):
         LoadedGramState(basis.low_frequency(3), 0.0)
     with pytest.raises(ValueError, match="mu must be positive"):
         greedy_select("fagod", 4, filt=filt.filter, mu=-1.0)
+
+
+@pytest.mark.parametrize("objective", [
+    lambda basis, mu: theorem_bounds(mu),
+    lambda basis, mu: objective_agod([0, 3, 7], basis, 4, mu),
+    lambda basis, mu: objective_fagod([0, 3, 7], exact_lowpass(basis, 4), mu),
+    lambda basis, mu: objective_dopt([0, 3, 7], basis, 4, mu),
+    lambda basis, mu: objective_aopt([0, 3, 7], basis, 4, mu),
+    lambda basis, mu: LoadedGramState(basis.low_frequency(4), mu).objective()],
+    ids=["theorem_bounds", "agod", "fagod", "dopt", "aopt", "state"])
+def test_nan_loading_is_rejected(objective):
+    # NaN passes `mu <= 0` and `mu < 0`, and each of these returns nan
+    # from it unless the check is written the other way round
+    with pytest.raises(ValueError, match="mu must be"):
+        objective(_basis(30, SENSOR_KNN, 0), float("nan"))
 
 
 def test_dense_filter_is_factored_or_rejected():
