@@ -4,13 +4,14 @@ Experiments are described by flat `key = value` spec files (lists are
 comma-separated) and produce CSV rows
 `study,graph,signal,method,sweep,trial,value,wall_ms,seed`.  Every data
 column is a pure function of the spec, so reruns are byte-identical
-whatever the number of processes the trials run in (`run_experiment`
-says when they all run in process); wall_ms is the only
-non-reproducible column.  In the RMSE studies a trial solves the loaded
-reconstructions of its rows together (`_rmse_trial_rows`), so a loaded
-row's wall_ms is its own selection, noise and Gram time plus an equal
-share of that batch; a batch that fails is solved again one row at a
-time, so that the first failing row raises.  A trial's basis and Givens
+whatever the number of processes the trials run in: the caller and
+persistent forked workers, each sent its share of the trials over a pipe
+(`run_experiment` says when they all run in process); wall_ms is the
+only non-reproducible column.  In the RMSE studies a trial solves the
+loaded reconstructions of its rows together (`_rmse_trial_rows`), so a
+loaded row's wall_ms is its own selection, noise and Gram time plus an
+equal share of that batch; a batch that fails is solved again one row at
+a time, so that the first failing row raises.  A trial's basis and Givens
 filter are `eigendecompose`'s and `approximate_lowpass`'s;
 `run_experiment` says when the Jacobi sweep runs beside the eigensolve,
 and `_truth_and_filter` how.
@@ -39,7 +40,7 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -735,9 +736,9 @@ def _share_rows(spec: ExperimentSpec, trials, use_blue: bool,
     return rows, None
 
 
-# Trials run in forked worker processes on Linux only: the workers are tied
-# to their parent's life with prctl.  The OpenBLAS thread counts are set
-# there too: the libraries are found in /proc/self/maps.
+# Trials run in forked workers on Linux only: each worker is tied with prctl
+# to the life of the thread that forked it.  The OpenBLAS thread counts are
+# set there too: the libraries are found in /proc/self/maps.
 _FORKS = sys.platform.startswith("linux")
 _LIBC = ctypes.CDLL(None, use_errno=True) if _FORKS else None
 if _LIBC:
@@ -749,11 +750,9 @@ _BLAS_THREAD_FUNCTIONS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
-_pool = None
-_pool_lock = threading.Lock()
-# the process that imported this module; one forked from it inherits the
-# module state, the pool included
-_HOME_PID = os.getpid()
+# (pid, task pipe's write end, result pipe's read end) of each persistent
+# worker that this process forked
+_workers = []
 
 
 @functools.cache
@@ -790,91 +789,81 @@ def _one_blas_thread():
             setter(count)
 
 
-def _worker_init(parent: int) -> None:
-    """Kill the worker with its parent and leave Ctrl-C to the parent."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if _LIBC.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent:  # the parent died before prctl took effect
+def _serve(parent: int, tasks: int, results: int) -> None:
+    """A worker's life; it never returns.  The worker dies with the thread
+    that forked it and leaves Ctrl-C to its parent.  It answers each
+    `(spec, trials, use_blue)` task read from `tasks` with that share's
+    `_share_rows`, written to `results`, and exits at the end of `tasks`."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        if _LIBC.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+        if os.getppid() != parent:  # the parent died before prctl took effect
+            os._exit(1)
+        with open(tasks, "rb") as source, open(results, "wb") as sink:
+            while True:
+                try:
+                    task = pickle.load(source)
+                except EOFError:
+                    break
+                pickle.dump(_share_rows(*task), sink)
+                sink.flush()
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
         os._exit(1)
+    os._exit(0)
 
 
-def _worker_share(spec: ExperimentSpec, trials, use_blue: bool):
-    """`_share_rows` in a worker, pickled: loaded after the caller's share,
-    its rows stay out of that share's peak.  The scheduler places it."""
-    return pickle.dumps(_share_rows(spec, trials, use_blue))
-
-
-def _owns_workers() -> bool:
-    """Whether this thread may make and use the pool, by the rule
-    `run_experiment` states.  `multiprocessing` is looked up, not
-    imported: a process that has not loaded it has no such parent."""
-    if threading.current_thread() is not threading.main_thread() \
-            or os.getpid() != _HOME_PID:
-        return False
-    mp = sys.modules.get("multiprocessing")
-    return mp is None or mp.parent_process() is None
-
-
-def _worker_pool():
-    """The persistent pool of usable CPUs - 1 forked workers (at least one).
-
-    Its workers are forked by the main thread at the first call that
-    submits, before the pool's manager thread starts, and keep the module
-    state of that moment.  `PR_SET_PDEATHSIG` kills them when the thread
-    that forked them exits, so `run_experiment` makes and uses the pool
-    only where `_owns_workers` allows.  A spawned worker would import
-    numpy, scipy's LAPACK extension and gsample afresh, about 0.2 s that
-    every new `gsample run` would pay, and a pool made per call costs about
-    10 ms to fork and shut down.  The pool's modules load with it, so an
-    in-process run does not import them.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            _pool = ProcessPoolExecutor(
-                max(1, len(os.sched_getaffinity(0)) - 1),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_worker_init, initargs=(os.getpid(),))
-        return _pool
-
-
-def _drop_pool(pool, wait: bool = False) -> None:
-    global _pool
-    with _pool_lock:
-        if _pool is pool:
-            _pool = None
-    if pool is not None:
-        pool.shutdown(wait=wait, cancel_futures=True)
+def _start_workers(count: int) -> None:
+    """Fork workers until `count` run.  A worker keeps the module state of
+    the moment it was forked.  It is forked, not spawned: a spawned worker
+    would import numpy, scipy's LAPACK extension and gsample afresh, about
+    0.2 s that every new `gsample run` would pay.  It persists: forked
+    and reaped in every call, it slowed a 4-trial `desk` op by 5-16 ms."""
+    while len(_workers) < count:
+        task_read, task_write = os.pipe()
+        result_read, result_write = os.pipe()
+        parent = os.getpid()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (task_read, task_write, result_read, result_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(task_write)
+            os.close(result_read)
+            _serve(parent, task_read, result_write)
+        os.close(task_read)
+        os.close(result_write)
+        _workers.append((pid, task_write, result_read))
 
 
 @atexit.register
-def _close_pool() -> None:
-    """Close the pool while the modules it runs on are still loaded; a
-    forked process leaves the pool it inherited to its parent."""
-    if os.getpid() == _HOME_PID:
-        _drop_pool(_pool, wait=True)
+def _stop_workers(kill: bool = False) -> None:
+    """Close the task pipes, at whose end each idle worker exits, or kill
+    the workers; then reap them."""
+    pids = [pid for pid, _, _ in _workers]
+    for pid in pids if kill else ():
+        os.kill(pid, signal.SIGKILL)
+    _close_pipes()
+    for pid in pids:
+        os.waitpid(pid, 0)
 
 
-def _forget_pool() -> None:
-    """In a forked child, drop the parent's pool and take its workers out
-    of `multiprocessing`'s record of this process's children, where the
-    exit hook of `multiprocessing` would try to join them and stop.  That
-    record (`multiprocessing.process._children`) is private to CPython,
-    so it is looked up, and left be where it is missing."""
-    global _pool
-    pool, _pool = _pool, None
-    children = getattr(sys.modules.get("multiprocessing.process"),
-                       "_children", None)
-    if pool is not None and children is not None:
-        children.difference_update(pool._processes.values())
+def _close_pipes() -> None:
+    """Close this process's ends of its workers' pipes and forget the
+    workers.  A forked child does so at once, for its parent's workers: a
+    copy of a task pipe's write end would keep its worker from ever
+    reading the end of its tasks."""
+    for _, tasks, results in _workers:
+        os.close(tasks)
+        os.close(results)
+    _workers.clear()
 
 
 if _FORKS:
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_close_pipes)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int | None = None,
@@ -884,15 +873,13 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     `threads` caps the number of processes the trials run in, one per
     usable CPU at most and by default.  With W = min(trials, threads,
     usable CPUs), the calling process runs the trials t = 0 (mod W)
-    itself, and the share t = w (mod W) of each w > 0 goes to a
-    persistent pool of forked workers as one task.  Every trial runs in
-    process, and no process starts, at W = 1, off Linux, off the main
-    thread, in a process forked from the one that imported this module,
-    and in a process with a `multiprocessing` parent.  The pool's workers
-    die with the thread that forked them; a forked process neither uses
-    nor shuts down the pool it inherited, whose queues and workers are
-    its parent's; and a `multiprocessing` child joins its children at
-    exit, where a pool's workers would wait for tasks for good.
+    itself, and the share t = w (mod W) of each w > 0 goes to one of W - 1
+    persistent forked workers, as one task on its pipe; the rows of the
+    workers' shares are loaded after the caller's own share.  Every
+    trial runs in process, and no process starts, at W = 1, off Linux,
+    and in a call off the main thread, since a worker dies with the
+    thread that forked it.  A child process, forked or spawned, forks
+    workers of its own.
     On Linux every trial runs at one OpenBLAS thread, in a
     worker or in the caller, which restores its own count afterwards:
     from n = 150 or so the eigensolver's last bits depend on that count,
@@ -901,8 +888,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
     CPU to spare: a trial that selects with fagod runs its Jacobi sweep
     on a second thread beside the `eigendecompose` of the basis its
     signal is drawn from (`_truth_and_filter`).  A failed trial raises what it
-    raises at threads = 1, and a broken pool raises BrokenProcessPool
-    and is replaced at the next call.
+    raises at threads = 1.  A worker that dies raises a RuntimeError that
+    names it; every worker is then killed, and the next call forks afresh.
     Rows are sorted by (method, sweep, trial) in spec order before
     returning, so scheduling never affects the output.
     """
@@ -923,21 +910,28 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None,
         raise ValueError(f"thread count must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError("thread count must be at least 1")
-    width = min(spec.trials, threads, cpus) if _owns_workers() else 1
+    width = min(spec.trials, threads, cpus) \
+        if threading.current_thread() is threading.main_thread() else 1
     shares = [range(w, spec.trials, width) for w in range(width)]
-    pool = _worker_pool() if width > 1 else None
-    futures = []
     try:
-        # workers forked at the first submit inherit the one BLAS thread
+        # workers forked here inherit the one BLAS thread
         with _one_blas_thread() if _FORKS else contextlib.nullcontext():
-            if pool:
-                futures = [pool.submit(_worker_share, spec, share, use_blue)
-                           for share in shares[1:]]
+            _start_workers(width - 1)
+            workers = _workers[:width - 1]
+            for (pid, tasks, _), share in zip(workers, shares[1:]):
+                with open(tasks, "wb", closefd=False) as sink:
+                    pickle.dump((spec, share, use_blue), sink)
             outcomes = [_share_rows(spec, shares[0], use_blue,
                                     width == 1 and min(threads, cpus) >= 2)]
-        outcomes += [pickle.loads(future.result()) for future in futures]
-    except BrokenExecutor:  # a worker died: BrokenProcessPool
-        _drop_pool(pool)
+        for pid, _, results in workers:
+            with open(results, "rb", closefd=False) as source:
+                outcomes.append(pickle.load(source))
+    except BaseException as exc:
+        # a reply left in a pipe would answer the next call
+        _stop_workers(kill=True)
+        if isinstance(exc, (BrokenPipeError, EOFError,
+                            pickle.UnpicklingError)):
+            raise RuntimeError(f"trial worker {pid} died") from exc
         raise
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:

@@ -34,6 +34,7 @@ rounds out the set of strategies benchmarked against each other.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,10 @@ def _dense_factor(T) -> np.ndarray:
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
-def _check_budget(M: int, n: int) -> None:
+def _check_budget(M, n: int) -> None:
+    """Raise ValueError unless the budget M is an integer in [1, n]."""
+    if not isinstance(M, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {M!r}")
     if not 1 <= M <= n:
         raise ValueError(f"budget M={M} out of range [1, {n}]")
 

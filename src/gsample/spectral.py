@@ -269,7 +269,7 @@ def gen_signal(model: str, basis: SpectralBasis, seed: int,
     if model not in SIGNAL_MODELS:
         raise ValueError(f"unknown signal model {model!r}")
     default_k, tail_var = SIGNAL_MODELS[model]
-    K = default_k if bandwidth is None else int(bandwidth)
+    K = default_k if bandwidth is None else bandwidth
     n = basis.n
     _check_bandwidth(K, n)
     needed = n if tail_var is not None else K

@@ -1,24 +1,21 @@
-"""Trials in forked worker processes: failures, lifetimes, a broken pool,
-the process cap, the workers' CPUs, the forking thread and child
+"""Trials in forked worker processes: failures, lifetimes, a killed
+worker, the process cap, the workers' CPUs, the forking thread and child
 processes; and the Jacobi sweep on a second thread beside the eigensolve
 of a run with a CPU to spare.
 
 Rows do not depend on the process count (`test_bench.py`); these tests
 check what the processes and threads themselves do.  Scripts that must
-start from a process without a pool run in a fresh interpreter.
+start from a process without workers run in a fresh interpreter.
 """
 
 import contextlib
-import multiprocessing
 import os
-import pickle
 import select
 import signal
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,19 +75,28 @@ def test_failed_trial_in_a_worker_raises_as_in_process():
                          "no connected er graph in 50 attempts (n=30)")] * 3
 
 
-def test_a_workers_share_comes_back_as_one_pickle():
-    # the pool's result thread loads bytes only; the rows reach the
-    # caller's memory when run_experiment loads them, after its own share
+def test_a_workers_share_comes_back_as_one_pickle(monkeypatch):
+    # the worker's share waits in its pipe while the caller runs its own,
+    # and reaches the caller's memory only after it
+    _needs_two_cpus()
     spec = parse_spec_text(TWO_TRIALS)
-    blob = bench._worker_pool().submit(
-        bench._worker_share, spec, range(1, 2), False).result(timeout=60)
-    assert isinstance(blob, bytes)
-    rows, failure = pickle.loads(blob)
-    assert failure is None
-    in_process = [row for row in _data(run_experiment(spec, threads=1))
-                  if row[2] == 1]
-    assert sorted(_data(bench.ExperimentResult(tuple(rows)))) == \
-        sorted(in_process)
+    serial = _data(run_experiment(spec, threads=1))
+    run_experiment(spec, threads=2)  # the worker is forked before the patch
+    share_rows = bench._share_rows
+    waiting = []
+
+    def recorded(spec, trials, *args):
+        outcome = share_rows(spec, trials, *args)
+        results = [fd for _, _, fd in bench._workers]
+        waiting.append(select.select(results, [], [], 60)[0] == results)
+        return outcome
+
+    monkeypatch.setattr(bench, "_share_rows", recorded)
+    assert _data(run_experiment(spec, threads=2)) == serial
+    assert waiting == [True]
+    # the reply was one pickle: nothing is left in the pipe
+    assert not select.select([fd for _, _, fd in bench._workers], [], [],
+                             0)[0]
 
 
 def test_workers_run_on_every_usable_cpu():
@@ -98,22 +104,22 @@ def test_workers_run_on_every_usable_cpu():
     # after its share
     _needs_two_cpus()
     run_experiment(parse_spec_text(TWO_TRIALS))
-    cpus = [os.sched_getaffinity(pid) for pid in bench._pool._processes]
+    cpus = [os.sched_getaffinity(pid) for pid, _, _ in bench._workers]
     assert cpus and cpus == [os.sched_getaffinity(0)] * len(cpus)
 
 
 def test_in_process_runs_start_no_process():
     script = f"""
-import multiprocessing
+from gsample import bench
 from gsample.bench import parse_spec_text, run_experiment
 two = parse_spec_text({TWO_TRIALS!r})
 one = parse_spec_text({TWO_TRIALS.replace("trials = 2", "trials = 1")!r})
 run_experiment(two, threads=1)
 run_experiment(one)
 run_experiment(one, threads=4)
-print(len(multiprocessing.active_children()))
+print(len(bench._workers))
 run_experiment(two, threads=2)
-print(len(multiprocessing.active_children()))
+print(len(bench._workers))
 """
     proc = _python(script)
     out, err = proc.communicate(timeout=120)
@@ -124,10 +130,11 @@ print(len(multiprocessing.active_children()))
 
 def test_workers_die_with_their_parent():
     script = f"""
-import multiprocessing, time
+import time
+from gsample import bench
 from gsample.bench import parse_spec_text, run_experiment
 run_experiment(parse_spec_text({TWO_TRIALS!r}), threads=2)
-print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+print(*[pid for pid, _, _ in bench._workers], flush=True)
 time.sleep(120)
 """
     proc = _python(script)
@@ -151,18 +158,22 @@ time.sleep(120)
 
 
 def test_broken_pool_raises_once_and_is_replaced():
+    # a killed worker raises once, naming it; every worker is reaped and
+    # the next call forks afresh
     spec = parse_spec_text(TWO_TRIALS)
     serial = _data(run_experiment(spec, threads=1))
     assert _data(run_experiment(spec, threads=2)) == serial
-    workers = multiprocessing.active_children()
+    workers = [pid for pid, _, _ in bench._workers]
     assert workers
-    for worker in workers:
-        os.kill(worker.pid, signal.SIGKILL)
-    with pytest.raises(BrokenProcessPool):
+    os.kill(workers[0], signal.SIGKILL)
+    with pytest.raises(RuntimeError,
+                       match=f"^trial worker {workers[0]} died$"):
         run_experiment(spec, threads=2)
+    assert bench._workers == []
+    assert not any(os.path.exists(f"/proc/{pid}") for pid in workers)
     assert _data(run_experiment(spec, threads=2)) == serial
-    assert all(w.pid not in {p.pid for p in workers}
-               for w in multiprocessing.active_children())
+    assert bench._workers and not {pid for pid, _, _ in bench._workers} & \
+        set(workers)
 
 
 def test_processes_are_capped_at_the_usable_cpus(monkeypatch):
@@ -185,10 +196,11 @@ def test_processes_are_capped_at_the_usable_cpus(monkeypatch):
 
 
 def test_calls_off_the_main_thread_run_in_process():
-    # workers die with the thread that forked them, so a pool forked by a
+    # workers die with the thread that forked them, so workers forked by a
     # thread that has exited would break the next call
     script = f"""
-import multiprocessing, threading
+import threading
+from gsample import bench
 from gsample.bench import parse_spec_text, run_experiment
 spec = parse_spec_text({TWO_TRIALS!r})
 data = lambda result: [(r.method, r.sweep, r.trial, r.value, r.seed)
@@ -198,9 +210,9 @@ thread = threading.Thread(
     target=lambda: results.append(run_experiment(spec, threads=2)))
 thread.start()
 thread.join()
-print(len(multiprocessing.active_children()))
+print(len(bench._workers))
 main = run_experiment(spec, threads=2)
-print(len(multiprocessing.active_children()))
+print(len(bench._workers))
 print(int(data(main) == data(results[0])))
 """
     proc = _python(script)
@@ -212,12 +224,14 @@ print(int(data(main) == data(results[0])))
 
 # A parent that has run with workers starts a child that runs the same
 # spec at the default thread count; the parent prints whether the child's
-# rows are its own, the child's exit code, and whether its own pool still
-# gives its rows afterwards.  The child runs its trials in process: a plain
-# fork's inherited pool would never answer it, and a multiprocessing child
-# joins its children at exit, where a pool's workers wait for tasks.
+# rows are its own, whether the child ran them with workers of its own,
+# the child's exit code, and whether its own workers still give its rows
+# afterwards.  A plain fork's child closes its copies of the parent's
+# pipes; the workers of a multiprocessing child are none of
+# multiprocessing's children, which it would join at exit.
 CHILD = f"""
 import multiprocessing, os, pickle, sys
+from gsample import bench
 from gsample.bench import parse_spec_text, run_experiment
 
 SPEC = parse_spec_text({TWO_TRIALS!r})
@@ -228,40 +242,45 @@ def data():
             for r in run_experiment(SPEC).rows]
 
 
+def data_and_workers():
+    return data(), [pid for pid, _, _ in bench._workers]
+
+
 def child(queue):
-    queue.put(data())
+    queue.put(data_and_workers())
 
 
 if __name__ == "__main__":
     mode = sys.argv[1]
-    rows = data()
+    rows, parents = data_and_workers()
     if mode == "os.fork":
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:
             os.close(read)
             with os.fdopen(write, "wb") as out:
-                pickle.dump(data(), out)
-            sys.exit(0)  # through the exit hooks, which leave the pool be
+                pickle.dump(data_and_workers(), out)
+            sys.exit(0)  # through the exit hooks, which reap its workers
         os.close(write)
         with os.fdopen(read, "rb") as source:
-            got = pickle.load(source)
+            got, workers = pickle.load(source)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     else:
         context = multiprocessing.get_context(mode)
         queue = context.SimpleQueue()
         process = context.Process(target=child, args=(queue,))
         process.start()
-        got = queue.get()
+        got, workers = queue.get()
         process.join()
         code = process.exitcode
-    print(int(got == rows), code, int(data() == rows), flush=True)
+    own = bool(workers) and not set(workers) & set(parents)
+    print(int(got == rows), int(own), code, int(data() == rows), flush=True)
 """
 
 
 @pytest.mark.parametrize("mode", ["os.fork", "fork", "spawn"])
-def test_a_child_process_runs_its_trials_in_process_and_exits(tmp_path,
-                                                              mode):
+def test_a_child_process_runs_with_workers_of_its_own_and_exits(tmp_path,
+                                                                mode):
     _needs_two_cpus()
     script = tmp_path / "child.py"
     script.write_text(CHILD, encoding="utf-8")
@@ -280,10 +299,47 @@ def test_a_child_process_runs_its_trials_in_process_and_exits(tmp_path,
         proc.stdout.close()
         proc.stderr.close()
     assert proc.returncode == 0
-    assert out.split() == ["1", "0", "1"]
-    # a plain fork's child must not try, at exit, to join its parent's
-    # workers, which multiprocessing would report on stderr
+    assert out.split() == ["1", "1", "0", "1"]
+    # neither the child nor the parent reports a failed exit hook
     assert err == ""
+
+
+def test_a_run_with_workers_does_not_import_multiprocessing():
+    _needs_two_cpus()
+    script = f"""
+import sys
+from gsample import bench
+from gsample.bench import parse_spec_text, run_experiment
+run_experiment(parse_spec_text({TWO_TRIALS!r}), threads=2)
+print(len(bench._workers), int("multiprocessing" in sys.modules))
+"""
+    proc = _python(script)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == ""
+    assert out.split() == ["1", "0"]
+
+
+def test_workers_are_reaped_at_a_normal_exit():
+    # the last exit hook, registered before gsample.bench's, sees whether
+    # each worker's process, alive or a zombie, still exists
+    _needs_two_cpus()
+    script = f"""
+import atexit, os
+atexit.register(lambda: print(
+    *[int(os.path.exists(f"/proc/{{pid}}")) for pid in WORKERS], flush=True))
+from gsample import bench
+from gsample.bench import parse_spec_text, run_experiment
+run_experiment(parse_spec_text({TWO_TRIALS!r}), threads=2)
+WORKERS = [pid for pid, _, _ in bench._workers]
+print(*WORKERS, flush=True)
+"""
+    proc = _python(script)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == ""
+    pids, remaining = out.splitlines()
+    workers = [int(pid) for pid in pids.split()]
+    assert workers and remaining.split() == ["0"] * len(workers)
+    assert not any(map(_alive, workers))
 
 
 def test_caller_runs_its_share_at_one_blas_thread(monkeypatch):
@@ -349,14 +405,29 @@ def _blas_counts():
     return [get() for get, _ in bench._blas_threads()]
 
 
-def test_workers_inherit_one_blas_thread(two_blas_threads):
-    # workers forked at a run's first submit inherit the caller's one
-    # OpenBLAS thread and keep it; the caller gets its two back
+def test_workers_inherit_one_blas_thread(monkeypatch, tmp_path,
+                                        two_blas_threads):
+    # workers forked in a run inherit the caller's one OpenBLAS thread and
+    # keep it for the next run; the caller gets its two back
     _needs_two_cpus()
-    bench._drop_pool(bench._pool, wait=True)  # fork afresh in the run
-    run_experiment(parse_spec_text(TWO_TRIALS), threads=2)
-    worker = bench._worker_pool().submit(_blas_counts).result(timeout=60)
-    assert worker == [1] * len(two_blas_threads)
+    share_rows = bench._share_rows
+
+    def recorded(spec, trials, *args):
+        (tmp_path / str(os.getpid())).write_text(repr(_blas_counts()))
+        return share_rows(spec, trials, *args)
+
+    bench._stop_workers()  # fork afresh in the run, with the recorder
+    monkeypatch.setattr(bench, "_share_rows", recorded)
+    try:
+        for _ in range(2):
+            run_experiment(parse_spec_text(TWO_TRIALS), threads=2)
+        workers = [pid for pid, _, _ in bench._workers]
+    finally:
+        bench._stop_workers()  # no later run meets the recorder
+    assert workers
+    for pid in workers:
+        assert (tmp_path / str(pid)).read_text() == \
+            repr([1] * len(two_blas_threads))
     assert _blas_counts() == two_blas_threads
 
 

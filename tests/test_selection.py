@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -691,6 +692,28 @@ def test_greedy_budget_validation(sensor8):
         greedy_select("agod", 9, basis=basis, K=2, mu=MU)
     with pytest.raises(ValueError):
         greedy_select("nope", 2, basis=basis, K=2, mu=MU)
+
+
+@pytest.mark.parametrize("select", [
+    lambda b, M: greedy_select("agod", M, basis=b, K=4, mu=MU),
+    lambda b, M: greedy_select("fagod", M, basis=b, K=4, mu=MU),
+    lambda b, M: greedy_select("fagod", M, filt=approximate_lowpass(
+        build_laplacian(gen_sensor(30, 5, seed=3)), 4, 40), mu=MU),
+    lambda b, M: greedy_select("god", M, basis=b, K=4),
+    lambda b, M: greedy_doptimal(b, 4, MU, M),
+    lambda b, M: greedy_aoptimal(b, 4, MU, M),
+    lambda b, M: greedy_eoptimal(b, 4, M),
+    lambda b, M: random_select("uniform", b, 4, M, 1),
+    lambda b, M: random_select("leverage", b, 4, M, 1)],
+    ids=["agod", "fagod-exact", "fagod-givens", "god", "dopt", "aopt",
+         "eopt", "rand-uniform", "rand-leverage"])
+@pytest.mark.parametrize("M", [2.5, 3.0, "3"])
+def test_budget_must_be_an_integer(select, M):
+    # agod used to fail sizing the compiled pass's scratch buffer, and the
+    # others inside numpy
+    with pytest.raises(ValueError, match="budget must be an integer, got "
+                       + re.escape(repr(M))):
+        select(_basis(30, 5, 3), M)
 
 
 def test_doptimal_first_pick_and_oracle():

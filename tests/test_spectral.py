@@ -1,4 +1,5 @@
 import math
+import re
 import types
 
 import numpy as np
@@ -106,6 +107,16 @@ def test_signal_bandwidth_override(sensor8):
     s = gen_signal("GS1", basis, seed=1, bandwidth=3)
     assert s.bandwidth == 3
     assert np.all(s.spectrum[3:] == 0.0)
+
+
+@pytest.mark.parametrize("bandwidth", [2.5, 3.0, "3"])
+def test_signal_bandwidth_must_be_an_integer(sensor8, bandwidth):
+    # as at every other bandwidth entry point: 2.5 used to draw a
+    # 2-bandlimited signal, and "3" a 3-bandlimited one
+    _, _, basis = sensor8
+    with pytest.raises(ValueError, match="bandwidth must be an integer, got "
+                       + re.escape(repr(bandwidth))):
+        gen_signal("GS1", basis, seed=1, bandwidth=bandwidth)
 
 
 def test_signal_coefficient_variance():
